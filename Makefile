@@ -4,15 +4,15 @@ GO ?= go
 ## against. Bump when a PR lands a new snapshot.
 BENCH_BASELINE ?= BENCH_10.json
 
-.PHONY: check fmt vet build test race bench bench-guard fuzz serve-smoke cluster-smoke recal-smoke load-smoke metriclint
+.PHONY: check fmt vet build test race bench bench-guard fuzz serve-smoke cluster-smoke recal-smoke load-smoke metriclint pipebench-test
 
 ## check: the CI gate — formatting, vet, build, metric-name linting, the
 ## full suite under the race detector (includes the 1k-job batch stress test,
 ## the stream concurrent-publisher stress test, and the serial/parallel
 ## equivalence tests), the multi-process cluster smoke, the closed-loop
-## recalibration smoke, the load-harness smoke, and the benchmark
-## regression guard.
-check: fmt vet build metriclint race cluster-smoke recal-smoke load-smoke bench-guard
+## recalibration smoke, the load-harness smoke, the pipeline benchmark's own
+## tests, and the benchmark regression guard.
+check: fmt vet build metriclint race cluster-smoke recal-smoke load-smoke pipebench-test bench-guard
 
 ## metriclint: every registered metric name matches lion_[a-z_]+ and is
 ## documented in DESIGN.md section 9.
@@ -72,6 +72,12 @@ recal-smoke:
 ## scrape, macro merge) and assert the scored verdict passes.
 load-smoke:
 	$(GO) test ./cmd/lionload -run TestLoadSmokeLiond -count=1 -v
+
+## pipebench-test: the pipeline benchmark's tests (its own module, so the
+## root `go test ./...` skips them), including the offline re-solve gate of
+## every workload.
+pipebench-test:
+	cd pipebench && $(GO) test .
 
 ## fuzz: short fuzzing passes over the phase-wrap, preprocessing, and ingest
 ## decoding invariants (their seed corpora also run in every plain `go test`).

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strings"
@@ -89,8 +90,11 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("garbage ingest status %d, want 400", resp.StatusCode)
 	}
 
-	// Replay the recorded trace as one NDJSON POST.
+	// Replay the recorded trace as one NDJSON POST, cut to a whole number of
+	// -every 32 solve periods so the last solve covers the last sample.
 	trace := smokeTrace(t)
+	trace = trace[:len(trace)-len(trace)%32]
+	last := trace[len(trace)-1].Time.Seconds()
 	var buf bytes.Buffer
 	if err := dataset.WriteNDJSON(&buf, "T1", trace); err != nil {
 		t.Fatal(err)
@@ -109,19 +113,24 @@ func TestServeSmoke(t *testing.T) {
 			resp.StatusCode, ingest.Accepted, ingest.Dropped, len(trace))
 	}
 
-	// Solves run asynchronously; poll briefly for the estimate.
+	// Solves run asynchronously; poll briefly for the final estimate. Early
+	// windows are too short for a 0.1 m pair and publish an error, so only
+	// an estimate that covers the last sample without error ends the wait.
 	var est estimateJSON
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		code, body := get(t, base+"/v1/tags/T1/estimate")
 		if code == http.StatusOK {
+			est = estimateJSON{}
 			if err := json.Unmarshal([]byte(body), &est); err != nil {
 				t.Fatalf("estimate decode: %v in %s", err, body)
 			}
-			break
+			if math.Abs(est.ToS-last) < 1e-6 && est.Error == "" {
+				break
+			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no estimate after ingest (last status %d)", code)
+			t.Fatalf("no error-free estimate covering t=%vs after ingest (last status %d, estimate %+v)", last, code, est)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/mat"
-	"github.com/rfid-lion/lion/internal/rf"
 )
 
 const (
@@ -22,10 +20,6 @@ const (
 	// into the Gram entries threatens the 1e-9 equivalence bound.
 	driftRebuildRatio = 1e3
 )
-
-// lineKeep is the reduced-column map of every 2-D line solve: the local
-// frame zeroes the y column, so the kept columns are x and d_r.
-var lineKeep = []int{0, 2}
 
 // linePair is one cached radical-line equation: the pair's absolute sample
 // indices plus its reduced row [α, ω] and right-hand side κ. Rows are cached
@@ -73,6 +67,11 @@ type LineSessionStats struct {
 //     the factorization is maintained by rank-1 update/downdate rather than
 //     recomputed. RefDistance is reported relative to the session's anchor
 //     reference sample, not the current window midpoint.
+//   - Pairs are chosen exactly as Locate2DLineIntervals chooses them: the
+//     separation scan runs on the current window's own frame (origin at its
+//     middle sample, û from its first to its last sample), not the anchor
+//     frame. On evenly spaced reads a pair can sit exactly one interval
+//     apart, and the two frames then round that separation differently.
 //   - Sessions re-anchor automatically every RebuildEvery slides, when the
 //     normal equations drift past mat.NormalEq's documented bound, when the
 //     anchor reference sample is evicted, and whenever the incoming window
@@ -99,9 +98,11 @@ type LineSession struct {
 
 	world []geom.Vec3 // world positions of the current window (slide matching)
 	prof  Profile     // local-frame profile: Obs=(pu,0,0), session-frame θ, cached Δd
+	frame []PosPhase  // the current window in its own frame, for pair scans
 
 	pairs [][]linePair // per interval, sorted by first index
 	next  [][]linePair // scratch buffers for rescans (double-buffered)
+	scan  []Pair       // pair-scan scratch, window-relative indices
 
 	ne  mat.NormalEq
 	ls  mat.Workspace
@@ -121,13 +122,8 @@ func NewLineSession(lambda float64, intervals []float64, positiveSide bool) (*Li
 	if lambda <= 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
 		return nil, ErrBadLambda
 	}
-	if len(intervals) == 0 {
-		return nil, fmt.Errorf("core: at least one interval required")
-	}
-	for _, iv := range intervals {
-		if iv <= 0 {
-			return nil, fmt.Errorf("core: interval %v must be positive", iv)
-		}
+	if err := checkIntervals(intervals); err != nil {
+		return nil, err
 	}
 	s := &LineSession{
 		lambda:       lambda,
@@ -164,28 +160,27 @@ func (s *LineSession) Locate(win []PosPhase, opts SolveOptions, sol *Solution) e
 	if len(win) < 4 {
 		return ErrTooFewObservations
 	}
-	first, last := win[0].Pos.XY(), win[len(win)-1].Pos.XY()
-	dir := last.Sub(first)
-	if dir.Norm() == 0 {
-		return ErrDegenerateGeometry
+	origin, u, v, err := lineFrame(win)
+	if err != nil {
+		return err
 	}
 
 	slid := false
 	if s.valid && s.sinceRebuild < s.rebuildEvery() && s.ne.DriftRatio() <= driftRebuildRatio {
-		slid = s.trySlide(win)
+		slid = s.trySlide(win, origin, u)
 	}
 	if slid {
 		s.sinceRebuild++
 		s.stats.Slides++
 	} else {
-		if err := s.rebuild(win, dir); err != nil {
+		if err := s.rebuild(win, origin, u, v); err != nil {
 			return err
 		}
 	}
 	if err := s.solve(opts, sol); err != nil {
 		return err
 	}
-	if err := s.recoverMissingMedian(sol); err != nil {
+	if err := recoverLineMedian(sol, &s.prof, s.positiveSide, &s.dsc); err != nil {
 		return err
 	}
 	// Map the line-frame estimate back into world coordinates.
@@ -201,8 +196,9 @@ func (s *LineSession) Locate(win []PosPhase, opts SolveOptions, sol *Solution) e
 // eviction prefix followed by the exact retained overlap (bit-equal
 // positions, phases shifted by one global unwrap constant) and appended new
 // samples — and commits the incremental update when it is. It reports false
-// (leaving the session unchanged) when the window must be rebuilt.
-func (s *LineSession) trySlide(win []PosPhase) bool {
+// (leaving the session unchanged) when the window must be rebuilt. origin
+// and u are the window's own frame, which the pair scan runs in.
+func (s *LineSession) trySlide(win []PosPhase, origin geom.Vec3, u geom.Vec2) bool {
 	m := len(s.prof.Obs)
 	k := -1
 	for c := 0; c <= m-2; c++ {
@@ -247,50 +243,44 @@ func (s *LineSession) trySlide(win []PosPhase) bool {
 	}
 	s.prof.RefIndex = s.refAbs - s.base
 	refTheta := s.prof.Obs[s.prof.RefIndex].Theta
-	for i := overlap; i < len(win); i++ {
-		o := win[i]
-		pu := o.Pos.XY().Sub(s.origin.XY()).Dot(s.u)
-		th := o.Theta + c0 // translate into the session's phase frame
-		s.world = append(s.world, o.Pos)
-		s.prof.Obs = append(s.prof.Obs, PosPhase{Pos: geom.V3(pu, 0, 0), Theta: th})
-		s.prof.deltaD = append(s.prof.deltaD, rf.DistanceOfPhaseDelta(th-refTheta, s.lambda))
+	tail := len(s.prof.Obs)
+	s.prof.Obs = projectLine(s.prof.Obs, win[overlap:], s.origin, s.u)
+	for i := tail; i < len(s.prof.Obs); i++ {
+		s.prof.Obs[i].Theta += c0 // translate into the session's phase frame
 	}
+	s.prof.deltaD = appendDeltaD(s.prof.deltaD, s.prof.Obs[tail:], refTheta, s.lambda)
+	for _, o := range win[overlap:] {
+		s.world = append(s.world, o.Pos)
+	}
+	s.frame = projectLine(s.frame[:0], win, origin, u)
 	s.diffPairs()
 	return true
 }
 
-// rebuild re-anchors the session on win, exactly as Locate2DLineIntervals
-// sets up a fresh solve: origin at the window midpoint, û from first to last
-// sample, reference sample at the midpoint index.
-func (s *LineSession) rebuild(win []PosPhase, dir geom.Vec2) error {
-	for i, o := range win {
-		if !o.Pos.IsFinite() || math.IsNaN(o.Theta) || math.IsInf(o.Theta, 0) {
-			return fmt.Errorf("core: observation %d is %v: %w", i, o, ErrNonFiniteInput)
-		}
+// rebuild re-anchors the session on win in the window's own frame (origin,
+// û, v̂ from lineFrame), exactly as Locate2DLineIntervals sets up a fresh
+// solve, with the reference sample at the midpoint index.
+func (s *LineSession) rebuild(win []PosPhase, origin geom.Vec3, u, v geom.Vec2) error {
+	if err := checkFinite(win); err != nil {
+		return err
 	}
-	s.u = dir.Unit()
-	s.v = s.u.Perp()
-	s.origin = win[len(win)/2].Pos
+	s.valid = false
+	s.origin, s.u, s.v = origin, u, v
 	s.base = 0
 	s.refAbs = len(win) / 2
-	s.prof.RefIndex = s.refAbs
 
 	s.world = s.world[:0]
-	s.prof.Obs = s.prof.Obs[:0]
-	s.prof.deltaD = s.prof.deltaD[:0]
 	for _, o := range win {
-		pu := o.Pos.XY().Sub(s.origin.XY()).Dot(s.u)
 		s.world = append(s.world, o.Pos)
-		s.prof.Obs = append(s.prof.Obs, PosPhase{Pos: geom.V3(pu, 0, 0), Theta: o.Theta})
 	}
-	refTheta := s.prof.Obs[s.refAbs].Theta
-	for _, o := range s.prof.Obs {
-		s.prof.deltaD = append(s.prof.deltaD, rf.DistanceOfPhaseDelta(o.Theta-refTheta, s.lambda))
+	s.prof.Obs = projectLine(s.prof.Obs[:0], win, origin, u)
+	if err := s.prof.reset(s.lambda, s.refAbs); err != nil {
+		return err
 	}
 
 	s.ne.Reset(2)
 	for ivi, iv := range s.intervals {
-		s.pairs[ivi] = s.scanPairs(iv, s.pairs[ivi][:0])
+		s.pairs[ivi] = s.scanPairs(s.prof.Obs, iv, s.pairs[ivi][:0])
 		for pi := range s.pairs[ivi] {
 			s.addPair(&s.pairs[ivi][pi])
 		}
@@ -301,23 +291,12 @@ func (s *LineSession) rebuild(win []PosPhase, dir geom.Vec2) error {
 	return nil
 }
 
-// scanPairs runs the SeparationPairs greedy scan (shared monotone second
-// index, first qualifying partner, at most one pair per i) over the current
-// local positions, appending pairs with absolute indices into out.
-func (s *LineSession) scanPairs(sep float64, out []linePair) []linePair {
-	n := len(s.prof.Obs)
-	j := 0
-	for i := 0; i < n; i++ {
-		if j <= i {
-			j = i + 1
-		}
-		for j < n && s.prof.Obs[i].Pos.Dist(s.prof.Obs[j].Pos) < sep {
-			j++
-		}
-		if j >= n {
-			break
-		}
-		out = append(out, linePair{i: s.base + i, j: s.base + j})
+// scanPairs runs the shared separation scan over frame, the current window
+// in its own frame, appending the pairs with absolute indices into out.
+func (s *LineSession) scanPairs(frame []PosPhase, sep float64, out []linePair) []linePair {
+	s.scan = appendSeparationPairs(s.scan[:0], frame, sep)
+	for _, p := range s.scan {
+		out = append(out, linePair{i: s.base + p.I, j: s.base + p.J})
 	}
 	return out
 }
@@ -331,13 +310,14 @@ func (s *LineSession) addPair(p *linePair) {
 	s.ne.AddRow(p.a[:], p.k)
 }
 
-// diffPairs rescans the pair lists over the slid window and applies the
-// difference to the normal equations: rows for pairs that left the window
-// are downdated out, rows for new pairs are updated in, retained pairs keep
-// their cached coefficients (which a slide provably does not change).
+// diffPairs rescans the pair lists over the slid window in its own frame
+// (s.frame) and applies the difference to the normal equations: rows for
+// pairs that left the window are downdated out, rows for new pairs are
+// updated in, retained pairs keep their cached coefficients (which a slide
+// provably does not change).
 func (s *LineSession) diffPairs() {
 	for ivi, iv := range s.intervals {
-		fresh := s.scanPairs(iv, s.next[ivi][:0])
+		fresh := s.scanPairs(s.frame, iv, s.next[ivi][:0])
 		old := s.pairs[ivi]
 		oi, ni := 0, 0
 		for oi < len(old) || ni < len(fresh) {
@@ -389,7 +369,7 @@ func (s *LineSession) solve(opts SolveOptions, sol *Solution) error {
 	s.a.Reshape(nPairs, 2)
 	s.kv = growFloats(s.kv, nPairs)
 	r := 0
-	scale, colMaxX := 0.0, 0.0
+	colMaxX, colMaxW := 0.0, 0.0
 	for _, pl := range s.pairs {
 		for _, p := range pl {
 			s.a.Set(r, 0, p.a[0])
@@ -398,20 +378,14 @@ func (s *LineSession) solve(opts SolveOptions, sol *Solution) error {
 			if v := math.Abs(p.a[0]); v > colMaxX {
 				colMaxX = v
 			}
-			if v := math.Abs(p.a[1]); v > scale {
-				scale = v
+			if v := math.Abs(p.a[1]); v > colMaxW {
+				colMaxW = v
 			}
 			r++
 		}
 	}
-	if colMaxX > scale {
-		scale = colMaxX
-	}
-	if scale == 0 {
-		return ErrDegenerateGeometry
-	}
-	if colMaxX <= 1e-9*scale {
-		return ErrDegenerateGeometry
+	if err := checkLineColumns(colMaxX, colMaxW); err != nil {
+		return err
 	}
 
 	x0, err := s.ne.Solve()
@@ -420,19 +394,13 @@ func (s *LineSession) solve(opts SolveOptions, sol *Solution) error {
 		// path uses over the assembled rows.
 		x0, err = s.ls.LeastSquares(&s.a, s.kv)
 		if err != nil {
-			if errors.Is(err, mat.ErrSingular) {
-				return fmt.Errorf("%w: %v", ErrDegenerateGeometry, err)
-			}
-			return fmt.Errorf("least squares: %w", err)
+			return leastSquaresErr(err)
 		}
 	}
 	s.x = append(s.x[:0], x0...)
 	condEst := s.ne.ConditionEst()
 
-	s.wts = growFloats(s.wts, nPairs)
-	for i := range s.wts {
-		s.wts[i] = 1
-	}
+	s.wts = onesInto(s.wts, nPairs)
 	iterations, err := irlsRefine(&s.ls, &s.a, s.kv, &s.x, s.wts, opts, condEst)
 	if err != nil {
 		return err
@@ -441,102 +409,7 @@ func (s *LineSession) solve(opts SolveOptions, sol *Solution) error {
 	if err != nil {
 		return fmt.Errorf("residuals: %w", err)
 	}
-	fillSolution(sol, 2, 1, [3]bool{true, false, false}, lineKeep,
+	fillSolution(sol, 2, 1, lineKnown, lineKeep,
 		s.x, res, s.wts, iterations, condEst)
 	return nil
-}
-
-// recoverMissingMedian is the in-place form of Solution.RecoverMissingMedian
-// for the line session's fixed shape (Dim 2, missing coordinate y, local
-// frame with all sample y exactly zero): same discriminants, same median
-// interpolation as stats.Percentile, same negative-median tolerance.
-func (s *LineSession) recoverMissingMedian(sol *Solution) error {
-	n := s.prof.Len()
-	if n < 3 {
-		return sol.RecoverMissing(s.prof.RefPos(), s.positiveSide)
-	}
-	s.dsc = growFloats(s.dsc, n)
-	estX := sol.Position.X
-	for t := 0; t < n; t++ {
-		dt := sol.RefDistance + s.prof.deltaD[t]
-		d := estX - s.prof.Obs[t].Pos.X
-		s.dsc[t] = dt*dt - d*d
-	}
-	// Median via selection, not a full sort: the order statistics are the
-	// same values sort.Float64s would put at lo and hi, so the interpolated
-	// median is bit-identical to stats.Percentile's — at O(n) instead of
-	// O(n log n), which matters because this runs on every streamed re-solve.
-	var med float64
-	rank := 50.0 / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	quickselectFloat(s.dsc, lo)
-	if lo == hi {
-		med = s.dsc[lo]
-	} else {
-		vhi := s.dsc[lo+1]
-		for _, v := range s.dsc[lo+2:] {
-			if v < vhi {
-				vhi = v
-			}
-		}
-		frac := rank - float64(lo)
-		med = s.dsc[lo]*(1-frac) + vhi*frac
-	}
-	if med < 0 {
-		if med < -0.02*sol.RefDistance*sol.RefDistance {
-			return ErrNoSolution
-		}
-		med = 0
-	}
-	off := math.Sqrt(med)
-	if !s.positiveSide {
-		off = -off
-	}
-	sol.Position = geom.Vec3{X: sol.Position.X, Y: off, Z: sol.Position.Z}
-	sol.Known[1] = true
-	return nil
-}
-
-// quickselectFloat rearranges xs in place so xs[k] holds the value a full
-// ascending sort would put there, with xs[:k] ≤ xs[k] ≤ xs[k+1:]. Hoare
-// partitioning with median-of-three pivots; O(len(xs)) expected, zero
-// allocations.
-func quickselectFloat(xs []float64, k int) {
-	lo, hi := 0, len(xs)-1
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if xs[mid] < xs[lo] {
-			xs[mid], xs[lo] = xs[lo], xs[mid]
-		}
-		if xs[hi] < xs[lo] {
-			xs[hi], xs[lo] = xs[lo], xs[hi]
-		}
-		if xs[hi] < xs[mid] {
-			xs[hi], xs[mid] = xs[mid], xs[hi]
-		}
-		pivot := xs[mid]
-		i, j := lo, hi
-		for i <= j {
-			for xs[i] < pivot {
-				i++
-			}
-			for xs[j] > pivot {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return // xs[j+1 : i] all equal the pivot, k among them
-		}
-	}
 }

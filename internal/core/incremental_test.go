@@ -4,9 +4,12 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"github.com/rfid-lion/lion/internal/geom"
+	"github.com/rfid-lion/lion/internal/rf"
 	"github.com/rfid-lion/lion/internal/stats"
+	"github.com/rfid-lion/lion/internal/traject"
 )
 
 // lineStream generates a long straight-line scan past a target, the exact
@@ -218,6 +221,74 @@ func TestLineSessionSolutionMutationIsolated(t *testing.T) {
 			if clean[i].Residuals[j] != dirty[i].Residuals[j] {
 				t.Fatalf("solve %d: mutation changed residual %d", i, j)
 			}
+		}
+	}
+}
+
+// TestLineSessionSlideMatchesBatchExactSpacing replays conveyor reads —
+// 0.5 m/s at 100 Hz, so reads are exactly 5 mm apart and the 0.2 m interval
+// is exactly 40 spacings — through a window that grows from 128 to 256
+// samples and then slides one sample at a time past several re-anchors, each
+// window re-unwrapped from its own first sample as the stream engine does.
+// Every slide must stay within the 1e-9·max(1, cond) bound of the batch
+// solve. A pair exactly one interval long is where the anchor frame and the
+// window's own frame round the separation differently, so the session must
+// choose its pairs in the window's frame, as the batch solve does.
+func TestLineSessionSlideMatchesBatchExactSpacing(t *testing.T) {
+	const (
+		minWin  = 128
+		maxWin  = 256
+		rebuild = 4 // the first build plus at least three re-anchors
+	)
+	ant := geom.V3(0.022, 0.782, 0)
+	intervals := []float64{0.2}
+	opts := DefaultSolveOptions()
+	rng := stats.NewRNG(5)
+	// Two conveyor lanes, both sampled along the belt exactly as
+	// internal/sim reads a traject.Linear pass.
+	for _, y := range []float64{0, 0.16875} {
+		// A 3.6 m pass: 721 reads, long enough for the anchor reference
+		// sample to be evicted four times.
+		trj, err := traject.NewLinear(geom.V3(-1.8, y, 0), geom.V3(1.8, y, 0), 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := int(trj.Duration()/(10*time.Millisecond)) + 1
+		positions := make([]geom.Vec3, n)
+		wrapped := make([]float64, n)
+		for k := range positions {
+			positions[k] = trj.Position(time.Duration(k) * 10 * time.Millisecond)
+			th := rf.PhaseOfDistance(ant.Dist(positions[k]), testLambda) + rng.Normal(0, 0.1)
+			wrapped[k] = rf.WrapPhase(th)
+		}
+		s, err := NewLineSession(testLambda, intervals, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Solution
+		var buf PreprocessBuffers
+		for end := minWin; end <= n; end++ {
+			lo := max(0, end-maxWin)
+			win, err := PreprocessInto(&buf, positions[lo:end], wrapped[lo:end], 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, werr := Locate2DLineIntervals(win, testLambda, intervals, true, opts)
+			gerr := s.Locate(win, opts, &got)
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("lane y=%v end %d: session err %v, batch err %v", y, end, gerr, werr)
+			}
+			if werr != nil {
+				continue
+			}
+			tol := 1e-9 * math.Max(1, want.ConditionEstimate)
+			if d := got.Position.Dist(want.Position); d > tol {
+				t.Fatalf("lane y=%v end %d (stats %+v): position %v vs batch %v (|Δ| = %.3g > %.3g)",
+					y, end, s.Stats(), got.Position, want.Position, d, tol)
+			}
+		}
+		if st := s.Stats(); st.Rebuilds < rebuild || st.Slides == 0 {
+			t.Errorf("lane y=%v: stats %+v, want ≥ %d rebuilds and some slides", y, st, rebuild)
 		}
 	}
 }

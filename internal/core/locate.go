@@ -62,62 +62,16 @@ func Locate2DLine(obs []PosPhase, lambda float64, interval float64, positiveSide
 // long pairs capture the curvature of the distance profile, which is what
 // determines d_r (and therefore the recovered perpendicular coordinate) at
 // large depth.
+//
+// It allocates a fresh LineWorkspace per call; hot paths that solve window
+// after window should hold one and call Locate2DLineIntervalsInto, which is
+// the same code without steady-state allocations.
 func Locate2DLineIntervals(obs []PosPhase, lambda float64, intervals []float64, positiveSide bool, opts SolveOptions) (*Solution, error) {
-	if len(obs) < 4 {
-		return nil, ErrTooFewObservations
-	}
-	if len(intervals) == 0 {
-		return nil, fmt.Errorf("core: at least one interval required")
-	}
-	for _, iv := range intervals {
-		if iv <= 0 {
-			return nil, fmt.Errorf("core: interval %v must be positive", iv)
-		}
-	}
-	first, last := obs[0].Pos.XY(), obs[len(obs)-1].Pos.XY()
-	dir := last.Sub(first)
-	if dir.Norm() == 0 {
-		return nil, ErrDegenerateGeometry
-	}
-	u := dir.Unit()
-	v := u.Perp()
-	origin := obs[len(obs)/2].Pos
-
-	local := make([]PosPhase, len(obs))
-	positions := make([]geom.Vec3, len(obs))
-	for i, o := range obs {
-		pu := o.Pos.XY().Sub(origin.XY()).Dot(u)
-		local[i] = PosPhase{Pos: geom.V3(pu, 0, 0), Theta: o.Theta}
-		positions[i] = local[i].Pos
-	}
-	var pairs []Pair
-	for _, iv := range intervals {
-		pairs = append(pairs, SeparationPairs(positions, iv)...)
-	}
-	if len(pairs) < 3 {
-		return nil, fmt.Errorf("core: intervals %v leave %d pairs: %w",
-			intervals, len(pairs), ErrTooFewObservations)
-	}
-	p, err := NewProfile(local, lambda)
-	if err != nil {
+	var ws LineWorkspace
+	sol := &Solution{}
+	if err := Locate2DLineIntervalsInto(&ws, obs, lambda, intervals, positiveSide, opts, sol); err != nil {
 		return nil, err
 	}
-	sys, err := BuildSystem(p, pairs, 2)
-	if err != nil {
-		return nil, err
-	}
-	sol, err := SolveSystem(sys, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := sol.RecoverMissingMedian(p, positiveSide); err != nil {
-		return nil, err
-	}
-	// Map the line-frame estimate back into world coordinates.
-	est := origin.XY().
-		Add(u.Scale(sol.Position.X)).
-		Add(v.Scale(sol.Position.Y))
-	sol.Position = est.XYZ(origin.Z)
 	return sol, nil
 }
 

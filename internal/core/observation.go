@@ -7,7 +7,6 @@ import (
 
 	"github.com/rfid-lion/lion/internal/dsp"
 	"github.com/rfid-lion/lion/internal/geom"
-	"github.com/rfid-lion/lion/internal/rf"
 )
 
 // Errors returned by the localization pipeline.
@@ -45,7 +44,28 @@ type PosPhase struct {
 // moving-average window (Sec. IV-A). A window of zero or one disables
 // smoothing; the window must be odd otherwise. Positions and phases must
 // have equal length.
+//
+// It allocates fresh storage per call; PreprocessInto is the same code on
+// reusable buffers.
 func Preprocess(positions []geom.Vec3, wrapped []float64, smoothWindow int) ([]PosPhase, error) {
+	var buf PreprocessBuffers
+	return PreprocessInto(&buf, positions, wrapped, smoothWindow)
+}
+
+// PreprocessBuffers is the reusable storage of PreprocessInto: the output
+// profile and the phase scratch. The zero value is ready to use; once a
+// window has sized it, windows up to that length preprocess without
+// allocating. Not safe for concurrent use.
+type PreprocessBuffers struct {
+	obs    []PosPhase
+	theta  []float64 // unwrapped phases
+	smooth []float64 // smoothed phases
+}
+
+// PreprocessInto is Preprocess writing into buf. The returned profile
+// aliases buf and is valid until the next call with the same buf; positions
+// and wrapped are not modified.
+func PreprocessInto(buf *PreprocessBuffers, positions []geom.Vec3, wrapped []float64, smoothWindow int) ([]PosPhase, error) {
 	if len(positions) != len(wrapped) {
 		return nil, fmt.Errorf("core: %d positions vs %d phases: %w",
 			len(positions), len(wrapped), ErrTooFewObservations)
@@ -60,19 +80,23 @@ func Preprocess(positions []geom.Vec3, wrapped []float64, smoothWindow int) ([]P
 			return nil, fmt.Errorf("core: phase %d is %v: %w", i, th, ErrNonFiniteInput)
 		}
 	}
-	theta := dsp.Unwrap(wrapped)
+	buf.theta = dsp.UnwrapInto(buf.theta, wrapped)
+	theta := buf.theta
 	if smoothWindow > 1 {
-		sm, err := dsp.MovingAverage(theta, smoothWindow)
+		sm, err := dsp.MovingAverageInto(buf.smooth, theta, smoothWindow)
 		if err != nil {
 			return nil, fmt.Errorf("smooth: %w", err)
 		}
-		theta = sm
+		buf.smooth, theta = sm, sm
 	}
-	out := make([]PosPhase, len(positions))
+	if cap(buf.obs) < len(positions) {
+		buf.obs = make([]PosPhase, len(positions))
+	}
+	buf.obs = buf.obs[:len(positions)]
 	for i := range positions {
-		out[i] = PosPhase{Pos: positions[i], Theta: theta[i]}
+		buf.obs[i] = PosPhase{Pos: positions[i], Theta: theta[i]}
 	}
-	return out, nil
+	return buf.obs, nil
 }
 
 // Profile is a preprocessed measurement set ready for equation generation.
@@ -94,30 +118,36 @@ func NewProfile(obs []PosPhase, lambda float64) (*Profile, error) {
 
 // NewProfileRef builds a profile with an explicit reference index.
 func NewProfileRef(obs []PosPhase, lambda float64, refIndex int) (*Profile, error) {
-	if lambda <= 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
-		return nil, ErrBadLambda
-	}
-	if len(obs) < 2 {
-		return nil, ErrTooFewObservations
-	}
-	if refIndex < 0 || refIndex >= len(obs) {
-		return nil, fmt.Errorf("core: reference index %d out of range [0,%d)",
-			refIndex, len(obs))
-	}
-	for i, o := range obs {
-		if !o.Pos.IsFinite() || math.IsNaN(o.Theta) || math.IsInf(o.Theta, 0) {
-			return nil, fmt.Errorf("core: observation %d is %v: %w", i, o, ErrNonFiniteInput)
-		}
-	}
-	cp := make([]PosPhase, len(obs))
-	copy(cp, obs)
-	p := &Profile{Obs: cp, Lambda: lambda, RefIndex: refIndex}
-	p.deltaD = make([]float64, len(cp))
-	ref := cp[refIndex].Theta
-	for i, o := range cp {
-		p.deltaD[i] = rf.DistanceOfPhaseDelta(o.Theta-ref, lambda)
+	p := &Profile{Obs: append([]PosPhase(nil), obs...)}
+	if err := p.reset(lambda, refIndex); err != nil {
+		return nil, err
 	}
 	return p, nil
+}
+
+// reset validates the wavelength, the reference index and every observation
+// of p.Obs as NewProfileRef documents, then refills Δd relative to refIndex,
+// reusing p's storage.
+func (p *Profile) reset(lambda float64, refIndex int) error {
+	if lambda <= 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
+		return ErrBadLambda
+	}
+	if len(p.Obs) < 2 {
+		return ErrTooFewObservations
+	}
+	if refIndex < 0 || refIndex >= len(p.Obs) {
+		return fmt.Errorf("core: reference index %d out of range [0,%d)",
+			refIndex, len(p.Obs))
+	}
+	if err := checkFinite(p.Obs); err != nil {
+		return err
+	}
+	p.Lambda, p.RefIndex = lambda, refIndex
+	if cap(p.deltaD) < len(p.Obs) {
+		p.deltaD = make([]float64, 0, len(p.Obs))
+	}
+	p.deltaD = appendDeltaD(p.deltaD[:0], p.Obs, p.Obs[refIndex].Theta, lambda)
+	return nil
 }
 
 // Len returns the number of observations.

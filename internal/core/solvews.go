@@ -95,26 +95,19 @@ func SolveSystemInto(ws *SolveWorkspace, sys *System, opts SolveOptions, sol *So
 		return ErrTooFewObservations
 	}
 
-	x0, err := ws.ls.LeastSquares(a, sys.K)
+	// One condition estimate per solve, on the unweighted reduced system,
+	// read off the initial solve's Cholesky factor — enough to flag
+	// near-degenerate geometry in both the Solution and every iteration's
+	// trace event.
+	x0, condEst, err := ws.ls.LeastSquaresCond(a, sys.K)
 	if err != nil {
-		if errors.Is(err, mat.ErrSingular) {
-			return fmt.Errorf("%w: %v", ErrDegenerateGeometry, err)
-		}
-		return fmt.Errorf("least squares: %w", err)
+		return leastSquaresErr(err)
 	}
 	// x0 aliases ls scratch that the IRLS calls below overwrite; keep the
 	// iterate in workspace-owned storage.
 	ws.x = append(ws.x[:0], x0...)
 
-	// One condition estimate per solve, on the unweighted reduced system —
-	// cheap next to the IRWLS loop and enough to flag near-degenerate
-	// geometry in both the Solution and every iteration's trace event.
-	condEst := ws.ls.ConditionEst(a)
-
-	ws.weights = growFloats(ws.weights, rows)
-	for i := range ws.weights {
-		ws.weights[i] = 1
-	}
+	ws.weights = onesInto(ws.weights, rows)
 	iterations, err := irlsRefine(&ws.ls, a, sys.K, &ws.x, ws.weights, opts, condEst)
 	if err != nil {
 		return err
@@ -135,8 +128,14 @@ func SolveSystemInto(ws *SolveWorkspace, sys *System, opts SolveOptions, sol *So
 // until the iterate moves less than the tolerance. xp points at the
 // workspace-owned iterate and is updated in place (the slice may be
 // re-appended); weights must be pre-initialised to ones and is overwritten.
-// Both SolveSystemInto and the incremental LineSession route through this
-// one loop, which is what keeps their IRLS arithmetic identical.
+// SolveSystemInto, the batch line solve and the incremental LineSession all
+// route through this one loop, which is what keeps their IRLS arithmetic
+// identical.
+//
+// One iteration makes three passes over the rows: the residuals with their
+// mean, standard deviation and norm (mat.Workspace.ResidualStats), the
+// Eq. 15 weights, and the fused weight check + AᵀWA + AᵀWb of the weighted
+// solve.
 func irlsRefine(ls *mat.Workspace, a *mat.Dense, k []float64, xp *[]float64,
 	weights []float64, opts SolveOptions, condEst float64) (int, error) {
 	iterations := 0
@@ -146,17 +145,16 @@ func irlsRefine(ls *mat.Workspace, a *mat.Dense, k []float64, xp *[]float64,
 	x := *xp
 	defer func() { *xp = x }()
 	for iterations < opts.maxIter() {
-		res, rerr := ls.Residuals(a, x, k)
+		res, sum, rerr := ls.ResidualStats(a, x, k)
 		if rerr != nil {
 			return iterations, fmt.Errorf("residuals: %w", rerr)
 		}
-		mu, sigma := stats.MeanStd(res)
-		if sigma == 0 {
+		if sum.Std == 0 {
 			break // exact fit: all weights stay 1
 		}
 		floorHits := 0
 		for i, r := range res {
-			d := (r - mu) / sigma
+			d := (r - sum.Mean) / sum.Std
 			weights[i] = math.Exp(-d * d / 2) // Eq. 15
 			if weights[i] < WeightFloor {
 				floorHits++
@@ -170,7 +168,7 @@ func irlsRefine(ls *mat.Workspace, a *mat.Dense, k []float64, xp *[]float64,
 			return iterations, fmt.Errorf("weighted least squares: %w", werr)
 		}
 		iterations++
-		opts.Trace.IRLSIter(opts.traceSpan(), iterations, mat.Norm2(res), floorHits, condEst)
+		opts.Trace.IRLSIter(opts.traceSpan(), iterations, sum.Norm, floorHits, condEst)
 		moved := 0.0
 		for i := range x {
 			if d := math.Abs(xNew[i] - x[i]); d > moved {

@@ -1,7 +1,5 @@
 package mat
 
-import "math"
-
 // ConditionEst returns a cheap order-of-magnitude estimate of the 2-norm
 // condition number κ₂(A) of a tall matrix A, from the Cholesky factor of its
 // Gram matrix: with AᵀA = L·Lᵀ,
@@ -14,12 +12,6 @@ import "math"
 // It returns +Inf when the Gram matrix is not numerically SPD (a
 // rank-deficient system) and 1 for empty input.
 func ConditionEst(a *Dense) float64 {
-	if a.Rows() == 0 || a.Cols() == 0 {
-		return 1
-	}
-	l, err := Cholesky(a.Gram())
-	if err != nil {
-		return math.Inf(1)
-	}
-	return cholDiagRatio(l)
+	var ws Workspace
+	return ws.ConditionEst(a)
 }

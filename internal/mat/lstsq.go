@@ -1,10 +1,5 @@
 package mat
 
-import (
-	"fmt"
-	"math"
-)
-
 // LeastSquares returns the ordinary least-squares solution of the
 // overdetermined system A·x = b, i.e. X* = (AᵀA)⁻¹Aᵀb (paper Eq. 13).
 //
@@ -15,76 +10,23 @@ import (
 // system for better numerical behaviour, and returns ErrSingular only when
 // that fails too.
 func LeastSquares(a *Dense, b []float64) ([]float64, error) {
-	if a.Rows() != len(b) {
-		return nil, ErrShape
-	}
-	if a.Rows() < a.Cols() {
-		return nil, fmt.Errorf("underdetermined system %dx%d: %w",
-			a.Rows(), a.Cols(), ErrShape)
-	}
-	gram := a.Gram()
-	rhs, err := a.TMulVec(b)
-	if err != nil {
-		return nil, err
-	}
-	x, err := SolveCholesky(gram, rhs)
-	if err == nil {
-		return x, nil
-	}
-	return SolveQR(a, b)
+	var ws Workspace
+	return ws.LeastSquares(a, b)
 }
 
 // WeightedLeastSquares returns the weighted least-squares solution
 // X* = (AᵀWA)⁻¹AᵀWb with W = diag(w) (paper Eq. 16). Weights must be
-// non-negative; rows with zero weight are ignored.
+// non-negative; rows with zero weight are ignored. When AᵀWA is not
+// numerically SPD it falls back to QR on the square-root-weighted system.
 func WeightedLeastSquares(a *Dense, b, w []float64) ([]float64, error) {
-	if a.Rows() != len(b) || a.Rows() != len(w) {
-		return nil, ErrShape
-	}
-	for i, wi := range w {
-		if wi < 0 || math.IsNaN(wi) {
-			return nil, fmt.Errorf("weight %d is %v: %w", i, wi, ErrShape)
-		}
-	}
-	gram, err := a.WeightedGram(w)
-	if err != nil {
-		return nil, err
-	}
-	rhs, err := a.WeightedTMulVec(w, b)
-	if err != nil {
-		return nil, err
-	}
-	x, err := SolveCholesky(gram, rhs)
-	if err == nil {
-		return x, nil
-	}
-	// Fall back to QR on the square-root-weighted system:
-	// minimise ‖√W·(A·x − b)‖.
-	aw := a.Clone()
-	bw := make([]float64, len(b))
-	for i := 0; i < a.Rows(); i++ {
-		s := math.Sqrt(w[i])
-		for j := 0; j < a.Cols(); j++ {
-			aw.Set(i, j, aw.At(i, j)*s)
-		}
-		bw[i] = b[i] * s
-	}
-	return SolveQR(aw, bw)
+	var ws Workspace
+	return ws.WeightedLeastSquares(a, b, w)
 }
 
 // Residuals returns r = A·x − b.
 func Residuals(a *Dense, x, b []float64) ([]float64, error) {
-	ax, err := a.MulVec(x)
-	if err != nil {
-		return nil, err
-	}
-	if len(ax) != len(b) {
-		return nil, ErrShape
-	}
-	for i := range ax {
-		ax[i] -= b[i]
-	}
-	return ax, nil
+	var ws Workspace
+	return ws.Residuals(a, x, b)
 }
 
 // ResidualNorm returns ‖A·x − b‖₂.

@@ -208,20 +208,20 @@ func (m *Dense) MulVec(v []float64) ([]float64, error) {
 		return nil, ErrShape
 	}
 	out := make([]float64, m.rows)
-	m.mulVecInto(out, v)
+	for i := range out {
+		out[i] = m.rowDot(i, v)
+	}
 	return out, nil
 }
 
-// mulVecInto computes m·v into out (len m.rows, fully overwritten).
-func (m *Dense) mulVecInto(out, v []float64) {
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		var s float64
-		for j, r := range row {
-			s += r * v[j]
-		}
-		out[i] = s
+// rowDot returns row i of m dotted with v, summed left to right: the one
+// definition of A·x every product and residual in the package uses.
+func (m *Dense) rowDot(i int, v []float64) float64 {
+	var s float64
+	for j, r := range m.data[i*m.cols : (i+1)*m.cols] {
+		s += r * v[j]
 	}
+	return s
 }
 
 // Gram returns the Gram matrix mᵀ·m (cols×cols), computed directly without
@@ -251,36 +251,44 @@ func (m *Dense) gramInto(out *Dense) {
 	}
 }
 
-// WeightedGram returns mᵀ·diag(w)·m. The weight slice must have one entry
-// per row of m.
-func (m *Dense) WeightedGram(w []float64) (*Dense, error) {
-	if len(w) != m.rows {
-		return nil, ErrShape
-	}
-	out := NewDense(m.cols, m.cols)
-	m.weightedGramInto(out, w)
-	return out, nil
-}
-
-// weightedGramInto accumulates mᵀ·diag(w)·m into out (cols×cols, zeroed).
-func (m *Dense) weightedGramInto(out *Dense, w []float64) {
-	for i := 0; i < m.rows; i++ {
-		wi := w[i]
-		if wi == 0 {
-			continue
-		}
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for a, ra := range row {
-			if ra == 0 {
-				continue
-			}
-			oa := out.data[a*m.cols : (a+1)*m.cols]
-			s := wi * ra
-			for b, rb := range row {
-				oa[b] += s * rb
+// normalEq2Into is normalEqInto for two columns, the shape of every
+// line-frame solve, with the five accumulators held in locals instead of
+// read back from memory row after row. Each accumulator still takes the
+// same products in the same row order with the same zero skips, so the
+// result is normalEqNInto's bit for bit.
+func (m *Dense) normalEq2Into(gram *Dense, rhs, w, b []float64) error {
+	g00, g10, g11 := gram.data[0], gram.data[2], gram.data[3]
+	r0, r1 := rhs[0], rhs[1]
+	data := m.data[:2*m.rows]
+	b = b[:m.rows]
+	for i := range b {
+		wi := 1.0
+		if w != nil {
+			wi = w[i]
+			if wi < 0 || math.IsNaN(wi) {
+				return fmt.Errorf("weight %d is %v: %w", i, wi, ErrShape)
 			}
 		}
+		a0, a1 := data[2*i], data[2*i+1]
+		if wi != 0 {
+			if a0 != 0 {
+				s := wi * a0
+				g00 += s * a0
+			}
+			if a1 != 0 {
+				s := wi * a1
+				g10 += s * a0
+				g11 += s * a1
+			}
+		}
+		if wv := wi * b[i]; wv != 0 {
+			r0 += a0 * wv
+			r1 += a1 * wv
+		}
 	}
+	gram.data[0], gram.data[2], gram.data[3] = g00, g10, g11
+	rhs[0], rhs[1] = r0, r1
+	return nil
 }
 
 // TMulVec returns mᵀ·v without materialising the transpose.
@@ -307,29 +315,53 @@ func (m *Dense) tMulVecInto(out, v []float64) {
 	}
 }
 
-// WeightedTMulVec returns mᵀ·diag(w)·v.
-func (m *Dense) WeightedTMulVec(w, v []float64) ([]float64, error) {
-	if m.rows != len(v) || m.rows != len(w) {
-		return nil, ErrShape
+// normalEqInto accumulates the normal equations of the weighted system in
+// one pass over the rows: the lower triangle of mᵀ·diag(w)·m into gram
+// (cols×cols, zeroed) and mᵀ·diag(w)·b into rhs (len cols, zeroed). A nil w
+// means unit weights. A negative or NaN weight stops the pass with ErrShape.
+//
+// Each entry receives its row contributions in row order, exactly as
+// gramInto, tMulVecInto and NormalEq.AddRow add them, and a unit weight
+// multiplies exactly, so the unweighted system is bitwise the one those
+// build. The strict upper triangle of gram stays zero: choleskyInto reads
+// only the lower one.
+func (m *Dense) normalEqInto(gram *Dense, rhs, w, b []float64) error {
+	if m.cols == 2 {
+		return m.normalEq2Into(gram, rhs, w, b)
 	}
-	out := make([]float64, m.cols)
-	m.weightedTMulVecInto(out, w, v)
-	return out, nil
+	return m.normalEqNInto(gram, rhs, w, b)
 }
 
-// weightedTMulVecInto accumulates mᵀ·diag(w)·v into out (len m.cols, zeroed
-// by the caller).
-func (m *Dense) weightedTMulVecInto(out, w, v []float64) {
+// normalEqNInto is normalEqInto for any number of columns.
+func (m *Dense) normalEqNInto(gram *Dense, rhs, w, b []float64) error {
 	for i := 0; i < m.rows; i++ {
-		wv := w[i] * v[i]
-		if wv == 0 {
-			continue
+		wi := 1.0
+		if w != nil {
+			wi = w[i]
+			if wi < 0 || math.IsNaN(wi) {
+				return fmt.Errorf("weight %d is %v: %w", i, wi, ErrShape)
+			}
 		}
 		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, r := range row {
-			out[j] += r * wv
+		if wi != 0 {
+			for a, ra := range row {
+				if ra == 0 {
+					continue
+				}
+				ga := gram.data[a*m.cols : a*m.cols+a+1]
+				s := wi * ra
+				for c := range ga {
+					ga[c] += s * row[c]
+				}
+			}
+		}
+		if wv := wi * b[i]; wv != 0 {
+			for j, r := range row {
+				rhs[j] += r * wv
+			}
 		}
 	}
+	return nil
 }
 
 // MaxAbs returns the largest absolute entry of m.

@@ -192,6 +192,10 @@ func TestGramMatchesExplicit(t *testing.T) {
 	}
 }
 
+// TestWeightedGramMatchesExplicit checks the fused normal-equation kernel:
+// its lower triangle and right-hand side match the explicit Aᵀ·diag(w)·A and
+// Aᵀ·diag(w)·b, unit weights reproduce Gram and TMulVec bit for bit, and a
+// bad weight is refused.
 func TestWeightedGramMatchesExplicit(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := NewDense(6, 3)
@@ -204,8 +208,9 @@ func TestWeightedGramMatchesExplicit(t *testing.T) {
 			a.Set(i, j, rng.NormFloat64())
 		}
 	}
-	wg, err := a.WeightedGram(w)
-	if err != nil {
+	wg := NewDense(3, 3)
+	wtv := make([]float64, 3)
+	if err := a.normalEqInto(wg, wtv, w, b); err != nil {
 		t.Fatal(err)
 	}
 	// Explicit: Aᵀ diag(w) A.
@@ -219,12 +224,16 @@ func TestWeightedGramMatchesExplicit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !wg.Equal(explicit, 1e-12) {
-		t.Errorf("WeightedGram mismatch")
-	}
-	wtv, err := a.WeightedTMulVec(w, b)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 3; j++ {
+			want := explicit.At(i, j)
+			if j > i {
+				want = 0 // upper triangle left for choleskyInto to ignore
+			}
+			if math.Abs(wg.At(i, j)-want) > 1e-12 {
+				t.Errorf("weighted Gram (%d,%d) = %v, want %v", i, j, wg.At(i, j), want)
+			}
+		}
 	}
 	wb := make([]float64, 6)
 	for i := range wb {
@@ -235,10 +244,76 @@ func TestWeightedGramMatchesExplicit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !vecAlmostEq(wtv, explicitV, 1e-12) {
-		t.Errorf("WeightedTMulVec mismatch: %v vs %v", wtv, explicitV)
+		t.Errorf("weighted Aᵀb mismatch: %v vs %v", wtv, explicitV)
 	}
-	if _, err := a.WeightedGram([]float64{1}); !errors.Is(err, ErrShape) {
-		t.Errorf("WeightedGram shape err = %v", err)
+
+	g := NewDense(3, 3)
+	rhs := make([]float64, 3)
+	if err := a.normalEqInto(g, rhs, nil, b); err != nil {
+		t.Fatal(err)
+	}
+	gram := a.Gram()
+	tv, _ := a.TMulVec(b)
+	for i := 0; i < 3; i++ {
+		for j := 0; j <= i; j++ {
+			if g.At(i, j) != gram.At(i, j) {
+				t.Errorf("unit-weight Gram (%d,%d) = %v, want %v bit for bit", i, j, g.At(i, j), gram.At(i, j))
+			}
+		}
+		if rhs[i] != tv[i] {
+			t.Errorf("unit-weight Aᵀb[%d] = %v, want %v bit for bit", i, rhs[i], tv[i])
+		}
+	}
+
+	w[4] = -1
+	if err := a.normalEqInto(NewDense(3, 3), make([]float64, 3), w, b); !errors.Is(err, ErrShape) {
+		t.Errorf("negative weight err = %v, want ErrShape", err)
+	}
+}
+
+// TestNormalEq2MatchesGeneric checks the two-column form of the fused
+// kernel against the general one bit for bit, with zero entries and zero
+// weights exercising every skip.
+func TestNormalEq2MatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 50; trial++ {
+		rows := 3 + rng.Intn(40)
+		a := NewDense(rows, 2)
+		w := make([]float64, rows)
+		b := make([]float64, rows)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < 2; j++ {
+				if rng.Intn(5) > 0 {
+					a.Set(i, j, rng.NormFloat64())
+				}
+			}
+			if rng.Intn(5) > 0 {
+				w[i] = rng.Float64()
+			}
+			if rng.Intn(5) > 0 {
+				b[i] = rng.NormFloat64()
+			}
+		}
+		for _, weights := range [][]float64{nil, w} {
+			g2, gn := NewDense(2, 2), NewDense(2, 2)
+			r2, rn := make([]float64, 2), make([]float64, 2)
+			if err := a.normalEq2Into(g2, r2, weights, b); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.normalEqNInto(gn, rn, weights, b); err != nil {
+				t.Fatal(err)
+			}
+			for k := range g2.data {
+				if math.Float64bits(g2.data[k]) != math.Float64bits(gn.data[k]) {
+					t.Fatalf("trial %d: gram[%d] = %v, general form %v", trial, k, g2.data[k], gn.data[k])
+				}
+			}
+			for k := range r2 {
+				if math.Float64bits(r2[k]) != math.Float64bits(rn[k]) {
+					t.Fatalf("trial %d: rhs[%d] = %v, general form %v", trial, k, r2[k], rn[k])
+				}
+			}
+		}
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/rfid-lion/lion/internal/stats"
 )
 
 // TestWorkspaceMatchesAllocatingPath asserts the workspace solvers are
@@ -71,6 +73,30 @@ func TestWorkspaceMatchesAllocatingPath(t *testing.T) {
 
 		if gotC, wantC := ws.ConditionEst(a), ConditionEst(a); gotC != wantC {
 			t.Fatalf("trial %d: ConditionEst = %v, want %v", trial, gotC, wantC)
+		}
+		_, cond, err := ws.LeastSquaresCond(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantC := ConditionEst(a); cond != wantC {
+			t.Fatalf("trial %d: LeastSquaresCond cond = %v, want ConditionEst %v", trial, cond, wantC)
+		}
+
+		// The fused residual pass must summarise exactly as the separate
+		// passes it replaces do.
+		res, sum, err := ws.ResidualStats(a, want, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range wantR {
+			if res[i] != wantR[i] {
+				t.Fatalf("trial %d: ResidualStats[%d] = %v, want %v", trial, i, res[i], wantR[i])
+			}
+		}
+		mean, std := stats.MeanStd(wantR)
+		if sum.Mean != mean || sum.Std != std || sum.Norm != Norm2(wantR) {
+			t.Fatalf("trial %d: ResidualStats summary %+v, want mean %v std %v norm %v",
+				trial, sum, mean, std, Norm2(wantR))
 		}
 	}
 }
@@ -150,6 +176,9 @@ func TestWorkspaceSteadyStateZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := ws.Residuals(a, x, b); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ws.ResidualStats(a, x, b); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ws.WeightedLeastSquares(a, b, w); err != nil {

@@ -61,16 +61,38 @@ func SampleVariance(xs []float64) float64 {
 // MeanStd returns the mean and population standard deviation in one pass
 // over the data (Welford's algorithm).
 func MeanStd(xs []float64) (mean, std float64) {
-	var m, m2 float64
-	for i, x := range xs {
-		d := x - m
-		m += d / float64(i+1)
-		m2 += d * (x - m)
+	var w Welford
+	for _, x := range xs {
+		w.Add(x)
 	}
-	if len(xs) > 0 {
-		std = math.Sqrt(m2 / float64(len(xs)))
+	return w.MeanStd()
+}
+
+// Welford is the running form of MeanStd: one Add per value, in order, gives
+// bit for bit what MeanStd returns for the same sequence. Loops that already
+// pass over their data, such as the IRLS residual pass in package mat, use
+// it to summarise without a second pass. The zero value is empty.
+type Welford struct {
+	n    int
+	mean float64
+	m2   float64
+}
+
+// Add folds x into the running mean and sum of squared deviations.
+func (w *Welford) Add(x float64) {
+	w.n++
+	d := x - w.mean
+	w.mean += d / float64(w.n)
+	w.m2 += d * (x - w.mean)
+}
+
+// MeanStd returns the mean and population standard deviation of the values
+// added so far; both are 0 when none were.
+func (w *Welford) MeanStd() (mean, std float64) {
+	if w.n > 0 {
+		std = math.Sqrt(w.m2 / float64(w.n))
 	}
-	return m, std
+	return w.mean, std
 }
 
 // Min returns the smallest element. It returns ErrEmpty for empty input.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/rfid-lion/lion/internal/core"
+	"github.com/rfid-lion/lion/internal/geom"
 )
 
 // BenchmarkStreamIngest measures the pure ingest path — ring-buffer push,
@@ -44,6 +45,31 @@ func BenchmarkWindowSolve(b *testing.B) {
 	b.ResetTimer()
 	for b.Loop() {
 		if _, err := SolveWindow(window, 9, solver, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLine2DSolver measures the batch line solver alone on a warm,
+// preprocessed 256-sample window — the solve the conveyor pipeline runs per
+// trigger, without the preprocessing BenchmarkWindowSolve adds.
+func BenchmarkLine2DSolver(b *testing.B) {
+	trace, lambda := testTrace(b, 101)
+	samples := toStream(trace[:256])
+	positions := make([]geom.Vec3, len(samples))
+	phases := make([]float64, len(samples))
+	for i, s := range samples {
+		positions[i], phases[i] = s.Pos, s.Phase
+	}
+	win, err := core.Preprocess(positions, phases, 9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	solver := Line2DSolver(lambda, []float64{0.1}, true, core.DefaultSolveOptions())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for b.Loop() {
+		if _, err := solver(win, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,21 +1,34 @@
 package stream
 
 import (
+	"sync"
+
 	"github.com/rfid-lion/lion/internal/core"
-	"github.com/rfid-lion/lion/internal/dsp"
 	"github.com/rfid-lion/lion/internal/obs"
 )
 
 // Line2DSolver returns a Solver running core.Locate2DLineIntervals: the
 // lower-dimension 2-D case for tags moving along a straight line (conveyor
 // belts, sliding tracks). This is liond's default solver.
+//
+// The solver keeps its core.LineWorkspace scratch in a pool, so concurrent
+// calls each get their own and a warm call allocates only the Solution it
+// returns — a fresh one per call, which the caller owns. Estimates are
+// bit-identical to core.Locate2DLineIntervals.
 func Line2DSolver(lambda float64, intervals []float64, positiveSide bool, opts core.SolveOptions) Solver {
 	ivs := make([]float64, len(intervals))
 	copy(ivs, intervals)
+	pool := &sync.Pool{New: func() any { return new(core.LineWorkspace) }}
 	return func(win []core.PosPhase, tr *obs.Tracer) (*core.Solution, error) {
 		o := opts
 		o.Trace = tr
-		return core.Locate2DLineIntervals(win, lambda, ivs, positiveSide, o)
+		ws := pool.Get().(*core.LineWorkspace)
+		defer pool.Put(ws)
+		sol := &core.Solution{}
+		if err := core.Locate2DLineIntervalsInto(ws, win, lambda, ivs, positiveSide, o, sol); err != nil {
+			return nil, err
+		}
+		return sol, nil
 	}
 }
 
@@ -66,38 +79,25 @@ func IncrementalLine2DFactory(lambda float64, intervals []float64, positiveSide 
 }
 
 // incrLineSolver adapts a core.LineSession to the SessionSolver contract,
-// owning the unwrap buffer, the observation window, and the result Solution.
+// owning the preprocessing buffers and the result Solution.
 type incrLineSolver struct {
-	sess  *core.LineSession
-	opts  core.SolveOptions
-	theta []float64
-	win   []core.PosPhase
-	sol   core.Solution
+	sess *core.LineSession
+	opts core.SolveOptions
+	buf  windowBuffers
+	sol  core.Solution
 }
 
 // SolveWindow preprocesses exactly like the stateless path with Smooth=0 —
-// copy phases, unwrap — then runs the incremental locate. Finite validation
-// happens inside the session (rebuilds and appended slide samples alike),
-// matching core.Preprocess's rejection of non-finite input.
+// the same core.PreprocessInto on reused buffers: finite checks, unwrap —
+// then runs the incremental locate.
 func (s *incrLineSolver) SolveWindow(samples []Sample, tr *obs.Tracer) (*core.Solution, error) {
-	if cap(s.theta) < len(samples) {
-		s.theta = make([]float64, 0, len(samples))
-	}
-	s.theta = s.theta[:0]
-	for _, sm := range samples {
-		s.theta = append(s.theta, sm.Phase)
-	}
-	s.theta = dsp.UnwrapInto(s.theta, s.theta)
-	if cap(s.win) < len(samples) {
-		s.win = make([]core.PosPhase, 0, len(samples))
-	}
-	s.win = s.win[:0]
-	for i, sm := range samples {
-		s.win = append(s.win, core.PosPhase{Pos: sm.Pos, Theta: s.theta[i]})
+	win, err := s.buf.preprocess(samples, 0)
+	if err != nil {
+		return nil, err
 	}
 	o := s.opts
 	o.Trace = tr
-	if err := s.sess.Locate(s.win, o, &s.sol); err != nil {
+	if err := s.sess.Locate(win, o, &s.sol); err != nil {
 		return nil, err
 	}
 	return &s.sol, nil

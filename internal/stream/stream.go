@@ -44,7 +44,9 @@ type Sample struct {
 
 // Solver turns one window of preprocessed observations into an estimate.
 // Solvers must be pure functions of their input: the streamed-equals-offline
-// guarantee relies on it. The tracer is nil unless the engine was configured
+// guarantee relies on it. The window is engine storage, valid only for the
+// call; a solver must not retain it, and the Solution it returns must not
+// alias it. The tracer is nil unless the engine was configured
 // with TraceSolves (or an offline caller passes one); solvers forward it into
 // core.SolveOptions so per-iteration solver events reach the trace.
 type Solver func(win []core.PosPhase, tr *obs.Tracer) (*core.Solution, error)
@@ -291,14 +293,16 @@ type session struct {
 }
 
 // snapshot is one frozen window awaiting a solve. Snapshots are pooled on the
-// engine free list: the sample buffer, the solve/done closures, and the
-// solved carrier are built once per object and reused across dispatches, so
-// a steady-state dispatch performs no heap allocations.
+// engine free list: the sample buffer, the preprocessing buffers, the
+// solve/done closures, and the solved carrier are built once per object and
+// reused across dispatches, so a steady-state dispatch performs no heap
+// allocations.
 type snapshot struct {
 	e       *Engine
 	sess    *session
 	tag     string
 	samples []Sample
+	buf     windowBuffers // preprocessing storage for Config.Solver solves
 	sv      solved
 	run     func(context.Context) (any, error)
 	done    func(batch.Outcome)
@@ -406,22 +410,48 @@ func (e *Engine) Registry() *obs.Registry { return e.reg }
 
 // SolveWindow runs the exact offline pipeline over one window: unwrap and
 // smooth the phases with core.Preprocess, then apply the solver. The engine
-// itself solves through this function, which is what makes a streamed
-// window's estimate bit-identical to an offline solve of the same samples.
-// A nil tracer is free; a non-nil one records the solver's spans and
-// iteration events.
+// solves through the same code on its pooled snapshots' buffers, which is
+// what makes a streamed window's estimate bit-identical to an offline solve
+// of the same samples. A nil tracer is free; a non-nil one records the
+// solver's spans and iteration events.
 func SolveWindow(samples []Sample, smooth int, solver Solver, tr *obs.Tracer) (*core.Solution, error) {
-	positions := make([]geom.Vec3, len(samples))
-	phases := make([]float64, len(samples))
-	for i, s := range samples {
-		positions[i] = s.Pos
-		phases[i] = s.Phase
-	}
-	win, err := core.Preprocess(positions, phases, smooth)
+	var buf windowBuffers
+	return buf.solve(samples, smooth, solver, tr)
+}
+
+// windowBuffers is the preprocessing storage of one window solve. Each
+// pooled snapshot owns one, so a steady-state batch solve preprocesses
+// without allocating.
+type windowBuffers struct {
+	positions []geom.Vec3
+	phases    []float64
+	pre       core.PreprocessBuffers
+}
+
+// solve is SolveWindow on b's storage. The window handed to the solver
+// aliases b and is valid only for the call.
+func (b *windowBuffers) solve(samples []Sample, smooth int, solver Solver, tr *obs.Tracer) (*core.Solution, error) {
+	win, err := b.preprocess(samples, smooth)
 	if err != nil {
 		return nil, err
 	}
 	return solver(win, tr)
+}
+
+// preprocess runs core.PreprocessInto over the samples on b's storage. The
+// returned window aliases b and is valid until the next call.
+func (b *windowBuffers) preprocess(samples []Sample, smooth int) ([]core.PosPhase, error) {
+	if cap(b.positions) < len(samples) {
+		b.positions = make([]geom.Vec3, 0, len(samples))
+		b.phases = make([]float64, 0, len(samples))
+	}
+	b.positions = b.positions[:0]
+	b.phases = b.phases[:0]
+	for _, s := range samples {
+		b.positions = append(b.positions, s.Pos)
+		b.phases = append(b.phases, s.Phase)
+	}
+	return core.PreprocessInto(&b.pre, b.positions, b.phases, smooth)
 }
 
 // Ingest accepts one sample for the tag. Under RejectNewest it returns
@@ -797,7 +827,7 @@ func (snap *snapshot) solve(ctx context.Context) (any, error) {
 	if s := snap.sess.solver; s != nil {
 		sol, serr = s.SolveWindow(snap.samples, tr)
 	} else {
-		sol, serr = SolveWindow(snap.samples, e.cfg.Smooth, e.cfg.Solver, tr)
+		sol, serr = snap.buf.solve(snap.samples, e.cfg.Smooth, e.cfg.Solver, tr)
 	}
 	mark.End()
 	snap.sv = solved{sol: sol, err: serr, start: begin, latency: time.Since(begin), trace: tr.Events()}
