@@ -67,6 +67,13 @@ func BuildSystem(p *Profile, pairs []Pair, dim int) (*System, error) {
 	}
 	a := mat.NewDense(len(pairs), dim+1)
 	k := make([]float64, len(pairs))
+	p.fillSystem(a, k, pairs, dim)
+	return &System{A: a, K: k, Dim: dim}, nil
+}
+
+// fillSystem writes one equation per pair into the rows of a (len(pairs) ×
+// dim+1) and k: Eq. 7 rows [α, β, ω] for dim 2, Eq. 9 rows for dim 3.
+func (p *Profile) fillSystem(a *mat.Dense, k []float64, pairs []Pair, dim int) {
 	for r, pr := range pairs {
 		if dim == 2 {
 			row, rhs := p.equation2D(pr)
@@ -82,5 +89,4 @@ func BuildSystem(p *Profile, pairs []Pair, dim int) (*System, error) {
 			k[r] = rhs
 		}
 	}
-	return &System{A: a, K: k, Dim: dim}, nil
 }

@@ -21,6 +21,10 @@ const (
 	driftRebuildRatio = 1e3
 )
 
+// lineKeep is the reduced-column map of every 2-D line solve: the local
+// frame zeroes the y column, so the kept columns are x and d_r.
+var lineKeep = []int{0, 2}
+
 // linePair is one cached radical-line equation: the pair's absolute sample
 // indices plus its reduced row [α, ω] and right-hand side κ. Rows are cached
 // because removal from the normal equations must subtract exactly the values
@@ -369,7 +373,7 @@ func (s *LineSession) solve(opts SolveOptions, sol *Solution) error {
 	s.a.Reshape(nPairs, 2)
 	s.kv = growFloats(s.kv, nPairs)
 	r := 0
-	colMaxX, colMaxW := 0.0, 0.0
+	scale, colMaxX := 0.0, 0.0
 	for _, pl := range s.pairs {
 		for _, p := range pl {
 			s.a.Set(r, 0, p.a[0])
@@ -378,14 +382,20 @@ func (s *LineSession) solve(opts SolveOptions, sol *Solution) error {
 			if v := math.Abs(p.a[0]); v > colMaxX {
 				colMaxX = v
 			}
-			if v := math.Abs(p.a[1]); v > colMaxW {
-				colMaxW = v
+			if v := math.Abs(p.a[1]); v > scale {
+				scale = v
 			}
 			r++
 		}
 	}
-	if err := checkLineColumns(colMaxX, colMaxW); err != nil {
-		return err
+	if colMaxX > scale {
+		scale = colMaxX
+	}
+	if scale == 0 {
+		return ErrDegenerateGeometry
+	}
+	if colMaxX <= 1e-9*scale {
+		return ErrDegenerateGeometry
 	}
 
 	x0, err := s.ne.Solve()
@@ -409,7 +419,7 @@ func (s *LineSession) solve(opts SolveOptions, sol *Solution) error {
 	if err != nil {
 		return fmt.Errorf("residuals: %w", err)
 	}
-	fillSolution(sol, 2, 1, lineKnown, lineKeep,
+	fillSolution(sol, 2, 1, [3]bool{true, false, false}, lineKeep,
 		s.x, res, s.wts, iterations, condEst)
 	return nil
 }

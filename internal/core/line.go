@@ -10,31 +10,22 @@ import (
 	"github.com/rfid-lion/lion/internal/rf"
 )
 
-// lineKnown and lineKeep describe every 2-D line solve: the local frame
-// zeroes the y column, so the solve determines x (and d_r) and keeps the
-// columns x and d_r.
-var (
-	lineKnown = [3]bool{true, false, false}
-	lineKeep  = []int{0, 2}
-)
-
 // LineWorkspace is the caller-owned scratch for Locate2DLineIntervalsInto:
-// the line-frame profile, the pair list, the reduced system and the
-// least-squares scratch of one window solve. Once a window has sized it, no
-// window up to that length allocates. Nothing carries over from one solve
-// to the next except buffer capacity, so a workspace reused from a long
-// window on a short one gives exactly what a fresh one would. A workspace
-// must not be shared between goroutines without serialization.
+// the line-frame profile, the pair list, the radical-line system and the
+// SolveSystemInto scratch of one window solve. Once a window has sized it,
+// no window up to that length allocates. Nothing carries over from one
+// solve to the next except buffer capacity, so a workspace reused from a
+// long window on a short one gives exactly what a fresh one would. A
+// workspace must not be shared between goroutines without serialization.
 //
 // The zero value is ready to use.
 type LineWorkspace struct {
 	prof  Profile   // line-frame observations (pu, 0, 0) and their Δd
 	pairs []Pair    // pairs of every interval, interval by interval
-	a     mat.Dense // reduced system rows [α, ω]
+	a     mat.Dense // radical-line rows [α, β, ω]
 	k     []float64 // right-hand sides κ
-	ls    mat.Workspace
-	x     []float64 // current iterate (owned copy, survives ls scratch reuse)
-	wts   []float64 // IRWLS weights
+	sys   System
+	solve SolveWorkspace
 	dsc   []float64 // median-recovery discriminants
 }
 
@@ -73,7 +64,11 @@ func Locate2DLineIntervalsInto(ws *LineWorkspace, obs []PosPhase, lambda float64
 	if err := ws.prof.reset(lambda, len(obs)/2); err != nil {
 		return err
 	}
-	if err := ws.solve(opts, sol); err != nil {
+	ws.a.Reshape(len(ws.pairs), 3)
+	ws.k = growFloats(ws.k, len(ws.pairs))
+	ws.prof.fillSystem(&ws.a, ws.k, ws.pairs, 2)
+	ws.sys = System{A: &ws.a, K: ws.k, Dim: 2}
+	if err := SolveSystemInto(&ws.solve, &ws.sys, opts, sol); err != nil {
 		return err
 	}
 	if err := recoverLineMedian(sol, &ws.prof, positiveSide, &ws.dsc); err != nil {
@@ -84,49 +79,6 @@ func Locate2DLineIntervalsInto(ws *LineWorkspace, obs []PosPhase, lambda float64
 		Add(u.Scale(sol.Position.X)).
 		Add(v.Scale(sol.Position.Y))
 	sol.Position = est.XYZ(origin.Z)
-	return nil
-}
-
-// solve assembles the reduced line-frame system from the pairs and runs
-// SolveSystem's arithmetic on it: the same column checks, the same initial
-// least-squares solve and condition estimate, the same IRWLS loop. The y
-// column SolveSystem would drop is never built.
-func (ws *LineWorkspace) solve(opts SolveOptions, sol *Solution) error {
-	defer opts.Trace.Span(opts.traceSpan())()
-	n := len(ws.pairs)
-	ws.a.Reshape(n, 2)
-	ws.k = growFloats(ws.k, n)
-	var colX, colW float64
-	for r, pr := range ws.pairs {
-		row, rhs := ws.prof.equation2D(pr)
-		ws.a.Set(r, 0, row[0])
-		ws.a.Set(r, 1, row[2])
-		ws.k[r] = rhs
-		if v := math.Abs(row[0]); v > colX {
-			colX = v
-		}
-		if v := math.Abs(row[2]); v > colW {
-			colW = v
-		}
-	}
-	if err := checkLineColumns(colX, colW); err != nil {
-		return err
-	}
-	x0, condEst, err := ws.ls.LeastSquaresCond(&ws.a, ws.k)
-	if err != nil {
-		return leastSquaresErr(err)
-	}
-	ws.x = append(ws.x[:0], x0...)
-	ws.wts = onesInto(ws.wts, n)
-	iterations, err := irlsRefine(&ws.ls, &ws.a, ws.k, &ws.x, ws.wts, opts, condEst)
-	if err != nil {
-		return err
-	}
-	res, err := ws.ls.Residuals(&ws.a, ws.x, ws.k)
-	if err != nil {
-		return fmt.Errorf("residuals: %w", err)
-	}
-	fillSolution(sol, 2, 1, lineKnown, lineKeep, ws.x, res, ws.wts, iterations, condEst)
 	return nil
 }
 
@@ -207,21 +159,6 @@ func checkFinite(obs []PosPhase) error {
 		if !o.Pos.IsFinite() || math.IsNaN(o.Theta) || math.IsInf(o.Theta, 0) {
 			return fmt.Errorf("core: observation %d is %v: %w", i, o, ErrNonFiniteInput)
 		}
-	}
-	return nil
-}
-
-// checkLineColumns applies SolveSystem's column checks to a line-frame
-// system, whose y column is identically zero: colX and colW are the largest
-// |α| and |ω|. The system is degenerate when it is all zero or when the x
-// column is negligible next to the largest entry.
-func checkLineColumns(colX, colW float64) error {
-	scale := colW
-	if colX > scale {
-		scale = colX
-	}
-	if scale == 0 || colX <= 1e-9*scale {
-		return ErrDegenerateGeometry
 	}
 	return nil
 }

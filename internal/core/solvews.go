@@ -128,9 +128,9 @@ func SolveSystemInto(ws *SolveWorkspace, sys *System, opts SolveOptions, sol *So
 // until the iterate moves less than the tolerance. xp points at the
 // workspace-owned iterate and is updated in place (the slice may be
 // re-appended); weights must be pre-initialised to ones and is overwritten.
-// SolveSystemInto, the batch line solve and the incremental LineSession all
-// route through this one loop, which is what keeps their IRLS arithmetic
-// identical.
+// SolveSystemInto (which the batch line solve runs) and the incremental
+// LineSession both route through this one loop, which is what keeps their
+// IRLS arithmetic identical.
 //
 // One iteration makes three passes over the rows: the residuals with their
 // mean, standard deviation and norm (mat.Workspace.ResidualStats), the

@@ -251,46 +251,6 @@ func (m *Dense) gramInto(out *Dense) {
 	}
 }
 
-// normalEq2Into is normalEqInto for two columns, the shape of every
-// line-frame solve, with the five accumulators held in locals instead of
-// read back from memory row after row. Each accumulator still takes the
-// same products in the same row order with the same zero skips, so the
-// result is normalEqNInto's bit for bit.
-func (m *Dense) normalEq2Into(gram *Dense, rhs, w, b []float64) error {
-	g00, g10, g11 := gram.data[0], gram.data[2], gram.data[3]
-	r0, r1 := rhs[0], rhs[1]
-	data := m.data[:2*m.rows]
-	b = b[:m.rows]
-	for i := range b {
-		wi := 1.0
-		if w != nil {
-			wi = w[i]
-			if wi < 0 || math.IsNaN(wi) {
-				return fmt.Errorf("weight %d is %v: %w", i, wi, ErrShape)
-			}
-		}
-		a0, a1 := data[2*i], data[2*i+1]
-		if wi != 0 {
-			if a0 != 0 {
-				s := wi * a0
-				g00 += s * a0
-			}
-			if a1 != 0 {
-				s := wi * a1
-				g10 += s * a0
-				g11 += s * a1
-			}
-		}
-		if wv := wi * b[i]; wv != 0 {
-			r0 += a0 * wv
-			r1 += a1 * wv
-		}
-	}
-	gram.data[0], gram.data[2], gram.data[3] = g00, g10, g11
-	rhs[0], rhs[1] = r0, r1
-	return nil
-}
-
 // TMulVec returns mᵀ·v without materialising the transpose.
 func (m *Dense) TMulVec(v []float64) ([]float64, error) {
 	if m.rows != len(v) {
@@ -326,14 +286,6 @@ func (m *Dense) tMulVecInto(out, v []float64) {
 // build. The strict upper triangle of gram stays zero: choleskyInto reads
 // only the lower one.
 func (m *Dense) normalEqInto(gram *Dense, rhs, w, b []float64) error {
-	if m.cols == 2 {
-		return m.normalEq2Into(gram, rhs, w, b)
-	}
-	return m.normalEqNInto(gram, rhs, w, b)
-}
-
-// normalEqNInto is normalEqInto for any number of columns.
-func (m *Dense) normalEqNInto(gram *Dense, rhs, w, b []float64) error {
 	for i := 0; i < m.rows; i++ {
 		wi := 1.0
 		if w != nil {

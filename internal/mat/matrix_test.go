@@ -271,52 +271,6 @@ func TestWeightedGramMatchesExplicit(t *testing.T) {
 	}
 }
 
-// TestNormalEq2MatchesGeneric checks the two-column form of the fused
-// kernel against the general one bit for bit, with zero entries and zero
-// weights exercising every skip.
-func TestNormalEq2MatchesGeneric(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 50; trial++ {
-		rows := 3 + rng.Intn(40)
-		a := NewDense(rows, 2)
-		w := make([]float64, rows)
-		b := make([]float64, rows)
-		for i := 0; i < rows; i++ {
-			for j := 0; j < 2; j++ {
-				if rng.Intn(5) > 0 {
-					a.Set(i, j, rng.NormFloat64())
-				}
-			}
-			if rng.Intn(5) > 0 {
-				w[i] = rng.Float64()
-			}
-			if rng.Intn(5) > 0 {
-				b[i] = rng.NormFloat64()
-			}
-		}
-		for _, weights := range [][]float64{nil, w} {
-			g2, gn := NewDense(2, 2), NewDense(2, 2)
-			r2, rn := make([]float64, 2), make([]float64, 2)
-			if err := a.normalEq2Into(g2, r2, weights, b); err != nil {
-				t.Fatal(err)
-			}
-			if err := a.normalEqNInto(gn, rn, weights, b); err != nil {
-				t.Fatal(err)
-			}
-			for k := range g2.data {
-				if math.Float64bits(g2.data[k]) != math.Float64bits(gn.data[k]) {
-					t.Fatalf("trial %d: gram[%d] = %v, general form %v", trial, k, g2.data[k], gn.data[k])
-				}
-			}
-			for k := range r2 {
-				if math.Float64bits(r2[k]) != math.Float64bits(rn[k]) {
-					t.Fatalf("trial %d: rhs[%d] = %v, general form %v", trial, k, r2[k], rn[k])
-				}
-			}
-		}
-	}
-}
-
 func TestNorms(t *testing.T) {
 	m := mustFromRows(t, [][]float64{{3, -4}, {0, 0}})
 	if got := m.MaxAbs(); got != 4 {

@@ -8,9 +8,13 @@ import (
 	"github.com/rfid-lion/lion/internal/stats"
 )
 
-// TestWorkspaceMatchesAllocatingPath asserts the workspace solvers are
-// bit-identical to the package-level functions — same kernels, same
-// accumulation order — across random tall systems and weights.
+// TestWorkspaceMatchesAllocatingPath checks the workspace solvers, and the
+// package-level functions that run them, bit for bit against an independent
+// reference built from the allocating Dense primitives: the explicit
+// Aᵀ·diag(w)·A from T and Mul (Gram when unweighted), Aᵀ·(w∘b) from TMulVec,
+// SolveCholesky with a SolveQR fallback, residuals from MulVec, and the
+// Cholesky-diagonal ratio of Cholesky(Gram). This pins the fused
+// normal-equation pass for every column count the solvers see (2 to 4).
 func TestWorkspaceMatchesAllocatingPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var ws Workspace
@@ -24,62 +28,43 @@ func TestWorkspaceMatchesAllocatingPath(t *testing.T) {
 			b[i] = rng.NormFloat64()
 			w[i] = rng.Float64() + 1e-3
 		}
-
-		want, err := LeastSquares(a, b)
-		if err != nil {
-			t.Fatalf("trial %d: LeastSquares: %v", trial, err)
-		}
-		got, err := ws.LeastSquares(a, b)
-		if err != nil {
-			t.Fatalf("trial %d: ws.LeastSquares: %v", trial, err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: LeastSquares[%d] = %v, want %v (must be bit-identical)",
-					trial, i, got[i], want[i])
-			}
+		if trial%5 == 0 {
+			// Exact zeros exercise the kernels' skips.
+			a.Set(rng.Intn(rows), rng.Intn(cols), 0)
+			b[rng.Intn(rows)] = 0
+			w[rng.Intn(rows)] = 0
 		}
 
-		wantR, err := Residuals(a, want, b)
-		if err != nil {
-			t.Fatal(err)
+		want := refLeastSquares(t, a, b, nil)
+		for _, got := range [][]float64{mustSolve(t)(LeastSquares(a, b)), mustSolve(t)(ws.LeastSquares(a, b))} {
+			requireBits(t, trial, "LeastSquares", got, want)
 		}
+
+		wantR := refResiduals(t, a, want, b)
+		requireBits(t, trial, "Residuals", mustSolve(t)(Residuals(a, want, b)), wantR)
 		// got aliases ws scratch that ws.Residuals does not touch; using it
 		// as x here is the IRLS pattern the doc comment promises works.
-		gotR, err := ws.Residuals(a, got, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range wantR {
-			if gotR[i] != wantR[i] {
-				t.Fatalf("trial %d: Residuals[%d] = %v, want %v", trial, i, gotR[i], wantR[i])
-			}
-		}
+		got := mustSolve(t)(ws.LeastSquares(a, b))
+		requireBits(t, trial, "ws.Residuals", mustSolve(t)(ws.Residuals(a, got, b)), wantR)
 
-		wantW, err := WeightedLeastSquares(a, b, w)
-		if err != nil {
-			t.Fatalf("trial %d: WeightedLeastSquares: %v", trial, err)
-		}
-		gotW, err := ws.WeightedLeastSquares(a, b, w)
-		if err != nil {
-			t.Fatalf("trial %d: ws.WeightedLeastSquares: %v", trial, err)
-		}
-		for i := range wantW {
-			if gotW[i] != wantW[i] {
-				t.Fatalf("trial %d: WeightedLeastSquares[%d] = %v, want %v",
-					trial, i, gotW[i], wantW[i])
-			}
-		}
+		wantW := refLeastSquares(t, a, b, w)
+		requireBits(t, trial, "WeightedLeastSquares", mustSolve(t)(WeightedLeastSquares(a, b, w)), wantW)
+		requireBits(t, trial, "ws.WeightedLeastSquares", mustSolve(t)(ws.WeightedLeastSquares(a, b, w)), wantW)
 
-		if gotC, wantC := ws.ConditionEst(a), ConditionEst(a); gotC != wantC {
+		wantC := refConditionEst(a)
+		if gotC := ConditionEst(a); gotC != wantC {
 			t.Fatalf("trial %d: ConditionEst = %v, want %v", trial, gotC, wantC)
 		}
-		_, cond, err := ws.LeastSquaresCond(a, b)
+		if gotC := ws.ConditionEst(a); gotC != wantC {
+			t.Fatalf("trial %d: ws.ConditionEst = %v, want %v", trial, gotC, wantC)
+		}
+		x, cond, err := ws.LeastSquaresCond(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wantC := ConditionEst(a); cond != wantC {
-			t.Fatalf("trial %d: LeastSquaresCond cond = %v, want ConditionEst %v", trial, cond, wantC)
+		requireBits(t, trial, "LeastSquaresCond", x, want)
+		if cond != wantC {
+			t.Fatalf("trial %d: LeastSquaresCond cond = %v, want %v", trial, cond, wantC)
 		}
 
 		// The fused residual pass must summarise exactly as the separate
@@ -88,15 +73,104 @@ func TestWorkspaceMatchesAllocatingPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range wantR {
-			if res[i] != wantR[i] {
-				t.Fatalf("trial %d: ResidualStats[%d] = %v, want %v", trial, i, res[i], wantR[i])
-			}
-		}
+		requireBits(t, trial, "ResidualStats", res, wantR)
 		mean, std := stats.MeanStd(wantR)
 		if sum.Mean != mean || sum.Std != std || sum.Norm != Norm2(wantR) {
 			t.Fatalf("trial %d: ResidualStats summary %+v, want mean %v std %v norm %v",
 				trial, sum, mean, std, Norm2(wantR))
+		}
+	}
+}
+
+// refLeastSquares solves the (weighted, when w is non-nil) least-squares
+// problem through the explicit normal equations: Cholesky, then QR on the
+// square-root-weighted system when the Gram matrix is not SPD.
+func refLeastSquares(t *testing.T, a *Dense, b, w []float64) []float64 {
+	t.Helper()
+	gram := a.Gram()
+	rhs, err := a.TMulVec(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aw, bw := a.Clone(), append([]float64(nil), b...)
+	if w != nil {
+		wa, wb := a.Clone(), make([]float64, len(b))
+		for i := 0; i < a.Rows(); i++ {
+			for j := 0; j < a.Cols(); j++ {
+				wa.Set(i, j, w[i]*a.At(i, j))
+			}
+			wb[i] = w[i] * b[i]
+			s := math.Sqrt(w[i])
+			for j := 0; j < a.Cols(); j++ {
+				aw.Set(i, j, a.At(i, j)*s)
+			}
+			bw[i] = b[i] * s
+		}
+		if gram, err = wa.T().Mul(a); err != nil {
+			t.Fatal(err)
+		}
+		if rhs, err = a.TMulVec(wb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if x, err := SolveCholesky(gram, rhs); err == nil {
+		return x
+	}
+	x, err := SolveQR(aw, bw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+// refResiduals is A·x − b from MulVec.
+func refResiduals(t *testing.T, a *Dense, x, b []float64) []float64 {
+	t.Helper()
+	r, err := a.MulVec(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range r {
+		r[i] -= b[i]
+	}
+	return r
+}
+
+// refConditionEst is max|L_ii| / min|L_ii| of Cholesky(AᵀA), +Inf when AᵀA
+// is not SPD.
+func refConditionEst(a *Dense) float64 {
+	l, err := Cholesky(a.Gram())
+	if err != nil {
+		return math.Inf(1)
+	}
+	lo, hi := math.Inf(1), 0.0
+	for i := 0; i < l.Rows(); i++ {
+		d := math.Abs(l.At(i, i))
+		lo, hi = math.Min(lo, d), math.Max(hi, d)
+	}
+	return hi / lo
+}
+
+// mustSolve unwraps a solver's (x, err) result, failing the test on err.
+func mustSolve(t *testing.T) func([]float64, error) []float64 {
+	return func(x []float64, err error) []float64 {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+}
+
+// requireBits fails unless got and want are equal bit for bit.
+func requireBits(t *testing.T, trial int, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("trial %d: %s has %d entries, want %d", trial, what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("trial %d: %s[%d] = %v, want %v bit for bit", trial, what, i, got[i], want[i])
 		}
 	}
 }

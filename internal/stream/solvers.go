@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"github.com/rfid-lion/lion/internal/core"
+	"github.com/rfid-lion/lion/internal/dsp"
 	"github.com/rfid-lion/lion/internal/obs"
 )
 
@@ -79,25 +80,38 @@ func IncrementalLine2DFactory(lambda float64, intervals []float64, positiveSide 
 }
 
 // incrLineSolver adapts a core.LineSession to the SessionSolver contract,
-// owning the preprocessing buffers and the result Solution.
+// owning the unwrap buffer, the observation window, and the result Solution.
 type incrLineSolver struct {
-	sess *core.LineSession
-	opts core.SolveOptions
-	buf  windowBuffers
-	sol  core.Solution
+	sess  *core.LineSession
+	opts  core.SolveOptions
+	theta []float64
+	win   []core.PosPhase
+	sol   core.Solution
 }
 
 // SolveWindow preprocesses exactly like the stateless path with Smooth=0 —
-// the same core.PreprocessInto on reused buffers: finite checks, unwrap —
-// then runs the incremental locate.
+// copy phases, unwrap — then runs the incremental locate. Finite validation
+// happens inside the session (rebuilds and appended slide samples alike),
+// matching core.Preprocess's rejection of non-finite input.
 func (s *incrLineSolver) SolveWindow(samples []Sample, tr *obs.Tracer) (*core.Solution, error) {
-	win, err := s.buf.preprocess(samples, 0)
-	if err != nil {
-		return nil, err
+	if cap(s.theta) < len(samples) {
+		s.theta = make([]float64, 0, len(samples))
+	}
+	s.theta = s.theta[:0]
+	for _, sm := range samples {
+		s.theta = append(s.theta, sm.Phase)
+	}
+	s.theta = dsp.UnwrapInto(s.theta, s.theta)
+	if cap(s.win) < len(samples) {
+		s.win = make([]core.PosPhase, 0, len(samples))
+	}
+	s.win = s.win[:0]
+	for i, sm := range samples {
+		s.win = append(s.win, core.PosPhase{Pos: sm.Pos, Theta: s.theta[i]})
 	}
 	o := s.opts
 	o.Trace = tr
-	if err := s.sess.Locate(win, o, &s.sol); err != nil {
+	if err := s.sess.Locate(s.win, o, &s.sol); err != nil {
 		return nil, err
 	}
 	return &s.sol, nil

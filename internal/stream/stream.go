@@ -431,16 +431,6 @@ type windowBuffers struct {
 // solve is SolveWindow on b's storage. The window handed to the solver
 // aliases b and is valid only for the call.
 func (b *windowBuffers) solve(samples []Sample, smooth int, solver Solver, tr *obs.Tracer) (*core.Solution, error) {
-	win, err := b.preprocess(samples, smooth)
-	if err != nil {
-		return nil, err
-	}
-	return solver(win, tr)
-}
-
-// preprocess runs core.PreprocessInto over the samples on b's storage. The
-// returned window aliases b and is valid until the next call.
-func (b *windowBuffers) preprocess(samples []Sample, smooth int) ([]core.PosPhase, error) {
 	if cap(b.positions) < len(samples) {
 		b.positions = make([]geom.Vec3, 0, len(samples))
 		b.phases = make([]float64, 0, len(samples))
@@ -451,7 +441,11 @@ func (b *windowBuffers) preprocess(samples []Sample, smooth int) ([]core.PosPhas
 		b.positions = append(b.positions, s.Pos)
 		b.phases = append(b.phases, s.Phase)
 	}
-	return core.PreprocessInto(&b.pre, b.positions, b.phases, smooth)
+	win, err := core.PreprocessInto(&b.pre, b.positions, b.phases, smooth)
+	if err != nil {
+		return nil, err
+	}
+	return solver(win, tr)
 }
 
 // Ingest accepts one sample for the tag. Under RejectNewest it returns

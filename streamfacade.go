@@ -22,7 +22,10 @@ type (
 	StreamEstimate = stream.Estimate
 	// StreamMetrics is a snapshot of the engine's counters.
 	StreamMetrics = stream.Metrics
-	// StreamSolver turns one preprocessed window into an estimate.
+	// StreamSolver turns one preprocessed window into an estimate. The
+	// window is engine storage that the next solve overwrites: it is valid
+	// only for the call, so a solver must not retain it, and the Solution it
+	// returns must not alias it.
 	StreamSolver = stream.Solver
 	// StreamSessionSolver is a stateful per-tag window solver, created by
 	// StreamConfig.SolverFactory; see stream.SessionSolver for the aliasing
