@@ -51,7 +51,7 @@ bench-guard:
 ## push a replayed NDJSON trace over HTTP, assert a 200 estimate, and verify
 ## the graceful drain.
 serve-smoke:
-	$(GO) test ./cmd/liond -run TestServeSmoke -count=1 -v
+	$(GO) test ./internal/node -run TestServeSmoke -count=1 -v
 
 ## cluster-smoke: multi-process cluster check — build the real liond and
 ## lionroute binaries, run a router in front of two shard processes, ingest
@@ -65,7 +65,7 @@ cluster-smoke:
 ## recalibration, and assert the antenna profile hot-swaps with audit log and
 ## metrics intact.
 recal-smoke:
-	$(GO) test ./cmd/liond -run TestRecalSmoke -count=1 -v
+	$(GO) test ./internal/node -run TestRecalSmoke -count=1 -v
 
 ## load-smoke: load-harness check — run the 2-phase smoke scenario against a
 ## real liond process through the lionload CLI (open-loop paced fleet, SLO

@@ -18,19 +18,8 @@
 //	         --data-binary @- http://localhost:8080/v1/samples
 //	curl -s http://localhost:8080/v1/tags/T1/estimate
 //
-// Endpoints:
-//
-//	POST /v1/samples               NDJSON or binary wire frames
-//	GET  /v1/tags                  union of tag ids across live shards
-//	GET  /v1/tags/{id}/estimate    proxied to the shard owning the tag
-//	GET  /v1/alerts                every live shard's alert document
-//	GET  /v1/cluster               shard states, queue depths
-//	GET  /v1/slo                   cluster SLO rollup (worst shard per dimension)
-//	GET  /v1/trace/{id}            assembled cross-process pipeline trace
-//	GET  /debug/pipespans          router-side spans, NDJSON (?trace= filters)
-//	GET  /healthz                  router liveness
-//	GET  /readyz                   503 until at least one shard takes ingest
-//	GET  /metrics                  lion_cluster_* Prometheus exposition
+// The router is package internal/cluster, whose Router.Routes lists the
+// endpoints; `lionroute -h` lists the flags.
 //
 // On SIGINT/SIGTERM the router stops accepting ingest, flushes every
 // shard's forward queue, and exits.
@@ -108,7 +97,7 @@ func run(args []string) error {
 	}
 	if *traceSample > 0 {
 		opts.Sampler = obs.NewSampler(*traceSample, uint64(time.Now().UnixNano()))
-		opts.Spans = obs.NewSpanLog("lionroute", 4096)
+		opts.Spans = obs.NewSpanLog("lionroute", 0)
 	}
 	rt, err := cluster.New(*cfg, opts)
 	if err != nil {

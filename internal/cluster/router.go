@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/rfid-lion/lion/internal/dataset"
+	"github.com/rfid-lion/lion/internal/node"
 	"github.com/rfid-lion/lion/internal/obs"
 	"github.com/rfid-lion/lion/internal/wire"
 )
@@ -129,8 +130,8 @@ type shard struct {
 	queued atomic.Int64 // samples currently queued (gauge backing)
 	state  atomic.Int32 // ShardState
 	// traceOK records whether the shard's /readyz advertised FlagTrace
-	// support ("wire_trace": true). Flagged frames are only sent when it
-	// did — a decoder predating the extension never sees one.
+	// support (node.Readiness.WireTrace). Flagged frames are only sent when
+	// it did — a decoder predating the extension never sees one.
 	traceOK atomic.Bool
 
 	failures int // consecutive probe failures; health goroutine only
@@ -355,9 +356,7 @@ func (rt *Router) forwardLoop(s *shard) {
 		}
 		wait := time.Since(first.enqueued)
 		rt.queueWait.ObserveExemplar(wait.Seconds(), tc)
-		if tc.Sampled && rt.spans != nil {
-			rt.spans.Record(tc, "queue_wait", s.id, first.enqueued, wait)
-		}
+		rt.spans.Record(tc, "queue_wait", s.id, first.enqueued, wait)
 		rt.post(s, batch, tc, recv)
 		s.queueGauge.Set(float64(s.queued.Add(int64(-len(batch)))))
 	}
@@ -392,9 +391,7 @@ func (rt *Router) post(s *shard, batch []dataset.TaggedSample, tc obs.TraceConte
 		if err == nil {
 			took := time.Since(begin)
 			rt.forwardLatency.ObserveExemplar(took.Seconds(), tc)
-			if tc.Sampled && rt.spans != nil {
-				rt.spans.Record(tc, "forward", s.id, begin, took)
-			}
+			rt.spans.Record(tc, "forward", s.id, begin, took)
 			rt.forwarded.Add(uint64(len(batch)))
 			return
 		}
@@ -470,16 +467,16 @@ func (rt *Router) healthLoop(interval time.Duration) {
 	}
 }
 
-// probeShard classifies one /readyz answer:
+// probeShard classifies one /readyz answer (a node.Readiness document):
 //
-//	200                      -> healthy (readmits an ejected shard)
-//	503 status "draining"    -> draining: alive, query-only, never ejected
-//	503 status "critical-alert" -> treated as draining: the shard's solves
-//	                            are suspect but its estimates stay queryable
-//	anything else            -> failure; FailThreshold consecutive ones eject
+//	200                        -> healthy (readmits an ejected shard)
+//	503 node.StatusDraining    -> draining: alive, query-only, never ejected
+//	503 node.StatusCriticalAlert -> treated as draining: the shard's solves
+//	                              are suspect but its estimates stay queryable
+//	anything else              -> failure; FailThreshold consecutive ones eject
 func (rt *Router) probeShard(s *shard) {
-	ok, status, wireTrace := rt.readyz(s)
-	s.traceOK.Store(wireTrace)
+	ok, doc := rt.readyz(s)
+	s.traceOK.Store(doc.WireTrace)
 	prev := s.State()
 	switch {
 	case ok:
@@ -491,14 +488,14 @@ func (rt *Router) probeShard(s *shard) {
 			s.setState(ShardHealthy)
 			rt.logf("shard healthy", "shard", s.id, "was", prev.String())
 		}
-	case status == "draining" || status == "critical-alert":
+	case doc.Status == node.StatusDraining || doc.Status == node.StatusCriticalAlert:
 		s.failures = 0
 		if prev != ShardDraining {
 			if prev == ShardEjected {
 				rt.readmissions.Inc()
 			}
 			s.setState(ShardDraining)
-			rt.logf("shard query-only", "shard", s.id, "status", status)
+			rt.logf("shard query-only", "shard", s.id, "status", doc.Status)
 		}
 	default:
 		s.failures++
@@ -510,26 +507,18 @@ func (rt *Router) probeShard(s *shard) {
 	}
 }
 
-// readyz performs one probe. ok means HTTP 200; otherwise status carries the
-// shard's self-reported state ("draining", "critical-alert") when the body
-// was parseable, or "" for transport errors and foreign answers. wireTrace
-// reports the shard's FlagTrace capability ("wire_trace": true in the body) —
-// absent on older shards, which therefore never receive flagged frames.
-func (rt *Router) readyz(s *shard) (ok bool, status string, wireTrace bool) {
+// readyz performs one probe. ok means HTTP 200. doc is the shard's
+// self-reported readiness when the body was parseable, and the zero document
+// for transport errors and foreign answers. A shard that does not set
+// WireTrace never receives flagged frames.
+func (rt *Router) readyz(s *shard) (ok bool, doc node.Readiness) {
 	resp, err := rt.probe.Get(s.base + "/readyz")
 	if err != nil {
-		return false, "", false
+		return false, doc
 	}
 	defer resp.Body.Close()
-	var body struct {
-		Status    string `json:"status"`
-		WireTrace bool   `json:"wire_trace"`
-	}
-	json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&body)
-	if resp.StatusCode == http.StatusOK {
-		return true, body.Status, body.WireTrace
-	}
-	return false, body.Status, body.WireTrace
+	json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&doc)
+	return resp.StatusCode == http.StatusOK, doc
 }
 
 // ShardStatus is one shard's row in the cluster status document.

@@ -4,21 +4,21 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"sort"
 	"sync"
 	"time"
 
 	"github.com/rfid-lion/lion/internal/dataset"
+	"github.com/rfid-lion/lion/internal/node"
 	"github.com/rfid-lion/lion/internal/obs"
 	"github.com/rfid-lion/lion/internal/wire"
 )
-
-// maxIngestBody bounds one router ingest request, mirroring liond.
-const maxIngestBody = 64 << 20
 
 // Routes builds the router's HTTP mux:
 //
@@ -42,21 +42,11 @@ func (rt *Router) Routes() *http.ServeMux {
 	mux.HandleFunc("GET /v1/cluster", rt.handleCluster)
 	mux.HandleFunc("GET /v1/slo", rt.handleSLO)
 	mux.HandleFunc("GET /v1/trace/{id}", rt.handleTrace)
-	mux.HandleFunc("GET /debug/pipespans", rt.handlePipeSpans)
+	mux.Handle("GET /debug/pipespans", rt.spans)
 	mux.HandleFunc("GET /healthz", rt.handleHealth)
 	mux.HandleFunc("GET /readyz", rt.handleReady)
 	mux.Handle("GET /metrics", rt.reg.Handler())
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 // ingestCodecs is the negotiation list: NDJSON first so it is the fallback
@@ -68,35 +58,33 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// Full request wall time at the router: the server-side twin of a load
 	// generator's client-observed ingest latency against a cluster.
 	defer func() { rt.ingestReq.Observe(time.Since(recv).Seconds()) }()
-	codec := dataset.SelectCodec(ingestCodecs, r.Header.Get("Content-Type"))
-	samples, err := codec.Decode(http.MaxBytesReader(w, r.Body, maxIngestBody))
+	// A client's trace extension is ignored: the router's sampler decides.
+	samples, _, err := node.DecodeIngest(w, r, ingestCodecs)
 	decodeTook := time.Since(recv)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		obs.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	tc := rt.sampler.Next()
 	rt.ingestDecode.ObserveExemplar(decodeTook.Seconds(), tc)
-	if tc.Sampled && rt.spans != nil {
-		rt.spans.Record(tc, "ingest_decode", "", recv, decodeTook)
-	}
+	rt.spans.Record(tc, "ingest_decode", "", recv, decodeTook)
 	res, err := rt.IngestTraced(samples, tc, recv)
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err)
+		obs.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	obs.WriteJSON(w, http.StatusOK, res)
 }
 
 func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	tag := r.PathValue("id")
 	s := rt.shards[rt.ring.Owner(tag)]
 	if s.State() == ShardEjected {
-		writeError(w, http.StatusServiceUnavailable,
+		obs.WriteError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("shard %s owning tag %q is ejected", s.id, tag))
 		return
 	}
-	rt.proxy(w, s, "/v1/tags/"+tag+"/estimate")
+	rt.proxy(w, s, "/v1/tags/"+url.PathEscape(tag)+"/estimate")
 }
 
 // proxy forwards one GET to a shard and relays status, content type, and
@@ -104,7 +92,7 @@ func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) proxy(w http.ResponseWriter, s *shard, path string) {
 	resp, err := rt.client.Get(s.base + path)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("shard %s: %w", s.id, err))
+		obs.WriteError(w, http.StatusBadGateway, fmt.Errorf("shard %s: %w", s.id, err))
 		return
 	}
 	defer resp.Body.Close()
@@ -115,49 +103,68 @@ func (rt *Router) proxy(w http.ResponseWriter, s *shard, path string) {
 	io.Copy(w, resp.Body)
 }
 
-// fanOut issues one GET per non-ejected shard concurrently and returns each
-// shard's body (or error) keyed by shard id.
+// fanOut GETs a JSON endpoint from every shard concurrently and returns each
+// shard's document keyed by shard id. An {"error": ...} document stands in
+// for a shard that is ejected, fails, or answers with something not JSON.
 func (rt *Router) fanOut(path string) map[string]json.RawMessage {
+	bodies, errs := rt.fanOutRaw(path)
 	out := make(map[string]json.RawMessage, len(rt.shards))
+	for id, body := range bodies {
+		if !json.Valid(body) {
+			errs[id] = errors.New("shard returned non-JSON body")
+			continue
+		}
+		out[id] = body
+	}
+	for id, err := range errs {
+		out[id] = errJSON(err)
+	}
+	return out
+}
+
+// fanOutRaw issues one GET per non-ejected shard concurrently and returns,
+// keyed by shard id, each 200 body verbatim and the error of every shard that
+// is ejected or did not answer 200.
+func (rt *Router) fanOutRaw(path string) (map[string][]byte, map[string]error) {
+	bodies := make(map[string][]byte, len(rt.shards))
+	errs := make(map[string]error)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for _, s := range rt.shards {
 		if s.State() == ShardEjected {
-			out[s.id] = errJSON(fmt.Errorf("shard ejected"))
+			errs[s.id] = errors.New("shard ejected")
 			continue
 		}
 		wg.Add(1)
 		go func(s *shard) {
 			defer wg.Done()
 			body, err := rt.get(s, path)
-			if err != nil {
-				body = errJSON(err)
-			}
 			mu.Lock()
-			out[s.id] = body
-			mu.Unlock()
+			defer mu.Unlock()
+			if err != nil {
+				errs[s.id] = err
+			} else {
+				bodies[s.id] = body
+			}
 		}(s)
 	}
 	wg.Wait()
-	return out
+	return bodies, errs
 }
 
-// get fetches one shard endpoint, insisting on a 200 JSON answer.
-func (rt *Router) get(s *shard, path string) (json.RawMessage, error) {
+// get fetches one shard endpoint, insisting on a 200 answer.
+func (rt *Router) get(s *shard, path string) ([]byte, error) {
 	resp, err := rt.client.Get(s.base + path)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxIngestBody))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, node.MaxBody))
 	if err != nil {
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, body)
-	}
-	if !json.Valid(body) {
-		return nil, fmt.Errorf("shard returned non-JSON body")
 	}
 	return body, nil
 }
@@ -184,24 +191,15 @@ func (rt *Router) handleTags(w http.ResponseWriter, r *http.Request) {
 		tags = append(tags, t)
 	}
 	sort.Strings(tags)
-	writeJSON(w, http.StatusOK, map[string][]string{"tags": tags})
+	obs.WriteJSON(w, http.StatusOK, map[string][]string{"tags": tags})
 }
 
 func (rt *Router) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"shards": rt.fanOut("/v1/alerts")})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"shards": rt.fanOut("/v1/alerts")})
 }
 
 func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"shards": rt.Status()})
-}
-
-// sloQuantiles is one latency dimension of a shard's /v1/slo document and of
-// the router's cluster rollup.
-type sloQuantiles struct {
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-	Count uint64  `json:"count"`
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"shards": rt.Status()})
 }
 
 // handleSLO fans /v1/slo out to the live shards and rolls the answers up into
@@ -217,11 +215,11 @@ type sloQuantiles struct {
 // bounded by whichever hop — router or slowest shard — is slower.
 func (rt *Router) handleSLO(w http.ResponseWriter, r *http.Request) {
 	shards := rt.fanOut("/v1/slo")
-	agg := make(map[string]*sloQuantiles)
-	merge := func(key string, q sloQuantiles) {
+	agg := make(map[string]*obs.Quantiles)
+	merge := func(key string, q obs.Quantiles) {
 		a := agg[key]
 		if a == nil {
-			a = &sloQuantiles{}
+			a = &obs.Quantiles{}
 			agg[key] = a
 		}
 		if q.Count == 0 {
@@ -235,26 +233,18 @@ func (rt *Router) handleSLO(w http.ResponseWriter, r *http.Request) {
 	var alertMax float64
 	alertSeen := false
 	for _, body := range shards {
-		var doc map[string]json.RawMessage
-		if json.Unmarshal(body, &doc) != nil {
+		doc, err := obs.ParseSLO(body)
+		if err != nil {
 			continue
 		}
-		for key, raw := range doc {
-			if key == "alert_latency_seconds" {
-				var v float64
-				if json.Unmarshal(raw, &v) == nil && (!alertSeen || v > alertMax) {
-					alertMax, alertSeen = v, true
-				}
-				continue
-			}
-			var q sloQuantiles
-			if json.Unmarshal(raw, &q) != nil {
-				continue
-			}
+		for key, q := range doc.Dims {
 			merge(key, q)
 		}
+		if doc.AlertSeen && (!alertSeen || doc.AlertLatency > alertMax) {
+			alertMax, alertSeen = doc.AlertLatency, true
+		}
 	}
-	merge("ingest_request_seconds", rt.ownIngestQuantiles())
+	merge("ingest_request_seconds", rt.ingestReq.Quantiles())
 	cluster := make(map[string]any, len(agg)+1)
 	for key, q := range agg {
 		cluster[key] = q
@@ -262,27 +252,7 @@ func (rt *Router) handleSLO(w http.ResponseWriter, r *http.Request) {
 	if alertSeen {
 		cluster["alert_latency_seconds"] = alertMax
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"shards": shards, "cluster": cluster})
-}
-
-// ownIngestQuantiles summarises the router's own POST /v1/samples wall time
-// in the /v1/slo dimension shape. An untouched histogram reports the explicit
-// zero document.
-func (rt *Router) ownIngestQuantiles() sloQuantiles {
-	q := sloQuantiles{Count: rt.ingestReq.Count()}
-	if q.Count > 0 {
-		// Histogram.Quantile takes a percentile in [0, 100].
-		if v, ok := rt.ingestReq.Quantile(50); ok {
-			q.P50 = v
-		}
-		if v, ok := rt.ingestReq.Quantile(95); ok {
-			q.P95 = v
-		}
-		if v, ok := rt.ingestReq.Quantile(99); ok {
-			q.P99 = v
-		}
-	}
-	return q
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"shards": shards, "cluster": cluster})
 }
 
 // handleTrace assembles one cross-process pipeline trace: the router's own
@@ -292,14 +262,13 @@ func (rt *Router) ownIngestQuantiles() sloQuantiles {
 func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id, err := obs.ParseTraceID(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad trace id: %w", err))
+		obs.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad trace id: %w", err))
 		return
 	}
-	var spans []obs.PipeSpan
-	if rt.spans != nil {
-		spans = rt.spans.Spans(id)
-	}
-	for _, body := range rt.fanOutRaw("/debug/pipespans?trace=" + obs.TraceIDString(id)) {
+	spans := rt.spans.Spans(id)
+	// Trace assembly is best-effort: a shard that fails adds no spans.
+	bodies, _ := rt.fanOutRaw("/debug/pipespans?trace=" + obs.TraceIDString(id))
+	for _, body := range bodies {
 		sc := bufio.NewScanner(bytes.NewReader(body))
 		for sc.Scan() {
 			var sp obs.PipeSpan
@@ -314,73 +283,24 @@ func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 		}
 		return spans[i].Service < spans[j].Service
 	})
-	writeJSON(w, http.StatusOK, map[string]any{
+	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"trace_id": obs.TraceIDString(id),
 		"spans":    spans,
 	})
 }
 
-// fanOutRaw issues one GET per non-ejected shard and returns each 200 body
-// verbatim (no JSON requirement — pipespan exports are NDJSON). Failed shards
-// are simply omitted: trace assembly is best-effort by design.
-func (rt *Router) fanOutRaw(path string) map[string][]byte {
-	out := make(map[string][]byte, len(rt.shards))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, s := range rt.shards {
-		if s.State() == ShardEjected {
-			continue
-		}
-		wg.Add(1)
-		go func(s *shard) {
-			defer wg.Done()
-			resp, err := rt.client.Get(s.base + path)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			body, err := io.ReadAll(io.LimitReader(resp.Body, maxIngestBody))
-			if err != nil || resp.StatusCode != http.StatusOK {
-				return
-			}
-			mu.Lock()
-			out[s.id] = body
-			mu.Unlock()
-		}(s)
-	}
-	wg.Wait()
-	return out
-}
-
-// handlePipeSpans exports the router's own span log as NDJSON, optionally
-// filtered to one trace with ?trace=<hex id>.
-func (rt *Router) handlePipeSpans(w http.ResponseWriter, r *http.Request) {
-	var id uint64
-	if q := r.URL.Query().Get("trace"); q != "" {
-		var err error
-		if id, err = obs.ParseTraceID(q); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad trace id: %w", err))
-			return
-		}
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	if rt.spans != nil {
-		rt.spans.WriteNDJSON(w, id)
-	}
-}
-
 func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	obs.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 	if rt.closed.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		obs.WriteJSON(w, http.StatusServiceUnavailable, node.Readiness{Status: node.StatusDraining})
 		return
 	}
 	if !rt.Ready() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no-healthy-shards"})
+		obs.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no-healthy-shards"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	obs.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"github.com/rfid-lion/lion/internal/obs"
 )
 
 // sloShard serves a fixed /v1/slo document and accepts forwarded ingest.
@@ -56,13 +58,13 @@ func clusterSLO(t *testing.T, rt *Router) map[string]json.RawMessage {
 	return doc.Cluster
 }
 
-func dim(t *testing.T, doc map[string]json.RawMessage, key string) sloQuantiles {
+func dim(t *testing.T, doc map[string]json.RawMessage, key string) obs.Quantiles {
 	t.Helper()
 	raw, ok := doc[key]
 	if !ok {
 		t.Fatalf("cluster rollup missing %s (have %v)", key, keysOf(doc))
 	}
-	var q sloQuantiles
+	var q obs.Quantiles
 	if err := json.Unmarshal(raw, &q); err != nil {
 		t.Fatalf("%s does not parse: %v", key, err)
 	}

@@ -7,11 +7,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/rfid-lion/lion/internal/dataset"
+	"github.com/rfid-lion/lion/internal/node"
+	"github.com/rfid-lion/lion/internal/obs"
 	"github.com/rfid-lion/lion/internal/wire"
 )
 
@@ -82,7 +85,7 @@ func newFakeShard(t *testing.T) *fakeShard {
 			}
 		}
 		f.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string][]string{"tags": tags})
+		obs.WriteJSON(w, http.StatusOK, map[string][]string{"tags": tags})
 	})
 	f.srv = httptest.NewServer(mux)
 	t.Cleanup(f.srv.Close)
@@ -324,7 +327,7 @@ func TestRouterHealthEjectionAndReadmission(t *testing.T) {
 	}
 	// Shard reports draining: router parks it query-only without ejecting.
 	a.setReady(func(w http.ResponseWriter) {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		obs.WriteJSON(w, http.StatusServiceUnavailable, node.Readiness{Status: node.StatusDraining})
 	})
 	waitState("s1", ShardDraining)
 	if rt.ejections.Value() != 1 {
@@ -332,7 +335,7 @@ func TestRouterHealthEjectionAndReadmission(t *testing.T) {
 	}
 	// Critical alert is treated the same as draining.
 	a.setReady(func(w http.ResponseWriter) {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "critical-alert"})
+		obs.WriteJSON(w, http.StatusServiceUnavailable, node.Readiness{Status: node.StatusCriticalAlert})
 	})
 	time.Sleep(30 * time.Millisecond)
 	for _, st := range rt.Status() {
@@ -404,5 +407,33 @@ func TestRouterIngestAfterClose(t *testing.T) {
 	rt.Routes().ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("readyz after close: %d", rec.Code)
+	}
+}
+
+// TestRouterEstimateEscapesTag: the estimate proxy must hand the owning shard
+// the tag the client asked for. Tag ids are client input, so ids with a
+// slash, a question mark, or a literal percent escape must survive the hop
+// to the shard unchanged instead of routing to a 404 or to another tag.
+func TestRouterEstimateEscapesTag(t *testing.T) {
+	a, b := newFakeShard(t), newFakeShard(t)
+	rt := noHealth(t, a, b, nil)
+	defer rt.Close(context.Background())
+	mux := rt.Routes()
+	for _, tag := range []string{"a/b", "a?b", "a%2Fb"} {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/tags/"+url.PathEscape(tag)+"/estimate", nil))
+		if rec.Code != http.StatusOK {
+			t.Errorf("tag %q: status %d: %s", tag, rec.Code, rec.Body)
+			continue
+		}
+		var doc struct {
+			Tag string `json:"tag"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+			t.Fatalf("tag %q: %v in %s", tag, err, rec.Body)
+		}
+		if doc.Tag != tag {
+			t.Errorf("tag %q: shard served tag %q", tag, doc.Tag)
+		}
 	}
 }

@@ -237,8 +237,8 @@ func TestRouterSLORollup(t *testing.T) {
 	var doc struct {
 		Shards  map[string]json.RawMessage `json:"shards"`
 		Cluster struct {
-			Staleness    sloQuantiles `json:"staleness_seconds"`
-			AlertLatency float64      `json:"alert_latency_seconds"`
+			Staleness    obs.Quantiles `json:"staleness_seconds"`
+			AlertLatency float64       `json:"alert_latency_seconds"`
 		} `json:"cluster"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {

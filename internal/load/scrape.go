@@ -11,23 +11,16 @@ import (
 	"strings"
 	"sync"
 	"time"
-)
 
-// Quantiles is one latency dimension as served by /v1/slo — liond's flat
-// document and lionroute's cluster rollup share the shape.
-type Quantiles struct {
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-	Count uint64  `json:"count"`
-}
+	"github.com/rfid-lion/lion/internal/obs"
+)
 
 // DimSummary is what the scraper retains about one SLO dimension over a run:
 // the worst p99 any scrape reported (SLOs are judged against the worst
 // window, not the last), and the final scrape's full quantile set.
 type DimSummary struct {
 	WorstP99 float64
-	Last     Quantiles
+	Last     obs.Quantiles
 }
 
 // ScrapeSummary is the server-side half of a run's evidence.
@@ -104,7 +97,7 @@ func (s *Scraper) Scrape() {
 	if sloErr != nil || metErr != nil {
 		s.sum.Errors++
 	}
-	for key, q := range doc.dims {
+	for key, q := range doc.Dims {
 		d := s.sum.Dims[key]
 		if d == nil {
 			d = &DimSummary{}
@@ -115,10 +108,10 @@ func (s *Scraper) Scrape() {
 		}
 		d.Last = q
 	}
-	if doc.alertSeen {
+	if doc.AlertSeen {
 		s.sum.AlertSeen = true
-		if doc.alert > s.sum.AlertLatency {
-			s.sum.AlertLatency = doc.alert
+		if doc.AlertLatency > s.sum.AlertLatency {
+			s.sum.AlertLatency = doc.AlertLatency
 		}
 	}
 	for name, v := range counters {
@@ -148,51 +141,33 @@ func (s *Scraper) Summary() ScrapeSummary {
 	return out
 }
 
-// sloDoc is one parsed /v1/slo response.
-type sloDoc struct {
-	dims      map[string]Quantiles
-	alert     float64
-	alertSeen bool
-}
-
-// fetchSLO fetches and normalises /v1/slo. A router response carries the
+// fetchSLO fetches and decodes /v1/slo. A router response carries the
 // dimensions under "cluster"; a liond response is the flat document itself.
-func (s *Scraper) fetchSLO() (sloDoc, error) {
-	doc := sloDoc{dims: map[string]Quantiles{}}
+func (s *Scraper) fetchSLO() (obs.SLO, error) {
 	resp, err := s.client.Get(s.base + "/v1/slo")
 	if err != nil {
-		return doc, err
+		return obs.SLO{}, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {
-		return doc, err
+		return obs.SLO{}, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return doc, fmt.Errorf("load: /v1/slo status %d", resp.StatusCode)
+		return obs.SLO{}, fmt.Errorf("load: /v1/slo status %d", resp.StatusCode)
 	}
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(body, &raw); err != nil {
+	var router struct {
+		Cluster json.RawMessage `json:"cluster"`
+	}
+	if err := json.Unmarshal(body, &router); err != nil {
+		return obs.SLO{}, fmt.Errorf("load: /v1/slo: %w", err)
+	}
+	if router.Cluster != nil {
+		body = router.Cluster
+	}
+	doc, err := obs.ParseSLO(body)
+	if err != nil {
 		return doc, fmt.Errorf("load: /v1/slo: %w", err)
-	}
-	if cluster, ok := raw["cluster"]; ok {
-		var inner map[string]json.RawMessage
-		if err := json.Unmarshal(cluster, &inner); err != nil {
-			return doc, fmt.Errorf("load: /v1/slo cluster section: %w", err)
-		}
-		raw = inner
-	}
-	for key, msg := range raw {
-		if key == "alert_latency_seconds" {
-			if json.Unmarshal(msg, &doc.alert) == nil {
-				doc.alertSeen = true
-			}
-			continue
-		}
-		var q Quantiles
-		if json.Unmarshal(msg, &q) == nil {
-			doc.dims[key] = q
-		}
 	}
 	return doc, nil
 }

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/rfid-lion/lion/internal/obs"
 )
 
 // fakeResult builds a result with a controlled latency distribution and
@@ -46,8 +48,8 @@ func manyFast(n int) []float64 {
 func TestEvaluatePasses(t *testing.T) {
 	res := fakeResult(t, manyFast(200), ScrapeSummary{
 		Dims: map[string]*DimSummary{
-			"staleness_seconds":      {WorstP99: 0.5, Last: Quantiles{P99: 0.5, Count: 10}},
-			"ingest_request_seconds": {WorstP99: 0.003, Last: Quantiles{P99: 0.003, Count: 10}},
+			"staleness_seconds":      {WorstP99: 0.5, Last: obs.Quantiles{P99: 0.5, Count: 10}},
+			"ingest_request_seconds": {WorstP99: 0.003, Last: obs.Quantiles{P99: 0.003, Count: 10}},
 		},
 		Scrapes: 3,
 	})
@@ -110,7 +112,7 @@ func TestEvaluateAgreement(t *testing.T) {
 	// Server claims a p99 wildly above the client's: instrumentation lies.
 	res := fakeResult(t, manyFast(200), ScrapeSummary{
 		Dims: map[string]*DimSummary{
-			"ingest_request_seconds": {WorstP99: 5, Last: Quantiles{P99: 5, Count: 10}},
+			"ingest_request_seconds": {WorstP99: 5, Last: obs.Quantiles{P99: 5, Count: 10}},
 		},
 	})
 	v := Evaluate(res)
@@ -138,7 +140,7 @@ func TestEvaluateAgreement(t *testing.T) {
 func TestReportAndMacro(t *testing.T) {
 	res := fakeResult(t, manyFast(200), ScrapeSummary{
 		Dims: map[string]*DimSummary{
-			"staleness_seconds": {WorstP99: 0.4, Last: Quantiles{P50: 0.1, P95: 0.3, P99: 0.4, Count: 7}},
+			"staleness_seconds": {WorstP99: 0.4, Last: obs.Quantiles{P50: 0.1, P95: 0.3, P99: 0.4, Count: 7}},
 		},
 		Scrapes:      2,
 		AlertSeen:    true,

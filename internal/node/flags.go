@@ -1,0 +1,255 @@
+package node
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"strconv"
+	"strings"
+	"time"
+
+	"github.com/rfid-lion/lion/internal/core"
+	"github.com/rfid-lion/lion/internal/geom"
+	"github.com/rfid-lion/lion/internal/health"
+	"github.com/rfid-lion/lion/internal/obs"
+	"github.com/rfid-lion/lion/internal/rf"
+	"github.com/rfid-lion/lion/internal/stream"
+	"github.com/rfid-lion/lion/internal/wire"
+)
+
+// config is one node's settings, parsed from liond's command line.
+type config struct {
+	log     *obs.Logger // nil discards
+	addr    string
+	drain   time.Duration
+	cfg     stream.Config
+	monitor bool
+	wire    bool
+	health  health.Config
+
+	// traceSample samples 1 in N locally-originated ingest batches for
+	// end-to-end tracing (0 = off). Wire frames carrying a trace extension
+	// from lionroute are always honoured regardless of this knob.
+	traceSample int
+
+	// Closed-loop recalibration (-recal): solver geometry the controller
+	// re-solves with, plus its acceptance tuning.
+	recal        bool
+	recalMargin  float64
+	recalMin     int
+	lambda       float64
+	intervals    []float64
+	positiveSide bool
+}
+
+func parseFlags(args []string) (*config, error) {
+	fs := flag.NewFlagSet("liond", flag.ContinueOnError)
+	var (
+		addr   = fs.String("addr", ":8077", "listen address")
+		lambda = fs.Float64("lambda", 0, "carrier wavelength, m (0 = paper's 920.625 MHz band)")
+		solver = fs.String("solver", "line",
+			"window solver: line (2-D lower-dimension), 2d, 3d")
+		incremental = fs.Bool("incremental", false,
+			"line solver only: per-tag incremental sliding-window sessions "+
+				"(zero-alloc steady-state re-solves; implies -smooth 0)")
+		intervals = fs.String("intervals", "0.2",
+			"comma-separated pairing intervals for the line solver, m")
+		stride = fs.Int("stride", 0,
+			"pairing stride for the 2d/3d solvers (0 = quarter window)")
+		side = fs.Bool("positive-side", true,
+			"line solver: target on the +90° side of the scan direction")
+		window = fs.Int("window", 256, "sliding window capacity, samples")
+		span   = fs.Duration("span", 0, "sliding window time-span (0 = unbounded)")
+		minS   = fs.Int("min", 8, "minimum window length before solving")
+		every  = fs.Int("every", 16, "solve every N accepted samples")
+		smooth = fs.Int("smooth", 9, "phase smoothing window (odd, 0 = off)")
+		reject = fs.Bool("reject-newest", false,
+			"refuse samples at a full window instead of evicting the oldest")
+		workers = fs.Int("workers", 0, "solve pool size (0 = GOMAXPROCS)")
+		timeout = fs.Duration("solve-timeout", 0, "per-window solve timeout (0 = none)")
+		drain   = fs.Duration("drain", 10*time.Second, "shutdown drain timeout")
+		trace   = fs.Bool("trace", false,
+			"record each window's solve trace, served at /debug/trace/{tag}")
+		monitor = fs.Bool("monitor", true,
+			"run the solve-health monitor (alerts, flight recorder, /v1/alerts)")
+		wireOK = fs.Bool("wire", true,
+			"accept binary wire frames (Content-Type "+wire.ContentType+") on POST /v1/samples")
+		antenna = fs.String("antenna", "A1",
+			"antenna id this daemon ingests for (alert scope and drift gauge label)")
+		calCenter = fs.String("cal-center", "",
+			"calibrated antenna phase center as x,y,z metres (enables drift detection)")
+		calOffset = fs.Float64("cal-offset", 0,
+			"calibrated phase offset Δθ = θ_T + θ_R, radians")
+		driftFrac = fs.Float64("drift-frac", 0.02,
+			"drift alert threshold as a fraction of the wavelength")
+		driftWindow = fs.Int("drift-window", 256,
+			"sliding sample window of the drift re-estimate")
+		holdDown = fs.Duration("hold-down", 2*time.Second,
+			"drift must persist this long (stream time) before the alert fires")
+		recalOn = fs.Bool("recal", false,
+			"closed-loop recalibration: when the drift alert fires, re-solve the "+
+				"antenna calibration from live windows and hot-swap the profile "+
+				"(requires -cal-center and -monitor)")
+		recalMargin = fs.Float64("recal-margin", 0.05,
+			"accept a recalibration candidate only if it improves the held-out "+
+				"residual by this fraction")
+		recalMin = fs.Int("recal-min", 64,
+			"minimum live-window samples a recalibration re-solve needs")
+		traceSample = fs.Int("trace-sample", 0,
+			"pipeline tracing: sample 1 in N local ingest batches (0 = off; "+
+				"traced wire frames from lionroute are always honoured)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	lam := *lambda
+	if lam == 0 {
+		lam = rf.DefaultBand().Wavelength()
+	}
+	var ivs []float64
+	for _, part := range strings.Split(*intervals, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		v, err := strconv.ParseFloat(part, 64)
+		if err != nil {
+			return nil, fmt.Errorf("interval %q: %w", part, err)
+		}
+		ivs = append(ivs, v)
+	}
+	var (
+		sv      stream.Solver
+		factory func() stream.SessionSolver
+	)
+	smoothW := *smooth
+	if *incremental {
+		if *solver != "line" {
+			return nil, fmt.Errorf("-incremental requires -solver line, got %q", *solver)
+		}
+		if len(ivs) == 0 {
+			return nil, errors.New("line solver needs at least one interval")
+		}
+		smoothSet := false
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "smooth" {
+				smoothSet = true
+			}
+		})
+		if smoothSet && *smooth > 1 {
+			return nil, errors.New("-incremental is incompatible with -smooth: " +
+				"centred smoothing rewrites the window overlap and defeats slide detection")
+		}
+		smoothW = 0
+		var err error
+		factory, err = stream.IncrementalLine2DFactory(lam, ivs, *side, core.DefaultSolveOptions())
+		if err != nil {
+			return nil, err
+		}
+	} else {
+		var err error
+		sv, err = buildSolver(*solver, lam, ivs, *stride, *side)
+		if err != nil {
+			return nil, err
+		}
+	}
+	policy := stream.EvictOldest
+	if *reject {
+		policy = stream.RejectNewest
+	}
+	hcfg := health.Config{Rules: health.DefaultRules()}
+	for i := range hcfg.Rules {
+		if hcfg.Rules[i].Signal == health.SignalDrift {
+			hcfg.Rules[i].Threshold = *driftFrac
+			hcfg.Rules[i].HoldDown = *holdDown
+		}
+	}
+	if *calCenter != "" {
+		center, err := parseVec3(*calCenter)
+		if err != nil {
+			return nil, fmt.Errorf("cal-center: %w", err)
+		}
+		hcfg.Calibrations = []health.Calibration{{
+			Antenna: *antenna,
+			Center:  center,
+			Offset:  *calOffset,
+			Lambda:  lam,
+			Window:  *driftWindow,
+		}}
+	}
+	if *recalOn {
+		if len(hcfg.Calibrations) == 0 {
+			return nil, errors.New("-recal needs -cal-center (a calibration to recalibrate)")
+		}
+		if !*monitor {
+			return nil, errors.New("-recal needs the monitor (-monitor=true) for drift alerts")
+		}
+	}
+	if *traceSample < 0 {
+		return nil, fmt.Errorf("-trace-sample must be >= 0, got %d", *traceSample)
+	}
+	return &config{
+		addr:    *addr,
+		drain:   *drain,
+		monitor: *monitor,
+		wire:    *wireOK,
+		health:  hcfg,
+
+		traceSample: *traceSample,
+
+		recal:        *recalOn,
+		recalMargin:  *recalMargin,
+		recalMin:     *recalMin,
+		lambda:       lam,
+		intervals:    ivs,
+		positiveSide: *side,
+		cfg: stream.Config{
+			WindowSize:    *window,
+			WindowSpan:    *span,
+			MinSamples:    *minS,
+			SolveEvery:    *every,
+			Smooth:        smoothW,
+			Policy:        policy,
+			Workers:       *workers,
+			JobTimeout:    *timeout,
+			Solver:        sv,
+			SolverFactory: factory,
+			TraceSolves:   *trace,
+			Antenna:       *antenna,
+		},
+	}, nil
+}
+
+// parseVec3 parses "x,y,z" into a vector.
+func parseVec3(s string) (geom.Vec3, error) {
+	parts := strings.Split(s, ",")
+	if len(parts) != 3 {
+		return geom.Vec3{}, fmt.Errorf("want x,y,z, got %q", s)
+	}
+	var out [3]float64
+	for i, p := range parts {
+		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil {
+			return geom.Vec3{}, err
+		}
+		out[i] = v
+	}
+	return geom.V3(out[0], out[1], out[2]), nil
+}
+
+func buildSolver(name string, lambda float64, intervals []float64, stride int, positiveSide bool) (stream.Solver, error) {
+	opts := core.DefaultSolveOptions()
+	switch name {
+	case "line":
+		if len(intervals) == 0 {
+			return nil, errors.New("line solver needs at least one interval")
+		}
+		return stream.Line2DSolver(lambda, intervals, positiveSide, opts), nil
+	case "2d":
+		return stream.Free2DSolver(lambda, stride, opts), nil
+	case "3d":
+		return stream.Free3DSolver(lambda, stride, opts), nil
+	default:
+		return nil, fmt.Errorf("unknown solver %q (want line, 2d or 3d)", name)
+	}
+}

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -283,6 +284,24 @@ func (l *SpanLog) WriteNDJSON(w io.Writer, traceID uint64) error {
 		spans = l.Spans(traceID)
 	}
 	return WriteSpansNDJSON(w, spans)
+}
+
+// ServeHTTP serves GET /debug/pipespans on liond and lionroute alike: the
+// retained spans as NDJSON, or only one trace's spans with ?trace=<16 hex
+// digits> (the form lionroute fetches to assemble /v1/trace/{id}). A
+// malformed id is a 400; a nil log serves an empty body.
+func (l *SpanLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	var id uint64
+	if q := r.URL.Query().Get("trace"); q != "" {
+		v, err := ParseTraceID(q)
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("bad trace id: %w", err))
+			return
+		}
+		id = v
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	l.WriteNDJSON(w, id)
 }
 
 // WriteSpansNDJSON writes spans as NDJSON lines.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -148,6 +149,19 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WritePrometheus(w)
 	})
+}
+
+// WriteJSON writes v as a JSON response with the given status. Every JSON
+// endpoint of liond and lionroute answers through it.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(v)
+}
+
+// WriteError writes the {"error": "..."} document with the given status.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 // Counter is a monotonically increasing counter. All methods are safe for
@@ -419,6 +433,64 @@ func (h *Histogram) Quantile(p float64) (v float64, ok bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.window.Percentile(p)
+}
+
+// Quantiles is one latency dimension of a /v1/slo document: the windowed
+// p50/p95/p99 and the lifetime observation count. A zero Count means "no
+// evidence", and then every quantile is zero too. liond serves it per
+// dimension, lionroute rolls it up across shards, and lionload scrapes it;
+// changing the field set is a cluster protocol change.
+type Quantiles struct {
+	P50   float64 `json:"p50"`
+	P95   float64 `json:"p95"`
+	P99   float64 `json:"p99"`
+	Count uint64  `json:"count"`
+}
+
+// SLO is a decoded /v1/slo document.
+type SLO struct {
+	// Dims maps dimension keys ("staleness_seconds", ...) to their quantiles.
+	Dims map[string]Quantiles
+	// AlertLatency is alert_latency_seconds; AlertSeen reports whether the
+	// document carried it (it is absent until an alert has fired).
+	AlertLatency float64
+	AlertSeen    bool
+}
+
+// ParseSLO decodes a node's /v1/slo document or the cluster section of the
+// router's. A key whose value does not decode as Quantiles is skipped.
+func ParseSLO(body []byte) (SLO, error) {
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(body, &raw); err != nil {
+		return SLO{}, err
+	}
+	doc := SLO{Dims: make(map[string]Quantiles, len(raw))}
+	for key, msg := range raw {
+		if key == "alert_latency_seconds" {
+			doc.AlertSeen = json.Unmarshal(msg, &doc.AlertLatency) == nil
+			continue
+		}
+		var q Quantiles
+		if json.Unmarshal(msg, &q) == nil {
+			doc.Dims[key] = q
+		}
+	}
+	return doc, nil
+}
+
+// Quantiles summarises the histogram as one /v1/slo dimension. Quantiles
+// come from the window of recent observations; an empty histogram reports
+// the explicit zero document.
+func (h *Histogram) Quantiles() Quantiles {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	q := Quantiles{Count: h.count}
+	if q.Count > 0 {
+		q.P50, _ = h.window.Percentile(50)
+		q.P95, _ = h.window.Percentile(95)
+		q.P99, _ = h.window.Percentile(99)
+	}
+	return q
 }
 
 // WindowMean returns the mean of the retained window, or 0 when empty.

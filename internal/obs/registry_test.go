@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -204,5 +205,43 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 	if m := h.WindowMean(); m != 50.5 {
 		t.Errorf("window mean = %g, want 50.5", m)
+	}
+}
+
+// TestSLORoundTrip: Histogram.Quantiles is the /v1/slo dimension (explicit
+// zero document while empty, percentiles once observed) and ParseSLO reads
+// back what a node writes, skipping keys that are not dimensions.
+func TestSLORoundTrip(t *testing.T) {
+	h := NewRegistry().Histogram("lion_test_latency_seconds", "", nil)
+	if q := h.Quantiles(); q != (Quantiles{}) {
+		t.Errorf("empty histogram = %+v, want the zero document", q)
+	}
+	for i := 1; i <= 100; i++ {
+		h.Observe(float64(i))
+	}
+	q := h.Quantiles()
+	if q.Count != 100 || q.P50 < 50 || q.P50 > 51 || q.P95 < 95 || q.P95 > 96 || q.P99 < 99 || q.P99 > 100 {
+		t.Errorf("quantiles = %+v", q)
+	}
+	body, err := json.Marshal(map[string]any{
+		"staleness_seconds":     q,
+		"alert_latency_seconds": 1.5,
+		"note":                  "not a dimension",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := ParseSLO(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Dims) != 1 || doc.Dims["staleness_seconds"] != q {
+		t.Errorf("dims = %+v, want only staleness_seconds = %+v", doc.Dims, q)
+	}
+	if !doc.AlertSeen || doc.AlertLatency != 1.5 {
+		t.Errorf("alert latency = %v (seen %v), want 1.5", doc.AlertLatency, doc.AlertSeen)
+	}
+	if _, err := ParseSLO([]byte("not json")); err == nil {
+		t.Error("ParseSLO accepted a non-JSON body")
 	}
 }

@@ -215,6 +215,97 @@ func TestIncrementalEnginePublishedSolutionStable(t *testing.T) {
 	}
 }
 
+// TestIncrementalLatestOwnsSolution: a factory session reuses its working
+// Solution on every solve, but an estimate handed out by Latest or to a
+// subscriber is the caller's. One estimate of each kind is held while the
+// tag keeps solving and must keep its values, and under -race a goroutine
+// reading Latest's Solution while the tag ingests must not race the engine.
+func TestIncrementalLatestOwnsSolution(t *testing.T) {
+	trace, lambda := testTrace(t, 7)
+	e, err := New(incrConfig(t, lambda, nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close(context.Background())
+	sub, cancel := e.Subscribe()
+	defer cancel()
+
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if est, ok := e.Latest("T1"); ok && est.Solution != nil {
+				sum := est.Solution.Position.X
+				for _, r := range est.Solution.Residuals {
+					sum += r
+				}
+				_ = sum
+			}
+		}
+	}()
+
+	type held struct {
+		sol *core.Solution
+		pos geom.Vec3
+		res []float64
+	}
+	hold := func(h *held, est Estimate) {
+		if h.sol == nil && est.Err == nil && est.Solution != nil {
+			*h = held{sol: est.Solution, pos: est.Solution.Position,
+				res: append([]float64(nil), est.Solution.Residuals...)}
+		}
+	}
+	var fromLatest, fromSub held
+	ctx := context.Background()
+	for i := 0; i < 600; i++ {
+		s := trace[i]
+		if err := e.Ingest("T1", Sample{Time: s.Time, Pos: s.TagPos, Phase: s.Phase}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if est, ok := e.Latest("T1"); ok {
+			hold(&fromLatest, est)
+		}
+		for drained := false; !drained; {
+			select {
+			case est := <-sub:
+				hold(&fromSub, est)
+			default:
+				drained = true
+			}
+		}
+	}
+	close(stop)
+	reader.Wait()
+
+	for name, h := range map[string]held{"Latest": fromLatest, "subscriber": fromSub} {
+		if h.sol == nil {
+			t.Fatalf("%s: no clean estimate", name)
+		}
+		if h.sol.Position != h.pos {
+			t.Errorf("%s: held position changed from %v to %v", name, h.pos, h.sol.Position)
+		}
+		if len(h.sol.Residuals) != len(h.res) {
+			t.Fatalf("%s: held residuals resized from %d to %d", name, len(h.res), len(h.sol.Residuals))
+		}
+		for i, r := range h.res {
+			if h.sol.Residuals[i] != r {
+				t.Errorf("%s: held residual %d changed from %v to %v", name, i, r, h.sol.Residuals[i])
+				break
+			}
+		}
+	}
+}
+
 // TestIncrementalEngineConcurrentSessions is the -race satellite: many tags
 // solving concurrently, each session reusing its own workspace, while
 // dashboard-style pollers hammer the read APIs. Run with -race (make race /

@@ -59,7 +59,7 @@ type Solver func(win []core.PosPhase, tr *obs.Tracer) (*core.Solution, error)
 // coalescing dispatcher), so implementations need no internal locking.
 //
 // The returned Solution may alias solver-owned storage; the engine copies it
-// into per-tag publication storage before the next solve can start.
+// into per-tag storage before the next solve can start.
 type SessionSolver interface {
 	SolveWindow(samples []Sample, tr *obs.Tracer) (*core.Solution, error)
 }
@@ -113,9 +113,10 @@ type Config struct {
 	// smoothing rewrites the window-overlap samples on every slide, which
 	// would defeat incremental reuse; smooth inside the solver if needed.
 	//
-	// Estimates from factory-backed sessions share one Solution buffer per
-	// tag, valid until the tag's next estimate is published; subscribers
-	// that retain a Solution across estimates must copy it.
+	// Every estimate handed out owns its Solution: for a factory-backed
+	// session the engine copies the solver's Solution once per Latest call
+	// and once per publication while a subscriber exists, so ingest and
+	// solve without a subscriber still allocate nothing.
 	SolverFactory func() SessionSolver
 	// Registry receives the engine's lion_stream_* metrics. Nil means a
 	// private registry, still reachable through Engine.Registry().
@@ -580,14 +581,21 @@ func (e *Engine) IngestBatch(tag string, samples []Sample) (int, error) {
 	return len(samples), nil
 }
 
-// Latest returns the most recent estimate for the tag, if any.
+// Latest returns the most recent estimate for the tag, if any. The estimate
+// is the caller's: a factory session's Solution is copied out of the engine's
+// per-tag storage, which the tag's next publication overwrites.
 func (e *Engine) Latest(tag string) (Estimate, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if sess := e.sessions[tag]; sess != nil && sess.latest != nil {
-		return *sess.latest, true
+	sess := e.sessions[tag]
+	if sess == nil || sess.latest == nil {
+		return Estimate{}, false
 	}
-	return Estimate{}, false
+	est := *sess.latest
+	if sess.solver != nil && est.Solution != nil {
+		est.Solution = cloneSolution(est.Solution)
+	}
+	return est, true
 }
 
 // Tags returns the known tag ids, sorted.
@@ -857,15 +865,19 @@ func (e *Engine) complete(snap *snapshot, o batch.Outcome) {
 		est.From = snap.samples[0].Time
 		est.To = snap.samples[len(snap.samples)-1].Time
 	}
-	if sess.solver != nil && sv.sol != nil {
-		// A session solver reuses its Solution storage on the next solve,
-		// which may start as soon as the pending snapshot is chained below.
-		// Publish a per-tag copy instead of the solver's working struct.
-		copySolution(&sess.pubSol, sv.sol)
-		est.Solution = &sess.pubSol
-	}
+	// A session solver reuses its Solution storage on the next solve, which
+	// may start as soon as the pending snapshot is chained below. Latest
+	// reads a per-tag copy (copied again under the lock on the way out), and
+	// each subscriber publication gets its own copy.
 	sess.latestBuf = est
 	sess.latest = &sess.latestBuf
+	if sess.solver != nil && sv.sol != nil {
+		copySolution(&sess.pubSol, sv.sol)
+		sess.latestBuf.Solution = &sess.pubSol
+		if len(e.subs) > 0 {
+			est.Solution = cloneSolution(sv.sol)
+		}
+	}
 	if sv.trace != nil {
 		sess.lastTrace = sv.trace
 	}
@@ -915,19 +927,11 @@ func (e *Engine) complete(snap *snapshot, o batch.Outcome) {
 			e.droppedSub.Inc()
 		}
 	}
-	e.putSnapLocked(snap) // everything needed from snap is copied into est
-	if next := sess.pending; next != nil {
-		sess.pending = nil
-		e.submitLocked(sess, next)
-	} else {
-		sess.inFlight = false
-	}
-	e.cond.Broadcast()
-	e.mu.Unlock()
-	// The health hook runs outside the engine mutex: a full rule pass (and
-	// a possible evidence snapshot) must never serialise against ingest.
-	if m := e.cfg.Monitor; m != nil {
-		obsv := health.SolveObservation{
+	// The health hook runs after the unlock, by which time the next solve may
+	// be rewriting a session solver's Solution: read what it needs now.
+	var obsv health.SolveObservation
+	if e.cfg.Monitor != nil {
+		obsv = health.SolveObservation{
 			Tag:     est.Tag,
 			Antenna: e.cfg.Antenna,
 			Time:    est.To,
@@ -944,6 +948,19 @@ func (e *Engine) complete(snap *snapshot, o batch.Outcome) {
 			obsv.Condition = sol.ConditionEstimate
 			obsv.Iterations = sol.Iterations
 		}
+	}
+	e.putSnapLocked(snap) // everything needed from snap is copied into est
+	if next := sess.pending; next != nil {
+		sess.pending = nil
+		e.submitLocked(sess, next)
+	} else {
+		sess.inFlight = false
+	}
+	e.cond.Broadcast()
+	e.mu.Unlock()
+	// The health hook runs outside the engine mutex: a full rule pass (and
+	// a possible evidence snapshot) must never serialise against ingest.
+	if m := e.cfg.Monitor; m != nil {
 		m.ObserveSolve(obsv)
 	}
 }
@@ -998,6 +1015,13 @@ func (s *session) push(v Sample) {
 func (s *session) evictOldest() {
 	s.start = (s.start + 1) % len(s.buf)
 	s.n--
+}
+
+// cloneSolution returns a deep copy of sol that shares no storage with it.
+func cloneSolution(sol *core.Solution) *core.Solution {
+	out := new(core.Solution)
+	copySolution(out, sol)
+	return out
 }
 
 // copySolution copies src into dst, reusing dst's slice backing so a
