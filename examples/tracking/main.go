@@ -7,18 +7,22 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	lion "github.com/rfid-lion/lion"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run streams the simulated pass through the tracker and writes the
+// estimate table to w.
+func run(w io.Writer) error {
 	env, err := lion.NewEnvironment()
 	if err != nil {
 		return err
@@ -64,7 +68,7 @@ func run() error {
 		return err
 	}
 
-	fmt.Println("time (s)  est x (cm)  true x (cm)  err (cm)  |residual|")
+	fmt.Fprintln(w, "time (s)  est x (cm)  true x (cm)  err (cm)  |residual|")
 	count := 0
 	for _, s := range samples {
 		est, err := trk.Push(s.Time, s.Phase)
@@ -78,7 +82,7 @@ func run() error {
 		if count%4 != 0 {
 			continue // print once per second
 		}
-		fmt.Printf("%8.2f  %10.1f  %11.1f  %8.2f  %10.4f\n",
+		fmt.Fprintf(w, "%8.2f  %10.1f  %11.1f  %8.2f  %10.4f\n",
 			est.Time.Seconds(),
 			est.Position.X*100,
 			s.TagPos.X*100,
@@ -86,7 +90,7 @@ func run() error {
 			est.MeanAbsResidual,
 		)
 	}
-	fmt.Printf("\n%d estimates over %.0f s of belt travel\n",
+	fmt.Fprintf(w, "\n%d estimates over %.0f s of belt travel\n",
 		count, lion.ScanDuration(track).Seconds())
 	return nil
 }

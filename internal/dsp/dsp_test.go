@@ -140,6 +140,26 @@ func TestMovingAverage(t *testing.T) {
 	}
 }
 
+// TestMovingAverageReducesJitter: an alternating 1, 0, 1, … sequence
+// smooths to ~0.5 away from the truncated boundary windows.
+func TestMovingAverageReducesJitter(t *testing.T) {
+	xs := make([]float64, 100)
+	for i := range xs {
+		if i%2 == 0 {
+			xs[i] = 1
+		}
+	}
+	out, err := MovingAverage(xs, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 10; i < 90; i++ {
+		if math.Abs(out[i]-0.5) > 0.1 {
+			t.Fatalf("sample %d not smoothed: %v", i, out[i])
+		}
+	}
+}
+
 func TestMovingAverageValidation(t *testing.T) {
 	if _, err := MovingAverage([]float64{1}, 0); !errors.Is(err, ErrBadWindow) {
 		t.Errorf("window 0 err = %v", err)

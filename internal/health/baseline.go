@@ -1,6 +1,10 @@
 package health
 
-import "math"
+import (
+	"math"
+
+	"github.com/rfid-lion/lion/internal/stats"
+)
 
 // baseline maintains a rolling picture of one signal for one scope: an EWMA
 // (the smoothed level static rules and dashboards read) plus a fixed-size
@@ -11,53 +15,47 @@ import "math"
 type baseline struct {
 	alpha float64
 	ewma  float64
-	seen  uint64
 
-	buf        []float64
-	n, next    int
+	win        stats.Ring[float64]
 	sum, sumsq float64
 }
 
 func newBaseline(window int, alpha float64) *baseline {
-	return &baseline{alpha: alpha, buf: make([]float64, window)}
+	return &baseline{alpha: alpha, win: stats.NewRing[float64](window)}
 }
 
 // add records one observation.
 func (b *baseline) add(v float64) {
-	if b.seen == 0 {
+	if b.win.Total() == 0 {
 		b.ewma = v
 	} else {
 		b.ewma += b.alpha * (v - b.ewma)
 	}
-	b.seen++
-	if old := b.buf[b.next]; b.n == len(b.buf) {
+	if old, evicted := b.win.Push(v); evicted {
 		b.sum -= old
 		b.sumsq -= old * old
-	} else {
-		b.n++
 	}
-	b.buf[b.next] = v
-	b.next = (b.next + 1) % len(b.buf)
 	b.sum += v
 	b.sumsq += v * v
 }
 
 // mean returns the mean of the retained window, or 0 when empty.
 func (b *baseline) mean() float64 {
-	if b.n == 0 {
+	if b.win.Len() == 0 {
 		return 0
 	}
-	return b.sum / float64(b.n)
+	return b.sum / float64(b.win.Len())
 }
 
 // std returns the population standard deviation of the retained window.
 func (b *baseline) std() float64 {
-	if b.n == 0 {
+	n := b.win.Len()
+	if n == 0 {
 		return 0
 	}
 	m := b.mean()
 	// Running-sum cancellation can push the variance a hair below zero.
-	v := b.sumsq/float64(b.n) - m*m
+	v := b.sumsq/float64(n) - m*m
 	if v < 0 {
 		v = 0
 	}
@@ -69,7 +67,7 @@ func (b *baseline) std() float64 {
 // minSamples points) or when the window is degenerate (zero spread), so a
 // deviation rule cannot fire off an unestablished baseline.
 func (b *baseline) zscore(v float64, minSamples int) (z float64, ok bool) {
-	if b.n < minSamples {
+	if b.win.Len() < minSamples {
 		return 0, false
 	}
 	sd := b.std()

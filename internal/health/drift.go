@@ -6,6 +6,7 @@ import (
 
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/rf"
+	"github.com/rfid-lion/lion/internal/stats"
 )
 
 // Calibration is the recorded phase calibration of one antenna: the
@@ -89,10 +90,13 @@ type DriftStatus struct {
 // O(1) per sample.
 type driftEstimator struct {
 	cal            Calibration
-	sin, cos       []float64
-	n, next        int
+	win            stats.Ring[unitVec]
 	sumSin, sumCos float64
 }
+
+// unitVec is one instantaneous offset measurement as a point on the unit
+// circle.
+type unitVec struct{ sin, cos float64 }
 
 // minMeanResultant is the validity floor on the circular mean's resultant
 // length per sample, |Σe^{iθ}|/n. A resultant this small means the window's
@@ -104,22 +108,17 @@ type driftEstimator struct {
 const minMeanResultant = 1e-9
 
 func newDriftEstimator(cal Calibration) *driftEstimator {
-	w := cal.window()
-	return &driftEstimator{cal: cal, sin: make([]float64, w), cos: make([]float64, w)}
+	return &driftEstimator{cal: cal, win: stats.NewRing[unitVec](cal.window())}
 }
 
 // add records one streamed sample.
 func (d *driftEstimator) add(pos geom.Vec3, phase float64) {
 	diff := phase - rf.PhaseOfDistance(d.cal.Center.Dist(pos), d.cal.Lambda)
 	s, c := math.Sincos(diff)
-	if d.n == len(d.sin) {
-		d.sumSin -= d.sin[d.next]
-		d.sumCos -= d.cos[d.next]
-	} else {
-		d.n++
+	if old, evicted := d.win.Push(unitVec{s, c}); evicted {
+		d.sumSin -= old.sin
+		d.sumCos -= old.cos
 	}
-	d.sin[d.next], d.cos[d.next] = s, c
-	d.next = (d.next + 1) % len(d.sin)
 	d.sumSin += s
 	d.sumCos += c
 	// The running add/subtract pair leaks one rounding error per slide, a
@@ -127,26 +126,36 @@ func (d *driftEstimator) add(pos geom.Vec3, phase float64) {
 	// ring rotation, resummate exactly from the stored window so the
 	// accumulated error is bounded by one window's worth of rounding
 	// regardless of stream length.
-	if d.next == 0 && d.n == len(d.sin) {
+	if d.rotated() {
 		d.refresh()
 	}
 }
 
-// refresh recomputes the running sums exactly from the ring contents.
+// rotated reports whether the ring is full and has just completed a whole
+// number of rotations since the estimator started.
+func (d *driftEstimator) rotated() bool {
+	w := d.win.Cap()
+	return d.win.Len() == w && d.win.Total()%uint64(w) == 0
+}
+
+// refresh recomputes the running sums exactly from the ring contents,
+// oldest first.
 func (d *driftEstimator) refresh() {
 	var ss, sc float64
-	for i := 0; i < d.n; i++ {
-		ss += d.sin[i]
-		sc += d.cos[i]
+	for i := 0; i < d.win.Len(); i++ {
+		u := d.win.At(i)
+		ss += u.sin
+		sc += u.cos
 	}
 	d.sumSin, d.sumCos = ss, sc
 }
 
 // status computes the current drift estimate.
 func (d *driftEstimator) status() DriftStatus {
-	st := DriftStatus{Antenna: d.cal.Antenna, Calibrated: d.cal.Offset, Samples: d.n}
-	if d.n < d.cal.minSamples() ||
-		math.Hypot(d.sumSin, d.sumCos) < minMeanResultant*float64(d.n) {
+	n := d.win.Len()
+	st := DriftStatus{Antenna: d.cal.Antenna, Calibrated: d.cal.Offset, Samples: n}
+	if n < d.cal.minSamples() ||
+		math.Hypot(d.sumSin, d.sumCos) < minMeanResultant*float64(n) {
 		return st
 	}
 	st.Valid = true

@@ -30,14 +30,15 @@ func TestDriftSumsExactAfterLongRun(t *testing.T) {
 		pos := geom.V3(0.5+0.001*float64(i%977), 0.1, 0)
 		d.add(pos, x)
 	}
-	if d.next != 0 || d.n != cal.Window {
-		t.Fatalf("ring position after run: next=%d n=%d, want a full rotation boundary", d.next, d.n)
+	if n, total := d.win.Len(), d.win.Total(); n != cal.Window || total%uint64(cal.Window) != 0 {
+		t.Fatalf("ring position after run: %d of %d pushes retained, want a full rotation boundary", n, total)
 	}
 
 	var wantSin, wantCos float64
-	for i := 0; i < d.n; i++ {
-		wantSin += d.sin[i]
-		wantCos += d.cos[i]
+	for i := 0; i < d.win.Len(); i++ {
+		u := d.win.At(i)
+		wantSin += u.sin
+		wantCos += u.cos
 	}
 	if math.Float64bits(d.sumSin) != math.Float64bits(wantSin) ||
 		math.Float64bits(d.sumCos) != math.Float64bits(wantCos) {
@@ -74,9 +75,9 @@ func TestDriftValidityGuardAntipodal(t *testing.T) {
 		}
 		d.add(pos, base+theta)
 	}
-	if res := math.Hypot(d.sumSin, d.sumCos); res >= minMeanResultant*float64(d.n) {
+	if res := math.Hypot(d.sumSin, d.sumCos); res >= minMeanResultant*float64(d.win.Len()) {
 		t.Fatalf("antipodal window resultant %g not below guard %g — test setup broken",
-			res, minMeanResultant*float64(d.n))
+			res, minMeanResultant*float64(d.win.Len()))
 	}
 	if st := d.status(); st.Valid {
 		t.Errorf("antipodal window produced a Valid estimate: %+v", st)

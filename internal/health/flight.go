@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/rfid-lion/lion/internal/obs"
+	"github.com/rfid-lion/lion/internal/stats"
 )
 
 // TraceRecord is one recorded window solve: the identifying metadata plus
@@ -33,8 +34,7 @@ type FlightRecorder struct {
 }
 
 type flightRing struct {
-	buf     []TraceRecord
-	n, next int
+	win     stats.Ring[TraceRecord]
 	touched time.Duration // stream time of the newest record, for eviction
 }
 
@@ -59,49 +59,39 @@ func (f *FlightRecorder) Record(rec TraceRecord) {
 	ring := f.tags[rec.Tag]
 	if ring == nil {
 		if len(f.tags) >= f.maxTags {
-			f.evictLocked()
+			evictStalest(f.tags, func(r *flightRing) time.Duration { return r.touched })
 		}
-		ring = &flightRing{buf: make([]TraceRecord, f.depth)}
+		ring = &flightRing{win: stats.NewRing[TraceRecord](f.depth)}
 		f.tags[rec.Tag] = ring
 	}
-	ring.buf[ring.next] = rec
-	ring.next = (ring.next + 1) % len(ring.buf)
-	if ring.n < len(ring.buf) {
-		ring.n++
-	}
+	ring.win.Push(rec)
 	ring.touched = rec.Time
 }
 
-// evictLocked drops the tag whose newest record is oldest.
-func (f *FlightRecorder) evictLocked() {
+// evictStalest deletes the entry of m touched longest ago. Ties — every tag
+// touched at one stream time, as when one ingest frame solves several tags —
+// go to the smallest tag id, so the victim never depends on map iteration
+// order.
+func evictStalest[V any](m map[string]V, touched func(V) time.Duration) {
 	var victim string
 	var oldest time.Duration
 	first := true
-	for tag, ring := range f.tags {
-		if first || ring.touched < oldest {
-			victim, oldest, first = tag, ring.touched, false
+	for tag, v := range m {
+		if t := touched(v); first || t < oldest || (t == oldest && tag < victim) {
+			victim, oldest, first = tag, t, false
 		}
 	}
-	delete(f.tags, victim)
+	delete(m, victim)
 }
 
 // Tag returns the tag's retained traces, oldest first, or nil.
 func (f *FlightRecorder) Tag(tag string) []TraceRecord {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ring := f.tags[tag]
-	if ring == nil || ring.n == 0 {
-		return nil
+	if ring := f.tags[tag]; ring != nil {
+		return ring.win.AppendTo(nil)
 	}
-	out := make([]TraceRecord, 0, ring.n)
-	start := ring.next - ring.n
-	if start < 0 {
-		start += len(ring.buf)
-	}
-	for i := 0; i < ring.n; i++ {
-		out = append(out, ring.buf[(start+i)%len(ring.buf)])
-	}
-	return out
+	return nil
 }
 
 // Tags returns the recorded tag ids, sorted.
@@ -122,7 +112,7 @@ func (f *FlightRecorder) Len() int {
 	defer f.mu.Unlock()
 	total := 0
 	for _, ring := range f.tags {
-		total += ring.n
+		total += ring.win.Len()
 	}
 	return total
 }

@@ -133,3 +133,36 @@ func TestMonitorFailedSolveRecordedWithoutTrace(t *testing.T) {
 		t.Fatalf("failed solve not recorded: %+v", got)
 	}
 }
+
+// TestTagEvictionTieBreaksBySmallestID: tags touched at one stream time tie
+// for eviction (the monitor stamps every tag solved from one ingest frame
+// with the same logical clock). The victim must be the smallest tag id in
+// every fresh instance, never whatever map iteration visits first.
+func TestTagEvictionTieBreaksBySmallestID(t *testing.T) {
+	want := []string{"T2", "T3"}
+	for run := 0; run < 64; run++ {
+		f := NewFlightRecorder(1, 2)
+		for _, tag := range []string{"T2", "T1", "T3"} {
+			f.Record(rec(tag, 1, time.Second))
+		}
+		if got := f.Tags(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("flight recorder run %d kept %v, want %v", run, got, want)
+		}
+
+		m, err := New(Config{MaxTags: 2, FlightDepth: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tag := range []string{"T2", "T1", "T3"} {
+			o := solveAt(time.Second, 0.1)
+			o.Tag = tag
+			m.ObserveSolve(o)
+		}
+		for _, tag := range []string{"T1", "T2", "T3"} {
+			kept := m.Series(tag, SignalResidual) != nil
+			if kept != (tag != "T1") {
+				t.Fatalf("monitor run %d: tag %s kept=%v, want only T1 evicted", run, tag, kept)
+			}
+		}
+	}
+}

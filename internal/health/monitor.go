@@ -9,6 +9,7 @@ import (
 
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/obs"
+	"github.com/rfid-lion/lion/internal/stats"
 )
 
 // Config parameterises a Monitor.
@@ -127,7 +128,7 @@ type Monitor struct {
 	order  []string // calibration antenna ids, registration order
 	active map[alertKey]*alertState
 	// resolved holds recently resolved alerts, oldest first.
-	resolved []Alert
+	resolved stats.Ring[Alert]
 
 	errRate                   rate
 	dropRate                  rate
@@ -185,6 +186,7 @@ func New(cfg Config) (*Monitor, error) {
 		tags:     make(map[string]*tagState),
 		drift:    make(map[string]*driftEstimator),
 		active:   make(map[alertKey]*alertState),
+		resolved: stats.NewRing[Alert](cfg.ResolvedHistory),
 		errRate:  rate{alpha: cfg.RateAlpha},
 		dropRate: rate{alpha: cfg.RateAlpha},
 
@@ -431,15 +433,7 @@ func (m *Monitor) tagStateLocked(tag string, now time.Duration) *tagState {
 	ts := m.tags[tag]
 	if ts == nil {
 		if len(m.tags) >= m.cfg.MaxTags {
-			var victim string
-			var oldest time.Duration
-			first := true
-			for id, s := range m.tags {
-				if first || s.touched < oldest {
-					victim, oldest, first = id, s.touched, false
-				}
-			}
-			delete(m.tags, victim)
+			evictStalest(m.tags, func(s *tagState) time.Duration { return s.touched })
 		}
 		ts = &tagState{baselines: make(map[Signal]*baseline, len(perTagSignals))}
 		for _, sig := range perTagSignals {
@@ -501,10 +495,7 @@ func (m *Monitor) transitionLocked(r Rule, scope, evidenceTag string, violating 
 			st.State = StateResolved
 			st.ResolvedAt = now
 			delete(m.active, key)
-			m.resolved = append(m.resolved, st.Alert)
-			if over := len(m.resolved) - m.cfg.ResolvedHistory; over > 0 {
-				m.resolved = append(m.resolved[:0], m.resolved[over:]...)
-			}
+			m.resolved.Push(st.Alert)
 			m.firingGauges[r.Name].Add(-1)
 			m.transResolved.Inc()
 			m.cfg.Logger.Info("alert resolved", "rule", r.Name, "scope", scope)
@@ -569,7 +560,7 @@ func (m *Monitor) Alerts() []Alert {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]Alert, 0, len(m.active)+len(m.resolved))
+	out := make([]Alert, 0, len(m.active)+m.resolved.Len())
 	for _, st := range m.active {
 		out = append(out, st.Alert)
 	}
@@ -585,8 +576,8 @@ func (m *Monitor) Alerts() []Alert {
 		}
 		return out[i].Scope < out[j].Scope
 	})
-	for i := len(m.resolved) - 1; i >= 0; i-- {
-		out = append(out, m.resolved[i])
+	for i := m.resolved.Len() - 1; i >= 0; i-- {
+		out = append(out, m.resolved.At(i))
 	}
 	return out
 }
@@ -635,19 +626,10 @@ func (m *Monitor) Series(tag string, sig Signal) []float64 {
 	if ts == nil {
 		return nil
 	}
-	b := ts.baselines[sig]
-	if b == nil || b.n == 0 {
-		return nil
+	if b := ts.baselines[sig]; b != nil {
+		return b.win.AppendTo(nil)
 	}
-	out := make([]float64, 0, b.n)
-	start := b.next - b.n
-	if start < 0 {
-		start += len(b.buf)
-	}
-	for i := 0; i < b.n; i++ {
-		out = append(out, b.buf[(start+i)%len(b.buf)])
-	}
-	return out
+	return nil
 }
 
 // Flight returns the tag's retained solve traces, oldest first. Nil-safe.

@@ -24,6 +24,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/rfid-lion/lion/internal/stats"
 )
 
 // TraceContext identifies one sampled ingest batch across processes. The zero
@@ -165,10 +167,7 @@ func (s *PipeSpan) UnmarshalJSON(b []byte) error {
 type SpanLog struct {
 	mu      sync.Mutex
 	service string
-	ring    []PipeSpan
-	next    int
-	n       int
-	total   uint64
+	ring    stats.Ring[PipeSpan]
 }
 
 // DefaultSpanLogCap bounds a span log when no capacity is given: at ~6 spans
@@ -181,7 +180,7 @@ func NewSpanLog(service string, capacity int) *SpanLog {
 	if capacity <= 0 {
 		capacity = DefaultSpanLogCap
 	}
-	return &SpanLog{service: service, ring: make([]PipeSpan, capacity)}
+	return &SpanLog{service: service, ring: stats.NewRing[PipeSpan](capacity)}
 }
 
 // Service returns the name spans are recorded under.
@@ -208,19 +207,14 @@ func (l *SpanLog) RecordAt(tc TraceContext, stage, tag string, startUnixNano, du
 		return
 	}
 	l.mu.Lock()
-	l.ring[l.next] = PipeSpan{
+	l.ring.Push(PipeSpan{
 		TraceID: tc.ID,
 		Service: l.service,
 		Stage:   stage,
 		Tag:     tag,
 		Start:   startUnixNano,
 		Dur:     durNano,
-	}
-	l.next = (l.next + 1) % len(l.ring)
-	if l.n < len(l.ring) {
-		l.n++
-	}
-	l.total++
+	})
 	l.mu.Unlock()
 }
 
@@ -231,7 +225,7 @@ func (l *SpanLog) Len() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.n
+	return l.ring.Len()
 }
 
 // Total returns the number of spans ever recorded (retained or evicted).
@@ -241,7 +235,7 @@ func (l *SpanLog) Total() uint64 {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.total
+	return l.ring.Total()
 }
 
 // Spans returns the retained spans of one trace in record order, or nil when
@@ -262,12 +256,8 @@ func (l *SpanLog) filter(keep func(PipeSpan) bool) []PipeSpan {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var out []PipeSpan
-	start := l.next - l.n
-	if start < 0 {
-		start += len(l.ring)
-	}
-	for i := 0; i < l.n; i++ {
-		if s := l.ring[(start+i)%len(l.ring)]; keep(s) {
+	for i := 0; i < l.ring.Len(); i++ {
+		if s := l.ring.At(i); keep(s) {
 			out = append(out, s)
 		}
 	}

@@ -344,7 +344,7 @@ type Histogram struct {
 	counts []uint64  // per-bucket (non-cumulative) counts; last is +Inf
 	sum    float64
 	count  uint64
-	window *stats.Recorder
+	window stats.Ring[float64]
 	// exemplars holds the latest sampled observation per bucket (parallel to
 	// counts), allocated lazily on the first ObserveExemplar with a sampled
 	// context so exemplar-free histograms pay nothing.
@@ -373,7 +373,7 @@ func newHistogram(name, help string, buckets []float64) *Histogram {
 	return &Histogram{
 		upper:  upper,
 		counts: make([]uint64, len(upper)+1),
-		window: stats.NewRecorder(quantileWindow),
+		window: stats.NewRing[float64](quantileWindow),
 		name:   name,
 		help:   help,
 	}
@@ -387,7 +387,7 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i]++
 	h.sum += v
 	h.count++
-	h.window.Add(v)
+	h.window.Push(v)
 }
 
 // ObserveExemplar records one value and, when the context is sampled,
@@ -402,7 +402,7 @@ func (h *Histogram) ObserveExemplar(v float64, tc TraceContext) {
 	h.counts[i]++
 	h.sum += v
 	h.count++
-	h.window.Add(v)
+	h.window.Push(v)
 	if !tc.Sampled {
 		return
 	}
@@ -427,12 +427,23 @@ func (h *Histogram) Sum() float64 {
 }
 
 // Quantile returns the interpolated p-th percentile (p in [0, 100]) over the
-// retained window of recent observations. ok is false when nothing has been
-// observed yet.
+// retained window of recent observations, with stats.Percentile's
+// arithmetic. ok is false when nothing has been observed yet or p is out of
+// range; a single-observation window returns that value for every p.
 func (h *Histogram) Quantile(p float64) (v float64, ok bool) {
+	sorted, _ := h.sortedWindow()
+	v, err := stats.PercentileSorted(sorted, p)
+	return v, err == nil
+}
+
+// sortedWindow returns an ascending copy of the retained window and the
+// lifetime count, read under one lock; the sort runs outside it.
+func (h *Histogram) sortedWindow() ([]float64, uint64) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.window.Percentile(p)
+	sorted, count := h.window.AppendTo(nil), h.count
+	h.mu.Unlock()
+	sort.Float64s(sorted)
+	return sorted, count
 }
 
 // Quantiles is one latency dimension of a /v1/slo document: the windowed
@@ -482,14 +493,12 @@ func ParseSLO(body []byte) (SLO, error) {
 // come from the window of recent observations; an empty histogram reports
 // the explicit zero document.
 func (h *Histogram) Quantiles() Quantiles {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	q := Quantiles{Count: h.count}
-	if q.Count > 0 {
-		q.P50, _ = h.window.Percentile(50)
-		q.P95, _ = h.window.Percentile(95)
-		q.P99, _ = h.window.Percentile(99)
-	}
+	sorted, count := h.sortedWindow()
+	q := Quantiles{Count: count}
+	// An empty window leaves every quantile at its zero value.
+	q.P50, _ = stats.PercentileSorted(sorted, 50)
+	q.P95, _ = stats.PercentileSorted(sorted, 95)
+	q.P99, _ = stats.PercentileSorted(sorted, 99)
 	return q
 }
 
@@ -497,7 +506,15 @@ func (h *Histogram) Quantiles() Quantiles {
 func (h *Histogram) WindowMean() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.window.Mean()
+	n := h.window.Len()
+	if n == 0 {
+		return 0
+	}
+	var s float64
+	for i := 0; i < n; i++ {
+		s += h.window.At(i)
+	}
+	return s / float64(n)
 }
 
 // WindowSnapshot returns a copy of the retained recent observations in
@@ -506,7 +523,7 @@ func (h *Histogram) WindowMean() float64 {
 func (h *Histogram) WindowSnapshot() []float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.window.Snapshot()
+	return h.window.AppendTo(nil)
 }
 
 func (h *Histogram) describe() (string, string, string) { return h.name, h.help, "histogram" }

@@ -208,6 +208,78 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+func TestHistogramQuantileInterpolates(t *testing.T) {
+	h := NewRegistry().Histogram("lion_test_latency_seconds", "", nil)
+	for _, x := range []float64{4, 1, 3, 2} {
+		h.Observe(x)
+	}
+	p50, ok := h.Quantile(50)
+	if !ok || p50 != 2.5 {
+		t.Errorf("p50 = %v ok=%v, want 2.5 (interpolated)", p50, ok)
+	}
+	p25, ok := h.Quantile(25)
+	if !ok || p25 != 1.75 {
+		t.Errorf("p25 = %v ok=%v, want 1.75", p25, ok)
+	}
+	if p0, _ := h.Quantile(0); p0 != 1 {
+		t.Errorf("p0 = %v, want 1", p0)
+	}
+	if p100, _ := h.Quantile(100); p100 != 4 {
+		t.Errorf("p100 = %v, want 4", p100)
+	}
+	if m := h.WindowMean(); m != 2.5 {
+		t.Errorf("mean = %v, want 2.5", m)
+	}
+}
+
+// TestHistogramQuantileDegenerateWindows pins the n<2 behaviour: an empty
+// window answers every query without panicking, and a single-sample window
+// returns that sample for every percentile.
+func TestHistogramQuantileDegenerateWindows(t *testing.T) {
+	h := NewRegistry().Histogram("lion_test_latency_seconds", "", nil)
+	if _, ok := h.Quantile(50); ok {
+		t.Error("empty window reported a quantile")
+	}
+	if m := h.WindowMean(); m != 0 {
+		t.Errorf("empty mean = %v, want 0", m)
+	}
+	if w := h.WindowSnapshot(); w != nil {
+		t.Errorf("empty snapshot = %v, want nil", w)
+	}
+	h.Observe(7)
+	for _, p := range []float64{0, 50, 99, 100} {
+		if v, ok := h.Quantile(p); !ok || v != 7 {
+			t.Errorf("single-sample p%v = %v ok=%v, want 7", p, v, ok)
+		}
+	}
+	for _, p := range []float64{-1, 101} {
+		if _, ok := h.Quantile(p); ok {
+			t.Errorf("out-of-range percentile %v accepted", p)
+		}
+	}
+}
+
+// TestHistogramWindowKeepsRecent: quantiles read the last quantileWindow
+// observations, while Count stays lifetime.
+func TestHistogramWindowKeepsRecent(t *testing.T) {
+	h := NewRegistry().Histogram("lion_test_latency_seconds", "", nil)
+	const extra = 10
+	for i := 0; i < quantileWindow+extra; i++ {
+		h.Observe(float64(i))
+	}
+	w := h.WindowSnapshot()
+	if len(w) != quantileWindow || w[0] != extra || w[len(w)-1] != quantileWindow+extra-1 {
+		t.Fatalf("window = [%v .. %v] of %d, want [%d .. %d] of %d",
+			w[0], w[len(w)-1], len(w), extra, quantileWindow+extra-1, quantileWindow)
+	}
+	if p0, _ := h.Quantile(0); p0 != extra {
+		t.Errorf("p0 = %v, want the oldest retained %d", p0, extra)
+	}
+	if q := h.Quantiles(); q.Count != quantileWindow+extra {
+		t.Errorf("count = %d, want lifetime %d", q.Count, quantileWindow+extra)
+	}
+}
+
 // TestSLORoundTrip: Histogram.Quantiles is the /v1/slo dimension (explicit
 // zero document while empty, percentiles once observed) and ParseSLO reads
 // back what a node writes, skipping keys that are not dimensions.

@@ -26,6 +26,7 @@ import (
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/health"
 	"github.com/rfid-lion/lion/internal/obs"
+	"github.com/rfid-lion/lion/internal/stats"
 	"github.com/rfid-lion/lion/internal/stream"
 )
 
@@ -187,8 +188,7 @@ type Controller struct {
 	runMu sync.Mutex
 
 	mu        sync.Mutex
-	seq       uint64
-	history   []Event
+	history   stats.Ring[Event] // oldest first; Total numbers the events
 	probation *probation
 	closed    bool
 
@@ -230,10 +230,11 @@ func New(cfg Config) (*Controller, error) {
 		reg = obs.NewRegistry()
 	}
 	c := &Controller{
-		cfg:    cfg,
-		trigCh: make(chan request, 1),
-		stopCh: make(chan struct{}),
-		runs:   make(map[Outcome]*obs.Counter, 4),
+		cfg:     cfg,
+		history: stats.NewRing[Event](cfg.history()),
+		trigCh:  make(chan request, 1),
+		stopCh:  make(chan struct{}),
+		runs:    make(map[Outcome]*obs.Counter, 4),
 		solveSeconds: reg.Histogram("lion_recal_solve_seconds",
 			"Wall time of one recalibration re-solve (evidence to verdict).", solveBuckets),
 		logger: cfg.Logger,
@@ -299,9 +300,9 @@ func (c *Controller) Trigger(reason string) (Event, error) {
 func (c *Controller) History() []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Event, len(c.history))
-	for i, ev := range c.history {
-		out[len(out)-1-i] = ev
+	out := make([]Event, c.history.Len())
+	for i := range out {
+		out[len(out)-1-i] = c.history.At(i)
 	}
 	return out
 }
@@ -521,12 +522,8 @@ func (c *Controller) maybeRollback(active health.Calibration, holdPos []geom.Vec
 // record appends one event to the bounded audit history.
 func (c *Controller) record(ev Event) {
 	c.mu.Lock()
-	c.seq++
-	ev.Seq = c.seq
-	c.history = append(c.history, ev)
-	if over := len(c.history) - c.cfg.history(); over > 0 {
-		c.history = append(c.history[:0], c.history[over:]...)
-	}
+	ev.Seq = c.history.Total() + 1
+	c.history.Push(ev)
 	c.mu.Unlock()
 	c.runs[ev.Outcome].Inc()
 }

@@ -126,15 +126,22 @@ func Max(xs []float64) (float64, error) {
 // Percentile returns the p-th percentile (p in [0, 100]) of xs using linear
 // interpolation between closest ranks. The input is not modified.
 func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
+	sorted := make([]float64, len(xs))
+	copy(sorted, xs)
+	sort.Float64s(sorted)
+	return PercentileSorted(sorted, p)
+}
+
+// PercentileSorted is Percentile over an already ascending slice: it
+// interpolates in place, without the copy and sort, so a caller reading
+// several percentiles of one window sorts it once.
+func PercentileSorted(sorted []float64, p float64) (float64, error) {
+	if len(sorted) == 0 {
 		return 0, ErrEmpty
 	}
 	if p < 0 || p > 100 {
 		return 0, errors.New("stats: percentile out of [0,100]")
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
 	if len(sorted) == 1 {
 		return sorted[0], nil
 	}

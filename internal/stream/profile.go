@@ -84,15 +84,10 @@ func (e *Engine) ActiveProfile() (p Profile, version uint64, ok bool) {
 func (e *Engine) WindowSamples(tag string) []Sample {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	sess := e.sessions[tag]
-	if sess == nil || sess.n == 0 {
-		return nil
+	if sess := e.sessions[tag]; sess != nil {
+		return sess.win.AppendTo(nil)
 	}
-	out := make([]Sample, sess.n)
-	for i := 0; i < sess.n; i++ {
-		out[i] = sess.at(i)
-	}
-	return out
+	return nil
 }
 
 // applyProfile rewrites the snapshot's (solve-private) sample copy with the

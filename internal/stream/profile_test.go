@@ -62,11 +62,13 @@ func TestProfileCorrectionPositionInvariant(t *testing.T) {
 
 	clean := profileTrace(center, lambda, 0, 64)
 	offsetted := profileTrace(center, lambda, offset, 64)
-	if _, err := raw.IngestBatch("T1", clean); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := corrected.IngestBatch("T1", offsetted); err != nil {
-		t.Fatal(err)
+	for i := range clean {
+		if err := raw.Ingest("T1", clean[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := corrected.Ingest("T1", offsetted[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := raw.Flush(context.Background()); err != nil {
 		t.Fatal(err)
@@ -138,8 +140,10 @@ func TestWindowSamplesRawCopy(t *testing.T) {
 	defer e.Close(context.Background())
 
 	trace := profileTrace(geom.V3(0, 0.8, 0), lambda, 1.5, 40)
-	if _, err := e.IngestBatch("T1", trace); err != nil {
-		t.Fatal(err)
+	for _, s := range trace {
+		if err := e.Ingest("T1", s); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got := e.WindowSamples("T1")
 	if len(got) != 40 {

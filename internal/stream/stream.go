@@ -267,9 +267,7 @@ const stalenessSeriesCap = 128
 // the (serialized) solve jobs of this tag.
 type session struct {
 	tag    string
-	buf    []Sample
-	start  int
-	n      int
+	win    stats.Ring[Sample]
 	since  int // samples accepted since the last snapshot
 	solver SessionSolver
 
@@ -289,8 +287,8 @@ type session struct {
 	origin   time.Time
 	accepted time.Time
 	// stale is the per-tag recent staleness series (seconds), feeding the
-	// dashboard sparkline. Allocated once at session creation; Add is free.
-	stale *stats.Recorder
+	// dashboard sparkline. Allocated once at session creation; Push is free.
+	stale stats.Ring[float64]
 }
 
 // snapshot is one frozen window awaiting a solve. Snapshots are pooled on the
@@ -531,54 +529,47 @@ func (e *Engine) IngestTaggedTraced(batch []Tagged, tc obs.TraceContext, origin 
 func (e *Engine) ingestLocked(tag string, s Sample, tc obs.TraceContext, origin, accepted time.Time) error {
 	sess := e.sessions[tag]
 	if sess == nil {
-		sess = &session{tag: tag, buf: make([]Sample, e.cfg.WindowSize), stale: stats.NewRecorder(stalenessSeriesCap)}
+		sess = &session{
+			tag:   tag,
+			win:   stats.NewRing[Sample](e.cfg.WindowSize),
+			stale: stats.NewRing[float64](stalenessSeriesCap),
+		}
 		if e.cfg.SolverFactory != nil {
 			sess.solver = e.cfg.SolverFactory()
 		}
 		e.sessions[tag] = sess
 	}
 	if span := e.cfg.WindowSpan; span > 0 {
-		for sess.n > 0 && s.Time-sess.at(0).Time > span {
-			sess.evictOldest()
+		for sess.win.Len() > 0 && s.Time-sess.win.At(0).Time > span {
+			sess.win.PopOldest()
 			e.droppedAge.Inc()
 			e.cfg.Monitor.ObserveDrop(s.Time)
 		}
 	}
-	if sess.n == len(sess.buf) {
+	if sess.win.Len() == sess.win.Cap() {
 		if e.cfg.Policy == RejectNewest {
 			e.droppedOverflow.Inc()
 			e.cfg.Monitor.ObserveDrop(s.Time)
-			return fmt.Errorf("%w: tag %q holds %d samples", ErrWindowFull, tag, sess.n)
+			return fmt.Errorf("%w: tag %q holds %d samples", ErrWindowFull, tag, sess.win.Len())
 		}
-		sess.evictOldest()
+		// The Push below evicts the oldest sample.
 		e.droppedOverflow.Inc()
 		// EvictOldest rotation is not reported to the monitor: in steady
 		// state every full window rotates on each sample, and the evicted
 		// sample has already contributed to solves. Health drop accounting
 		// covers real losses only — RejectNewest refusals and age evictions.
 	}
-	sess.push(s)
+	sess.win.Push(s)
 	sess.since++
 	sess.tc = tc
 	sess.origin = origin
 	sess.accepted = accepted
 	e.ingested.Inc()
 	e.cfg.Monitor.ObserveSample(e.cfg.Antenna, s.Time, s.Pos, s.Phase)
-	if sess.n >= e.cfg.minSamples() && sess.since >= e.cfg.solveEvery() {
+	if sess.win.Len() >= e.cfg.minSamples() && sess.since >= e.cfg.solveEvery() {
 		e.dispatchLocked(sess)
 	}
 	return nil
-}
-
-// IngestBatch accepts samples in order and returns how many were accepted;
-// it stops at the first error.
-func (e *Engine) IngestBatch(tag string, samples []Sample) (int, error) {
-	for i, s := range samples {
-		if err := e.Ingest(tag, s); err != nil {
-			return i, err
-		}
-	}
-	return len(samples), nil
 }
 
 // Latest returns the most recent estimate for the tag, if any. The estimate
@@ -617,7 +608,7 @@ func (e *Engine) StalenessSeries(tag string) []float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if sess := e.sessions[tag]; sess != nil {
-		return sess.stale.Snapshot()
+		return sess.stale.AppendTo(nil)
 	}
 	return nil
 }
@@ -627,7 +618,7 @@ func (e *Engine) WindowLen(tag string) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if sess := e.sessions[tag]; sess != nil {
-		return sess.n
+		return sess.win.Len()
 	}
 	return 0
 }
@@ -733,7 +724,7 @@ func (e *Engine) Close(ctx context.Context) error {
 // flushLocked dispatches a snapshot for every session with unsolved samples.
 func (e *Engine) flushLocked() {
 	for _, sess := range e.sessions {
-		if sess.since > 0 && sess.n >= e.cfg.minSamples() {
+		if sess.since > 0 && sess.win.Len() >= e.cfg.minSamples() {
 			e.dispatchLocked(sess)
 		}
 	}
@@ -760,10 +751,7 @@ func (e *Engine) getSnapLocked(sess *session) *snapshot {
 	snap.tc = sess.tc
 	snap.origin = sess.origin
 	snap.accepted = sess.accepted
-	snap.samples = snap.samples[:0]
-	for i := 0; i < sess.n; i++ {
-		snap.samples = append(snap.samples, sess.at(i))
-	}
+	snap.samples = sess.win.AppendTo(snap.samples[:0])
 	return snap
 }
 
@@ -909,7 +897,7 @@ func (e *Engine) complete(snap *snapshot, o batch.Outcome) {
 			stale = 0
 		}
 		e.staleness.ObserveExemplar(stale.Seconds(), snap.tc)
-		sess.stale.Add(stale.Seconds())
+		sess.stale.Push(stale.Seconds())
 	}
 	if l := e.cfg.Spans; l != nil && snap.tc.Sampled {
 		if est.QueueWait > 0 {
@@ -1002,19 +990,6 @@ func (e *Engine) quiescentLocked() bool {
 		}
 	}
 	return true
-}
-
-// at returns the i-th oldest sample of the window.
-func (s *session) at(i int) Sample { return s.buf[(s.start+i)%len(s.buf)] }
-
-func (s *session) push(v Sample) {
-	s.buf[(s.start+s.n)%len(s.buf)] = v
-	s.n++
-}
-
-func (s *session) evictOldest() {
-	s.start = (s.start + 1) % len(s.buf)
-	s.n--
 }
 
 // cloneSolution returns a deep copy of sol that shares no storage with it.

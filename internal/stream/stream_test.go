@@ -405,8 +405,10 @@ func TestCloseSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.IngestBatch("T1", toStream(trace[:64])); err != nil {
-		t.Fatal(err)
+	for _, s := range toStream(trace[:64]) {
+		if err := e.Ingest("T1", s); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := e.Close(context.Background()); err != nil {
 		t.Fatal(err)

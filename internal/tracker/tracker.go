@@ -1,9 +1,10 @@
 // Package tracker turns LION into a streaming estimator for the paper's
 // motivating IIoT application: items riding a conveyor past a calibrated
-// antenna. It consumes the reader's phase stream one read at a time,
-// unwraps incrementally, and re-solves the linear model over a sliding
-// window, yielding a fresh position estimate every few reads — light-weight
-// enough for an edge node, exactly the deployment the paper targets.
+// antenna. It consumes the reader's phase stream one read at a time into a
+// sliding window and, every few reads, unwraps, smooths and re-solves the
+// linear model over that window on reused buffers, yielding a fresh
+// position estimate — light-weight enough for an edge node, exactly the
+// deployment the paper targets.
 package tracker
 
 import (
@@ -15,6 +16,7 @@ import (
 	"github.com/rfid-lion/lion/internal/core"
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/rf"
+	"github.com/rfid-lion/lion/internal/stats"
 )
 
 // Errors returned by the tracker.
@@ -115,12 +117,22 @@ type Tracker struct {
 	cfg Config
 	dir geom.Vec3
 
-	times  []time.Duration
-	thetas []float64 // unwrapped
-	last   float64   // last wrapped phase
-	offset float64   // unwrap accumulator
-	count  int       // pushes since last estimate
-	primed bool
+	reads stats.Ring[read]
+	count int // pushes since last estimate
+
+	// Per-estimate scratch, sized by the first full window and reused.
+	pos       []geom.Vec3
+	wrapped   []float64
+	intervals []float64
+	pre       core.PreprocessBuffers
+	ws        core.LineWorkspace
+	sol       core.Solution
+}
+
+// read is one raw reader observation.
+type read struct {
+	at    time.Duration
+	phase float64 // wrapped, [0, 2π)
 }
 
 // New builds a tracker for the deployment.
@@ -129,74 +141,51 @@ func New(cfg Config) (*Tracker, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tracker{cfg: c, dir: c.TrackDir.Unit()}, nil
+	return &Tracker{cfg: c, dir: c.TrackDir.Unit(), reads: stats.NewRing[read](c.WindowSize)}, nil
 }
 
 // Push ingests one read (wrapped phase in [0, 2π)). It returns an Estimate
 // every cfg.Every pushes once the window is primed, and ErrNotReady
 // otherwise.
 func (t *Tracker) Push(at time.Duration, wrappedPhase float64) (*Estimate, error) {
-	// Incremental unwrap against the previous read.
-	if t.primed {
-		d := wrappedPhase - t.last
-		for d >= math.Pi {
-			t.offset -= 2 * math.Pi
-			d -= 2 * math.Pi
-		}
-		for d <= -math.Pi {
-			t.offset += 2 * math.Pi
-			d += 2 * math.Pi
-		}
-	}
-	t.last = wrappedPhase
-	t.primed = true
-	t.times = append(t.times, at)
-	t.thetas = append(t.thetas, wrappedPhase+t.offset)
-	if len(t.times) > t.cfg.WindowSize {
-		drop := len(t.times) - t.cfg.WindowSize
-		t.times = t.times[drop:]
-		t.thetas = t.thetas[drop:]
-	}
-
+	t.reads.Push(read{at: at, phase: wrappedPhase})
 	t.count++
-	if len(t.times) < t.cfg.MinWindow || t.count < t.cfg.Every {
+	if t.reads.Len() < t.cfg.MinWindow || t.count < t.cfg.Every {
 		return nil, ErrNotReady
 	}
 	t.count = 0
 	return t.estimate()
 }
 
-// estimate solves the window. Positions are relative to the window's first
-// read: o_i = speed·(t_i − t_0)·dir.
+// estimate unwraps, smooths and solves the window. Positions are relative
+// to the window's first read: o_i = speed·(t_i − t_0)·dir. Once warm it
+// allocates only the returned Estimate.
 func (t *Tracker) estimate() (*Estimate, error) {
-	n := len(t.times)
-	obs := make([]core.PosPhase, n)
-	t0 := t.times[0]
+	n := t.reads.Len()
+	t0 := t.reads.At(0).at
+	t.pos, t.wrapped = t.pos[:0], t.wrapped[:0]
 	for i := 0; i < n; i++ {
-		arc := t.cfg.Speed * (t.times[i] - t0).Seconds()
-		obs[i] = core.PosPhase{
-			Pos:   t.dir.Scale(arc),
-			Theta: t.thetas[i],
-		}
+		r := t.reads.At(i)
+		t.pos = append(t.pos, t.dir.Scale(t.cfg.Speed*(r.at-t0).Seconds()))
+		t.wrapped = append(t.wrapped, r.phase)
 	}
-	obs, err := smooth(obs, t.cfg.SmoothWindow)
+	obs, err := core.PreprocessInto(&t.pre, t.pos, t.wrapped, t.cfg.SmoothWindow)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tracker preprocess: %w", err)
 	}
-	sol, err := core.Locate2DLineIntervals(obs, t.cfg.Lambda,
-		t.usableIntervals(obs), t.cfg.PositiveSide, t.cfg.Solve)
-	if err != nil {
+	if err := core.Locate2DLineIntervalsInto(&t.ws, obs, t.cfg.Lambda,
+		t.usableIntervals(obs), t.cfg.PositiveSide, t.cfg.Solve, &t.sol); err != nil {
 		return nil, fmt.Errorf("tracker solve: %w", err)
 	}
-	// sol.Position is the antenna in the window-start frame; invert to get
-	// the tag's window-start world position, then advance to "now".
-	windowStart := t.cfg.AntennaPos.Sub(sol.Position)
-	arcNow := t.cfg.Speed * (t.times[n-1] - t0).Seconds()
-	pos := windowStart.Add(t.dir.Scale(arcNow))
+	// t.sol.Position is the antenna in the window-start frame; invert to
+	// get the tag's window-start world position, then advance to "now".
+	windowStart := t.cfg.AntennaPos.Sub(t.sol.Position)
+	now := t.reads.At(n - 1).at
+	pos := windowStart.Add(t.dir.Scale(t.cfg.Speed * (now - t0).Seconds()))
 	return &Estimate{
-		Time:            t.times[n-1],
+		Time:            now,
 		Position:        pos,
-		MeanAbsResidual: sol.MeanAbsResidual,
+		MeanAbsResidual: t.sol.MeanAbsResidual,
 		WindowReads:     n,
 	}, nil
 }
@@ -211,53 +200,23 @@ func (t *Tracker) usableIntervals(obs []core.PosPhase) []float64 {
 	// well-conditioned mix of pair geometries at every window size. A
 	// configured interval equal to the span would pair only a handful of
 	// nearly identical rows and leave the normal equations near-singular.
-	out := []float64{span / 4, span / 2}
+	t.intervals = append(t.intervals[:0], span/4, span/2)
 	for _, iv := range t.cfg.Intervals {
 		if iv < span*0.7 {
-			out = append(out, iv)
+			t.intervals = append(t.intervals, iv)
 		}
 	}
-	return out
+	return t.intervals
 }
 
 // Reset clears the window, e.g. when a new item enters the read zone.
 func (t *Tracker) Reset() {
-	t.times = t.times[:0]
-	t.thetas = t.thetas[:0]
-	t.offset = 0
+	t.reads.Reset()
 	t.count = 0
-	t.primed = false
 }
 
 // Len returns the current window occupancy.
-func (t *Tracker) Len() int { return len(t.times) }
-
-// smooth applies a centred moving average to the unwrapped phases.
-func smooth(obs []core.PosPhase, window int) ([]core.PosPhase, error) {
-	if window <= 1 {
-		return obs, nil
-	}
-	half := window / 2
-	out := make([]core.PosPhase, len(obs))
-	for i := range obs {
-		lo, hi := i-half, i+half
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= len(obs) {
-			hi = len(obs) - 1
-		}
-		var s float64
-		for j := lo; j <= hi; j++ {
-			s += obs[j].Theta
-		}
-		out[i] = core.PosPhase{
-			Pos:   obs[i].Pos,
-			Theta: s / float64(hi-lo+1),
-		}
-	}
-	return out, nil
-}
+func (t *Tracker) Len() int { return t.reads.Len() }
 
 // UnwrapSanity reports whether the stream's consecutive wrapped-phase steps
 // stay safely below the unwrap limit for the given belt speed and read

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/rfid-lion/lion/internal/core"
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/rf"
 	"github.com/rfid-lion/lion/internal/sim"
@@ -110,8 +109,8 @@ func TestTrackerFollowsMovingTag(t *testing.T) {
 }
 
 func TestTrackerSurvivesWrapBoundaries(t *testing.T) {
-	// The raw phases wrap dozens of times over a 1.4 m pass; the
-	// incremental unwrap must keep the window consistent throughout.
+	// The raw phases wrap dozens of times over a 1.4 m pass; unwrapping
+	// each window afresh must keep every estimate consistent throughout.
 	env, err := sim.NewEnvironment()
 	if err != nil {
 		t.Fatal(err)
@@ -266,33 +265,41 @@ func TestTrackerEstimateResidualSignal(t *testing.T) {
 	}
 }
 
-func TestSmoothShortWindowIdentity(t *testing.T) {
-	obs := []core.PosPhase{{Theta: 1}, {Theta: 2}}
-	out, err := smooth(obs, 1)
+// TestTrackerEstimateAllocs pins the steady-state cost of an estimate: once
+// the window is full, the Every pushes that produce one estimate allocate
+// only the returned *Estimate — the unwrap, smoothing and solve run on the
+// tracker's reused buffers.
+func TestTrackerEstimateAllocs(t *testing.T) {
+	lambda := rf.DefaultBand().Wavelength()
+	cfg := baseConfig(lambda)
+	cfg.WindowSize, cfg.MinWindow, cfg.Every = 400, 200, 10
+	trk, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out[0].Theta != 1 || out[1].Theta != 2 {
-		t.Errorf("window-1 smooth changed data: %v", out)
+	ant := cfg.AntennaPos
+	i := 0
+	push := func() (*Estimate, error) {
+		pos := geom.V3(-0.5+0.001*float64(i), 0, 0)
+		phase := rf.WrapPhase(rf.PhaseOfDistance(ant.Dist(pos), lambda))
+		i++
+		return trk.Push(time.Duration(i)*10*time.Millisecond, phase)
 	}
-}
-
-func TestSmoothReducesJitter(t *testing.T) {
-	var obs []core.PosPhase
-	for i := 0; i < 100; i++ {
-		v := 0.0
-		if i%2 == 0 {
-			v = 1.0
+	// Fill the window and size every buffer, stopping right after an estimate.
+	for {
+		if est, _ := push(); i >= 2*cfg.WindowSize && est != nil {
+			break
 		}
-		obs = append(obs, core.PosPhase{Theta: v})
 	}
-	out, err := smooth(obs, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 10; i < 90; i++ {
-		if math.Abs(out[i].Theta-0.5) > 0.1 {
-			t.Fatalf("sample %d not smoothed: %v", i, out[i].Theta)
+	estimate := func() {
+		for k := 0; k < cfg.Every; k++ {
+			est, err := push()
+			if (k == cfg.Every-1) != (err == nil && est != nil) {
+				t.Fatalf("push %d: estimate %v err %v, want one estimate per %d pushes", i, est, err, cfg.Every)
+			}
 		}
+	}
+	if a := testing.AllocsPerRun(20, estimate); a > 1 {
+		t.Errorf("one warm estimate allocates %v times, want at most 1 (the Estimate)", a)
 	}
 }
