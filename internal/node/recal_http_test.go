@@ -103,6 +103,11 @@ func TestRecalSmoke(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest status %d", resp.StatusCode)
 	}
+	// Ingest only queues the window solves; wait for them before reading
+	// the estimate.
+	if err := eng.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 
 	// Estimates name the profile that corrected their window.
 	if est := getOK(t, base+"/v1/tags/T1/estimate"); !strings.Contains(est, `"profile_version":1`) {
