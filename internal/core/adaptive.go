@@ -184,7 +184,7 @@ func AdaptiveLocateThreeLineWorkers(in ThreeLineInput, ranges, intervals []float
 		return nil, ErrNoCandidates
 	}
 	tr := base.Solve.Trace
-	defer tr.Span("adaptive_three_line")()
+	defer tr.SpanAt("adaptive_three_line").End()
 	cands := sweep(gridSpecs(ranges, intervals), workers, tr, func(s gridSpec) (*Solution, error) {
 		opts := base
 		opts.ScanRange = s.scanRange
@@ -216,7 +216,7 @@ func AdaptiveLocateTwoLineWorkers(in TwoLineInput, abovePlane bool, ranges, inte
 		return nil, ErrNoCandidates
 	}
 	tr := base.Solve.Trace
-	defer tr.Span("adaptive_two_line")()
+	defer tr.SpanAt("adaptive_two_line").End()
 	cands := sweep(gridSpecs(ranges, intervals), workers, tr, func(s gridSpec) (*Solution, error) {
 		opts := base
 		opts.ScanRange = s.scanRange
@@ -240,7 +240,7 @@ func AdaptiveLocate2DLineWorkers(obs []PosPhase, lambda float64, intervals []flo
 		return nil, ErrNoCandidates
 	}
 	tr := opts.Trace
-	defer tr.Span("adaptive_line_2d")()
+	defer tr.SpanAt("adaptive_line_2d").End()
 	specs := make([]gridSpec, len(intervals))
 	for i, iv := range intervals {
 		specs[i] = gridSpec{interval: iv}

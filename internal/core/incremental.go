@@ -357,7 +357,7 @@ func (s *LineSession) diffPairs() {
 // mirroring SolveSystem's degeneracy checks and IRLS loop, with the initial
 // factorization served incrementally by the normal equations.
 func (s *LineSession) solve(opts SolveOptions, sol *Solution) error {
-	defer opts.Trace.Span(opts.traceSpan())()
+	defer opts.Trace.SpanAt(opts.traceSpan()).End()
 	nPairs := 0
 	for _, pl := range s.pairs {
 		nPairs += len(pl)

@@ -41,7 +41,7 @@ func growFloats(s []float64, n int) []float64 {
 // SolveSystem delegates here, which keeps the two entry points bit-identical
 // by construction.
 func SolveSystemInto(ws *SolveWorkspace, sys *System, opts SolveOptions, sol *Solution) error {
-	defer opts.Trace.Span(opts.traceSpan())()
+	defer opts.Trace.SpanAt(opts.traceSpan()).End()
 	numRefs := sys.NumRefs
 	if numRefs <= 0 {
 		numRefs = 1

@@ -6,31 +6,23 @@ import (
 	"github.com/rfid-lion/lion/internal/stats"
 )
 
-// baseline maintains a rolling picture of one signal for one scope: an EWMA
-// (the smoothed level static rules and dashboards read) plus a fixed-size
-// window with O(1) running sums, from which deviation rules take z-scores.
+// baseline maintains a rolling picture of one signal for one scope: a
+// fixed-size window with O(1) running sums, from which deviation rules take
+// z-scores.
 // A persistent shift is absorbed by the window over time — baselines define
 // "normal" as the recent past, so deviation alerts catch the transition,
 // not the steady state; pair them with static rules for absolute limits.
 type baseline struct {
-	alpha float64
-	ewma  float64
-
 	win        stats.Ring[float64]
 	sum, sumsq float64
 }
 
-func newBaseline(window int, alpha float64) *baseline {
-	return &baseline{alpha: alpha, win: stats.NewRing[float64](window)}
+func newBaseline(window int) *baseline {
+	return &baseline{win: stats.NewRing[float64](window)}
 }
 
 // add records one observation.
 func (b *baseline) add(v float64) {
-	if b.win.Total() == 0 {
-		b.ewma = v
-	} else {
-		b.ewma += b.alpha * (v - b.ewma)
-	}
 	if old, evicted := b.win.Push(v); evicted {
 		b.sum -= old
 		b.sumsq -= old * old

@@ -6,7 +6,7 @@ import (
 )
 
 func TestBaselineWindowStats(t *testing.T) {
-	b := newBaseline(4, 0.5)
+	b := newBaseline(4)
 	for _, v := range []float64{1, 2, 3, 4} {
 		b.add(v)
 	}
@@ -26,7 +26,7 @@ func TestBaselineWindowStats(t *testing.T) {
 }
 
 func TestBaselineZScoreWarmupAndDegenerate(t *testing.T) {
-	b := newBaseline(16, 0.1)
+	b := newBaseline(16)
 	for i := 0; i < 7; i++ {
 		b.add(float64(i))
 	}
@@ -40,22 +40,11 @@ func TestBaselineZScoreWarmupAndDegenerate(t *testing.T) {
 	}
 	// Constant window: zero spread must disable the z-score, not divide by
 	// zero.
-	c := newBaseline(8, 0.1)
+	c := newBaseline(8)
 	for i := 0; i < 8; i++ {
 		c.add(3)
 	}
 	if _, ok := c.zscore(4, 8); ok {
 		t.Error("zscore reported established on a zero-spread window")
-	}
-}
-
-func TestBaselineEWMATracksShift(t *testing.T) {
-	b := newBaseline(8, 0.5)
-	b.add(0)
-	for i := 0; i < 20; i++ {
-		b.add(10)
-	}
-	if math.Abs(b.ewma-10) > 0.01 {
-		t.Errorf("ewma = %v, want ~10 after persistent shift", b.ewma)
 	}
 }

@@ -12,7 +12,7 @@
 //
 // Three pieces compose:
 //
-//   - rolling quality baselines (EWMA + windowed z-score) per tag, so
+//   - rolling quality baselines (windowed mean and z-score) per tag, so
 //     deviation rules adapt to each deployment's own normal;
 //   - a declarative rule set (static thresholds and deviation-from-baseline)
 //     evaluated on every window solve, driving a pending → firing → resolved

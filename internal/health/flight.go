@@ -21,12 +21,12 @@ type TraceRecord struct {
 	Events []obs.Event
 }
 
-// FlightRecorder keeps the last Depth solve traces per tag in fixed-size
-// rings, bounded to MaxTags tags (least-recently-written evicted). Total
-// memory is therefore bounded by Depth × MaxTags trace buffers regardless
+// flightRecorder keeps the last depth solve traces per tag in fixed-size
+// rings, bounded to maxTags tags (least-recently-written evicted). Total
+// memory is therefore bounded by depth × maxTags trace buffers regardless
 // of stream cardinality or uptime. Safe for concurrent use: alert
 // transitions snapshot from it while solves append.
-type FlightRecorder struct {
+type flightRecorder struct {
 	mu      sync.Mutex
 	depth   int
 	maxTags int
@@ -38,22 +38,16 @@ type flightRing struct {
 	touched time.Duration // stream time of the newest record, for eviction
 }
 
-// NewFlightRecorder returns a recorder keeping depth traces for up to
-// maxTags tags. Non-positive arguments default to 8 and 64.
-func NewFlightRecorder(depth, maxTags int) *FlightRecorder {
-	if depth <= 0 {
-		depth = 8
-	}
-	if maxTags <= 0 {
-		maxTags = 64
-	}
-	return &FlightRecorder{depth: depth, maxTags: maxTags, tags: make(map[string]*flightRing)}
+// newFlightRecorder returns a recorder keeping depth traces for up to
+// maxTags tags. Both must be positive; Config.applyDefaults sees to it.
+func newFlightRecorder(depth, maxTags int) *flightRecorder {
+	return &flightRecorder{depth: depth, maxTags: maxTags, tags: make(map[string]*flightRing)}
 }
 
 // Record appends one solve trace to the tag's ring, evicting the oldest
 // record when full and the least-recently-written tag when the tag bound is
 // reached.
-func (f *FlightRecorder) Record(rec TraceRecord) {
+func (f *flightRecorder) Record(rec TraceRecord) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	ring := f.tags[rec.Tag]
@@ -85,7 +79,7 @@ func evictStalest[V any](m map[string]V, touched func(V) time.Duration) {
 }
 
 // Tag returns the tag's retained traces, oldest first, or nil.
-func (f *FlightRecorder) Tag(tag string) []TraceRecord {
+func (f *flightRecorder) Tag(tag string) []TraceRecord {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if ring := f.tags[tag]; ring != nil {
@@ -95,7 +89,7 @@ func (f *FlightRecorder) Tag(tag string) []TraceRecord {
 }
 
 // Tags returns the recorded tag ids, sorted.
-func (f *FlightRecorder) Tags() []string {
+func (f *flightRecorder) Tags() []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make([]string, 0, len(f.tags))
@@ -107,7 +101,7 @@ func (f *FlightRecorder) Tags() []string {
 }
 
 // Len returns the total number of retained traces across all tags.
-func (f *FlightRecorder) Len() int {
+func (f *flightRecorder) Len() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	total := 0

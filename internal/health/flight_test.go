@@ -17,7 +17,7 @@ func rec(tag string, seq uint64, t time.Duration) TraceRecord {
 }
 
 func TestFlightRecorderRingEviction(t *testing.T) {
-	f := NewFlightRecorder(3, 8)
+	f := newFlightRecorder(3, 8)
 	for i := 0; i < 5; i++ {
 		f.Record(rec("T1", uint64(i), time.Duration(i)*time.Second))
 	}
@@ -41,7 +41,7 @@ func TestFlightRecorderRingEviction(t *testing.T) {
 }
 
 func TestFlightRecorderTagLRUEviction(t *testing.T) {
-	f := NewFlightRecorder(2, 3)
+	f := newFlightRecorder(2, 3)
 	f.Record(rec("T1", 1, 1*time.Second))
 	f.Record(rec("T2", 2, 2*time.Second))
 	f.Record(rec("T3", 3, 3*time.Second))
@@ -59,7 +59,7 @@ func TestFlightRecorderTagLRUEviction(t *testing.T) {
 }
 
 func TestFlightRecorderMemoryBound(t *testing.T) {
-	f := NewFlightRecorder(4, 16)
+	f := newFlightRecorder(4, 16)
 	for i := 0; i < 500; i++ {
 		f.Record(rec(fmt.Sprintf("T%d", i%40), uint64(i), time.Duration(i)*time.Millisecond))
 	}
@@ -141,7 +141,7 @@ func TestMonitorFailedSolveRecordedWithoutTrace(t *testing.T) {
 func TestTagEvictionTieBreaksBySmallestID(t *testing.T) {
 	want := []string{"T2", "T3"}
 	for run := 0; run < 64; run++ {
-		f := NewFlightRecorder(1, 2)
+		f := newFlightRecorder(1, 2)
 		for _, tag := range []string{"T2", "T1", "T3"} {
 			f.Record(rec(tag, 1, time.Second))
 		}

@@ -24,8 +24,6 @@ type Config struct {
 	// BaselineWindow is the per-signal rolling window deviation rules take
 	// z-scores over; zero defaults to 128.
 	BaselineWindow int
-	// BaselineAlpha is the EWMA smoothing factor; zero defaults to 0.05.
-	BaselineAlpha float64
 	// MinBaseline gates deviation rules until a scope's window holds this
 	// many points; zero defaults to 16.
 	MinBaseline int
@@ -54,18 +52,17 @@ type Config struct {
 	// alert that heals is dropped silently). Callbacks run on the observing
 	// goroutine after the monitor's lock is released, in transition order —
 	// they may call back into the monitor but must not block for long, as
-	// they hold up the solve pipeline's observation hook. This is the
-	// subscription point for closed-loop consumers such as the
-	// recalibration controller.
+	// they hold up the solve pipeline's observation hook. A callback must
+	// not call Flush or Close on the stream engine feeding this monitor:
+	// both wait for the running hook, so the call would deadlock. This is
+	// the subscription point for closed-loop consumers such as the
+	// recalibration controller, whose callback only does a non-blocking send.
 	OnTransition func(Alert)
 }
 
 func (c *Config) applyDefaults() {
 	if c.BaselineWindow <= 0 {
 		c.BaselineWindow = 128
-	}
-	if c.BaselineAlpha <= 0 {
-		c.BaselineAlpha = 0.05
 	}
 	if c.MinBaseline <= 0 {
 		c.MinBaseline = 16
@@ -145,7 +142,7 @@ type Monitor struct {
 	// unlocking so callbacks never run under the monitor mutex.
 	hookQueue []Alert
 
-	flight *FlightRecorder
+	flight *flightRecorder
 
 	reg           *obs.Registry
 	evalSeconds   *obs.Histogram
@@ -201,7 +198,7 @@ func New(cfg Config) (*Monitor, error) {
 		driftGauges:  make(map[string]*obs.Gauge),
 	}
 	if cfg.FlightDepth > 0 {
-		m.flight = NewFlightRecorder(cfg.FlightDepth, cfg.FlightTags)
+		m.flight = newFlightRecorder(cfg.FlightDepth, cfg.FlightTags)
 	}
 	trans := reg.CounterVec("lion_health_alert_transitions_total",
 		"Alert state transitions, by entered state (cancelled = pending healed).", "state")
@@ -437,7 +434,7 @@ func (m *Monitor) tagStateLocked(tag string, now time.Duration) *tagState {
 		}
 		ts = &tagState{baselines: make(map[Signal]*baseline, len(perTagSignals))}
 		for _, sig := range perTagSignals {
-			ts.baselines[sig] = newBaseline(m.cfg.BaselineWindow, m.cfg.BaselineAlpha)
+			ts.baselines[sig] = newBaseline(m.cfg.BaselineWindow)
 		}
 		m.tags[tag] = ts
 	}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/rfid-lion/lion/internal/health"
+	"github.com/rfid-lion/lion/internal/obs"
 )
 
 // sparkW/sparkH size the inline sparklines.
@@ -59,11 +60,10 @@ func svgSparkline(values []float64) string {
 	return sb.String()
 }
 
-// histogramSpark returns the sparkline of a registry histogram's recent raw
-// observations, or an empty string when the histogram is absent or empty.
-func (s *server) histogramSpark(name string) string {
-	h, ok := s.eng.Registry().FindHistogram(name)
-	if !ok {
+// histogramSpark returns the sparkline of a histogram's recent raw
+// observations, or an empty string when the histogram is nil or empty.
+func histogramSpark(h *obs.Histogram) string {
+	if h == nil {
 		return ""
 	}
 	win := h.WindowSnapshot()
@@ -121,15 +121,18 @@ func (s *server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	gauge("solve errors", fmt.Sprint(m.SolveErrors))
 	gauge("dropped", fmt.Sprint(m.DroppedOverflow+m.DroppedAge))
 	gauge("queue depth", fmt.Sprint(m.QueueDepth))
-	if m.LatencyCount > 0 {
-		gauge("p50 latency", fmt.Sprintf("%.2g s", m.LatencyP50))
-		gauge("p99 latency", fmt.Sprintf("%.2g s", m.LatencyP99))
+	reg := s.eng.Registry()
+	latency, _ := reg.FindHistogram("lion_stream_solve_latency_seconds") // the engine registers it
+	if q := latency.Quantiles(); q.Count > 0 {
+		gauge("p50 latency", fmt.Sprintf("%.2g s", q.P50))
+		gauge("p99 latency", fmt.Sprintf("%.2g s", q.P99))
 	}
 	sb.WriteString(`</div>`)
-	if spark := s.histogramSpark("lion_stream_solve_latency_seconds"); spark != "" {
+	if spark := histogramSpark(latency); spark != "" {
 		fmt.Fprintf(&sb, `<p>solve latency %s</p>`, spark)
 	}
-	if spark := s.histogramSpark("lion_health_eval_seconds"); spark != "" {
+	eval, _ := reg.FindHistogram("lion_health_eval_seconds")
+	if spark := histogramSpark(eval); spark != "" {
 		fmt.Fprintf(&sb, `<p>health eval %s</p>`, spark)
 	}
 

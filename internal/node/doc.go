@@ -20,7 +20,7 @@
 //	GET  /healthz                  liveness (always 200 while the process runs)
 //	GET  /readyz                   readiness (503 while draining or a critical alert fires)
 //	GET  /metrics                  Prometheus exposition (obs registry)
-//	GET  /debug/trace/{id}         last solve trace for one tag, NDJSON (-trace)
+//	GET  /debug/trace/{id}         newest flight-recorder solve trace for one tag, NDJSON
 //	GET  /debug/flight/{id}        flight-recorder traces for one tag, NDJSON
 //	GET  /debug/pipespans          pipeline spans, NDJSON (?trace= filters)
 //	GET  /debug/dashboard          dependency-free HTML health dashboard

@@ -68,10 +68,8 @@ func parseFlags(args []string) (*config, error) {
 		workers = fs.Int("workers", 0, "solve pool size (0 = GOMAXPROCS)")
 		timeout = fs.Duration("solve-timeout", 0, "per-window solve timeout (0 = none)")
 		drain   = fs.Duration("drain", 10*time.Second, "shutdown drain timeout")
-		trace   = fs.Bool("trace", false,
-			"record each window's solve trace, served at /debug/trace/{tag}")
 		monitor = fs.Bool("monitor", true,
-			"run the solve-health monitor (alerts, flight recorder, /v1/alerts)")
+			"run the solve-health monitor (alerts, /v1/alerts, flight recorder behind /debug/flight and /debug/trace)")
 		wireOK = fs.Bool("wire", true,
 			"accept binary wire frames (Content-Type "+wire.ContentType+") on POST /v1/samples")
 		antenna = fs.String("antenna", "A1",
@@ -214,7 +212,6 @@ func parseFlags(args []string) (*config, error) {
 			JobTimeout:    *timeout,
 			Solver:        sv,
 			SolverFactory: factory,
-			TraceSolves:   *trace,
 			Antenna:       *antenna,
 		},
 	}, nil

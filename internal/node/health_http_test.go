@@ -96,27 +96,6 @@ func feedChunks(t *testing.T, s *server, h http.Handler, tag string, samples []s
 	}
 }
 
-// waitDrained polls until the engine has no queued solves, so monitor state
-// is settled before assertions.
-func waitDrained(t *testing.T, s *server) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		m := s.eng.Metrics()
-		if m.QueueDepth == 0 {
-			// One more settle pass for in-flight completions.
-			time.Sleep(20 * time.Millisecond)
-			if s.eng.Metrics().Solves == m.Solves {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("engine never drained")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestReadyzTransitions walks the readiness contract: ready while healthy,
 // 503 while a critical alert fires, ready again after it resolves, and 503
 // permanently once draining — while /healthz stays 200 throughout.
@@ -291,8 +270,8 @@ func TestDashboard(t *testing.T) {
 	}
 }
 
-// TestMonitorDisabled covers -monitor=false: health endpoints 404, readyz
-// still answers, solve path runs monitor-free.
+// TestMonitorDisabled covers -monitor=false: health endpoints and the solve
+// trace 404, readyz still answers, solve path runs monitor-free.
 func TestMonitorDisabled(t *testing.T) {
 	s, h := newHealthServer(t, "-monitor=false")
 	if s.mon != nil {
@@ -313,9 +292,14 @@ func TestMonitorDisabled(t *testing.T) {
 	center := geom.V3(0.1, 0.8, 0)
 	lambda := rf.DefaultBand().Wavelength()
 	postSamples(t, h, "T1", driftSamples(center, lambda, 2.74, 200, 0))
-	waitDrained(t, s)
+	if err := s.eng.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if got := s.eng.Metrics().Solves; got == 0 {
 		t.Error("no solves with monitoring disabled")
+	}
+	if code, _ := doGet(t, h, "/debug/trace/T1"); code != http.StatusNotFound {
+		t.Errorf("trace with monitoring disabled: %d, want 404", code)
 	}
 }
 

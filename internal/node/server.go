@@ -49,7 +49,6 @@ func Run(ctx context.Context, ln net.Listener, args []string, log *obs.Logger) e
 		"window", cfg.cfg.WindowSize,
 		"every", cfg.cfg.SolveEvery,
 		"workers", cfg.cfg.Workers,
-		"trace", cfg.cfg.TraceSolves,
 		"monitor", mon != nil,
 		"calibrations", len(cfg.health.Calibrations),
 		"recal", ctrl != nil)
@@ -346,16 +345,16 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleTrace serves the tag's last solve trace as NDJSON. Traces exist only
-// when the daemon runs with -trace.
+// handleTrace serves the events of the tag's newest flight-recorder trace as
+// NDJSON, one obs.Event per line.
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	tag := r.PathValue("id")
-	events, ok := s.eng.LastTrace(tag)
-	if !ok {
+	records := s.mon.Flight(tag)
+	if len(records) == 0 {
 		obs.WriteError(w, http.StatusNotFound,
-			fmt.Errorf("no trace for tag %q (is liond running with -trace?)", tag))
+			fmt.Errorf("no flight-recorder trace for tag %q", tag))
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	obs.WriteEventsNDJSON(w, events)
+	obs.WriteEventsNDJSON(w, records[len(records)-1].Events)
 }

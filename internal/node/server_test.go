@@ -50,7 +50,7 @@ func smokeTrace(t *testing.T) []sim.Sample {
 // start the production serve loop on a random port, push an NDJSON trace
 // over real HTTP, read the estimate back, and shut down cleanly.
 func TestServeSmoke(t *testing.T) {
-	cfg, err := parseFlags([]string{"-intervals", "0.1", "-every", "32", "-workers", "2", "-trace"})
+	cfg, err := parseFlags([]string{"-intervals", "0.1", "-every", "32", "-workers", "2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +167,12 @@ func TestServeSmoke(t *testing.T) {
 		}
 	}
 
-	// The solve trace endpoint serves NDJSON with per-iteration solver
-	// events (the daemon was started with -trace).
+	// The solve trace endpoint serves the newest flight-recorder trace as
+	// NDJSON with per-iteration solver events. Flush first so the health
+	// hook has recorded the final solve.
+	if err := eng.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	traceBody := getOK(t, base+"/debug/trace/T1")
 	var sawIter bool
 	for _, line := range strings.Split(strings.TrimSpace(traceBody), "\n") {

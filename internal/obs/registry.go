@@ -502,21 +502,6 @@ func (h *Histogram) Quantiles() Quantiles {
 	return q
 }
 
-// WindowMean returns the mean of the retained window, or 0 when empty.
-func (h *Histogram) WindowMean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := h.window.Len()
-	if n == 0 {
-		return 0
-	}
-	var s float64
-	for i := 0; i < n; i++ {
-		s += h.window.At(i)
-	}
-	return s / float64(n)
-}
-
 // WindowSnapshot returns a copy of the retained recent observations in
 // insertion order (oldest first), or nil when empty — the raw series behind
 // Quantile, which dashboards render as sparklines.

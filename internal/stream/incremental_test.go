@@ -9,6 +9,7 @@ import (
 
 	"github.com/rfid-lion/lion/internal/core"
 	"github.com/rfid-lion/lion/internal/geom"
+	"github.com/rfid-lion/lion/internal/health"
 )
 
 // incrConfig builds a factory-backed engine config whose sessions solve the
@@ -316,7 +317,12 @@ func TestIncrementalEngineConcurrentSessions(t *testing.T) {
 	var smu sync.Mutex
 	cfg := incrConfig(t, lambda, &solvers, &smu)
 	cfg.Workers = 4
-	cfg.TraceSolves = true // exercise the tracer path under race too
+	// A flight-recording monitor exercises the tracer path under race too.
+	mon, err := health.New(health.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Monitor = mon
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +345,7 @@ func TestIncrementalEngineConcurrentSessions(t *testing.T) {
 				for _, tag := range e.Tags() {
 					e.Latest(tag)
 					e.WindowLen(tag)
-					e.LastTrace(tag)
+					mon.Flight(tag)
 				}
 				time.Sleep(time.Millisecond)
 			}

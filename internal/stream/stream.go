@@ -46,8 +46,8 @@ type Sample struct {
 // Solvers must be pure functions of their input: the streamed-equals-offline
 // guarantee relies on it. The window is engine storage, valid only for the
 // call; a solver must not retain it, and the Solution it returns must not
-// alias it. The tracer is nil unless the engine was configured
-// with TraceSolves (or an offline caller passes one); solvers forward it into
+// alias it. The tracer is nil unless the engine's Monitor runs a flight
+// recorder (or an offline caller passes one); solvers forward it into
 // core.SolveOptions so per-iteration solver events reach the trace.
 type Solver func(win []core.PosPhase, tr *obs.Tracer) (*core.Solution, error)
 
@@ -121,14 +121,12 @@ type Config struct {
 	// Registry receives the engine's lion_stream_* metrics. Nil means a
 	// private registry, still reachable through Engine.Registry().
 	Registry *obs.Registry
-	// TraceSolves attaches a fresh obs.Tracer to every window solve and
-	// retains the last completed trace per tag (Engine.LastTrace). Off by
-	// default: the hot path then passes a nil tracer, which costs nothing.
-	// A Monitor with an enabled flight recorder also turns tracing on.
-	TraceSolves bool
 	// Monitor, when non-nil, receives a health hook on every accepted
 	// sample, every drop, and every completed window solve. Nil keeps the
-	// solve path monitor-free at zero cost (one nil check).
+	// solve path monitor-free at zero cost (one nil check). When the
+	// monitor runs a flight recorder (Monitor.WantsTraces), every window
+	// solve gets a fresh obs.Tracer and its events go to the recorder;
+	// otherwise solvers see a nil tracer, which costs nothing.
 	Monitor *health.Monitor
 	// Antenna labels this engine's samples for the monitor's per-antenna
 	// drift detector. Single-reader deployments run one engine per antenna;
@@ -208,20 +206,13 @@ type Metrics struct {
 	Solves          uint64
 	SolveErrors     uint64
 	QueueDepth      int // solve jobs queued behind the workers
-
-	// Solve latency over the recent window (last 1024 solves), seconds.
-	LatencyCount uint64
-	LatencyMean  float64
-	LatencyP50   float64
-	LatencyP90   float64
-	LatencyP99   float64
 }
 
 // Engine ingests per-tag sample streams and publishes estimates.
 type Engine struct {
 	cfg Config
-	// traceSolves caches TraceSolves || Monitor.WantsTraces(): the flight
-	// recorder needs tracer events even when LastTrace retention is off.
+	// traceSolves caches Monitor.WantsTraces(): the flight recorder is the
+	// only consumer of solve traces.
 	traceSolves bool
 	pool        *batch.Pool
 
@@ -232,6 +223,9 @@ type Engine struct {
 	nextSub  int
 	closed   bool
 	snapFree []*snapshot // recycled window snapshots (guarded by mu)
+	// hooks counts health hooks running after complete dropped mu; Flush
+	// and Close wait for it to reach zero (guarded by mu).
+	hooks int
 
 	// profile is the active antenna calibration profile (guarded by mu);
 	// profVersion counts swaps, 0 = never set. Snapshots pin the profile
@@ -277,7 +271,6 @@ type session struct {
 	latest    *Estimate
 	latestBuf Estimate      // backing storage for latest (reused)
 	pubSol    core.Solution // published copy of a factory solver's Solution
-	lastTrace []obs.Event
 
 	// Pipeline-trace state of the most recent accepted sample, pinned into
 	// the snapshot at dispatch. origin is the staleness zero point (router
@@ -353,7 +346,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:         cfg,
-		traceSolves: cfg.TraceSolves || cfg.Monitor.WantsTraces(),
+		traceSolves: cfg.Monitor.WantsTraces(),
 		pool:        batch.NewPool(batch.Options{Workers: cfg.Workers, JobTimeout: cfg.JobTimeout, Registry: reg}),
 		sessions:    make(map[string]*session),
 		subs:        make(map[int]chan Estimate),
@@ -652,7 +645,7 @@ func (e *Engine) Metrics() Metrics {
 	e.mu.Lock()
 	tags := len(e.sessions)
 	e.mu.Unlock()
-	m := Metrics{
+	return Metrics{
 		Tags:            tags,
 		Ingested:        e.ingested.Value(),
 		Rejected:        e.rejected.Value(),
@@ -663,33 +656,13 @@ func (e *Engine) Metrics() Metrics {
 		Solves:          e.solves.Value(),
 		SolveErrors:     e.solveErrors.Value(),
 		QueueDepth:      e.pool.Len(),
-		LatencyCount:    e.latency.Count(),
 	}
-	if m.LatencyCount > 0 {
-		m.LatencyMean = e.latency.WindowMean()
-		m.LatencyP50, _ = e.latency.Quantile(50)
-		m.LatencyP90, _ = e.latency.Quantile(90)
-		m.LatencyP99, _ = e.latency.Quantile(99)
-	}
-	return m
-}
-
-// LastTrace returns the solve trace of the tag's most recently completed
-// solve. Traces are only retained when Config.TraceSolves is set.
-func (e *Engine) LastTrace(tag string) ([]obs.Event, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if sess := e.sessions[tag]; sess != nil && sess.lastTrace != nil {
-		out := make([]obs.Event, len(sess.lastTrace))
-		copy(out, sess.lastTrace)
-		return out, true
-	}
-	return nil, false
 }
 
 // Flush snapshots every window holding unsolved samples (of at least
-// MinSamples), then waits until all queued and in-flight solves complete or
-// ctx expires.
+// MinSamples), then waits until all queued and in-flight solves complete,
+// their health hooks included, or ctx expires. A Monitor's OnTransition
+// subscriber runs inside that hook and must not call Flush or Close.
 func (e *Engine) Flush(ctx context.Context) error {
 	e.mu.Lock()
 	e.flushLocked()
@@ -866,9 +839,6 @@ func (e *Engine) complete(snap *snapshot, o batch.Outcome) {
 			est.Solution = cloneSolution(sv.sol)
 		}
 	}
-	if sv.trace != nil {
-		sess.lastTrace = sv.trace
-	}
 	e.solves.Inc()
 	if sv.err != nil {
 		e.solveErrors.Inc()
@@ -917,8 +887,10 @@ func (e *Engine) complete(snap *snapshot, o batch.Outcome) {
 	}
 	// The health hook runs after the unlock, by which time the next solve may
 	// be rewriting a session solver's Solution: read what it needs now.
+	m := e.cfg.Monitor
 	var obsv health.SolveObservation
-	if e.cfg.Monitor != nil {
+	if m != nil {
+		e.hooks++
 		obsv = health.SolveObservation{
 			Tag:     est.Tag,
 			Antenna: e.cfg.Antenna,
@@ -946,15 +918,22 @@ func (e *Engine) complete(snap *snapshot, o batch.Outcome) {
 	}
 	e.cond.Broadcast()
 	e.mu.Unlock()
+	if m == nil {
+		return
+	}
 	// The health hook runs outside the engine mutex: a full rule pass (and
 	// a possible evidence snapshot) must never serialise against ingest.
-	if m := e.cfg.Monitor; m != nil {
-		m.ObserveSolve(obsv)
-	}
+	// Counting it keeps Flush and Close from returning before it has
+	// recorded this solve.
+	m.ObserveSolve(obsv)
+	e.mu.Lock()
+	e.hooks--
+	e.cond.Broadcast()
+	e.mu.Unlock()
 }
 
-// wait blocks until no session has an in-flight or pending solve, or ctx
-// expires.
+// wait blocks until no session has an in-flight or pending solve and no
+// health hook is running, or ctx expires.
 func (e *Engine) wait(ctx context.Context) error {
 	var watcher chan struct{}
 	if ctx != nil && ctx.Done() != nil {
@@ -984,6 +963,9 @@ func (e *Engine) wait(ctx context.Context) error {
 }
 
 func (e *Engine) quiescentLocked() bool {
+	if e.hooks > 0 {
+		return false
+	}
 	for _, sess := range e.sessions {
 		if sess.inFlight || sess.pending != nil {
 			return false

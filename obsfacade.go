@@ -8,9 +8,10 @@ import (
 
 // Observability re-exports: the metrics registry, solve tracer, and
 // structured logger behind liond's /metrics and /debug/trace endpoints.
-// Attach a Tracer through SolveOptions.Trace (or StreamConfig.TraceSolves)
-// to record per-IRWLS-iteration and per-candidate solver events; a nil
-// Tracer is free on the hot path.
+// Attach a Tracer through SolveOptions.Trace to record per-IRWLS-iteration
+// and per-candidate solver events; a nil Tracer is free on the hot path. A
+// StreamEngine traces its window solves when its HealthMonitor runs a flight
+// recorder.
 type (
 	// Registry is a central metrics registry with Prometheus exposition.
 	Registry = obs.Registry
