@@ -56,7 +56,7 @@ type traceDoc struct {
 
 // TestPipelineTraceE2E proves the tracing contract across real process
 // boundaries: a router started with -trace-sample 1 samples an ingest batch,
-// negotiates the wire trace extension with its shards via /readyz, and
+// forwards it in wire frames carrying the trace extension, and
 // GET /v1/trace/{id} then assembles one trace whose spans come from BOTH
 // services — the router's decode/queue/forward stages and the shard's
 // decode/enqueue/solve/publish stages — on a single absolute time axis.
@@ -76,11 +76,10 @@ func TestPipelineTraceE2E(t *testing.T) {
 		"-addr", "127.0.0.1:0", "-config", writeClusterConfig(t, shards), "-trace-sample", "1")
 	waitReady(t, router.base())
 
-	// The router forwards trace extensions only after its health probe has
-	// read the shard's wire_trace advertisement, and the shard-side solve
-	// spans land only once the batch's solves publish — so keep feeding
-	// sampled batches (fresh tag each pass, 64-sample chunks to cross the
-	// -every 32 solve cadence) until one trace assembles end to end.
+	// The shard-side solve spans land only once the batch's solves
+	// publish — so keep feeding sampled batches (fresh tag each pass,
+	// 64-sample chunks to cross the -every 32 solve cadence) until one
+	// trace assembles end to end.
 	wantShard := map[string]bool{
 		"ingest_decode": true, "engine_enqueue": true,
 		"queue_wait": true, "solve": true, "publish": true,

@@ -1,7 +1,7 @@
 // Command lionroute is the cluster front door: it consistent-hashes tag ids
-// onto a static ring of liond shards, forwards ingest batches over
-// persistent connections with per-shard bounded queues, and routes queries
-// to the owning shard.
+// onto a static ring of liond shards, forwards ingest batches as binary wire
+// frames over persistent connections with per-shard bounded queues, and
+// routes queries to the owning shard.
 //
 // Example session (see README.md "Running a cluster"):
 //
@@ -38,9 +38,7 @@ import (
 	"time"
 
 	"github.com/rfid-lion/lion/internal/cluster"
-	"github.com/rfid-lion/lion/internal/dataset"
 	"github.com/rfid-lion/lion/internal/obs"
-	"github.com/rfid-lion/lion/internal/wire"
 )
 
 // logx is the router's structured logger; one JSON object per line on stderr.
@@ -56,10 +54,8 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("lionroute", flag.ContinueOnError)
 	var (
-		addr    = fs.String("addr", ":8080", "listen address")
-		cfgPath = fs.String("config", "", "cluster config JSON (required; see DESIGN.md section 12)")
-		forward = fs.String("forward", "wire",
-			"codec for shard-bound batches: wire (binary frames) or ndjson")
+		addr        = fs.String("addr", ":8080", "listen address")
+		cfgPath     = fs.String("config", "", "cluster config JSON (required; see DESIGN.md section 12)")
 		drain       = fs.Duration("drain", 10*time.Second, "shutdown queue-flush timeout")
 		traceSample = fs.Int("trace-sample", 0,
 			"pipeline tracing: sample 1 in N ingest requests end-to-end (0 = off); "+
@@ -75,16 +71,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	var codec dataset.Codec
-	switch *forward {
-	case "wire":
-		codec = wire.Codec{}
-	case "ndjson":
-		codec = dataset.NDJSON{}
-	default:
-		return fmt.Errorf("unknown -forward codec %q (want wire or ndjson)", *forward)
-	}
-
 	if *traceSample < 0 {
 		return fmt.Errorf("-trace-sample must be >= 0, got %d", *traceSample)
 	}
@@ -92,7 +78,6 @@ func run(args []string) error {
 	obs.RegisterRuntimeMetrics(reg)
 	opts := cluster.Options{
 		Registry: reg,
-		Codec:    codec,
 		Logger:   logx,
 	}
 	if *traceSample > 0 {
@@ -113,7 +98,6 @@ func run(args []string) error {
 	logx.Info("listening",
 		"addr", ln.Addr().String(),
 		"shards", len(cfg.Shards),
-		"forward", codec.Name(),
 		"queue_samples", cfg.QueueSamples,
 		"config", *cfgPath)
 

@@ -50,14 +50,12 @@ func (s ShardState) String() string {
 // ErrClosed is returned by Ingest after Close.
 var ErrClosed = errors.New("cluster: router closed")
 
-// Options tune a Router beyond the cluster config.
+// Options tune a Router beyond the cluster config. The forward encoding is
+// not among them: the router always forwards binary wire frames, which
+// every liond decodes.
 type Options struct {
 	// Registry receives the lion_cluster_* metrics; nil means a private one.
 	Registry *obs.Registry
-	// Codec encodes forwarded batches; nil means the binary wire codec.
-	// Shards must accept the chosen codec (liond takes wire unless started
-	// with -wire=false, and always takes NDJSON).
-	Codec dataset.Codec
 	// Client performs forward and query requests; nil builds one with
 	// keep-alive connections per shard. Health probes always use a separate
 	// short-timeout client.
@@ -79,7 +77,6 @@ type Router struct {
 	ring   *Ring
 	shards []*shard
 	reg    *obs.Registry
-	codec  dataset.Codec
 	client *http.Client
 	probe  *http.Client
 	log    *obs.Logger
@@ -129,10 +126,6 @@ type shard struct {
 	queue  chan queuedBatch
 	queued atomic.Int64 // samples currently queued (gauge backing)
 	state  atomic.Int32 // ShardState
-	// traceOK records whether the shard's /readyz advertised FlagTrace
-	// support (node.Readiness.WireTrace). Flagged frames are only sent when
-	// it did — a decoder predating the extension never sees one.
-	traceOK atomic.Bool
 
 	failures int // consecutive probe failures; health goroutine only
 
@@ -165,10 +158,6 @@ func New(cfg Config, opts Options) (*Router, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	codec := opts.Codec
-	if codec == nil {
-		codec = wire.Codec{}
-	}
 	client := opts.Client
 	if client == nil {
 		client = &http.Client{Timeout: cfg.forwardTimeout()}
@@ -178,7 +167,6 @@ func New(cfg Config, opts Options) (*Router, error) {
 		cfg:     cfg,
 		ring:    ring,
 		reg:     reg,
-		codec:   codec,
 		client:  client,
 		probe:   &http.Client{Timeout: cfg.healthTimeout()},
 		log:     opts.Logger,
@@ -272,8 +260,8 @@ func (rt *Router) Ingest(samples []dataset.TaggedSample) (IngestResult, error) {
 
 // IngestTraced is Ingest with a pipeline trace decision attached: tc and the
 // receive wall clock recv travel with every enqueued group and, for sampled
-// batches bound for trace-capable shards, onto the wire. A zero recv means
-// now. An unsampled tc adds nothing to the hot path.
+// batches, onto the wire. A zero recv means now. An unsampled tc adds
+// nothing to the hot path.
 func (rt *Router) IngestTraced(samples []dataset.TaggedSample, tc obs.TraceContext, recv time.Time) (IngestResult, error) {
 	var res IngestResult
 	if rt.closed.Load() {
@@ -365,17 +353,11 @@ func (rt *Router) forwardLoop(s *shard) {
 // post forwards one batch, retrying a few times before dropping it. Order
 // within the shard is preserved regardless: post returns only when the batch
 // succeeded or was abandoned, and batches after a dropped one still arrive
-// after it would have. Sampled batches bound for a shard that negotiated
-// FlagTrace carry the trace id and receive clock in a wire extension.
+// after it would have. The batch travels as wire frames; sampled batches
+// carry the trace id and receive clock in the frames' trace extension.
 func (rt *Router) post(s *shard, batch []dataset.TaggedSample, tc obs.TraceContext, recv time.Time) {
 	var buf bytes.Buffer
-	var err error
-	if ext := rt.traceExt(s, tc, recv); ext != nil {
-		err = wire.NewWriter(&buf, 0).WriteBatchExt(batch, ext)
-	} else {
-		err = rt.codec.Encode(&buf, batch)
-	}
-	if err != nil {
+	if err := wire.NewWriter(&buf, 0).WriteBatchExt(batch, rt.traceExt(tc, recv)); err != nil {
 		// Unencodable batches cannot happen for validated ingest samples;
 		// count and drop rather than wedging the queue.
 		rt.forwardErrors.Add(uint64(len(batch)))
@@ -411,15 +393,10 @@ func (rt *Router) post(s *shard, batch []dataset.TaggedSample, tc obs.TraceConte
 }
 
 // traceExt returns the wire extension to attach to one forward POST, or nil
-// when the batch is unsampled, the shard has not negotiated FlagTrace
-// support, or the forward codec is not the binary wire codec (the extension
-// is a wire-frame feature; NDJSON forwards stay trace-free). The nil path is
-// allocation-free — it is taken for every batch in an untraced steady state.
-func (rt *Router) traceExt(s *shard, tc obs.TraceContext, recv time.Time) *wire.Ext {
-	if !tc.Sampled || !s.traceOK.Load() {
-		return nil
-	}
-	if _, ok := rt.codec.(wire.Codec); !ok {
+// when the batch is unsampled. The nil path is allocation-free — it is taken
+// for every batch in an untraced steady state.
+func (rt *Router) traceExt(tc obs.TraceContext, recv time.Time) *wire.Ext {
+	if !tc.Sampled {
 		return nil
 	}
 	return &wire.Ext{TraceID: tc.ID, RouterRecvUnixNano: recv.UnixNano()}
@@ -436,7 +413,7 @@ func (rt *Router) postOnce(s *shard, body []byte) error {
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", rt.codec.ContentType())
+	req.Header.Set("Content-Type", wire.ContentType)
 	resp, err := rt.client.Do(req)
 	if err != nil {
 		return err
@@ -476,7 +453,6 @@ func (rt *Router) healthLoop(interval time.Duration) {
 //	anything else              -> failure; FailThreshold consecutive ones eject
 func (rt *Router) probeShard(s *shard) {
 	ok, doc := rt.readyz(s)
-	s.traceOK.Store(doc.WireTrace)
 	prev := s.State()
 	switch {
 	case ok:
@@ -509,8 +485,7 @@ func (rt *Router) probeShard(s *shard) {
 
 // readyz performs one probe. ok means HTTP 200. doc is the shard's
 // self-reported readiness when the body was parseable, and the zero document
-// for transport errors and foreign answers. A shard that does not set
-// WireTrace never receives flagged frames.
+// for transport errors and foreign answers.
 func (rt *Router) readyz(s *shard) (ok bool, doc node.Readiness) {
 	resp, err := rt.probe.Get(s.base + "/readyz")
 	if err != nil {

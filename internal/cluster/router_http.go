@@ -14,10 +14,8 @@ import (
 	"sync"
 	"time"
 
-	"github.com/rfid-lion/lion/internal/dataset"
 	"github.com/rfid-lion/lion/internal/node"
 	"github.com/rfid-lion/lion/internal/obs"
-	"github.com/rfid-lion/lion/internal/wire"
 )
 
 // Routes builds the router's HTTP mux:
@@ -49,17 +47,13 @@ func (rt *Router) Routes() *http.ServeMux {
 	return mux
 }
 
-// ingestCodecs is the negotiation list: NDJSON first so it is the fallback
-// for curl-style clients, wire matched exactly by content type.
-var ingestCodecs = []dataset.Codec{dataset.NDJSON{}, wire.Codec{}}
-
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	recv := time.Now()
 	// Full request wall time at the router: the server-side twin of a load
 	// generator's client-observed ingest latency against a cluster.
 	defer func() { rt.ingestReq.Observe(time.Since(recv).Seconds()) }()
 	// A client's trace extension is ignored: the router's sampler decides.
-	samples, _, err := node.DecodeIngest(w, r, ingestCodecs)
+	samples, _, err := node.DecodeIngest(w, r)
 	decodeTook := time.Since(recv)
 	if err != nil {
 		obs.WriteError(w, http.StatusBadRequest, err)

@@ -18,8 +18,9 @@ import (
 	"github.com/rfid-lion/lion/internal/wire"
 )
 
-// fakeShard is an httptest stand-in for one liond: it decodes wire-codec
-// ingest bodies in arrival order and serves a scriptable /readyz.
+// fakeShard is an httptest stand-in for one liond: it decodes wire-frame
+// ingest bodies in arrival order (anything else is refused, since the
+// router forwards nothing else) and serves a scriptable /readyz.
 type fakeShard struct {
 	srv *httptest.Server
 
@@ -41,14 +42,11 @@ func newFakeShard(t *testing.T) *fakeShard {
 		if block != nil {
 			<-block
 		}
-		var samples []dataset.TaggedSample
-		var ext *wire.Ext
-		var err error
-		if r.Header.Get("Content-Type") == wire.ContentType {
-			samples, ext, err = wire.DecodeIngestExt(r.Body)
-		} else {
-			samples, err = dataset.NDJSON{}.Decode(r.Body)
+		if ct := r.Header.Get("Content-Type"); ct != wire.ContentType {
+			http.Error(w, "want wire frames, got "+ct, http.StatusUnsupportedMediaType)
+			return
 		}
+		samples, ext, err := wire.DecodeIngestExt(r.Body)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

@@ -28,17 +28,14 @@ func drain(t *testing.T, f *fakeShard, n int) {
 	t.Fatalf("shard received %d of %d samples before deadline", len(f.got()), n)
 }
 
-// TestRouterTracedForwardCarriesExt: a sampled batch bound for a shard that
-// negotiated FlagTrace arrives in a flagged wire frame carrying the trace id
-// and router receive clock; an unsampled batch arrives plain; and a sampled
-// batch for a shard WITHOUT the capability also arrives plain — old decoders
-// are never handed flagged frames.
+// TestRouterTracedForwardCarriesExt: a sampled batch arrives at every shard
+// it touches in a flagged wire frame carrying the trace id and router
+// receive clock; an unsampled batch arrives plain.
 func TestRouterTracedForwardCarriesExt(t *testing.T) {
 	a, b := newFakeShard(t), newFakeShard(t)
 	rt := noHealth(t, a, b, nil)
 	defer rt.Close(context.Background())
 	rt.spans = obs.NewSpanLog("lionroute", 64)
-	rt.shards[0].traceOK.Store(true) // s1 negotiated, s2 did not
 
 	// One tag per shard so each group lands deterministically.
 	var s1Tag, s2Tag string
@@ -63,20 +60,16 @@ func TestRouterTracedForwardCarriesExt(t *testing.T) {
 	drain(t, a, 1)
 	drain(t, b, 1)
 
-	a.mu.Lock()
-	extA := a.exts[0]
-	a.mu.Unlock()
-	if extA == nil || extA.TraceID != tc.ID || extA.RouterRecvUnixNano != recv.UnixNano() {
-		t.Errorf("capable shard ext = %+v, want id %x recv %d", extA, tc.ID, recv.UnixNano())
-	}
-	b.mu.Lock()
-	extB := b.exts[0]
-	b.mu.Unlock()
-	if extB != nil {
-		t.Errorf("non-negotiated shard received flagged frame: %+v", extB)
+	for name, f := range map[string]*fakeShard{"s1": a, "s2": b} {
+		f.mu.Lock()
+		ext := f.exts[0]
+		f.mu.Unlock()
+		if ext == nil || ext.TraceID != tc.ID || ext.RouterRecvUnixNano != recv.UnixNano() {
+			t.Errorf("%s ext = %+v, want id %x recv %d", name, ext, tc.ID, recv.UnixNano())
+		}
 	}
 
-	// Unsampled ingest arrives plain even on the capable shard.
+	// Unsampled ingest arrives plain.
 	if _, err := rt.Ingest([]dataset.TaggedSample{sampleFor(s1Tag, 2)}); err != nil {
 		t.Fatal(err)
 	}
@@ -137,48 +130,16 @@ func TestRouterTracedForwardCarriesExt(t *testing.T) {
 	}
 }
 
-// TestRouterReadyzNegotiatesWireTrace: the health probe learns (and unlearns)
-// the shard's FlagTrace capability from the "wire_trace" field of /readyz.
-func TestRouterReadyzNegotiatesWireTrace(t *testing.T) {
-	a, b := newFakeShard(t), newFakeShard(t)
-	rt := noHealth(t, a, b, nil)
-	defer rt.Close(context.Background())
-
-	a.setReady(func(w http.ResponseWriter) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprint(w, `{"status":"ok","wire_trace":true}`)
-	})
-	rt.probeShard(rt.shards[0])
-	rt.probeShard(rt.shards[1]) // default fake readyz: no wire_trace field
-	if !rt.shards[0].traceOK.Load() {
-		t.Error("advertising shard not marked trace-capable")
-	}
-	if rt.shards[1].traceOK.Load() {
-		t.Error("non-advertising shard marked trace-capable")
-	}
-
-	// A rollback (field gone) revokes the capability on the next probe.
-	a.setReady(func(w http.ResponseWriter) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprint(w, `{"status":"ok"}`)
-	})
-	rt.probeShard(rt.shards[0])
-	if rt.shards[0].traceOK.Load() {
-		t.Error("capability not revoked after readyz stopped advertising")
-	}
-}
-
 // TestRouterUntracedZeroAllocs is the cluster layer's piece of the zero-alloc
 // constraint: the per-batch tracing decision — sampler step, extension
 // choice, exemplar observes, span no-ops — allocates nothing when the batch
-// is unsampled, even on a trace-capable shard.
+// is unsampled.
 func TestRouterUntracedZeroAllocs(t *testing.T) {
 	a, b := newFakeShard(t), newFakeShard(t)
 	rt := noHealth(t, a, b, nil)
 	defer rt.Close(context.Background())
 	rt.spans = obs.NewSpanLog("lionroute", 64)
 	s := rt.shards[0]
-	s.traceOK.Store(true)
 
 	sampler := obs.NewSampler(1<<30, 3) // samples once, then never again
 	sampler.Next()
@@ -188,7 +149,7 @@ func TestRouterUntracedZeroAllocs(t *testing.T) {
 		if tc.Sampled {
 			t.Fatal("sampler unexpectedly sampled")
 		}
-		if ext := rt.traceExt(s, tc, recv); ext != nil {
+		if ext := rt.traceExt(tc, recv); ext != nil {
 			t.Fatal("unsampled batch got a wire extension")
 		}
 		rt.ingestDecode.ObserveExemplar(1e-4, tc)

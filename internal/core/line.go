@@ -183,11 +183,8 @@ func onesInto(s []float64, n int) []float64 {
 
 // recoverLineMedian is RecoverMissingMedian for a line-frame solve (Dim 2,
 // y unknown, every observation at y = 0, at least four of them): the same
-// discriminants and the same interpolated median as stats.Percentile, found
-// by selection instead of a full sort. The order statistics a selection
-// finds are the values a sort puts there, so the result is bit-identical —
-// in O(n) instead of O(n log n) and without allocating, with *dsc as
-// scratch.
+// discriminants and the same medianOffset, with *dsc as scratch so the
+// recovery does not allocate.
 func recoverLineMedian(sol *Solution, p *Profile, positive bool, dsc *[]float64) error {
 	n := p.Len()
 	d := growFloats(*dsc, n)
@@ -197,7 +194,26 @@ func recoverLineMedian(sol *Solution, p *Profile, positive bool, dsc *[]float64)
 		dx := sol.Position.X - p.Obs[t].Pos.X
 		d[t] = dt*dt - dx*dx
 	}
-	rank := 50.0 / 100 * float64(n-1)
+	off, err := medianOffset(d, sol.RefDistance, positive)
+	if err != nil {
+		return err
+	}
+	sol.Position.Y = p.Obs[0].Pos.Y + off
+	sol.Known[1] = true
+	return nil
+}
+
+// medianOffset turns the per-sample discriminants d of a missing coordinate
+// into its signed offset from the trajectory: the square root of their
+// median, negative on the !positive side. A mildly negative median is noise
+// around a target on the trajectory's plane or line and clamps to zero; one
+// below −2% of refDist² means no solution. The median interpolates like
+// stats.Percentile(d, 50) but is found by selection instead of a full sort.
+// The order statistics a selection finds are the values a sort puts there,
+// so the result is bit-identical — in O(n) instead of O(n log n) and without
+// allocating. d is reordered in place and must not be empty.
+func medianOffset(d []float64, refDist float64, positive bool) (float64, error) {
+	rank := 50.0 / 100 * float64(len(d)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	quickselectFloat(d, lo)
@@ -213,8 +229,8 @@ func recoverLineMedian(sol *Solution, p *Profile, positive bool, dsc *[]float64)
 		med = d[lo]*(1-frac) + vhi*frac
 	}
 	if med < 0 {
-		if med < -0.02*sol.RefDistance*sol.RefDistance {
-			return ErrNoSolution
+		if med < -0.02*refDist*refDist {
+			return 0, ErrNoSolution
 		}
 		med = 0
 	}
@@ -222,9 +238,7 @@ func recoverLineMedian(sol *Solution, p *Profile, positive bool, dsc *[]float64)
 	if !positive {
 		off = -off
 	}
-	sol.Position.Y = p.Obs[0].Pos.Y + off
-	sol.Known[1] = true
-	return nil
+	return off, nil
 }
 
 // quickselectFloat rearranges xs in place so xs[k] holds the value a full

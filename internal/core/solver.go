@@ -6,7 +6,6 @@ import (
 
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/obs"
-	"github.com/rfid-lion/lion/internal/stats"
 )
 
 // WeightFloor is the IRWLS weight below which an equation is effectively
@@ -175,19 +174,9 @@ func (s *Solution) RecoverMissingMedian(p *Profile, positive bool) error {
 	if len(discs) < 3 {
 		return s.RecoverMissing(p.RefPos(), positive)
 	}
-	med, err := stats.Median(discs)
+	off, err := medianOffset(discs, s.RefDistance, positive)
 	if err != nil {
 		return err
-	}
-	if med < 0 {
-		if med < -0.02*s.RefDistance*s.RefDistance {
-			return ErrNoSolution
-		}
-		med = 0
-	}
-	off := math.Sqrt(med)
-	if !positive {
-		off = -off
 	}
 	est[missing] = base[missing] + off
 	s.Position = geom.Vec3{X: est[0], Y: est[1], Z: est[2]}

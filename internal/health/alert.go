@@ -61,7 +61,7 @@ type Alert struct {
 	UpdatedAt  time.Duration
 	// Evidence is the flight-recorder snapshot taken when the alert fired:
 	// the recent solve traces of the tag whose observation confirmed the
-	// violation. Nil when the flight recorder is disabled or empty.
+	// violation. Nil when the flight recorder holds nothing for the tag.
 	Evidence []TraceRecord
 }
 

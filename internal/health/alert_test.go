@@ -21,7 +21,6 @@ func staticResidualMonitor(t *testing.T, hold, resolve time.Duration) *Monitor {
 			Name: "residual_static", Signal: SignalResidual, Kind: KindStatic,
 			Threshold: 1.0, HoldDown: hold, ResolveAfter: resolve, Severity: SevCritical,
 		}},
-		FlightDepth: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,8 +132,6 @@ func TestDeviationRuleWarmupGate(t *testing.T) {
 			Name: "residual_dev", Signal: SignalResidual, Kind: KindDeviation,
 			Threshold: 3, HoldDown: time.Second, Severity: SevWarning,
 		}},
-		MinBaseline: 8,
-		FlightDepth: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,8 +149,6 @@ func TestDeviationRuleDetectsAnomaly(t *testing.T) {
 			Name: "residual_dev", Signal: SignalResidual, Kind: KindDeviation,
 			Threshold: 3, HoldDown: 0, Severity: SevWarning,
 		}},
-		MinBaseline: 8,
-		FlightDepth: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,14 +188,12 @@ func TestResolvedHistoryBounded(t *testing.T) {
 			Name: "residual_static", Signal: SignalResidual, Kind: KindStatic,
 			Threshold: 1, HoldDown: 0, Severity: SevWarning,
 		}},
-		ResolvedHistory: 2,
-		FlightDepth:     -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := time.Duration(0)
-	for cycle := 0; cycle < 5; cycle++ {
+	for cycle := 0; cycle < resolvedHistory+1; cycle++ {
 		m.ObserveSolve(solveAt(base+1*time.Second, 5))
 		m.ObserveSolve(solveAt(base+2*time.Second, 5)) // fires
 		m.ObserveSolve(solveAt(base+3*time.Second, 0)) // resolves (no hysteresis)
@@ -212,7 +205,7 @@ func TestResolvedHistoryBounded(t *testing.T) {
 			resolved++
 		}
 	}
-	if resolved != 2 {
-		t.Errorf("resolved history holds %d, want 2", resolved)
+	if resolved != resolvedHistory {
+		t.Errorf("resolved history holds %d, want %d", resolved, resolvedHistory)
 	}
 }

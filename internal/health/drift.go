@@ -25,12 +25,14 @@ type Calibration struct {
 	// Lambda is the carrier wavelength, metres.
 	Lambda float64
 	// Window is the sliding sample window the re-estimate averages over;
-	// zero defaults to 256.
+	// zero defaults to 256. A window below driftMinSamples (32) could
+	// never produce a valid estimate and is rejected.
 	Window int
-	// MinSamples gates the estimate until the window holds this many
-	// samples; zero defaults to 32.
-	MinSamples int
 }
+
+// driftMinSamples gates the drift estimate until the window holds this
+// many samples.
+const driftMinSamples = 32
 
 func (c Calibration) validate() error {
 	if c.Antenna == "" {
@@ -42,8 +44,9 @@ func (c Calibration) validate() error {
 	if !c.Center.IsFinite() || math.IsNaN(c.Offset) || math.IsInf(c.Offset, 0) {
 		return fmt.Errorf("health: calibration %q has non-finite fields", c.Antenna)
 	}
-	if c.Window < 0 || c.MinSamples < 0 {
-		return fmt.Errorf("health: calibration %q has negative window", c.Antenna)
+	if c.Window < 0 || c.window() < driftMinSamples {
+		return fmt.Errorf("health: calibration %q: window %d must be 0 (default 256) or at least %d samples",
+			c.Antenna, c.Window, driftMinSamples)
 	}
 	return nil
 }
@@ -55,20 +58,14 @@ func (c Calibration) window() int {
 	return c.Window
 }
 
-func (c Calibration) minSamples() int {
-	if c.MinSamples <= 0 {
-		return 32
-	}
-	return c.MinSamples
-}
-
 // DriftStatus is a point-in-time view of one antenna's drift estimate.
 type DriftStatus struct {
 	Antenna string
 	// Calibrated is the recorded offset, radians.
 	Calibrated float64
 	// Estimated is the sliding-window re-estimate of the offset, radians in
-	// [0, 2π). Zero until MinSamples have been seen (Valid reports which).
+	// [0, 2π). Zero until driftMinSamples (32) samples have been seen
+	// (Valid reports which).
 	Estimated float64
 	// DriftRad is the signed wrapped difference estimated − calibrated,
 	// radians in (−π, π].
@@ -78,7 +75,7 @@ type DriftStatus struct {
 	DriftLambda float64
 	// Samples is the current window fill.
 	Samples int
-	// Valid reports whether the window has reached MinSamples.
+	// Valid reports whether the window has reached driftMinSamples (32).
 	Valid bool
 }
 
@@ -154,7 +151,7 @@ func (d *driftEstimator) refresh() {
 func (d *driftEstimator) status() DriftStatus {
 	n := d.win.Len()
 	st := DriftStatus{Antenna: d.cal.Antenna, Calibrated: d.cal.Offset, Samples: n}
-	if n < d.cal.minSamples() ||
+	if n < driftMinSamples ||
 		math.Hypot(d.sumSin, d.sumCos) < minMeanResultant*float64(n) {
 		return st
 	}

@@ -60,8 +60,7 @@ func TestDriftSumsExactAfterLongRun(t *testing.T) {
 // must treat any resultant below the magnitude floor as invalid.
 func TestDriftValidityGuardAntipodal(t *testing.T) {
 	cal := testCalibration()
-	cal.Window = 32
-	cal.MinSamples = 32
+	cal.Window = driftMinSamples
 	d := newDriftEstimator(cal)
 
 	// Alternate instantaneous offsets θ and θ+π: unit vectors cancel
@@ -92,7 +91,7 @@ func TestDriftValidityGuardAntipodal(t *testing.T) {
 
 func TestSwapCalibrationResetsEstimator(t *testing.T) {
 	cal := testCalibration()
-	m, err := New(Config{Calibrations: []Calibration{cal}, FlightDepth: -1})
+	m, err := New(Config{Calibrations: []Calibration{cal}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +159,6 @@ func TestOnTransitionHook(t *testing.T) {
 			Threshold: 1.0, HoldDown: 2 * time.Second, ResolveAfter: time.Second,
 			Severity: SevCritical,
 		}},
-		FlightDepth:  -1,
 		OnTransition: func(a Alert) { got = append(got, a) },
 	})
 	if err != nil {

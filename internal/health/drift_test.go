@@ -27,18 +27,18 @@ func testCalibration() Calibration {
 		Center:  geom.V3(0, 0, 1.2),
 		Offset:  1.3,
 		Lambda:  rf.DefaultBand().Wavelength(),
-		Window:  64, MinSamples: 16,
+		Window:  64,
 	}
 }
 
 func TestDriftEstimatorRecoversOffset(t *testing.T) {
 	d := newDriftEstimator(testCalibration())
-	// Before MinSamples the estimate is invalid.
-	feedDrift(d, 15, 1.3)
+	// Before driftMinSamples the estimate is invalid.
+	feedDrift(d, driftMinSamples-1, 1.3)
 	if st := d.status(); st.Valid {
-		t.Fatalf("estimate valid at %d samples, min 16", st.Samples)
+		t.Fatalf("estimate valid at %d samples, min %d", st.Samples, driftMinSamples)
 	}
-	feedDrift(d, 50, 1.3)
+	feedDrift(d, 66-driftMinSamples, 1.3)
 	st := d.status()
 	if !st.Valid {
 		t.Fatal("estimate invalid after 65 samples")
@@ -106,6 +106,31 @@ func TestCalibrationValidate(t *testing.T) {
 	}
 }
 
+// TestNewRejectsDriftWindowBelowMinimum: a drift window shorter than the
+// estimator's validity gate can never hold enough samples for a Valid
+// estimate, so the drift alert could never fire. New must refuse it
+// instead of running a detector that is silently off.
+func TestNewRejectsDriftWindowBelowMinimum(t *testing.T) {
+	cal := testCalibration()
+	cal.Window = driftMinSamples - 1
+	if _, err := New(Config{Calibrations: []Calibration{cal}}); err == nil {
+		t.Fatalf("window %d below the %d-sample minimum accepted", cal.Window, driftMinSamples)
+	}
+	cal.Window = driftMinSamples
+	m, err := New(Config{Calibrations: []Calibration{cal}})
+	if err != nil {
+		t.Fatalf("window at the minimum rejected: %v", err)
+	}
+	if err := m.SwapCalibration(Calibration{Antenna: cal.Antenna, Center: cal.Center, Lambda: cal.Lambda, Window: 16}); err == nil {
+		t.Error("swap to a 16-sample window accepted")
+	}
+	d := newDriftEstimator(cal)
+	feedDrift(d, 1000, cal.Offset)
+	if st := d.status(); !st.Valid {
+		t.Errorf("minimum window never validates: %+v", st)
+	}
+}
+
 func TestMonitorDriftAlertEndToEnd(t *testing.T) {
 	cal := testCalibration()
 	m, err := New(Config{
@@ -114,7 +139,6 @@ func TestMonitorDriftAlertEndToEnd(t *testing.T) {
 			Threshold: 0.02, HoldDown: 2 * time.Second, Severity: SevCritical,
 		}},
 		Calibrations: []Calibration{cal},
-		FlightDepth:  -1,
 	})
 	if err != nil {
 		t.Fatal(err)

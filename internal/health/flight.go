@@ -38,8 +38,15 @@ type flightRing struct {
 	touched time.Duration // stream time of the newest record, for eviction
 }
 
+// The monitor's flight recorder keeps flightDepth traces for each of up to
+// flightTags tags.
+const (
+	flightDepth = 8
+	flightTags  = 64
+)
+
 // newFlightRecorder returns a recorder keeping depth traces for up to
-// maxTags tags. Both must be positive; Config.applyDefaults sees to it.
+// maxTags tags. Both must be positive.
 func newFlightRecorder(depth, maxTags int) *flightRecorder {
 	return &flightRecorder{depth: depth, maxTags: maxTags, tags: make(map[string]*flightRing)}
 }

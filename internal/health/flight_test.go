@@ -77,13 +77,9 @@ func TestMonitorFlightIntegration(t *testing.T) {
 			Name: "residual_static", Signal: SignalResidual, Kind: KindStatic,
 			Threshold: 1, HoldDown: time.Second, Severity: SevWarning,
 		}},
-		FlightDepth: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !m.WantsTraces() {
-		t.Fatal("WantsTraces false with recorder enabled")
 	}
 	solve := func(t time.Duration, residual float64, seq uint64) SolveObservation {
 		o := solveAt(t, residual)
@@ -107,9 +103,11 @@ func TestMonitorFlightIntegration(t *testing.T) {
 		t.Errorf("confirming evidence = %+v", last)
 	}
 	// The live recorder keeps rolling past the snapshot.
-	m.ObserveSolve(solve(4*time.Second, 0.1, 4))
-	if got := m.Flight("T1"); len(got) != 4 {
-		t.Errorf("Flight holds %d, want 4", len(got))
+	for seq := uint64(4); seq <= flightDepth+1; seq++ {
+		m.ObserveSolve(solve(time.Duration(seq)*time.Second, 0.1, seq))
+	}
+	if got := m.Flight("T1"); len(got) != flightDepth || got[0].Seq != 2 {
+		t.Errorf("Flight = %+v, want %d records from seq 2", got, flightDepth)
 	}
 	if got := m.FlightTags(); !reflect.DeepEqual(got, []string{"T1"}) {
 		t.Errorf("FlightTags = %v", got)
@@ -121,7 +119,7 @@ func TestMonitorFlightIntegration(t *testing.T) {
 }
 
 func TestMonitorFailedSolveRecordedWithoutTrace(t *testing.T) {
-	m, err := New(Config{FlightDepth: 4})
+	m, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,19 +147,23 @@ func TestTagEvictionTieBreaksBySmallestID(t *testing.T) {
 			t.Fatalf("flight recorder run %d kept %v, want %v", run, got, want)
 		}
 
-		m, err := New(Config{MaxTags: 2, FlightDepth: -1})
+		m, err := New(Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, tag := range []string{"T2", "T1", "T3"} {
+		tags := []string{"T002", "T001"}
+		for i := 3; i <= maxTags+1; i++ {
+			tags = append(tags, fmt.Sprintf("T%03d", i))
+		}
+		for _, tag := range tags {
 			o := solveAt(time.Second, 0.1)
 			o.Tag = tag
 			m.ObserveSolve(o)
 		}
-		for _, tag := range []string{"T1", "T2", "T3"} {
+		for _, tag := range tags {
 			kept := m.Series(tag, SignalResidual) != nil
-			if kept != (tag != "T1") {
-				t.Fatalf("monitor run %d: tag %s kept=%v, want only T1 evicted", run, tag, kept)
+			if kept != (tag != "T001") {
+				t.Fatalf("monitor run %d: tag %s kept=%v, want only T001 evicted", run, tag, kept)
 			}
 		}
 	}

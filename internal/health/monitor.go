@@ -21,27 +21,6 @@ type Config struct {
 	// Samples reported for antennas not listed here are counted for drop
 	// accounting but take no part in drift estimation.
 	Calibrations []Calibration
-	// BaselineWindow is the per-signal rolling window deviation rules take
-	// z-scores over; zero defaults to 128.
-	BaselineWindow int
-	// MinBaseline gates deviation rules until a scope's window holds this
-	// many points; zero defaults to 16.
-	MinBaseline int
-	// RateAlpha smooths the global error- and drop-rate signals; zero
-	// defaults to 0.2.
-	RateAlpha float64
-	// MaxTags bounds the per-tag baseline sessions (least-recently-observed
-	// evicted); zero defaults to 256.
-	MaxTags int
-	// FlightDepth is the per-tag flight-recorder ring size; zero defaults
-	// to 8, negative disables the recorder entirely.
-	FlightDepth int
-	// FlightTags bounds the flight recorder's tag count; zero defaults
-	// to 64.
-	FlightTags int
-	// ResolvedHistory bounds the recently-resolved alert list; zero
-	// defaults to 32.
-	ResolvedHistory int
 	// Registry receives the monitor's lion_health_* metrics. Nil means a
 	// private registry.
 	Registry *obs.Registry
@@ -60,29 +39,16 @@ type Config struct {
 	OnTransition func(Alert)
 }
 
-func (c *Config) applyDefaults() {
-	if c.BaselineWindow <= 0 {
-		c.BaselineWindow = 128
-	}
-	if c.MinBaseline <= 0 {
-		c.MinBaseline = 16
-	}
-	if c.RateAlpha <= 0 {
-		c.RateAlpha = 0.2
-	}
-	if c.MaxTags <= 0 {
-		c.MaxTags = 256
-	}
-	if c.FlightDepth == 0 {
-		c.FlightDepth = 8
-	}
-	if c.FlightTags <= 0 {
-		c.FlightTags = 64
-	}
-	if c.ResolvedHistory <= 0 {
-		c.ResolvedHistory = 32
-	}
-}
+// Fixed monitor sizing. Baselines and rates feed deviation z-scores and
+// rate thresholds; the bounds keep memory flat regardless of tag
+// cardinality or uptime.
+const (
+	baselineWindow  = 128 // per-signal rolling window deviation rules take z-scores over
+	minBaseline     = 16  // window fill before a deviation rule may fire
+	rateAlpha       = 0.2 // EWMA weight of the global error- and drop-rate signals
+	maxTags         = 256 // per-tag baseline sessions, least-recently-observed evicted
+	resolvedHistory = 32  // recently-resolved alerts kept for /v1/alerts
+)
 
 // rate is an EWMA of a [0, 1] indicator stream.
 type rate struct {
@@ -158,7 +124,6 @@ type Monitor struct {
 
 // New validates the configuration and returns a ready monitor.
 func New(cfg Config) (*Monitor, error) {
-	cfg.applyDefaults()
 	rules := cfg.Rules
 	if rules == nil {
 		rules = DefaultRules()
@@ -183,9 +148,10 @@ func New(cfg Config) (*Monitor, error) {
 		tags:     make(map[string]*tagState),
 		drift:    make(map[string]*driftEstimator),
 		active:   make(map[alertKey]*alertState),
-		resolved: stats.NewRing[Alert](cfg.ResolvedHistory),
-		errRate:  rate{alpha: cfg.RateAlpha},
-		dropRate: rate{alpha: cfg.RateAlpha},
+		resolved: stats.NewRing[Alert](resolvedHistory),
+		errRate:  rate{alpha: rateAlpha},
+		dropRate: rate{alpha: rateAlpha},
+		flight:   newFlightRecorder(flightDepth, flightTags),
 
 		reg: reg,
 		evalSeconds: reg.Histogram("lion_health_eval_seconds",
@@ -196,9 +162,6 @@ func New(cfg Config) (*Monitor, error) {
 			"Solve traces recorded by the flight recorder."),
 		firingGauges: make(map[string]*obs.Gauge),
 		driftGauges:  make(map[string]*obs.Gauge),
-	}
-	if cfg.FlightDepth > 0 {
-		m.flight = newFlightRecorder(cfg.FlightDepth, cfg.FlightTags)
 	}
 	trans := reg.CounterVec("lion_health_alert_transitions_total",
 		"Alert state transitions, by entered state (cancelled = pending healed).", "state")
@@ -234,9 +197,6 @@ func New(cfg Config) (*Monitor, error) {
 		return float64(len(m.active))
 	})
 	reg.GaugeFunc("lion_health_flight_traces", "Solve traces retained by the flight recorder.", func() float64 {
-		if m.flight == nil {
-			return 0
-		}
 		return float64(m.flight.Len())
 	})
 	return m, nil
@@ -248,12 +208,6 @@ func (m *Monitor) Registry() *obs.Registry {
 		return nil
 	}
 	return m.reg
-}
-
-// WantsTraces reports whether solve observations should carry tracer events
-// (the flight recorder is enabled). Nil-safe.
-func (m *Monitor) WantsTraces() bool {
-	return m != nil && m.flight != nil
 }
 
 // Rules returns a copy of the monitor's rule set.
@@ -315,7 +269,7 @@ func (m *Monitor) ObserveSolve(o SolveObservation) {
 
 	// Record the trace first so a firing alert's evidence includes the
 	// solve that confirmed it.
-	if m.flight != nil && (len(o.Trace) > 0 || o.Failed) {
+	if len(o.Trace) > 0 || o.Failed {
 		m.flight.Record(TraceRecord{
 			Tag: o.Tag, Seq: o.Seq, Time: o.Time, Window: o.Window,
 			Err: o.Err, Events: o.Trace,
@@ -336,7 +290,7 @@ func (m *Monitor) ObserveSolve(o SolveObservation) {
 				m.transitionLocked(r, scope, o.Tag, v > r.Threshold, v, v, 0, now)
 			case KindDeviation:
 				b := ts.baselines[r.Signal]
-				z, established := b.zscore(v, m.cfg.MinBaseline)
+				z, established := b.zscore(v, minBaseline)
 				m.transitionLocked(r, scope, o.Tag, established && z > r.Threshold, z, v, b.mean(), now)
 			}
 		}
@@ -429,12 +383,12 @@ func bool01(b bool) float64 {
 func (m *Monitor) tagStateLocked(tag string, now time.Duration) *tagState {
 	ts := m.tags[tag]
 	if ts == nil {
-		if len(m.tags) >= m.cfg.MaxTags {
+		if len(m.tags) >= maxTags {
 			evictStalest(m.tags, func(s *tagState) time.Duration { return s.touched })
 		}
 		ts = &tagState{baselines: make(map[Signal]*baseline, len(perTagSignals))}
 		for _, sig := range perTagSignals {
-			ts.baselines[sig] = newBaseline(m.cfg.BaselineWindow)
+			ts.baselines[sig] = newBaseline(baselineWindow)
 		}
 		m.tags[tag] = ts
 	}
@@ -464,9 +418,7 @@ func (m *Monitor) transitionLocked(r Rule, scope, evidenceTag string, violating 
 		if st.State == StatePending && now-st.StartedAt >= r.HoldDown {
 			st.State = StateFiring
 			st.FiredAt = now
-			if m.flight != nil {
-				st.Evidence = m.flight.Tag(evidenceTag)
-			}
+			st.Evidence = m.flight.Tag(evidenceTag)
 			m.firingGauges[r.Name].Add(1)
 			m.transFiring.Inc()
 			m.cfg.Logger.Warn("alert firing",
@@ -631,7 +583,7 @@ func (m *Monitor) Series(tag string, sig Signal) []float64 {
 
 // Flight returns the tag's retained solve traces, oldest first. Nil-safe.
 func (m *Monitor) Flight(tag string) []TraceRecord {
-	if m == nil || m.flight == nil {
+	if m == nil {
 		return nil
 	}
 	return m.flight.Tag(tag)
@@ -639,7 +591,7 @@ func (m *Monitor) Flight(tag string) []TraceRecord {
 
 // FlightTags returns the tags with retained traces, sorted. Nil-safe.
 func (m *Monitor) FlightTags() []string {
-	if m == nil || m.flight == nil {
+	if m == nil {
 		return nil
 	}
 	return m.flight.Tags()

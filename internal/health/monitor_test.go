@@ -1,6 +1,7 @@
 package health
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -47,7 +48,6 @@ func TestMonitorMetricsExposition(t *testing.T) {
 		}},
 		Calibrations: []Calibration{testCalibration()},
 		Registry:     reg,
-		FlightDepth:  4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,6 @@ func TestAlertsOrdering(t *testing.T) {
 			{Name: "condition_static", Signal: SignalCondition, Kind: KindStatic,
 				Threshold: 100, HoldDown: time.Hour, Severity: SevWarning},
 		},
-		FlightDepth: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,15 +126,18 @@ func TestAlertsOrdering(t *testing.T) {
 }
 
 func TestMonitorSeries(t *testing.T) {
-	m, err := New(Config{BaselineWindow: 4, FlightDepth: -1})
+	m, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 6; i++ {
+	for i := 1; i <= baselineWindow+1; i++ {
 		m.ObserveSolve(solveAt(time.Duration(i)*time.Second, float64(i)))
 	}
 	got := m.Series("T1", SignalResidual)
-	want := []float64{3, 4, 5, 6}
+	var want []float64
+	for v := 2; v <= baselineWindow+1; v++ {
+		want = append(want, float64(v))
+	}
 	if len(got) != len(want) {
 		t.Fatalf("Series = %v, want %v", got, want)
 	}
@@ -153,22 +155,22 @@ func TestMonitorSeries(t *testing.T) {
 }
 
 func TestMonitorTagEviction(t *testing.T) {
-	m, err := New(Config{MaxTags: 4, FlightDepth: -1})
+	m, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
+	for i := 0; i <= maxTags; i++ {
 		o := solveAt(time.Duration(i+1)*time.Second, 0.1)
-		o.Tag = string(rune('A' + i))
+		o.Tag = fmt.Sprintf("T%03d", i)
 		m.ObserveSolve(o)
 	}
-	if got := len(m.tags); got != 4 {
-		t.Errorf("tag sessions = %d, want bound 4", got)
+	if got := len(m.tags); got != maxTags {
+		t.Errorf("tag sessions = %d, want bound %d", got, maxTags)
 	}
-	if m.Series("A", SignalResidual) != nil {
+	if m.Series("T000", SignalResidual) != nil {
 		t.Error("evicted tag still has baselines")
 	}
-	if m.Series("J", SignalResidual) == nil {
+	if m.Series(fmt.Sprintf("T%03d", maxTags), SignalResidual) == nil {
 		t.Error("newest tag missing baselines")
 	}
 }
@@ -179,8 +181,6 @@ func TestDropRateSignal(t *testing.T) {
 			Name: "stream_drops", Signal: SignalDropRate, Kind: KindStatic,
 			Threshold: 0.25, HoldDown: 0, Severity: SevWarning,
 		}},
-		RateAlpha:   0.99, // follow the instantaneous ratio almost exactly
-		FlightDepth: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -203,6 +203,11 @@ func TestDropRateSignal(t *testing.T) {
 	if a.Value < 0.25 {
 		t.Errorf("drop alert value = %v, want > 0.25", a.Value)
 	}
+	// The first rate observation seeds the EWMA; the tick after it saw no
+	// new samples, so the value is still the instantaneous ratio.
+	if a.Value != 0.9 {
+		t.Errorf("drop alert value = %v, want the seeded ratio 0.9", a.Value)
+	}
 }
 
 func TestErrorRateSignal(t *testing.T) {
@@ -211,8 +216,6 @@ func TestErrorRateSignal(t *testing.T) {
 			Name: "solve_errors", Signal: SignalErrorRate, Kind: KindStatic,
 			Threshold: 0.5, HoldDown: 0, Severity: SevCritical,
 		}},
-		RateAlpha:   0.5,
-		FlightDepth: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,15 +227,23 @@ func TestErrorRateSignal(t *testing.T) {
 	m.ObserveSolve(fail)
 	fail.Time = 3 * time.Second
 	m.ObserveSolve(fail)
-	if findAlert(m.Alerts(), "solve_errors", StateFiring) == nil {
+	if a := findAlert(m.Alerts(), "solve_errors", StateFiring); a == nil {
 		t.Fatalf("no firing error-rate alert: %+v", m.Alerts())
+	} else if a.Value != 1 {
+		t.Errorf("error rate after three failures = %v, want 1", a.Value)
 	}
-	// Recovery: healthy solves pull the EWMA back under threshold.
+	// Recovery: healthy solves pull the EWMA back under threshold. At
+	// α = 0.2 it reads 0.8, 0.64, 0.512, then 0.4096 — the fourth healthy
+	// solve resolves the alert, which keeps the last violating value.
 	for i := 4; i < 12; i++ {
 		m.ObserveSolve(solveAt(time.Duration(i)*time.Second, 0.1))
 	}
-	if findAlert(m.Alerts(), "solve_errors", StateResolved) == nil {
+	a := findAlert(m.Alerts(), "solve_errors", StateResolved)
+	if a == nil {
 		t.Fatalf("error-rate alert did not resolve: %+v", m.Alerts())
+	}
+	if math.Abs(a.Value-0.512) > 1e-12 || a.ResolvedAt != 7*time.Second {
+		t.Errorf("resolved at %v with value %v, want 7s and 0.512", a.ResolvedAt, a.Value)
 	}
 }
 

@@ -17,7 +17,6 @@ func TestNilMonitorZeroOverhead(t *testing.T) {
 		m.ObserveSample("A1", time.Second, pos, 1.0)
 		m.ObserveDrop(time.Second)
 		m.ObserveSolve(o)
-		_ = m.WantsTraces()
 		_ = m.CriticalFiring()
 	})
 	if allocs != 0 {
@@ -26,7 +25,7 @@ func TestNilMonitorZeroOverhead(t *testing.T) {
 }
 
 func BenchmarkObserveSampleMonitored(b *testing.B) {
-	m, err := New(Config{Calibrations: []Calibration{testCalibration()}, FlightDepth: -1})
+	m, err := New(Config{Calibrations: []Calibration{testCalibration()}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -39,7 +38,7 @@ func BenchmarkObserveSampleMonitored(b *testing.B) {
 }
 
 func BenchmarkObserveSolveMonitored(b *testing.B) {
-	m, err := New(Config{Calibrations: []Calibration{testCalibration()}, FlightDepth: -1})
+	m, err := New(Config{Calibrations: []Calibration{testCalibration()}})
 	if err != nil {
 		b.Fatal(err)
 	}

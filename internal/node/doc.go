@@ -3,14 +3,14 @@
 // them over HTTP until its context ends, then drains. cmd/liond wraps Run
 // with a logger, the signal context and the exit code; lionroute's router
 // (internal/cluster) sits in front of several nodes and imports this package
-// for the node↔router protocol — the Readiness document and its statuses
-// and the MaxBody bound. The other protocol pieces live in internal/obs:
+// for the node↔router protocol — the Readiness document and its statuses,
+// DecodeIngest and the MaxBody bound. The other protocol pieces live in internal/obs:
 // obs.Quantiles (one /v1/slo dimension), obs.WriteJSON/obs.WriteError, and
 // the /debug/pipespans handler obs.SpanLog.
 //
 // Endpoints:
 //
-//	POST /v1/samples               NDJSON lines or {"samples":[...]}
+//	POST /v1/samples               NDJSON lines, {"samples":[...]} or binary wire frames
 //	GET  /v1/tags                  known tag ids
 //	GET  /v1/tags/{id}/estimate    latest estimate for one tag
 //	GET  /v1/alerts                health alerts + per-antenna drift status

@@ -14,7 +14,6 @@ import (
 	"github.com/rfid-lion/lion/internal/obs"
 	"github.com/rfid-lion/lion/internal/rf"
 	"github.com/rfid-lion/lion/internal/stream"
-	"github.com/rfid-lion/lion/internal/wire"
 )
 
 // config is one node's settings, parsed from liond's command line.
@@ -24,7 +23,6 @@ type config struct {
 	drain   time.Duration
 	cfg     stream.Config
 	monitor bool
-	wire    bool
 	health  health.Config
 
 	// traceSample samples 1 in N locally-originated ingest batches for
@@ -69,9 +67,8 @@ func parseFlags(args []string) (*config, error) {
 		timeout = fs.Duration("solve-timeout", 0, "per-window solve timeout (0 = none)")
 		drain   = fs.Duration("drain", 10*time.Second, "shutdown drain timeout")
 		monitor = fs.Bool("monitor", true,
-			"run the solve-health monitor (alerts, /v1/alerts, flight recorder behind /debug/flight and /debug/trace)")
-		wireOK = fs.Bool("wire", true,
-			"accept binary wire frames (Content-Type "+wire.ContentType+") on POST /v1/samples")
+			"run the solve-health monitor (alerts, /v1/alerts) and trace every window solve "+
+				"into its flight recorder (/debug/flight, /debug/trace)")
 		antenna = fs.String("antenna", "A1",
 			"antenna id this daemon ingests for (alert scope and drift gauge label)")
 		calCenter = fs.String("cal-center", "",
@@ -190,7 +187,6 @@ func parseFlags(args []string) (*config, error) {
 		addr:    *addr,
 		drain:   *drain,
 		monitor: *monitor,
-		wire:    *wireOK,
 		health:  hcfg,
 
 		traceSample: *traceSample,

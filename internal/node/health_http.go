@@ -106,10 +106,6 @@ type Readiness struct {
 	// StatusCriticalAlert on a 503. lionroute parks a shard reporting
 	// either 503 status query-only instead of ejecting it.
 	Status string `json:"status"`
-	// WireTrace advertises that POST /v1/samples decodes the FlagTrace wire
-	// extension. lionroute only puts trace extensions on the wire to shards
-	// that set it, so old decoders never see flagged frames.
-	WireTrace bool `json:"wire_trace,omitempty"`
 }
 
 // The /readyz status values.
@@ -129,7 +125,7 @@ func (s *server) readiness() (Readiness, bool) {
 	case s.mon.CriticalFiring():
 		return Readiness{Status: StatusCriticalAlert}, false
 	}
-	return Readiness{Status: StatusReady, WireTrace: s.wireTrace}, true
+	return Readiness{Status: StatusReady}, true
 }
 
 func (s *server) handleReady(w http.ResponseWriter, r *http.Request) {

@@ -332,4 +332,7 @@ func TestParseFlagsHealth(t *testing.T) {
 	if len(cfg.health.Calibrations) != 0 {
 		t.Errorf("calibrations without -cal-center: %+v", cfg.health.Calibrations)
 	}
+	// A drift window below the estimator's 32-sample minimum could never
+	// yield a valid drift estimate, so the alert could never fire.
+	pipelineRejects(t, "-cal-center", "0,0.8,0", "-drift-window", "16")
 }

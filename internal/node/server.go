@@ -82,8 +82,7 @@ func buildPipeline(cfg *config) (*stream.Engine, *health.Monitor, *recal.Control
 	cfg.cfg.Monitor = mon
 	// The span log is always wired in: recording is gated per batch by the
 	// trace context, so an untraced steady state pays nothing for it, and a
-	// router that negotiated the wire trace extension can light it up without
-	// any local flag.
+	// router's traced wire frames light it up without any local flag.
 	cfg.cfg.Spans = obs.NewSpanLog("liond", 0)
 	eng, err := stream.New(cfg.cfg)
 	if err != nil {
@@ -157,16 +156,13 @@ type server struct {
 	eng      *stream.Engine
 	mon      *health.Monitor   // nil when -monitor=false
 	ctrl     *recal.Controller // nil without -recal
-	codecs   []dataset.Codec   // ingest codecs; first is the fallback (NDJSON)
 	start    time.Time
 	draining atomic.Bool
 
-	// Pipeline tracing: the engine's span ring, the local 1-in-N sampler
-	// (nil without -trace-sample), and whether /readyz advertises FlagTrace
-	// decode capability to lionroute.
+	// Pipeline tracing: the engine's span ring and the local 1-in-N sampler
+	// (nil without -trace-sample).
 	spans        *obs.SpanLog
 	sampler      *obs.Sampler
-	wireTrace    bool
 	ingestDecode *obs.Histogram
 	ingestReq    *obs.Histogram
 }
@@ -174,15 +170,10 @@ type server struct {
 func newServer(eng *stream.Engine, mon *health.Monitor, ctrl *recal.Controller, cfg *config) *server {
 	s := &server{
 		eng: eng, mon: mon, ctrl: ctrl, start: time.Now(),
-		spans:     cfg.cfg.Spans,
-		wireTrace: cfg.wire,
+		spans: cfg.cfg.Spans,
 	}
 	if cfg.traceSample > 0 {
 		s.sampler = obs.NewSampler(cfg.traceSample, uint64(s.start.UnixNano()))
-	}
-	s.codecs = []dataset.Codec{dataset.NDJSON{}}
-	if cfg.wire {
-		s.codecs = append(s.codecs, wire.Codec{})
 	}
 	s.ingestDecode = eng.Registry().Histogram("lion_ingest_decode_seconds",
 		"Time decoding one POST /v1/samples body, wire or NDJSON.", obs.DefBuckets)
@@ -218,13 +209,18 @@ func (s *server) routes() http.Handler {
 	return mux
 }
 
+// ingestCodecs are the POST /v1/samples codecs of both node and router:
+// NDJSON first so it is the fallback for curl-style clients, wire matched
+// exactly by content type.
+var ingestCodecs = []dataset.Codec{dataset.NDJSON{}, wire.Codec{}}
+
 // DecodeIngest reads one POST /v1/samples body, at a node or at the router:
-// the Content-Type picks the codec among codecs (the first is the fallback),
-// the body is bounded by MaxBody, and a wire body's trace extension, if any,
-// is returned with the samples.
-func DecodeIngest(w http.ResponseWriter, r *http.Request, codecs []dataset.Codec) ([]dataset.TaggedSample, *wire.Ext, error) {
+// the Content-Type picks the codec among ingestCodecs, the body is bounded
+// by MaxBody, and a wire body's trace extension, if any, is returned with
+// the samples.
+func DecodeIngest(w http.ResponseWriter, r *http.Request) ([]dataset.TaggedSample, *wire.Ext, error) {
 	body := http.MaxBytesReader(w, r.Body, MaxBody)
-	codec := dataset.SelectCodec(codecs, r.Header.Get("Content-Type"))
+	codec := dataset.SelectCodec(ingestCodecs, r.Header.Get("Content-Type"))
 	if _, isWire := codec.(wire.Codec); isWire {
 		return wire.DecodeIngestExt(body)
 	}
@@ -238,7 +234,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// generator's client-observed ingest latency (error paths included,
 	// since the client's clock cannot tell them apart).
 	defer func() { s.ingestReq.Observe(time.Since(recv).Seconds()) }()
-	samples, ext, err := DecodeIngest(w, r, s.codecs)
+	samples, ext, err := DecodeIngest(w, r)
 	decodeTook := time.Since(recv)
 	if err != nil {
 		obs.WriteError(w, http.StatusBadRequest, err)

@@ -235,6 +235,25 @@ func TestParseFlagsRejectsBadSolver(t *testing.T) {
 	if _, err := parseFlags([]string{"-solver", "line", "-intervals", ""}); err == nil {
 		t.Error("line solver with no intervals accepted")
 	}
+	// A -min above -window (256) parses, but no window could ever reach
+	// the solve threshold: the pipeline must refuse it.
+	pipelineRejects(t, "-min", "300")
+}
+
+// pipelineRejects asserts that liond's command line args parses but
+// buildPipeline refuses it.
+func pipelineRejects(t *testing.T, args ...string) {
+	t.Helper()
+	cfg, err := parseFlags(args)
+	if err != nil {
+		t.Fatalf("parse %v: %v", args, err)
+	}
+	eng, _, ctrl, err := buildPipeline(cfg)
+	if err == nil {
+		ctrl.Close()
+		eng.Close(context.Background())
+		t.Errorf("pipeline built for %v, want an error", args)
+	}
 }
 
 func TestParseFlagsIncremental(t *testing.T) {

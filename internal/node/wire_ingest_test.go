@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -106,29 +105,5 @@ func TestIngestWireCodec(t *testing.T) {
 	}
 	if ea.Solution == nil || eb.Solution == nil || ea.Solution.Position != eb.Solution.Position {
 		t.Fatalf("positions diverge: %+v vs %+v", ea.Solution, eb.Solution)
-	}
-
-	// A wire body posted to a daemon started with -wire=false must fail
-	// cleanly (falls back to the NDJSON parser, which rejects the binary).
-	cfg, err := parseFlags([]string{"-intervals", "0.1", "-wire=false"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, mon, ctrl, err := buildPipeline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvNoWire := newServer(eng, mon, ctrl, cfg)
-	defer eng.Close(context.Background())
-	var again bytes.Buffer
-	if err := (wire.Codec{}).Encode(&again, tagged); err != nil {
-		t.Fatal(err)
-	}
-	req, _ := http.NewRequest("POST", "/v1/samples", &again)
-	req.Header.Set("Content-Type", wire.ContentType)
-	rec := httptest.NewRecorder()
-	srvNoWire.routes().ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("-wire=false wire ingest: status %d, want 400", rec.Code)
 	}
 }

@@ -101,16 +101,10 @@ type Config struct {
 	Antenna string
 	// Lambda is the carrier wavelength, metres. Required.
 	Lambda float64
-	// Rule is the alert rule name that triggers recalibration; empty
-	// defaults to "calibration_drift".
-	Rule string
 	// Margin is the required relative improvement of the held-out residual
 	// before a candidate is accepted: candRMS ≤ (1−Margin)·activeRMS.
 	// Zero defaults to 0.05; it may be set negative-free only in [0, 1).
 	Margin float64
-	// HoldoutEvery holds out every Nth evidence sample for validation
-	// (the re-solve never sees them). Zero defaults to 4.
-	HoldoutEvery int
 	// MinSamples is the minimum evidence window length for a re-solve;
 	// zero defaults to 64.
 	MinSamples int
@@ -120,8 +114,6 @@ type Config struct {
 	// PositiveSide places the antenna on the positive side of the scan
 	// line, as in the offline pipeline.
 	PositiveSide bool
-	// History bounds the audit log; zero defaults to 32.
-	History int
 	// Registry receives the lion_recal_* metrics. Nil means a private
 	// registry.
 	Registry *obs.Registry
@@ -129,25 +121,14 @@ type Config struct {
 	Logger *obs.Logger
 }
 
-func (c Config) rule() string {
-	if c.Rule == "" {
-		return "calibration_drift"
-	}
-	return c.Rule
-}
+// triggerRule is the alert rule whose firing triggers a recalibration.
+const triggerRule = "calibration_drift"
 
 func (c Config) margin() float64 {
 	if c.Margin == 0 {
 		return 0.05
 	}
 	return c.Margin
-}
-
-func (c Config) holdoutEvery() int {
-	if c.HoldoutEvery <= 1 {
-		return 4
-	}
-	return c.HoldoutEvery
 }
 
 func (c Config) minSamples() int {
@@ -157,12 +138,8 @@ func (c Config) minSamples() int {
 	return c.MinSamples
 }
 
-func (c Config) history() int {
-	if c.History <= 0 {
-		return 32
-	}
-	return c.History
-}
+// auditHistory bounds the audit log.
+const auditHistory = 32
 
 // probation tracks a swap that has not yet proven itself: it clears when
 // the drift alert resolves, and enables rollback while it lasts.
@@ -231,7 +208,7 @@ func New(cfg Config) (*Controller, error) {
 	}
 	c := &Controller{
 		cfg:     cfg,
-		history: stats.NewRing[Event](cfg.history()),
+		history: stats.NewRing[Event](auditHistory),
 		trigCh:  make(chan request, 1),
 		stopCh:  make(chan struct{}),
 		runs:    make(map[Outcome]*obs.Counter, 4),
@@ -260,7 +237,7 @@ func New(cfg Config) (*Controller, error) {
 // queued run always re-reads fresh evidence, so back-to-back transitions
 // collapse into one run); a resolving one ends the post-swap probation.
 func (c *Controller) OnTransition(a health.Alert) {
-	if a.Rule != c.cfg.rule() || a.Scope != "antenna:"+c.cfg.Antenna {
+	if a.Rule != triggerRule || a.Scope != "antenna:"+c.cfg.Antenna {
 		return
 	}
 	switch a.State {
@@ -361,11 +338,15 @@ func (c *Controller) evidence(hint string) (tag string, samples []stream.Sample)
 	return tag, samples
 }
 
+// holdoutEvery is the evidence stride held out for validation: the re-solve
+// never sees every fourth sample.
+const holdoutEvery = 4
+
 // split partitions evidence deterministically: every holdoutEvery-th sample
 // is held out for validation, the rest train the re-solve.
-func split(samples []stream.Sample, every int) (trainPos []geom.Vec3, trainPh []float64, holdPos []geom.Vec3, holdPh []float64) {
+func split(samples []stream.Sample) (trainPos []geom.Vec3, trainPh []float64, holdPos []geom.Vec3, holdPh []float64) {
 	for i, s := range samples {
-		if i%every == every-1 {
+		if i%holdoutEvery == holdoutEvery-1 {
 			holdPos = append(holdPos, s.Pos)
 			holdPh = append(holdPh, s.Phase)
 		} else {
@@ -407,7 +388,7 @@ func (c *Controller) run(req request) Event {
 		return ev
 	}
 
-	trainPos, trainPh, holdPos, holdPh := split(samples, c.cfg.holdoutEvery())
+	trainPos, trainPh, holdPos, holdPh := split(samples)
 	activeRMS := calib.OffsetResidualRMS(holdPos, holdPh, active.Center, active.Offset, c.cfg.Lambda)
 	ev.OldRMS = activeRMS
 

@@ -51,9 +51,8 @@ func newLoopRig(t *testing.T, antenna geom.Vec3, lambda, calOffset float64, rule
 		Rules: rules,
 		Calibrations: []health.Calibration{{
 			Antenna: "A1", Center: antenna, Offset: calOffset, Lambda: lambda,
-			Window: 64, MinSamples: 32,
+			Window: 64,
 		}},
-		FlightDepth: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +362,6 @@ func TestControllerValidation(t *testing.T) {
 	lambda := rf.DefaultBand().Wavelength()
 	mon, err := health.New(health.Config{
 		Calibrations: []health.Calibration{{Antenna: "A1", Center: antenna, Offset: 1, Lambda: lambda}},
-		FlightDepth:  -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -418,7 +416,6 @@ func TestControllerRaceStress(t *testing.T) {
 
 	rig := newLoopRig(t, antenna, lambda, calOffset, []health.Rule{}, Config{
 		MinSamples: 64,
-		History:    8,
 	})
 
 	var wg sync.WaitGroup
@@ -481,9 +478,10 @@ func TestControllerRaceStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// 2×25 manual triggers plus the drain run overflow the audit ring.
 	hist := rig.ctrl.History()
-	if len(hist) == 0 || len(hist) > 8 {
-		t.Fatalf("history length %d, want 1..8", len(hist))
+	if len(hist) == 0 || len(hist) > auditHistory {
+		t.Fatalf("history length %d, want 1..%d", len(hist), auditHistory)
 	}
 	for i := 1; i < len(hist); i++ {
 		if hist[i-1].Seq <= hist[i].Seq {

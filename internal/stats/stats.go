@@ -155,9 +155,6 @@ func PercentileSorted(sorted []float64, p float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
-// Median returns the 50th percentile.
-func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
-
 // Summary bundles the descriptive statistics the experiment tables report.
 type Summary struct {
 	N      int
@@ -180,7 +177,7 @@ func Summarize(xs []float64) (Summary, error) {
 	mn, _ := Min(xs)
 	mx, _ := Max(xs)
 	p25, _ := Percentile(xs, 25)
-	med, _ := Median(xs)
+	med, _ := Percentile(xs, 50)
 	p75, _ := Percentile(xs, 75)
 	p90, _ := Percentile(xs, 90)
 	return Summary{

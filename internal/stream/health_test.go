@@ -51,7 +51,7 @@ func TestDriftAlertEndToEnd(t *testing.T) {
 		}},
 		Calibrations: []health.Calibration{{
 			Antenna: "A1", Center: antenna, Offset: calOffset, Lambda: lambda,
-			Window: 64, MinSamples: 32,
+			Window: 64,
 		}},
 	})
 	if err != nil {
@@ -179,8 +179,6 @@ func TestMonitorDropAccounting(t *testing.T) {
 			Name: "stream_drops", Signal: health.SignalDropRate, Kind: health.KindStatic,
 			Threshold: 0.25, HoldDown: 0, Severity: health.SevWarning,
 		}},
-		RateAlpha:   0.99,
-		FlightDepth: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -221,8 +219,6 @@ func TestMonitorDropAccounting(t *testing.T) {
 			Name: "stream_drops", Signal: health.SignalDropRate, Kind: health.KindStatic,
 			Threshold: 0.25, HoldDown: 0, Severity: health.SevWarning,
 		}},
-		RateAlpha:   0.99,
-		FlightDepth: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -46,9 +46,9 @@ type Sample struct {
 // Solvers must be pure functions of their input: the streamed-equals-offline
 // guarantee relies on it. The window is engine storage, valid only for the
 // call; a solver must not retain it, and the Solution it returns must not
-// alias it. The tracer is nil unless the engine's Monitor runs a flight
-// recorder (or an offline caller passes one); solvers forward it into
-// core.SolveOptions so per-iteration solver events reach the trace.
+// alias it. The tracer is nil unless the engine has a Monitor (whose flight
+// recorder keeps the trace) or an offline caller passes one; solvers forward
+// it into core.SolveOptions so per-iteration solver events reach the trace.
 type Solver func(win []core.PosPhase, tr *obs.Tracer) (*core.Solution, error)
 
 // SessionSolver is the stateful per-tag counterpart of Solver: it receives
@@ -86,6 +86,7 @@ type Config struct {
 	WindowSpan time.Duration
 	// MinSamples is the minimum window length before solves trigger.
 	// Zero defaults to 4 (the smallest window core.Locate2DLine accepts).
+	// It must not exceed WindowSize, or no window could ever solve.
 	MinSamples int
 	// SolveEvery triggers a solve after this many accepted samples since the
 	// last snapshot. Zero defaults to 1 (solve on every sample).
@@ -99,9 +100,6 @@ type Config struct {
 	Workers int
 	// JobTimeout, when positive, bounds each window solve.
 	JobTimeout time.Duration
-	// SubBuffer is the per-subscriber channel depth; zero defaults to 64.
-	// Slow subscribers lose estimates (counted), they never block solves.
-	SubBuffer int
 	// Solver produces estimates from window snapshots. Required unless
 	// SolverFactory is set.
 	Solver Solver
@@ -122,11 +120,10 @@ type Config struct {
 	// private registry, still reachable through Engine.Registry().
 	Registry *obs.Registry
 	// Monitor, when non-nil, receives a health hook on every accepted
-	// sample, every drop, and every completed window solve. Nil keeps the
-	// solve path monitor-free at zero cost (one nil check). When the
-	// monitor runs a flight recorder (Monitor.WantsTraces), every window
-	// solve gets a fresh obs.Tracer and its events go to the recorder;
-	// otherwise solvers see a nil tracer, which costs nothing.
+	// sample, every drop, and every completed window solve, and every
+	// window solve gets a fresh obs.Tracer whose events go to the
+	// monitor's flight recorder. Nil keeps the solve path monitor-free at
+	// zero cost: one nil check, and solvers see a nil tracer.
 	Monitor *health.Monitor
 	// Antenna labels this engine's samples for the monitor's per-antenna
 	// drift detector. Single-reader deployments run one engine per antenna;
@@ -159,12 +156,9 @@ func (c Config) solveEvery() int {
 	return c.SolveEvery
 }
 
-func (c Config) subBuffer() int {
-	if c.SubBuffer <= 0 {
-		return 64
-	}
-	return c.SubBuffer
-}
+// subBuffer is the per-subscriber channel depth. Slow subscribers lose
+// estimates (counted), they never block solves.
+const subBuffer = 64
 
 // Estimate is one published localization result.
 type Estimate struct {
@@ -210,11 +204,8 @@ type Metrics struct {
 
 // Engine ingests per-tag sample streams and publishes estimates.
 type Engine struct {
-	cfg Config
-	// traceSolves caches Monitor.WantsTraces(): the flight recorder is the
-	// only consumer of solve traces.
-	traceSolves bool
-	pool        *batch.Pool
+	cfg  Config
+	pool *batch.Pool
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -340,16 +331,19 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.WindowSpan < 0 {
 		return nil, fmt.Errorf("%w: window span %v must not be negative", ErrBadConfig, cfg.WindowSpan)
 	}
+	if cfg.minSamples() > cfg.WindowSize {
+		return nil, fmt.Errorf("%w: min samples %d exceeds window size %d (no window could ever solve)",
+			ErrBadConfig, cfg.minSamples(), cfg.WindowSize)
+	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	e := &Engine{
-		cfg:         cfg,
-		traceSolves: cfg.Monitor.WantsTraces(),
-		pool:        batch.NewPool(batch.Options{Workers: cfg.Workers, JobTimeout: cfg.JobTimeout, Registry: reg}),
-		sessions:    make(map[string]*session),
-		subs:        make(map[int]chan Estimate),
+		cfg:      cfg,
+		pool:     batch.NewPool(batch.Options{Workers: cfg.Workers, JobTimeout: cfg.JobTimeout, Registry: reg}),
+		sessions: make(map[string]*session),
+		subs:     make(map[int]chan Estimate),
 
 		reg:         reg,
 		ingested:    reg.Counter("lion_stream_ingested_total", "Samples accepted into a window."),
@@ -625,7 +619,7 @@ func (e *Engine) Subscribe() (<-chan Estimate, func()) {
 	defer e.mu.Unlock()
 	id := e.nextSub
 	e.nextSub++
-	ch := make(chan Estimate, e.cfg.subBuffer())
+	ch := make(chan Estimate, subBuffer)
 	e.subs[id] = ch
 	cancel := func() {
 		e.mu.Lock()
@@ -779,7 +773,7 @@ func (snap *snapshot) solve(ctx context.Context) (any, error) {
 	}
 	e := snap.e
 	var tr *obs.Tracer
-	if e.traceSolves {
+	if e.cfg.Monitor != nil {
 		tr = obs.NewTracer()
 	}
 	snap.applyProfile()

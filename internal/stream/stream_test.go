@@ -441,6 +441,34 @@ func TestBadConfigs(t *testing.T) {
 	}
 }
 
+// TestMinSamplesAboveWindowRejected: a window never holds more than
+// WindowSize samples, so MinSamples above it (explicit, or the default 4
+// against a smaller window) means no solve could ever run. New must refuse
+// it rather than build an engine that never publishes.
+func TestMinSamplesAboveWindowRejected(t *testing.T) {
+	solver := func([]core.PosPhase, *lionobs.Tracer) (*core.Solution, error) {
+		return &core.Solution{}, nil
+	}
+	for _, cfg := range []Config{
+		{WindowSize: 8, MinSamples: 16, Solver: solver},
+		{WindowSize: 256, MinSamples: 300, Solver: solver},
+		{WindowSize: 3, Solver: solver},
+	} {
+		if e, err := New(cfg); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("window %d, min samples %d: err = %v, want ErrBadConfig",
+				cfg.WindowSize, cfg.MinSamples, err)
+			if err == nil {
+				e.Close(context.Background())
+			}
+		}
+	}
+	e, err := New(Config{WindowSize: 8, MinSamples: 8, Solver: solver})
+	if err != nil {
+		t.Fatalf("min samples equal to the window rejected: %v", err)
+	}
+	e.Close(context.Background())
+}
+
 func toStream(trace []sim.Sample) []Sample {
 	out := make([]Sample, len(trace))
 	for i, s := range trace {

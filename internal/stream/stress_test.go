@@ -174,7 +174,7 @@ func TestStressSlowSubscriberNeverBlocksSolves(t *testing.T) {
 	}
 	e, err := New(Config{
 		WindowSize: 8, MinSamples: 1, SolveEvery: 1, Workers: 2,
-		SubBuffer: 2, Solver: solver,
+		Solver: solver,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestStressSlowSubscriberNeverBlocksSolves(t *testing.T) {
 	// Flush after each ingest so every sample completes a solve — otherwise
 	// coalescing collapses the burst into too few estimates to overflow the
 	// subscriber buffer.
-	for i := range 20 {
+	for i := range subBuffer + 36 {
 		if err := e.Ingest("T1", Sample{Pos: geom.V3(float64(i), 0, 0), Phase: 1}); err != nil {
 			t.Fatal(err)
 		}

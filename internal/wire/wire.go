@@ -91,10 +91,10 @@ const (
 // It is the only defined flag bit; frames with any other bit set are corrupt.
 //
 // Compatibility: decoders predating this flag reject flagged frames
-// (non-zero flags were ErrCorrupt in the original version 1), so senders must
-// negotiate — lionroute only flags frames for shards whose /readyz advertises
-// "wire_trace": true, and plain frames remain byte-identical to the original
-// layout.
+// (non-zero flags were ErrCorrupt in the original version 1). lionroute flags
+// every sampled batch it forwards, so a cluster needs shards whose liond
+// decodes FlagTrace, which every liond built with pipeline tracing does.
+// Plain frames remain byte-identical to the original layout.
 const FlagTrace byte = 0x01
 
 // flagMask is the union of all defined flag bits.
@@ -426,8 +426,8 @@ func (wr *Writer) WriteBatch(samples []dataset.TaggedSample) error {
 
 // WriteBatchExt is WriteBatch with an optional trace extension: a non-nil ext
 // is carried on every emitted frame (a split batch stays one traced unit). A
-// nil ext emits plain frames. Send flagged frames only to decoders that
-// negotiated FlagTrace support.
+// nil ext emits plain frames. Only decoders that know FlagTrace accept
+// flagged frames.
 func (wr *Writer) WriteBatchExt(samples []dataset.TaggedSample, ext *Ext) error {
 	var flags byte
 	if ext != nil {

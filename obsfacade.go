@@ -10,8 +10,8 @@ import (
 // structured logger behind liond's /metrics and /debug/trace endpoints.
 // Attach a Tracer through SolveOptions.Trace to record per-IRWLS-iteration
 // and per-candidate solver events; a nil Tracer is free on the hot path. A
-// StreamEngine traces its window solves when its HealthMonitor runs a flight
-// recorder.
+// StreamEngine with a HealthMonitor traces every window solve into the
+// monitor's flight recorder.
 type (
 	// Registry is a central metrics registry with Prometheus exposition.
 	Registry = obs.Registry

@@ -23,7 +23,7 @@ func TestRecalFacadeClosedLoop(t *testing.T) {
 		Rules: []lion.HealthRule{}, // manual triggers only
 		Calibrations: []lion.HealthCalibration{{
 			Antenna: "A1", Center: antenna, Offset: staleOffset, Lambda: lambda,
-			Window: 64, MinSamples: 32,
+			Window: 64,
 		}},
 	})
 	if err != nil {
