@@ -44,8 +44,8 @@ func benchObs(lambda float64) []core.PosPhase {
 
 // benchStream extends benchObs to a longer march for the sliding-window
 // benchmarks: n reads from x = −1.2 m to +1.2 m at the same height and noise.
-// PhaseOfDistance is already unwrapped, so consecutive windows of the slice
-// are phase-coherent and the incremental session can slide.
+// PhaseOfDistance is already unwrapped, so every window of the slice is a
+// valid unwrapped profile.
 func benchStream(lambda float64, n int) []core.PosPhase {
 	ant := geom.V3(0, 0.9, 0.4)
 	rng := stats.NewRNG(13)
@@ -140,12 +140,10 @@ func benchSuite() []struct {
 		}},
 		{"stream_resolve_incremental", func(b *testing.B) {
 			// One slid window per op through a warm core.LineSession: the
-			// per-re-solve cost of the incremental linear path (rank-1
-			// update/downdate plus the 2×2 normal solve), with the periodic
-			// rebuild amortised in. Unweighted on purpose — IRLS refinement
-			// re-solves the full weighted system every iteration, which is
-			// inherently O(window) and measured by stream_engine_resolve.
-			// Target: <10 µs, 0 allocs.
+			// per-re-solve cost of the stream engine's line solve, which
+			// builds each window's system on the session's own workspace.
+			// Unweighted, so IRLS refinement is left out; the weighted
+			// solve is measured by stream_engine_resolve. Target: 0 allocs.
 			strm := benchStream(lambda, 960)
 			const window = 120
 			sess, err := core.NewLineSession(lambda, []float64{0.05, 0.12}, true)
@@ -157,7 +155,7 @@ func benchSuite() []struct {
 			lo := 0
 			step := func() {
 				if lo+window > len(strm) {
-					lo = 0 // disjoint restart: exercises the rebuild path too
+					lo = 0
 				}
 				if err := sess.Locate(strm[lo:lo+window], unweighted, &sol); err != nil {
 					b.Fatal(err)
@@ -165,7 +163,7 @@ func benchSuite() []struct {
 				lo++
 			}
 			for i := 0; i < 400; i++ {
-				step() // warm: size every buffer, cross a rebuild
+				step() // warm: size every buffer
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -174,7 +172,7 @@ func benchSuite() []struct {
 		}},
 		{"stream_engine_resolve", func(b *testing.B) {
 			// The full engine path per accepted sample: Ingest, snapshot
-			// dispatch, unwrap, incremental locate, publication, Flush. The
+			// dispatch, unwrap, session locate, publication, Flush. The
 			// tag ping-pongs along the track so the stream never has a
 			// position seam regardless of b.N.
 			factory, err := stream.IncrementalLine2DFactory(lambda, []float64{0.05, 0.12}, true, opts)

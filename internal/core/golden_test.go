@@ -136,8 +136,9 @@ func readGolden(t *testing.T) []string {
 
 // TestLineGoldenBitIdentity pins every output bit of the batch line solve
 // over a corpus of seeded windows: Position, RefDistance, Iterations,
-// FinalResidual and MeanResidual in hex-float form. Any change to the
-// assembly order, the IRLS arithmetic or the median recovery shows here.
+// FinalResidual and MeanResidual in hex-float form, through the wrapper, a
+// reused LineWorkspace and a LineSession. Any change to the assembly order,
+// the IRLS arithmetic or the median recovery shows here.
 // The corpus in testdata was recorded with the solver as it stood before it
 // moved onto LineWorkspace; regenerate it with -update-golden only for a
 // change that is meant to move estimates.
@@ -207,6 +208,24 @@ func TestLineGoldenBitIdentity(t *testing.T) {
 	for _, i := range order {
 		err := solveInto(i)
 		check("long-to-short workspace", i, &sol, err)
+	}
+
+	// One LineSession per (intervals, side) pair, fed its cases in corpus
+	// order, so every session solves on buffers earlier windows of other
+	// lengths sized and filled.
+	sessions := map[string]*LineSession{}
+	for i, c := range cases {
+		key := fmt.Sprint(c.intervals, c.positive)
+		s := sessions[key]
+		if s == nil {
+			var err error
+			if s, err = NewLineSession(testLambda, c.intervals, c.positive); err != nil {
+				t.Fatal(err)
+			}
+			sessions[key] = s
+		}
+		err := s.Locate(c.obs, opts, &sol)
+		check("line session", i, &sol, err)
 	}
 }
 

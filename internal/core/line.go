@@ -7,7 +7,6 @@ import (
 
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/mat"
-	"github.com/rfid-lion/lion/internal/rf"
 )
 
 // LineWorkspace is the caller-owned scratch for Locate2DLineIntervalsInto:
@@ -143,26 +142,6 @@ func appendSeparationPairs(out []Pair, obs []PosPhase, sep float64) []Pair {
 	return out
 }
 
-// appendDeltaD appends Δd for each observation relative to the reference
-// phase (Eq. 6).
-func appendDeltaD(dst []float64, obs []PosPhase, refTheta, lambda float64) []float64 {
-	for _, o := range obs {
-		dst = append(dst, rf.DistanceOfPhaseDelta(o.Theta-refTheta, lambda))
-	}
-	return dst
-}
-
-// checkFinite rejects the first observation with a non-finite position or
-// phase.
-func checkFinite(obs []PosPhase) error {
-	for i, o := range obs {
-		if !o.Pos.IsFinite() || math.IsNaN(o.Theta) || math.IsInf(o.Theta, 0) {
-			return fmt.Errorf("core: observation %d is %v: %w", i, o, ErrNonFiniteInput)
-		}
-	}
-	return nil
-}
-
 // leastSquaresErr maps a failed initial least-squares solve onto the
 // package's errors.
 func leastSquaresErr(err error) error {
@@ -282,4 +261,61 @@ func quickselectFloat(xs []float64, k int) {
 			return // xs[j+1 : i] all equal the pivot, k among them
 		}
 	}
+}
+
+// LineSessionStats counts the work a session has done, for tests and
+// observability.
+type LineSessionStats struct {
+	// Solves is the number of successful Locate calls.
+	Solves int
+	// Rebuilds counts the windows whose system was built from scratch. Every
+	// window is, so it always equals Solves.
+	Rebuilds int
+}
+
+// LineSession is Locate2DLineIntervals bound to its parameters and its own
+// LineWorkspace: the per-tag line solver of a sliding-window stream. Every
+// estimate, RefDistance included, is bit-identical to Locate2DLineIntervals
+// on the same window, and once a window has sized the workspace no window up
+// to that length allocates. A session must not be shared between
+// goroutines; the stream engine owns one per tag session.
+type LineSession struct {
+	lambda       float64
+	intervals    []float64
+	positiveSide bool
+	ws           LineWorkspace
+	stats        LineSessionStats
+}
+
+// NewLineSession returns a session with the same parameters as
+// Locate2DLineIntervals, validated now rather than at the first solve. The
+// intervals are copied.
+func NewLineSession(lambda float64, intervals []float64, positiveSide bool) (*LineSession, error) {
+	if lambda <= 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
+		return nil, ErrBadLambda
+	}
+	if err := checkIntervals(intervals); err != nil {
+		return nil, err
+	}
+	return &LineSession{
+		lambda:       lambda,
+		intervals:    append([]float64(nil), intervals...),
+		positiveSide: positiveSide,
+	}, nil
+}
+
+// Stats returns the session's work counters.
+func (s *LineSession) Stats() LineSessionStats { return s.stats }
+
+// Locate estimates the target position from the window, writing the result
+// into sol (whose slices are reused across calls — the caller owns sol and
+// may retain or mutate it freely between calls). The window is the full
+// current sample set, exactly as Locate2DLineIntervals would receive it.
+func (s *LineSession) Locate(win []PosPhase, opts SolveOptions, sol *Solution) error {
+	if err := Locate2DLineIntervalsInto(&s.ws, win, s.lambda, s.intervals, s.positiveSide, opts, sol); err != nil {
+		return err
+	}
+	s.stats.Solves++
+	s.stats.Rebuilds++
+	return nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/rfid-lion/lion/internal/dsp"
 	"github.com/rfid-lion/lion/internal/geom"
+	"github.com/rfid-lion/lion/internal/rf"
 )
 
 // Errors returned by the localization pipeline.
@@ -139,14 +140,21 @@ func (p *Profile) reset(lambda float64, refIndex int) error {
 		return fmt.Errorf("core: reference index %d out of range [0,%d)",
 			refIndex, len(p.Obs))
 	}
-	if err := checkFinite(p.Obs); err != nil {
-		return err
+	for i, o := range p.Obs {
+		if !o.Pos.IsFinite() || math.IsNaN(o.Theta) || math.IsInf(o.Theta, 0) {
+			return fmt.Errorf("core: observation %d is %v: %w", i, o, ErrNonFiniteInput)
+		}
 	}
 	p.Lambda, p.RefIndex = lambda, refIndex
 	if cap(p.deltaD) < len(p.Obs) {
 		p.deltaD = make([]float64, 0, len(p.Obs))
 	}
-	p.deltaD = appendDeltaD(p.deltaD[:0], p.Obs, p.Obs[refIndex].Theta, lambda)
+	// Δd of each observation relative to the reference phase (Eq. 6).
+	refTheta := p.Obs[refIndex].Theta
+	p.deltaD = p.deltaD[:0]
+	for _, o := range p.Obs {
+		p.deltaD = append(p.deltaD, rf.DistanceOfPhaseDelta(o.Theta-refTheta, lambda))
+	}
 	return nil
 }
 

@@ -128,9 +128,6 @@ func SolveSystemInto(ws *SolveWorkspace, sys *System, opts SolveOptions, sol *So
 // until the iterate moves less than the tolerance. xp points at the
 // workspace-owned iterate and is updated in place (the slice may be
 // re-appended); weights must be pre-initialised to ones and is overwritten.
-// SolveSystemInto (which the batch line solve runs) and the incremental
-// LineSession both route through this one loop, which is what keeps their
-// IRLS arithmetic identical.
 //
 // One iteration makes three passes over the rows: the residuals with their
 // mean, standard deviation and norm (mat.Workspace.ResidualStats), the
@@ -184,9 +181,7 @@ func irlsRefine(ls *mat.Workspace, a *mat.Dense, k []float64, xp *[]float64,
 }
 
 // fillSolution populates sol from the reduced solve results, copying every
-// slice into sol-owned backing storage. Shared by SolveSystemInto and the
-// incremental line session so the scatter/summary arithmetic has exactly one
-// definition.
+// slice into sol-owned backing storage.
 func fillSolution(sol *Solution, dim, numRefs int, known [3]bool, keep []int,
 	x, res, weights []float64, iterations int, condEst float64) {
 	sol.Known = known

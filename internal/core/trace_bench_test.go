@@ -29,8 +29,8 @@ func BenchmarkLocate2DLine(b *testing.B) {
 }
 
 // BenchmarkLineSessionSlide measures one slid window through a warm
-// incremental session on the unweighted linear path — the steady-state
-// streamed re-solve (lionbench's stream_resolve_incremental).
+// LineSession on the unweighted linear path — the steady-state streamed
+// re-solve (lionbench's stream_resolve_incremental).
 func BenchmarkLineSessionSlide(b *testing.B) {
 	positions := linePositions(geom.V3(-1.2, 0, 0.4), geom.V3(1.2, 0, 0.4), 960)
 	ant := geom.V3(0, 0.9, 0.4)

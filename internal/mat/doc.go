@@ -1,6 +1,6 @@
 // Package mat implements the small dense linear algebra kernel that LION
-// needs: matrices, Gaussian elimination with partial pivoting, Cholesky and
-// Householder-QR factorizations, and ordinary / weighted least squares.
+// needs: matrices, Cholesky and Householder-QR factorizations, and ordinary /
+// weighted least squares.
 //
 // Go has no standard linear algebra library, and this reproduction is
 // stdlib-only, so the weighted-least-squares machinery of the paper

@@ -25,9 +25,9 @@ var (
 // Ownership rules: every method that returns a slice (Row, Col) or a matrix
 // (Clone, T, Add, Sub, ScaleBy, Mul, Gram, ...) returns freshly allocated
 // storage that never aliases the receiver's internal buffer — callers may
-// mutate results freely. The zero-allocation variants live on Workspace and
-// NormalEq, whose returned slices DO alias internal scratch; see their doc
-// comments for the validity window.
+// mutate results freely. The zero-allocation variants live on Workspace,
+// whose returned slices DO alias internal scratch; see its doc comment for
+// the validity window.
 type Dense struct {
 	rows, cols int
 	data       []float64
@@ -232,10 +232,8 @@ func (m *Dense) Gram() *Dense {
 	return out
 }
 
-// gramInto accumulates mᵀ·m into out, which must be cols×cols and zeroed.
-// The row-by-row accumulation order is the contract shared with
-// NormalEq.AddRow so that a freshly accumulated Gram matrix is bit-identical
-// to an incrementally built one over the same row sequence.
+// gramInto accumulates mᵀ·m into out, which must be cols×cols and zeroed,
+// row by row.
 func (m *Dense) gramInto(out *Dense) {
 	for i := 0; i < m.rows; i++ {
 		row := m.data[i*m.cols : (i+1)*m.cols]
@@ -281,10 +279,9 @@ func (m *Dense) tMulVecInto(out, v []float64) {
 // means unit weights. A negative or NaN weight stops the pass with ErrShape.
 //
 // Each entry receives its row contributions in row order, exactly as
-// gramInto, tMulVecInto and NormalEq.AddRow add them, and a unit weight
-// multiplies exactly, so the unweighted system is bitwise the one those
-// build. The strict upper triangle of gram stays zero: choleskyInto reads
-// only the lower one.
+// gramInto and tMulVecInto add them, and a unit weight multiplies exactly,
+// so the unweighted system is bitwise the one those build. The strict upper
+// triangle of gram stays zero: choleskyInto reads only the lower one.
 func (m *Dense) normalEqInto(gram *Dense, rhs, w, b []float64) error {
 	for i := 0; i < m.rows; i++ {
 		wi := 1.0

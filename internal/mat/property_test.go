@@ -176,29 +176,3 @@ func TestWeightedLeastSquaresScaleInvariance(t *testing.T) {
 		t.Errorf("weight scaling changed the solution: %v vs %v", x1, x2)
 	}
 }
-
-func TestDetProductRule(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(5)
-		a := NewDense(n, n)
-		b := NewDense(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				a.Set(i, j, rng.NormFloat64())
-				b.Set(i, j, rng.NormFloat64())
-			}
-		}
-		ab, err := a.Mul(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		da, _ := Det(a)
-		db, _ := Det(b)
-		dab, _ := Det(ab)
-		scale := math.Max(1, math.Abs(da*db))
-		if math.Abs(dab-da*db) > 1e-8*scale {
-			t.Fatalf("trial %d: det(AB)=%v, det(A)det(B)=%v", trial, dab, da*db)
-		}
-	}
-}

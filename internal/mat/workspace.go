@@ -211,8 +211,8 @@ func (ws *Workspace) ConditionEst(a *Dense) float64 {
 }
 
 // cholDiagRatio returns max|L_ii| / min|L_ii| for a Cholesky factor, the
-// condition estimate shared by ConditionEst and NormalEq.ConditionEst. It
-// returns +Inf when the smallest diagonal entry is zero.
+// condition estimate of ConditionEst and LeastSquaresCond. It returns +Inf
+// when the smallest diagonal entry is zero.
 func cholDiagRatio(l *Dense) float64 {
 	lo, hi := math.Inf(1), 0.0
 	for i := 0; i < l.Rows(); i++ {

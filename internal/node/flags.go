@@ -48,8 +48,8 @@ func parseFlags(args []string) (*config, error) {
 		solver = fs.String("solver", "line",
 			"window solver: line (2-D lower-dimension), 2d, 3d")
 		incremental = fs.Bool("incremental", false,
-			"line solver only: per-tag incremental sliding-window sessions "+
-				"(zero-alloc steady-state re-solves; implies -smooth 0)")
+			"line solver only: per-tag line sessions, estimates identical to "+
+				"-smooth 0 (zero-alloc steady-state re-solves; implies -smooth 0)")
 		intervals = fs.String("intervals", "0.2",
 			"comma-separated pairing intervals for the line solver, m")
 		stride = fs.Int("stride", 0,
@@ -133,7 +133,7 @@ func parseFlags(args []string) (*config, error) {
 		})
 		if smoothSet && *smooth > 1 {
 			return nil, errors.New("-incremental is incompatible with -smooth: " +
-				"centred smoothing rewrites the window overlap and defeats slide detection")
+				"its per-tag sessions only unwrap, they do not smooth")
 		}
 		smoothW = 0
 		var err error

@@ -104,7 +104,7 @@ func TestTracedIngestPublishesSpansAndSLOs(t *testing.T) {
 
 // TestUntracedZeroAllocs is the PR's carrying constraint at the engine layer:
 // with a span log configured but sampling off, the complete pipeline step —
-// batched ingest, dispatch, incremental solve, SLO observation, publication —
+// batched ingest, dispatch, session solve, SLO observation, publication —
 // allocates nothing in steady state.
 func TestUntracedZeroAllocs(t *testing.T) {
 	trace, lambda := testTrace(t, 7)

@@ -55,11 +55,10 @@ func Free3DSolver(lambda float64, stride int, opts core.SolveOptions) Solver {
 
 // IncrementalLine2DFactory returns a Config.SolverFactory for the sliding-
 // window line solver: every tag session gets its own core.LineSession plus
-// preprocessing buffers, so a steady-state window re-solve — unwrap, slide
-// detection, rank-1 normal-equation update, IRLS refinement, publication —
-// performs zero heap allocations. Rebuild-path solves are bit-identical to
-// Line2DSolver over the same window; slide-path solves agree within the
-// documented 1e-9 bound (see core.LineSession).
+// preprocessing buffers, so a steady-state window re-solve — unwrap, line
+// solve, IRLS refinement, publication — performs zero heap allocations.
+// Every estimate is bit-identical to Line2DSolver with Smooth 0 over the
+// same window.
 //
 // The parameters are validated eagerly, not at first solve.
 func IncrementalLine2DFactory(lambda float64, intervals []float64, positiveSide bool, opts core.SolveOptions) (func() SessionSolver, error) {
@@ -90,9 +89,9 @@ type incrLineSolver struct {
 }
 
 // SolveWindow preprocesses exactly like the stateless path with Smooth=0 —
-// copy phases, unwrap — then runs the incremental locate. Finite validation
-// happens inside the session (rebuilds and appended slide samples alike),
-// matching core.Preprocess's rejection of non-finite input.
+// copy phases, unwrap — then runs the session's locate. Finite validation
+// happens inside the line solve, matching core.Preprocess's rejection of
+// non-finite input.
 func (s *incrLineSolver) SolveWindow(samples []Sample, tr *obs.Tracer) (*core.Solution, error) {
 	if cap(s.theta) < len(samples) {
 		s.theta = make([]float64, 0, len(samples))
@@ -117,7 +116,7 @@ func (s *incrLineSolver) SolveWindow(samples []Sample, tr *obs.Tracer) (*core.So
 	return &s.sol, nil
 }
 
-// Stats exposes the underlying session's slide/rebuild counters.
+// Stats exposes the underlying session's work counters.
 func (s *incrLineSolver) Stats() core.LineSessionStats { return s.sess.Stats() }
 
 func strideFor(n, stride int) int {

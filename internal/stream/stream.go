@@ -53,8 +53,7 @@ type Solver func(win []core.PosPhase, tr *obs.Tracer) (*core.Solution, error)
 
 // SessionSolver is the stateful per-tag counterpart of Solver: it receives
 // the raw sample window (preprocessing included in its contract) and may keep
-// state — incremental factorizations, scratch workspaces, a reusable Solution
-// — between calls. The engine guarantees a SessionSolver is never invoked
+// state — scratch workspaces, a reusable Solution — between calls. The engine guarantees a SessionSolver is never invoked
 // concurrently with itself (solves for one tag are serialized by the
 // coalescing dispatcher), so implementations need no internal locking.
 //
@@ -104,12 +103,11 @@ type Config struct {
 	// SolverFactory is set.
 	Solver Solver
 	// SolverFactory, when non-nil, supersedes Solver: every tag session gets
-	// its own SessionSolver instance from the factory, enabling stateful
-	// incremental solvers (see IncrementalLine2DFactory) whose steady-state
-	// re-solves run without heap allocations. Factory solvers own their
-	// preprocessing, so Smooth must be zero with a factory — centred
-	// smoothing rewrites the window-overlap samples on every slide, which
-	// would defeat incremental reuse; smooth inside the solver if needed.
+	// its own SessionSolver instance from the factory, so a solver can keep
+	// per-tag scratch (see IncrementalLine2DFactory) and re-solve without
+	// heap allocations. Factory solvers own their preprocessing, and the
+	// session solvers here only unwrap, so Smooth must be zero with a
+	// factory; smooth inside the solver if needed.
 	//
 	// Every estimate handed out owns its Solution: for a factory-backed
 	// session the engine copies the solver's Solution once per Latest call
@@ -323,7 +321,7 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("%w: a solver is required", ErrBadConfig)
 	}
 	if cfg.SolverFactory != nil && cfg.Smooth > 1 {
-		return nil, fmt.Errorf("%w: Smooth is incompatible with SolverFactory (session solvers own their preprocessing)", ErrBadConfig)
+		return nil, fmt.Errorf("%w: Smooth is incompatible with SolverFactory (session solvers own their preprocessing and only unwrap)", ErrBadConfig)
 	}
 	if cfg.Smooth > 1 && cfg.Smooth%2 == 0 {
 		return nil, fmt.Errorf("%w: smoothing window %d must be odd", ErrBadConfig, cfg.Smooth)

@@ -63,13 +63,12 @@ type (
 	AdaptiveResult = core.AdaptiveResult
 	// CenterCalibration reports a phase-center calibration.
 	CenterCalibration = core.CenterCalibration
-	// LineSession is the incremental sliding-window line solver: rebuild
-	// solves are bit-identical to Locate2DLineIntervals, slide solves reuse
-	// the previous window's normal equations with zero steady-state
-	// allocations.
+	// LineSession is Locate2DLineIntervals bound to its parameters and its
+	// own workspace: estimates are bit-identical to Locate2DLineIntervals,
+	// with zero steady-state allocations.
 	LineSession = core.LineSession
-	// LineSessionStats counts a LineSession's slides, rebuilds, and
-	// incremental factorization updates.
+	// LineSessionStats counts a LineSession's solves; Rebuilds always
+	// equals Solves.
 	LineSessionStats = core.LineSessionStats
 )
 
@@ -124,11 +123,10 @@ func Locate2DLineIntervals(obs []PosPhase, lambda float64, intervals []float64, 
 	return core.Locate2DLineIntervals(obs, lambda, intervals, positiveSide, opts)
 }
 
-// NewLineSession builds an incremental solver for a sliding window of line
-// observations. Feed successive windows to Locate; overlapping windows reuse
-// the previous normal equations (rank-1 update/downdate), disjoint or
-// incoherent windows trigger a full rebuild identical to
-// Locate2DLineIntervals.
+// NewLineSession builds a solver for a sliding window of line observations.
+// Feed successive windows to Locate; each is solved exactly as
+// Locate2DLineIntervals solves it, on buffers the session keeps between
+// calls.
 func NewLineSession(lambda float64, intervals []float64, positiveSide bool) (*LineSession, error) {
 	return core.NewLineSession(lambda, intervals, positiveSide)
 }

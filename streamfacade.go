@@ -75,10 +75,9 @@ func StreamFree3DSolver(lambda float64, stride int, opts SolveOptions) StreamSol
 }
 
 // StreamIncrementalLine2DFactory returns a StreamConfig.SolverFactory whose
-// per-tag sessions solve the line case incrementally (core.LineSession):
-// zero heap allocations per steady-state window re-solve, bit-identical to
-// StreamLine2DSolver on rebuilds and within 1e-9·max(1, cond) on slides.
-// Requires StreamConfig.Smooth == 0.
+// per-tag sessions solve the line case on their own core.LineSession: zero
+// heap allocations per steady-state window re-solve, bit-identical to
+// StreamLine2DSolver with Smooth 0. Requires StreamConfig.Smooth == 0.
 func StreamIncrementalLine2DFactory(lambda float64, intervals []float64, positiveSide bool, opts SolveOptions) (func() StreamSessionSolver, error) {
 	return stream.IncrementalLine2DFactory(lambda, intervals, positiveSide, opts)
 }
