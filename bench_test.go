@@ -1,8 +1,6 @@
 package lion_test
 
 import (
-	"context"
-	"fmt"
 	"math"
 	"testing"
 
@@ -236,83 +234,6 @@ func BenchmarkSolverThreeLine3D(b *testing.B) {
 		if _, err := lion.LocateThreeLine(in, lion.DefaultStructuredOptions()); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- Batch engine benchmarks: serial vs parallel fan-out. ---
-
-// batchBenchWorkload builds a fixed seeded batch of structured three-line
-// localizations, the workload class the adaptive calibration pipeline
-// submits in bulk. Results are identical for every worker count; only
-// wall-clock changes, which is exactly what this guard tracks.
-func batchBenchWorkload(n int) []lion.LocateRequest {
-	lambda := lion.DefaultBand().Wavelength()
-	reqs := make([]lion.LocateRequest, n)
-	for r := range reqs {
-		ant := lion.V3(0.03*float64(r%7), 0.8+0.02*float64(r%5), 0.1)
-		mk := func(y, z float64) []lion.PosPhase {
-			const m = 240
-			out := make([]lion.PosPhase, m)
-			for i := range out {
-				p := lion.V3(-0.6+1.2*float64(i)/float64(m-1), y, z)
-				out[i] = lion.PosPhase{Pos: p, Theta: lion.PhaseOfDistance(ant.Dist(p), lambda)}
-			}
-			return out
-		}
-		reqs[r] = lion.LocateRequest{
-			Kind: lion.KindThreeLine,
-			ThreeLine: lion.ThreeLineInput{
-				L1: mk(0, 0), L2: mk(0, 0.2), L3: mk(-0.2, 0), Lambda: lambda,
-			},
-			Structured: lion.DefaultStructuredOptions(),
-		}
-	}
-	return reqs
-}
-
-// BenchmarkBatchLocate is the serial-vs-parallel speedup guard: the same
-// 64-job seeded workload at pool sizes 1/2/4/8.
-func BenchmarkBatchLocate(b *testing.B) {
-	reqs := batchBenchWorkload(64)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				out := lion.BatchLocate(context.Background(), reqs, lion.BatchOptions{Workers: workers})
-				for _, o := range out {
-					if o.Err != nil {
-						b.Fatal(o.Err)
-					}
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkBatchAdaptive fans full adaptive sweeps (9 candidates each)
-// across the pool — the calibration-scale job mix.
-func BenchmarkBatchAdaptive(b *testing.B) {
-	locates := batchBenchWorkload(16)
-	reqs := make([]lion.AdaptiveRequest, len(locates))
-	for i, lr := range locates {
-		reqs[i] = lion.AdaptiveRequest{
-			Kind:      lion.KindAdaptiveThreeLine,
-			ThreeLine: lr.ThreeLine,
-			Ranges:    []float64{0.6, 0.8, 1.0},
-			Intervals: []float64{0.15, 0.2, 0.25},
-			Base:      lion.StructuredOptions{Solve: lion.DefaultSolveOptions()},
-		}
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				out := lion.BatchAdaptive(context.Background(), reqs, lion.BatchOptions{Workers: workers})
-				for _, o := range out {
-					if o.Err != nil {
-						b.Fatal(o.Err)
-					}
-				}
-			}
-		})
 	}
 }
 

@@ -35,10 +35,7 @@
 //
 // # Throughput
 //
-// Independent localizations fan out across a bounded worker pool with
-// deterministic result ordering: BatchLocate and BatchAdaptive accept many
-// requests and return outcomes keyed by submission index, so a parallel run
-// is byte-identical to a serial one. The adaptive parameter sweeps
-// (AdaptiveLocateThreeLine and friends) parallelise their range×interval
-// grid on the same engine internally.
+// The adaptive parameter sweeps (AdaptiveLocateThreeLine and friends) fan
+// their range×interval grid across a bounded worker pool with deterministic
+// result ordering, so a parallel sweep is byte-identical to a serial one.
 package lion

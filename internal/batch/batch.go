@@ -154,15 +154,3 @@ func Map[T, R any](ctx context.Context, e *Engine, items []T, fn func(ctx contex
 	}
 	return results, errs
 }
-
-// FirstError returns the error of the lowest-indexed failed outcome, or nil
-// when every job succeeded. The lowest index makes the reported error
-// deterministic across scheduling orders.
-func FirstError(outcomes []Outcome) error {
-	for _, o := range outcomes {
-		if o.Err != nil {
-			return fmt.Errorf("batch: job %d: %w", o.Index, o.Err)
-		}
-	}
-	return nil
-}

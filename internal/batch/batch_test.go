@@ -221,14 +221,3 @@ func TestMapTypedResults(t *testing.T) {
 		}
 	}
 }
-
-func TestFirstError(t *testing.T) {
-	if err := FirstError([]Outcome{{Index: 0}, {Index: 1}}); err != nil {
-		t.Fatalf("clean outcomes gave %v", err)
-	}
-	sentinel := errors.New("bad")
-	err := FirstError([]Outcome{{Index: 0}, {Index: 1, Err: sentinel}, {Index: 2, Err: errors.New("later")}})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("FirstError = %v, want the index-1 error", err)
-	}
-}

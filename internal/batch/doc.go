@@ -1,6 +1,6 @@
 // Package batch is a bounded worker-pool engine for fanning out
-// embarrassingly parallel localization work: adaptive parameter sweeps,
-// per-trial experiment repetitions, and bulk per-tag localization requests.
+// embarrassingly parallel localization work: adaptive parameter sweeps and
+// per-trial experiment repetitions, plus the stream engine's solve pool.
 //
 // The engine guarantees deterministic result ordering — outcome i always
 // corresponds to job i, regardless of worker count or scheduling — so a

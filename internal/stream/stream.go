@@ -14,6 +14,7 @@ import (
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/health"
 	"github.com/rfid-lion/lion/internal/obs"
+	"github.com/rfid-lion/lion/internal/sim"
 	"github.com/rfid-lion/lion/internal/stats"
 )
 
@@ -40,6 +41,11 @@ type Sample struct {
 	Time  time.Duration
 	Pos   geom.Vec3
 	Phase float64
+}
+
+// FromSim converts one testbed read into a stream sample.
+func FromSim(s sim.Sample) Sample {
+	return Sample{Time: s.Time, Pos: s.TagPos, Phase: s.Phase}
 }
 
 // Solver turns one window of preprocessed observations into an estimate.

@@ -70,8 +70,10 @@ func TestStreamedMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := Replay(context.Background(), e, "T1", trace, 0); err != nil || n != len(trace) {
-		t.Fatalf("replay: %d, %v", n, err)
+	for i, s := range trace {
+		if err := e.Ingest("T1", FromSim(s)); err != nil {
+			t.Fatalf("ingest %d: %v", i, err)
+		}
 	}
 	if err := e.Close(context.Background()); err != nil {
 		t.Fatalf("close: %v", err)
@@ -307,8 +309,10 @@ func TestSubscribePublishesEstimates(t *testing.T) {
 	}
 	ch, cancel := e.Subscribe()
 	defer cancel()
-	if _, err := Replay(context.Background(), e, "T1", trace[:256], 0); err != nil {
-		t.Fatal(err)
+	for _, s := range trace[:256] {
+		if err := e.Ingest("T1", FromSim(s)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := e.Close(context.Background()); err != nil {
 		t.Fatal(err)
@@ -391,11 +395,14 @@ func TestIngestValidation(t *testing.T) {
 	if err := e.Ingest("T1", Sample{Phase: math.NaN()}); !errors.Is(err, ErrBadSample) {
 		t.Errorf("NaN phase = %v, want ErrBadSample", err)
 	}
+	if err := e.Ingest("T1", Sample{Phase: math.Inf(1)}); !errors.Is(err, ErrBadSample) {
+		t.Errorf("Inf phase = %v, want ErrBadSample", err)
+	}
 	if err := e.Ingest("T1", Sample{Pos: geom.V3(math.Inf(1), 0, 0), Phase: 1}); !errors.Is(err, ErrBadSample) {
 		t.Errorf("Inf position = %v, want ErrBadSample", err)
 	}
-	if m := e.Metrics(); m.Rejected != 2 {
-		t.Errorf("rejected = %d, want 2", m.Rejected)
+	if m := e.Metrics(); m.Rejected != 3 {
+		t.Errorf("rejected = %d, want 3", m.Rejected)
 	}
 }
 
@@ -475,30 +482,6 @@ func toStream(trace []sim.Sample) []Sample {
 		out[i] = FromSim(s)
 	}
 	return out
-}
-
-// TestReplayPacing replays at a finite speed and checks both the pacing
-// (duration scales with 1/speed) and ctx cancellation.
-func TestReplayPacing(t *testing.T) {
-	trace, lambda := testTrace(t, 11)
-	e, err := New(lineConfig(lambda))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close(context.Background())
-	// 50 samples at 100 Hz = 490 ms of trace; at 100x it should take ~5 ms.
-	begin := time.Now()
-	if _, err := Replay(context.Background(), e, "T1", trace[:50], 100); err != nil {
-		t.Fatal(err)
-	}
-	if took := time.Since(begin); took > 2*time.Second {
-		t.Errorf("100x replay of 0.5 s took %v", took)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := Replay(ctx, e, "T2", trace[:50], 1); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled replay = %v, want context.Canceled", err)
-	}
 }
 
 var _ = rf.DefaultBand // keep the import for wavelength-related helpers

@@ -78,11 +78,14 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MinWindow == 0 {
 		c.MinWindow = c.WindowSize / 2
 	}
-	if c.MinWindow > c.WindowSize {
-		return c, fmt.Errorf("%w: min window exceeds window", ErrBadConfig)
+	if c.MinWindow < 0 || c.MinWindow > c.WindowSize {
+		return c, fmt.Errorf("%w: min window %d outside [1, %d]", ErrBadConfig, c.MinWindow, c.WindowSize)
 	}
 	if c.Every == 0 {
 		c.Every = 10
+	}
+	if c.Every < 0 {
+		return c, fmt.Errorf("%w: estimate every %d pushes", ErrBadConfig, c.Every)
 	}
 	if len(c.Intervals) == 0 {
 		c.Intervals = []float64{0.2, 0.4}
@@ -90,8 +93,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.SmoothWindow == 0 {
 		c.SmoothWindow = 9
 	}
-	if c.SmoothWindow%2 == 0 {
-		return c, fmt.Errorf("%w: smoothing window %d must be odd", ErrBadConfig, c.SmoothWindow)
+	if c.SmoothWindow < 0 || c.SmoothWindow%2 == 0 {
+		return c, fmt.Errorf("%w: smoothing window %d must be positive and odd", ErrBadConfig, c.SmoothWindow)
 	}
 	if (c.Solve == core.SolveOptions{}) {
 		c.Solve = core.DefaultSolveOptions()

@@ -38,6 +38,11 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.WindowSize = 4 },
 		func(c *Config) { c.MinWindow = 1000 },
 		func(c *Config) { c.SmoothWindow = 8 },
+		// Negative counts are not "unset": each is rejected, not defaulted
+		// (a negative smoothing window would silently turn smoothing off).
+		func(c *Config) { c.Every = -1 },
+		func(c *Config) { c.MinWindow = -5 },
+		func(c *Config) { c.SmoothWindow = -3 },
 	}
 	for i, mutate := range cases {
 		c := good

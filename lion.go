@@ -63,13 +63,6 @@ type (
 	AdaptiveResult = core.AdaptiveResult
 	// CenterCalibration reports a phase-center calibration.
 	CenterCalibration = core.CenterCalibration
-	// LineSession is Locate2DLineIntervals bound to its parameters and its
-	// own workspace: estimates are bit-identical to Locate2DLineIntervals,
-	// with zero steady-state allocations.
-	LineSession = core.LineSession
-	// LineSessionStats counts a LineSession's solves; Rebuilds always
-	// equals Solves.
-	LineSessionStats = core.LineSessionStats
 )
 
 // Errors re-exported for matching with errors.Is.
@@ -121,14 +114,6 @@ func Locate2DLine(obs []PosPhase, lambda, interval float64, positiveSide bool, o
 // range.
 func Locate2DLineIntervals(obs []PosPhase, lambda float64, intervals []float64, positiveSide bool, opts SolveOptions) (*Solution, error) {
 	return core.Locate2DLineIntervals(obs, lambda, intervals, positiveSide, opts)
-}
-
-// NewLineSession builds a solver for a sliding window of line observations.
-// Feed successive windows to Locate; each is solved exactly as
-// Locate2DLineIntervals solves it, on buffers the session keeps between
-// calls.
-func NewLineSession(lambda float64, intervals []float64, positiveSide bool) (*LineSession, error) {
-	return core.NewLineSession(lambda, intervals, positiveSide)
 }
 
 // Locate3DPlanar solves the 3-D lower-dimension case: observations confined

@@ -1,7 +1,6 @@
 package lion_test
 
 import (
-	"context"
 	"errors"
 	"math"
 	"testing"
@@ -41,22 +40,5 @@ func TestFacadeRejectsNonFiniteInput(t *testing.T) {
 	}
 	if _, err := lion.Locate2D(obs, math.NaN(), lion.StridePairs(len(obs), 2), lion.DefaultSolveOptions()); !errors.Is(err, lion.ErrBadLambda) {
 		t.Errorf("NaN lambda: err = %v, want lion.ErrBadLambda", err)
-	}
-}
-
-// The streaming facade rejects bad samples with its own typed error.
-func TestStreamFacadeRejectsBadSample(t *testing.T) {
-	eng, err := lion.NewStreamEngine(lion.StreamConfig{
-		WindowSize: 8,
-		Solver: lion.StreamLine2DSolver(lion.DefaultBand().Wavelength(),
-			[]float64{0.1}, true, lion.DefaultSolveOptions()),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close(context.Background())
-	err = eng.Ingest("T1", lion.StreamSample{Phase: math.Inf(1)})
-	if !errors.Is(err, lion.ErrStreamBadSample) {
-		t.Errorf("Inf phase: err = %v, want lion.ErrStreamBadSample", err)
 	}
 }
