@@ -1,10 +1,10 @@
 // The /debug/dashboard endpoint: a single self-contained HTML page — no
 // external scripts, stylesheets, or fonts — summarising the daemon's health
-// at a glance. It renders counter gauges from the stream engine, the alert
-// table and per-antenna drift from the monitor, and inline SVG sparklines
-// from the obs registry's windowed histograms and the monitor's per-tag
-// residual series. Everything is computed server-side per request; the page
-// re-polls itself with a meta refresh.
+// at a glance. It renders counter and latency-quantile gauges from the
+// stream engine, the alert table and per-antenna drift from the monitor, and
+// inline SVG sparklines of the engine's per-tag staleness and the monitor's
+// per-tag residual series. Everything is computed server-side per request;
+// the page re-polls itself with a meta refresh.
 package node
 
 import (
@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"github.com/rfid-lion/lion/internal/health"
-	"github.com/rfid-lion/lion/internal/obs"
 )
 
 // sparkW/sparkH size the inline sparklines.
@@ -58,19 +57,6 @@ func svgSparkline(values []float64) string {
 	}
 	sb.WriteString(`</svg>`)
 	return sb.String()
-}
-
-// histogramSpark returns the sparkline of a histogram's recent raw
-// observations, or an empty string when the histogram is nil or empty.
-func histogramSpark(h *obs.Histogram) string {
-	if h == nil {
-		return ""
-	}
-	win := h.WindowSnapshot()
-	if len(win) == 0 {
-		return ""
-	}
-	return svgSparkline(win)
 }
 
 func stateClass(st health.State) string {
@@ -121,20 +107,12 @@ func (s *server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	gauge("solve errors", fmt.Sprint(m.SolveErrors))
 	gauge("dropped", fmt.Sprint(m.DroppedOverflow+m.DroppedAge))
 	gauge("queue depth", fmt.Sprint(m.QueueDepth))
-	reg := s.eng.Registry()
-	latency, _ := reg.FindHistogram("lion_stream_solve_latency_seconds") // the engine registers it
+	latency, _ := s.eng.Registry().FindHistogram("lion_stream_solve_latency_seconds") // the engine registers it
 	if q := latency.Quantiles(); q.Count > 0 {
 		gauge("p50 latency", fmt.Sprintf("%.2g s", q.P50))
 		gauge("p99 latency", fmt.Sprintf("%.2g s", q.P99))
 	}
 	sb.WriteString(`</div>`)
-	if spark := histogramSpark(latency); spark != "" {
-		fmt.Fprintf(&sb, `<p>solve latency %s</p>`, spark)
-	}
-	eval, _ := reg.FindHistogram("lion_health_eval_seconds")
-	if spark := histogramSpark(eval); spark != "" {
-		fmt.Fprintf(&sb, `<p>health eval %s</p>`, spark)
-	}
 
 	// Per-tag freshness: how stale each tag's estimates are at publication,
 	// measured from the upstream receive clock (bounded so the page stays

@@ -20,7 +20,7 @@ import (
 )
 
 // sloDimensions maps /v1/slo document keys to the registry histograms they
-// summarise. Quantiles come from each histogram's sliding window of raw
+// summarise. Quantiles come from each histogram's most recent 1024–2047
 // observations, so they track current behaviour, not lifetime averages.
 var sloDimensions = []struct{ key, metric string }{
 	{"staleness_seconds", "lion_stream_staleness_seconds"},

@@ -91,8 +91,8 @@ func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
 
 // Histogram returns the histogram with this name, creating it on first use
 // with the given bucket upper bounds (nil means DefBuckets). Besides the
-// cumulative Prometheus buckets it keeps a bounded window of recent raw
-// observations for quantile queries.
+// cumulative Prometheus buckets it keeps the recent observations' quantiles
+// (see Histogram).
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	return r.register(name, newHistogram(name, help, buckets)).(*Histogram)
 }
@@ -331,20 +331,23 @@ var DefBuckets = []float64{
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// quantileWindow bounds the recent raw observations kept per histogram for
-// quantile queries.
+// quantileWindow is the size of one quantile epoch: quantiles cover the
+// most recent quantileWindow to 2×quantileWindow−1 observations.
 const quantileWindow = 1024
 
 // Histogram counts observations into cumulative buckets (exact Prometheus
-// histogram exposition) and additionally retains a bounded window of recent
-// raw values so callers can read interpolated quantiles without a scrape.
+// histogram exposition) and additionally answers windowed quantiles without
+// a scrape. The quantiles come from two stats.Hist epochs: Observe records
+// into the current one and, once it holds quantileWindow observations,
+// resets the other and makes it current. A read merges both.
 type Histogram struct {
 	mu     sync.Mutex
 	upper  []float64 // ascending bucket upper bounds; +Inf is implicit
 	counts []uint64  // per-bucket (non-cumulative) counts; last is +Inf
 	sum    float64
 	count  uint64
-	window stats.Ring[float64]
+	epochs [2]stats.Hist
+	cur    int // index of the epoch Observe records into
 	// exemplars holds the latest sampled observation per bucket (parallel to
 	// counts), allocated lazily on the first ObserveExemplar with a sampled
 	// context so exemplar-free histograms pay nothing.
@@ -373,7 +376,6 @@ func newHistogram(name, help string, buckets []float64) *Histogram {
 	return &Histogram{
 		upper:  upper,
 		counts: make([]uint64, len(upper)+1),
-		window: stats.NewRing[float64](quantileWindow),
 		name:   name,
 		help:   help,
 	}
@@ -383,11 +385,22 @@ func newHistogram(name, help string, buckets []float64) *Histogram {
 func (h *Histogram) Observe(v float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.observeLocked(v)
+}
+
+// observeLocked records v and returns its bucket index. Caller holds h.mu.
+func (h *Histogram) observeLocked(v float64) int {
 	i := sort.SearchFloat64s(h.upper, v)
 	h.counts[i]++
 	h.sum += v
 	h.count++
-	h.window.Push(v)
+	e := &h.epochs[h.cur]
+	e.Record(v)
+	if e.Count() == quantileWindow {
+		h.cur ^= 1
+		h.epochs[h.cur].Reset()
+	}
+	return i
 }
 
 // ObserveExemplar records one value and, when the context is sampled,
@@ -398,11 +411,7 @@ func (h *Histogram) Observe(v float64) {
 func (h *Histogram) ObserveExemplar(v float64, tc TraceContext) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	i := sort.SearchFloat64s(h.upper, v)
-	h.counts[i]++
-	h.sum += v
-	h.count++
-	h.window.Push(v)
+	i := h.observeLocked(v)
 	if !tc.Sampled {
 		return
 	}
@@ -426,24 +435,25 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Quantile returns the interpolated p-th percentile (p in [0, 100]) over the
-// retained window of recent observations, with stats.Percentile's
-// arithmetic. ok is false when nothing has been observed yet or p is out of
-// range; a single-observation window returns that value for every p.
+// Quantile returns the p-th percentile (p in [0, 100]) of the recent
+// observations, with stats.Hist.Quantile's contract: the upper bound of the
+// HDR bucket holding the nearest-rank observation, clamped to the window's
+// exact min and max. From 1 µs up that is at most 1/32 above the exact
+// value; smaller values share one bucket, and negative or NaN ones count as
+// 0. ok is false when nothing has been observed yet or p is out of range.
 func (h *Histogram) Quantile(p float64) (v float64, ok bool) {
-	sorted, _ := h.sortedWindow()
-	v, err := stats.PercentileSorted(sorted, p)
-	return v, err == nil
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	w := h.windowLocked()
+	return w.Quantile(p / 100)
 }
 
-// sortedWindow returns an ascending copy of the retained window and the
-// lifetime count, read under one lock; the sort runs outside it.
-func (h *Histogram) sortedWindow() ([]float64, uint64) {
-	h.mu.Lock()
-	sorted, count := h.window.AppendTo(nil), h.count
-	h.mu.Unlock()
-	sort.Float64s(sorted)
-	return sorted, count
+// windowLocked merges the two epochs into one stats.Hist, returned by value
+// so the read allocates nothing. Caller holds h.mu.
+func (h *Histogram) windowLocked() stats.Hist {
+	w := h.epochs[h.cur]
+	w.Merge(&h.epochs[h.cur^1])
+	return w
 }
 
 // Quantiles is one latency dimension of a /v1/slo document: the windowed
@@ -490,25 +500,18 @@ func ParseSLO(body []byte) (SLO, error) {
 }
 
 // Quantiles summarises the histogram as one /v1/slo dimension. Quantiles
-// come from the window of recent observations; an empty histogram reports
-// the explicit zero document.
+// come from the recent observations, as Quantile reads them; an empty
+// histogram reports the explicit zero document.
 func (h *Histogram) Quantiles() Quantiles {
-	sorted, count := h.sortedWindow()
-	q := Quantiles{Count: count}
-	// An empty window leaves every quantile at its zero value.
-	q.P50, _ = stats.PercentileSorted(sorted, 50)
-	q.P95, _ = stats.PercentileSorted(sorted, 95)
-	q.P99, _ = stats.PercentileSorted(sorted, 99)
-	return q
-}
-
-// WindowSnapshot returns a copy of the retained recent observations in
-// insertion order (oldest first), or nil when empty — the raw series behind
-// Quantile, which dashboards render as sparklines.
-func (h *Histogram) WindowSnapshot() []float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.window.AppendTo(nil)
+	w := h.windowLocked()
+	q := Quantiles{Count: h.count}
+	// An empty window leaves every quantile at its zero value.
+	q.P50, _ = w.Quantile(0.50)
+	q.P95, _ = w.Quantile(0.95)
+	q.P99, _ = w.Quantile(0.99)
+	return q
 }
 
 func (h *Histogram) describe() (string, string, string) { return h.name, h.help, "histogram" }

@@ -187,19 +187,6 @@ func TestRegistryRejectsBadName(t *testing.T) {
 	NewRegistry().Counter("lion test with spaces", "")
 }
 
-// windowMean is the mean of the histogram's retained window, or 0 when empty.
-func windowMean(h *Histogram) float64 {
-	win := h.WindowSnapshot()
-	if len(win) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range win {
-		s += v
-	}
-	return s / float64(len(win))
-}
-
 func TestHistogramQuantiles(t *testing.T) {
 	h := NewRegistry().Histogram("lion_test_latency_seconds", "", nil)
 	if _, ok := h.Quantile(50); ok {
@@ -216,32 +203,28 @@ func TestHistogramQuantiles(t *testing.T) {
 	if !ok || p99 < 99 || p99 > 100 {
 		t.Errorf("p99 = %g ok=%v, want ~99", p99, ok)
 	}
-	if m := windowMean(h); m != 50.5 {
-		t.Errorf("window mean = %g, want 50.5", m)
-	}
 }
 
+// TestHistogramQuantileInterpolates pins the bucket contract that replaced
+// interpolation: each quantile is the nearest-rank observation rounded up to
+// its HDR bucket bound, at most 1/32 above it, and the extremes are exact.
 func TestHistogramQuantileInterpolates(t *testing.T) {
 	h := NewRegistry().Histogram("lion_test_latency_seconds", "", nil)
 	for _, x := range []float64{4, 1, 3, 2} {
 		h.Observe(x)
 	}
-	p50, ok := h.Quantile(50)
-	if !ok || p50 != 2.5 {
-		t.Errorf("p50 = %v ok=%v, want 2.5 (interpolated)", p50, ok)
-	}
-	p25, ok := h.Quantile(25)
-	if !ok || p25 != 1.75 {
-		t.Errorf("p25 = %v ok=%v, want 1.75", p25, ok)
+	// Nearest rank ceil(p/100 × 4) of the sorted {1, 2, 3, 4}.
+	for _, c := range []struct{ p, exact float64 }{{25, 1}, {50, 2}, {75, 3}, {99, 4}} {
+		v, ok := h.Quantile(c.p)
+		if !ok || v < c.exact || v > c.exact*(1+1.0/32) {
+			t.Errorf("p%v = %v ok=%v, want in [%v, %v]", c.p, v, ok, c.exact, c.exact*(1+1.0/32))
+		}
 	}
 	if p0, _ := h.Quantile(0); p0 != 1 {
 		t.Errorf("p0 = %v, want 1", p0)
 	}
 	if p100, _ := h.Quantile(100); p100 != 4 {
 		t.Errorf("p100 = %v, want 4", p100)
-	}
-	if m := windowMean(h); m != 2.5 {
-		t.Errorf("mean = %v, want 2.5", m)
 	}
 }
 
@@ -252,12 +235,6 @@ func TestHistogramQuantileDegenerateWindows(t *testing.T) {
 	h := NewRegistry().Histogram("lion_test_latency_seconds", "", nil)
 	if _, ok := h.Quantile(50); ok {
 		t.Error("empty window reported a quantile")
-	}
-	if m := windowMean(h); m != 0 {
-		t.Errorf("empty mean = %v, want 0", m)
-	}
-	if w := h.WindowSnapshot(); w != nil {
-		t.Errorf("empty snapshot = %v, want nil", w)
 	}
 	h.Observe(7)
 	for _, p := range []float64{0, 50, 99, 100} {
@@ -272,24 +249,50 @@ func TestHistogramQuantileDegenerateWindows(t *testing.T) {
 	}
 }
 
-// TestHistogramWindowKeepsRecent: quantiles read the last quantileWindow
-// observations, while Count stays lifetime.
+// TestHistogramWindowKeepsRecent: wherever an observation falls in the epoch
+// cycle, it moves the quantiles while it is among the newest quantileWindow
+// values and never once 2×quantileWindow−1 newer ones have followed it. Count
+// stays lifetime.
 func TestHistogramWindowKeepsRecent(t *testing.T) {
+	const filler, marker = 1e-3, 1.0
+	for _, before := range []int{0, 1, quantileWindow - 1, quantileWindow, quantileWindow + 1, 2*quantileWindow - 1} {
+		h := NewRegistry().Histogram("lion_test_latency_seconds", "", nil)
+		for i := 0; i < before; i++ {
+			h.Observe(filler)
+		}
+		h.Observe(marker)
+		for i := 1; i < quantileWindow; i++ {
+			h.Observe(filler)
+		}
+		if p100, _ := h.Quantile(100); p100 != marker {
+			t.Errorf("%d before: p100 = %v with %d newer observations, want the marker %v",
+				before, p100, quantileWindow-1, marker)
+		}
+		for i := quantileWindow; i < 2*quantileWindow; i++ {
+			h.Observe(filler)
+		}
+		if p100, _ := h.Quantile(100); p100 != filler {
+			t.Errorf("%d before: p100 = %v with %d newer observations, want the filler %v",
+				before, p100, 2*quantileWindow-1, filler)
+		}
+		if q := h.Quantiles(); q.Count != uint64(before+2*quantileWindow) {
+			t.Errorf("%d before: count = %d, want lifetime %d", before, q.Count, before+2*quantileWindow)
+		}
+	}
+}
+
+// TestHistogramQuantileReadsZeroAlloc: reading quantiles merges the epochs
+// on the stack; nothing is copied to the heap, even after the window wraps.
+func TestHistogramQuantileReadsZeroAlloc(t *testing.T) {
 	h := NewRegistry().Histogram("lion_test_latency_seconds", "", nil)
-	const extra = 10
-	for i := 0; i < quantileWindow+extra; i++ {
-		h.Observe(float64(i))
+	for i := 0; i < 3*quantileWindow; i++ {
+		h.Observe(float64(i%100) * 1e-4)
 	}
-	w := h.WindowSnapshot()
-	if len(w) != quantileWindow || w[0] != extra || w[len(w)-1] != quantileWindow+extra-1 {
-		t.Fatalf("window = [%v .. %v] of %d, want [%d .. %d] of %d",
-			w[0], w[len(w)-1], len(w), extra, quantileWindow+extra-1, quantileWindow)
+	if allocs := testing.AllocsPerRun(100, func() { h.Quantiles() }); allocs != 0 {
+		t.Errorf("Quantiles allocated %.1f times per call, want 0", allocs)
 	}
-	if p0, _ := h.Quantile(0); p0 != extra {
-		t.Errorf("p0 = %v, want the oldest retained %d", p0, extra)
-	}
-	if q := h.Quantiles(); q.Count != quantileWindow+extra {
-		t.Errorf("count = %d, want lifetime %d", q.Count, quantileWindow+extra)
+	if allocs := testing.AllocsPerRun(100, func() { h.Quantile(99) }); allocs != 0 {
+		t.Errorf("Quantile(99) allocated %.1f times per call, want 0", allocs)
 	}
 }
 
@@ -305,7 +308,8 @@ func TestSLORoundTrip(t *testing.T) {
 		h.Observe(float64(i))
 	}
 	q := h.Quantiles()
-	if q.Count != 100 || q.P50 < 50 || q.P50 > 51 || q.P95 < 95 || q.P95 > 96 || q.P99 < 99 || q.P99 > 100 {
+	// Each quantile is its nearest-rank value, at most one HDR bucket (1/32) above.
+	if q.Count != 100 || q.P50 < 50 || q.P50 > 50*(1+1.0/32) || q.P95 < 95 || q.P95 > 95*(1+1.0/32) || q.P99 < 99 || q.P99 > 100 {
 		t.Errorf("quantiles = %+v", q)
 	}
 	body, err := json.Marshal(map[string]any{

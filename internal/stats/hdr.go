@@ -7,8 +7,8 @@ import "math"
 // operations into a fixed bucket array — no allocation, no sorting, no
 // sampling window to overflow — so a load generator can record hundreds of
 // thousands of observations per second without the measurement distorting
-// the workload it measures (the obs.Histogram keeps a bounded raw window
-// and takes a lock per observation; fine for a daemon, wrong for a blaster).
+// the workload it measures. obs.Histogram answers its windowed quantiles
+// from two of these, behind its own lock.
 //
 // Layout: values are bucketed into octaves (powers of two) starting at
 // histMin, each octave split into histSub linear sub-buckets, giving a
@@ -41,6 +41,9 @@ const (
 	histOctaves = 28
 	// histBuckets adds the underflow (index 0) and overflow (last) buckets.
 	histBuckets = histOctaves*histSub + 2
+	// histMax is the top of the last octave; values at or above it, +Inf
+	// included, land in the overflow bucket.
+	histMax = histMin * (1 << histOctaves)
 )
 
 // histIndex maps a value to its bucket index.
@@ -48,14 +51,18 @@ func histIndex(v float64) int {
 	if v < histMin {
 		return 0
 	}
+	// Checked before the division: v/histMin overflows to +Inf near
+	// MaxFloat64, and Frexp(+Inf) reports exponent 0.
+	if v >= histMax {
+		return histBuckets - 1
+	}
 	// frac in [0.5, 1), exp such that v = frac × 2^exp.
 	frac, exp := math.Frexp(v / histMin)
 	// Octave o = floor(log2(v/histMin)) = exp − 1; sub-bucket from the
 	// mantissa: frac×2 in [1, 2) → (frac×2 − 1) × histSub in [0, histSub).
+	// A quotient that rounds up to 2^histOctaves gives o = histOctaves,
+	// sub = 0: the overflow index.
 	o := exp - 1
-	if o >= histOctaves {
-		return histBuckets - 1
-	}
 	sub := int((frac*2 - 1) * histSub)
 	if sub >= histSub { // guard the frac == 1-ulp edge
 		sub = histSub - 1
@@ -70,7 +77,7 @@ func histBound(i int) float64 {
 		return histMin
 	}
 	if i >= histBuckets-1 {
-		return histMin * math.Exp2(histOctaves)
+		return histMax
 	}
 	i--
 	o, sub := i/histSub, i%histSub
@@ -118,17 +125,19 @@ func (h *Hist) Min() float64 { return h.min }
 
 // Quantile returns the q-th quantile (q in [0, 1]) as the upper bound of
 // the bucket holding the q-th observation — a ≤3% overestimate by
-// construction, never an underestimate beyond bucket resolution. The top
-// quantile is clamped to the exact tracked maximum, and ok is false when
-// the histogram is empty or q is out of range.
+// construction, never an underestimate beyond bucket resolution. Every
+// answer is clamped to the exact tracked minimum and maximum, so the first
+// and last ranks are exact; ok is false when the histogram is empty or q is
+// out of range.
 func (h *Hist) Quantile(q float64) (v float64, ok bool) {
 	if h.count == 0 || math.IsNaN(q) || q < 0 || q > 1 {
 		return 0, false
 	}
-	// Rank of the target observation, 1-based, ceil(q×n) with the q=0 floor.
+	// Rank of the target observation, 1-based, ceil(q×n); the first is the
+	// tracked minimum itself.
 	rank := uint64(math.Ceil(q * float64(h.count)))
-	if rank < 1 {
-		rank = 1
+	if rank <= 1 {
+		return h.min, true
 	}
 	var seen uint64
 	for i := range h.counts {

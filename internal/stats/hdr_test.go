@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/binary"
 	"math"
 	"sort"
 	"testing"
@@ -70,6 +71,17 @@ func TestHistUnderOverflow(t *testing.T) {
 	if got, _ := h.Quantile(1); got != 1e9 {
 		t.Errorf("q=1 %v, want the exact max 1e9", got)
 	}
+	// Values whose ratio to histMin overflows float64 go to the overflow
+	// bucket too, and the top quantile is still the exact maximum.
+	for _, v := range []float64{math.MaxFloat64, math.Inf(1)} {
+		h.Record(v)
+		if got, _ := h.Quantile(1); got != v {
+			t.Errorf("after Record(%v): q=1 %v, want %v", v, got, v)
+		}
+	}
+	if h.Count() != 6 {
+		t.Fatalf("count %d, want 6", h.Count())
+	}
 }
 
 func TestHistMergeExact(t *testing.T) {
@@ -122,6 +134,71 @@ func TestHistRecordZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Record allocates %v per op, want 0", allocs)
 	}
+}
+
+// histFuzzValues decodes the fuzz input as little-endian float64 bit
+// patterns, 8 bytes each; a short tail is ignored.
+func histFuzzValues(data []byte) []float64 {
+	vs := make([]float64, 0, len(data)/8)
+	for ; len(data) >= 8; data = data[8:] {
+		vs = append(vs, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+	}
+	return vs
+}
+
+// FuzzHistRecord: Record takes any float64 without panicking, Count counts
+// every record, quantiles stay inside [Min, Max] and never decrease in q,
+// and merging two halves answers exactly like one Hist that saw it all.
+func FuzzHistRecord(f *testing.F) {
+	seeds := []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64,
+		math.SmallestNonzeroFloat64, 0, histMin}
+	var all []byte
+	for _, v := range seeds {
+		one := binary.LittleEndian.AppendUint64(nil, math.Float64bits(v))
+		f.Add(one)
+		all = append(all, one...)
+	}
+	f.Add(all)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		vs := histFuzzValues(data)
+		var whole, lo, hi Hist
+		for i, v := range vs {
+			whole.Record(v)
+			if i < len(vs)/2 {
+				lo.Record(v)
+			} else {
+				hi.Record(v)
+			}
+		}
+		if whole.Count() != uint64(len(vs)) {
+			t.Fatalf("count %d after %d records", whole.Count(), len(vs))
+		}
+		lo.Merge(&hi)
+		if lo.Count() != whole.Count() || lo.Min() != whole.Min() || lo.Max() != whole.Max() {
+			t.Fatalf("merged count/min/max %d/%v/%v, direct %d/%v/%v",
+				lo.Count(), lo.Min(), lo.Max(), whole.Count(), whole.Min(), whole.Max())
+		}
+		prev := math.Inf(-1)
+		for _, q := range []float64{0, 0.5, 0.99, 1} {
+			got, ok := whole.Quantile(q)
+			if ok != (len(vs) > 0) {
+				t.Fatalf("q=%v: ok=%v with %d records", q, ok, len(vs))
+			}
+			if !ok {
+				continue
+			}
+			if got < whole.Min() || got > whole.Max() {
+				t.Errorf("q=%v: %v outside [%v, %v]", q, got, whole.Min(), whole.Max())
+			}
+			if got < prev {
+				t.Errorf("q=%v: %v below the previous quantile %v", q, got, prev)
+			}
+			prev = got
+			if merged, _ := lo.Quantile(q); merged != got {
+				t.Errorf("q=%v: merged halves %v, direct %v", q, merged, got)
+			}
+		}
+	})
 }
 
 func BenchmarkHistRecord(b *testing.B) {

@@ -3,6 +3,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -28,16 +29,6 @@ func TestMeanVarianceStd(t *testing.T) {
 	}
 }
 
-func TestSampleVariance(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if got := SampleVariance(xs); !almostEq(got, 2.5, 1e-12) {
-		t.Errorf("SampleVariance = %v", got)
-	}
-	if got := SampleVariance([]float64{1}); got != 0 {
-		t.Errorf("SampleVariance(single) = %v", got)
-	}
-}
-
 func TestMeanStdMatchesTwoPass(t *testing.T) {
 	xs := []float64{1.5, -2, 0.25, 7, 3, 3, -1}
 	m, s := MeanStd(xs)
@@ -50,24 +41,6 @@ func TestMeanStdMatchesTwoPass(t *testing.T) {
 	m, s = MeanStd(nil)
 	if m != 0 || s != 0 {
 		t.Errorf("MeanStd(nil) = %v, %v", m, s)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 4, 1, 5}
-	mn, err := Min(xs)
-	if err != nil || mn != -1 {
-		t.Errorf("Min = %v, %v", mn, err)
-	}
-	mx, err := Max(xs)
-	if err != nil || mx != 5 {
-		t.Errorf("Max = %v, %v", mx, err)
-	}
-	if _, err := Min(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("Min(nil) err = %v", err)
-	}
-	if _, err := Max(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("Max(nil) err = %v", err)
 	}
 }
 
@@ -108,65 +81,6 @@ func TestPercentile(t *testing.T) {
 	}
 	if orig[0] != 5 || orig[1] != 1 || orig[2] != 3 {
 		t.Error("Percentile mutated its input")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	s, err := Summarize(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 10 || !almostEq(s.Mean, 5.5, 1e-12) || s.Min != 1 || s.Max != 10 {
-		t.Errorf("Summary = %+v", s)
-	}
-	if !almostEq(s.Median, 5.5, 1e-12) {
-		t.Errorf("Median = %v", s.Median)
-	}
-	if _, err := Summarize(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("empty err = %v", err)
-	}
-}
-
-func TestECDF(t *testing.T) {
-	pts := ECDF([]float64{3, 1, 2, 2})
-	if len(pts) != 3 {
-		t.Fatalf("ECDF len = %d, want 3 (duplicates collapsed)", len(pts))
-	}
-	if pts[0].X != 1 || !almostEq(pts[0].P, 0.25, 1e-12) {
-		t.Errorf("pts[0] = %+v", pts[0])
-	}
-	if pts[1].X != 2 || !almostEq(pts[1].P, 0.75, 1e-12) {
-		t.Errorf("pts[1] = %+v", pts[1])
-	}
-	if pts[2].X != 3 || !almostEq(pts[2].P, 1, 1e-12) {
-		t.Errorf("pts[2] = %+v", pts[2])
-	}
-	if got := ECDF(nil); got != nil {
-		t.Errorf("ECDF(nil) = %v", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	edges, counts, err := Histogram([]float64{0, 0.1, 0.9, 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(edges) != 3 || len(counts) != 2 {
-		t.Fatalf("shapes: %d edges, %d counts", len(edges), len(counts))
-	}
-	if counts[0] != 2 || counts[1] != 2 {
-		t.Errorf("counts = %v", counts)
-	}
-	if _, _, err := Histogram(nil, 2); !errors.Is(err, ErrEmpty) {
-		t.Errorf("empty err = %v", err)
-	}
-	if _, _, err := Histogram([]float64{1}, 0); err == nil {
-		t.Error("nbins=0 accepted")
-	}
-	// Degenerate constant input must not divide by zero.
-	if _, counts, err := Histogram([]float64{2, 2, 2}, 3); err != nil || counts[0] != 3 {
-		t.Errorf("constant histogram = %v, %v", counts, err)
 	}
 }
 
@@ -240,31 +154,6 @@ func TestRNGFork(t *testing.T) {
 	}
 }
 
-// Property: ECDF is monotone non-decreasing in both X and P and ends at 1.
-func TestECDFPropertyMonotone(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, x)
-			}
-		}
-		pts := ECDF(xs)
-		if len(xs) == 0 {
-			return pts == nil
-		}
-		for i := 1; i < len(pts); i++ {
-			if pts[i].X <= pts[i-1].X || pts[i].P < pts[i-1].P {
-				return false
-			}
-		}
-		return almostEq(pts[len(pts)-1].P, 1, 1e-12)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: mean lies within [min, max].
 func TestMeanPropertyBounded(t *testing.T) {
 	f := func(raw []float64) bool {
@@ -278,9 +167,7 @@ func TestMeanPropertyBounded(t *testing.T) {
 			return true
 		}
 		m := Mean(xs)
-		mn, _ := Min(xs)
-		mx, _ := Max(xs)
-		return m >= mn-1e-9 && m <= mx+1e-9
+		return m >= slices.Min(xs)-1e-9 && m <= slices.Max(xs)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -846,7 +846,7 @@ func (e *Engine) complete(snap *snapshot, o batch.Outcome) {
 	}
 	// SLO clocks: queue wait (accept → solve start), publish latency (solve
 	// end → now), and staleness (origin → now). All three observe into
-	// preallocated histogram rings; the exemplar and span writes engage only
+	// fixed-size histogram buckets; the exemplar and span writes engage only
 	// for sampled traces, so the untraced path stays allocation-free.
 	now := time.Now()
 	if est.QueueWait > 0 {
