@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"runtime"
@@ -365,9 +366,27 @@ func benchSuite() []struct {
 	}
 }
 
+// The -json mode measures the suite benchRounds times, round-robin: every
+// benchmark once per round, so a noisy stretch of wall time lands on each
+// benchmark once instead of on one benchmark benchRounds times. Each
+// measurement runs for benchTime (testing's -test.benchtime): five 300 ms
+// rounds take about 27 s on a 2-vCPU VM, 1.5 times one round at testing's
+// default 1 s.
+const (
+	benchRounds = 5
+	benchTime   = "300ms"
+)
+
 // writeBenchJSON runs the suite and writes the snapshot to path ("-" for
-// stdout).
+// stdout). ns_per_op is the median over the rounds and ns_per_op_iqr their
+// interquartile range; allocs_per_op and bytes_per_op are the per-round
+// maxima, so a zero-alloc pin holds in every round; iterations sums the
+// rounds.
 func writeBenchJSON(path string, stdout io.Writer) error {
+	testing.Init()
+	if err := flag.Set("test.benchtime", benchTime); err != nil {
+		return err
+	}
 	snap := benchfmt.Snapshot{
 		Schema:    benchfmt.Schema,
 		GoVersion: runtime.Version(),
@@ -375,21 +394,34 @@ func writeBenchJSON(path string, stdout io.Writer) error {
 		GOARCH:    runtime.GOARCH,
 		MaxProcs:  runtime.GOMAXPROCS(0),
 	}
-	for _, bm := range benchSuite() {
-		fn := bm.fn
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			fn(b)
-		})
-		snap.Benchmarks = append(snap.Benchmarks, benchfmt.Bench{
-			Name:        bm.name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		})
-		fmt.Fprintf(stdout, "bench %s: %d iters, %.0f ns/op, %d allocs/op\n",
-			bm.name, r.N, float64(r.T.Nanoseconds())/float64(r.N), r.AllocsPerOp())
+	suite := benchSuite()
+	snap.Benchmarks = make([]benchfmt.Bench, len(suite))
+	nsPerOp := make([][]float64, len(suite))
+	for range benchRounds {
+		for i, bm := range suite {
+			fn := bm.fn
+			r := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				fn(b)
+			})
+			nsPerOp[i] = append(nsPerOp[i], float64(r.T.Nanoseconds())/float64(r.N))
+			out := &snap.Benchmarks[i]
+			out.Name = bm.name
+			out.Iterations += r.N
+			out.AllocsPerOp = max(out.AllocsPerOp, r.AllocsPerOp())
+			out.BytesPerOp = max(out.BytesPerOp, r.AllocedBytesPerOp())
+		}
+	}
+	for i := range snap.Benchmarks {
+		b := &snap.Benchmarks[i]
+		q := func(p float64) float64 {
+			v, _ := stats.Percentile(nsPerOp[i], p) // never empty: benchRounds > 0
+			return v
+		}
+		b.NsPerOp = q(50)
+		b.NsPerOpIQR = q(75) - q(25)
+		fmt.Fprintf(stdout, "bench %s: %d iters, %.0f ns/op (IQR %.0f over %d rounds), %d allocs/op\n",
+			b.Name, b.Iterations, b.NsPerOp, b.NsPerOpIQR, benchRounds, b.AllocsPerOp)
 	}
 	if path == "-" {
 		return writeSnapshotTo(stdout, &snap)

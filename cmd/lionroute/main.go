@@ -98,7 +98,6 @@ func run(args []string) error {
 	logx.Info("listening",
 		"addr", ln.Addr().String(),
 		"shards", len(cfg.Shards),
-		"queue_samples", cfg.QueueSamples,
 		"config", *cfgPath)
 
 	srv := &http.Server{

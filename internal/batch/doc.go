@@ -4,9 +4,10 @@
 //
 // The engine guarantees deterministic result ordering — outcome i always
 // corresponds to job i, regardless of worker count or scheduling — so a
-// parallel run is byte-identical to a serial run of the same jobs. Jobs run
-// under a context.Context with optional per-job timeouts, and panics inside
-// a job are recovered into errors instead of taking the process down.
+// parallel run is byte-identical to a serial run of the same jobs. Panics
+// inside a job are recovered into errors instead of taking the process
+// down. Jobs carry no context and no deadline: every job in the repository
+// is a bounded CPU computation that runs to completion.
 //
 // The package is domain-agnostic (stdlib only) so that internal/core and
 // internal/experiment can both build on it without import cycles.

@@ -1,7 +1,6 @@
 package batch
 
 import (
-	"context"
 	"errors"
 	"sync"
 
@@ -11,17 +10,15 @@ import (
 // ErrPoolClosed is returned by Submit after Close has been called.
 var ErrPoolClosed = errors.New("batch: pool closed")
 
-// Pool is the persistent sibling of Engine: the same bounded workers, per-job
-// timeout, and panic recovery, but accepting jobs over time instead of one
-// slice per Run. It backs streaming workloads (internal/stream) where windows
-// arrive continuously and each completion must fire a callback.
+// Pool is the persistent sibling of Engine: the same bounded workers and
+// panic recovery, but accepting jobs over time instead of one slice per Run.
+// It backs streaming workloads (internal/stream) where windows arrive
+// continuously and each completion must fire a callback.
 //
 // The queue is unbounded; callers that need back-pressure must bound their
 // own outstanding submissions (the stream engine keeps at most one queued
 // window per tag).
 type Pool struct {
-	runner *Engine
-
 	jobsOK    *obs.Counter
 	jobsErr   *obs.Counter
 	jobsPanic *obs.Counter
@@ -50,7 +47,6 @@ func NewPool(opts Options) *Pool {
 	}
 	jobs := reg.CounterVec("lion_batch_jobs_total", "Pool jobs completed, by result.", "result")
 	p := &Pool{
-		runner:    New(opts),
 		jobsOK:    jobs.With("ok"),
 		jobsErr:   jobs.With("error"),
 		jobsPanic: jobs.With("panic"),
@@ -59,15 +55,12 @@ func NewPool(opts Options) *Pool {
 		return float64(p.Len())
 	})
 	p.cond = sync.NewCond(&p.mu)
-	for w := 0; w < p.runner.workers; w++ {
+	for range New(opts).workers {
 		p.wg.Add(1)
 		go p.worker()
 	}
 	return p
 }
-
-// Workers returns the pool size.
-func (p *Pool) Workers() int { return p.runner.workers }
 
 // Submit enqueues one job. done, when non-nil, is invoked from a worker
 // goroutine with the job's outcome; Outcome.Index is the submission sequence
@@ -132,7 +125,7 @@ func (p *Pool) worker() {
 			p.head = 0
 		}
 		p.mu.Unlock()
-		o := p.runner.runOne(context.Background(), t.index, t.job)
+		o := runOne(t.index, t.job)
 		switch {
 		case o.Err == nil:
 			p.jobsOK.Inc()

@@ -1,12 +1,10 @@
 package batch
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestPoolRunsEveryJob(t *testing.T) {
@@ -16,7 +14,7 @@ func TestPoolRunsEveryJob(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		i := i
 		wg.Add(1)
-		err := p.Submit(func(ctx context.Context) (any, error) {
+		err := p.Submit(func() (any, error) {
 			return int64(i), nil
 		}, func(o Outcome) {
 			defer wg.Done()
@@ -41,7 +39,7 @@ func TestPoolCloseDrainsQueue(t *testing.T) {
 	p := NewPool(Options{Workers: 1})
 	var ran atomic.Int64
 	for i := 0; i < 50; i++ {
-		if err := p.Submit(func(ctx context.Context) (any, error) {
+		if err := p.Submit(func() (any, error) {
 			ran.Add(1)
 			return nil, nil
 		}, nil); err != nil {
@@ -52,7 +50,7 @@ func TestPoolCloseDrainsQueue(t *testing.T) {
 	if got := ran.Load(); got != 50 {
 		t.Errorf("ran %d jobs before Close returned, want 50", got)
 	}
-	if err := p.Submit(func(ctx context.Context) (any, error) { return nil, nil }, nil); !errors.Is(err, ErrPoolClosed) {
+	if err := p.Submit(func() (any, error) { return nil, nil }, nil); !errors.Is(err, ErrPoolClosed) {
 		t.Errorf("Submit after Close = %v, want ErrPoolClosed", err)
 	}
 	p.Close() // idempotent
@@ -62,7 +60,7 @@ func TestPoolRecoversPanic(t *testing.T) {
 	p := NewPool(Options{Workers: 2})
 	defer p.Close()
 	done := make(chan Outcome, 1)
-	if err := p.Submit(func(ctx context.Context) (any, error) {
+	if err := p.Submit(func() (any, error) {
 		panic("boom")
 	}, func(o Outcome) { done <- o }); err != nil {
 		t.Fatal(err)
@@ -70,25 +68,5 @@ func TestPoolRecoversPanic(t *testing.T) {
 	o := <-done
 	if !errors.Is(o.Err, ErrPanic) {
 		t.Errorf("outcome err = %v, want ErrPanic", o.Err)
-	}
-}
-
-func TestPoolJobTimeout(t *testing.T) {
-	p := NewPool(Options{Workers: 1, JobTimeout: 10 * time.Millisecond})
-	defer p.Close()
-	done := make(chan Outcome, 1)
-	if err := p.Submit(func(ctx context.Context) (any, error) {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(5 * time.Second):
-			return nil, nil
-		}
-	}, func(o Outcome) { done <- o }); err != nil {
-		t.Fatal(err)
-	}
-	o := <-done
-	if !errors.Is(o.Err, context.DeadlineExceeded) {
-		t.Errorf("outcome err = %v, want DeadlineExceeded", o.Err)
 	}
 }

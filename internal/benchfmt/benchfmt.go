@@ -19,10 +19,13 @@ import (
 const Schema = "lionbench/1"
 
 // Bench is one micro-benchmark's measurements (testing.Benchmark units).
+// Snapshots measured over several rounds record the median ns_per_op and
+// its interquartile range; older single-run snapshots have no IQR.
 type Bench struct {
 	Name        string  `json:"name"`
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
+	NsPerOpIQR  float64 `json:"ns_per_op_iqr,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,119 +19,54 @@ type ShardConfig struct {
 	URL string `json:"url"`
 }
 
-// Config is the static cluster membership and tuning, loaded from a JSON
-// file at router startup. Membership is deliberately not dynamic: the ring
-// must be identical across router restarts or tags would re-shard and lose
-// their window state (see the package comment).
+// Config is the static cluster membership, loaded from a JSON file at
+// router startup. Membership is deliberately not dynamic: the ring must be
+// identical across router restarts or tags would re-shard and lose their
+// window state (see the package comment).
+//
+// Shards is the only field a deployment sets. The router's tuning is fixed:
+// DefaultReplicas ring points per shard, forwardBatchSamples per POST,
+// probeTimeout per health probe, and the defaults of the unexported fields
+// below, which exist so in-package tests can shrink queues, timeouts and
+// retry counts.
 type Config struct {
 	// Shards is the ring membership. Required, order-insensitive.
 	Shards []ShardConfig `json:"shards"`
-	// Replicas is the virtual-node count per shard; 0 = DefaultReplicas.
-	Replicas int `json:"replicas,omitempty"`
-	// QueueSamples bounds each shard's forward queue in samples. A batch
+
+	// queueSamples bounds each shard's forward queue in samples. A batch
 	// that would push a queue past this is rejected whole (counted in
 	// lion_cluster_rejected_total{reason="queue_full"}). 0 = 65536.
-	QueueSamples int `json:"queue_samples,omitempty"`
-	// BatchSamples caps how many queued samples one forward POST coalesces.
-	// 0 = 4096 (one wire frame).
-	BatchSamples int `json:"batch_samples,omitempty"`
-	// HealthInterval is the /readyz probe period. 0 = 500ms; negative
-	// disables health checking (shards stay in their initial healthy state —
-	// used by tests that drive state transitions directly).
-	HealthInterval Duration `json:"health_interval,omitempty"`
-	// HealthTimeout bounds one probe. 0 = 2s.
-	HealthTimeout Duration `json:"health_timeout,omitempty"`
-	// FailThreshold is how many consecutive failed probes eject a shard.
+	queueSamples int
+	// healthInterval is the /readyz probe period. 0 = 500ms; negative
+	// disables health checking (shards stay in their initial healthy state,
+	// so tests can drive state transitions directly).
+	healthInterval time.Duration
+	// failThreshold is how many consecutive failed probes eject a shard.
 	// 0 = 3.
-	FailThreshold int `json:"fail_threshold,omitempty"`
-	// ForwardTimeout bounds one forward POST. 0 = 10s.
-	ForwardTimeout Duration `json:"forward_timeout,omitempty"`
-	// ForwardAttempts is how many times a batch is POSTed before it is
+	failThreshold int
+	// forwardTimeout bounds one forward POST. 0 = 10s.
+	forwardTimeout time.Duration
+	// forwardAttempts is how many times a batch is POSTed before it is
 	// dropped (counted in lion_cluster_forward_errors_total). 0 = 3.
-	ForwardAttempts int `json:"forward_attempts,omitempty"`
+	forwardAttempts int
 }
 
-// Duration is a time.Duration that unmarshals from JSON strings like
-// "500ms" or "2s" (and, for convenience, from bare numbers of nanoseconds).
-type Duration time.Duration
+const (
+	// forwardBatchSamples caps how many queued samples one forward POST
+	// coalesces: one wire frame.
+	forwardBatchSamples = 4096
+	// probeTimeout bounds one /readyz probe.
+	probeTimeout = 2 * time.Second
+)
 
-// UnmarshalJSON parses either a Go duration string or a nanosecond number.
-func (d *Duration) UnmarshalJSON(b []byte) error {
-	var v any
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	switch x := v.(type) {
-	case string:
-		dur, err := time.ParseDuration(x)
-		if err != nil {
-			return fmt.Errorf("cluster: duration %q: %w", x, err)
-		}
-		*d = Duration(dur)
-	case float64:
-		*d = Duration(time.Duration(x))
-	default:
-		return fmt.Errorf("cluster: duration must be a string or number, got %T", v)
-	}
-	return nil
-}
-
-// MarshalJSON renders the duration as a string.
-func (d Duration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
-}
-
-// Defaulted accessors, mirroring stream.Config's style.
-
-func (c Config) replicas() int { return c.Replicas } // NewRing defaults 0
-
-func (c Config) queueSamples() int {
-	if c.QueueSamples <= 0 {
-		return 65536
-	}
-	return c.QueueSamples
-}
-
-func (c Config) batchSamples() int {
-	if c.BatchSamples <= 0 {
-		return 4096
-	}
-	return c.BatchSamples
-}
-
-func (c Config) healthInterval() time.Duration {
-	if c.HealthInterval == 0 {
-		return 500 * time.Millisecond
-	}
-	return time.Duration(c.HealthInterval)
-}
-
-func (c Config) healthTimeout() time.Duration {
-	if c.HealthTimeout <= 0 {
-		return 2 * time.Second
-	}
-	return time.Duration(c.HealthTimeout)
-}
-
-func (c Config) failThreshold() int {
-	if c.FailThreshold <= 0 {
-		return 3
-	}
-	return c.FailThreshold
-}
-
-func (c Config) forwardTimeout() time.Duration {
-	if c.ForwardTimeout <= 0 {
-		return 10 * time.Second
-	}
-	return time.Duration(c.ForwardTimeout)
-}
-
-func (c Config) forwardAttempts() int {
-	if c.ForwardAttempts <= 0 {
-		return 3
-	}
-	return c.ForwardAttempts
+// withDefaults returns c with every zero tuning field set to its default.
+func (c Config) withDefaults() Config {
+	c.queueSamples = cmp.Or(c.queueSamples, 65536)
+	c.healthInterval = cmp.Or(c.healthInterval, 500*time.Millisecond)
+	c.failThreshold = cmp.Or(c.failThreshold, 3)
+	c.forwardTimeout = cmp.Or(c.forwardTimeout, 10*time.Second)
+	c.forwardAttempts = cmp.Or(c.forwardAttempts, 3)
+	return c
 }
 
 // Validate checks the membership: at least one shard, unique non-empty ids,
@@ -160,7 +96,8 @@ func (c Config) Validate() error {
 }
 
 // ParseConfig decodes and validates a JSON cluster config. Unknown fields
-// are rejected so a typo in a tuning knob fails loudly at startup.
+// are rejected, so a typo, or a tuning field the router does not read,
+// fails loudly at startup.
 func ParseConfig(r io.Reader) (*Config, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()

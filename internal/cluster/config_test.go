@@ -11,25 +11,13 @@ func TestParseConfig(t *testing.T) {
 		"shards": [
 			{"id": "s1", "url": "http://127.0.0.1:9001"},
 			{"id": "s2", "url": "http://127.0.0.1:9002/"}
-		],
-		"queue_samples": 1000,
-		"health_interval": "250ms",
-		"forward_timeout": 1000000000
+		]
 	}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cfg.Shards) != 2 || cfg.Shards[0].ID != "s1" {
+	if len(cfg.Shards) != 2 || cfg.Shards[0].ID != "s1" || cfg.Shards[1].URL != "http://127.0.0.1:9002/" {
 		t.Fatalf("shards = %+v", cfg.Shards)
-	}
-	if cfg.queueSamples() != 1000 {
-		t.Errorf("queueSamples = %d", cfg.queueSamples())
-	}
-	if cfg.healthInterval() != 250*time.Millisecond {
-		t.Errorf("healthInterval = %v", cfg.healthInterval())
-	}
-	if cfg.forwardTimeout() != time.Second {
-		t.Errorf("forwardTimeout = %v (numeric ns form)", cfg.forwardTimeout())
 	}
 }
 
@@ -38,27 +26,37 @@ func TestParseConfigDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.queueSamples() != 65536 || cfg.batchSamples() != 4096 {
-		t.Errorf("queue/batch defaults: %d/%d", cfg.queueSamples(), cfg.batchSamples())
+	c := cfg.withDefaults()
+	if c.queueSamples != 65536 {
+		t.Errorf("queue default: %d", c.queueSamples)
 	}
-	if cfg.healthInterval() != 500*time.Millisecond || cfg.failThreshold() != 3 {
-		t.Errorf("health defaults: %v/%d", cfg.healthInterval(), cfg.failThreshold())
+	if c.healthInterval != 500*time.Millisecond || c.failThreshold != 3 {
+		t.Errorf("health defaults: %v/%d", c.healthInterval, c.failThreshold)
 	}
-	if cfg.forwardAttempts() != 3 || cfg.forwardTimeout() != 10*time.Second {
-		t.Errorf("forward defaults: %d/%v", cfg.forwardAttempts(), cfg.forwardTimeout())
+	if c.forwardAttempts != 3 || c.forwardTimeout != 10*time.Second {
+		t.Errorf("forward defaults: %d/%v", c.forwardAttempts, c.forwardTimeout)
 	}
 }
 
 func TestParseConfigRejects(t *testing.T) {
+	const shards = `"shards":[{"id":"a","url":"http://h:1"}]`
 	cases := map[string]string{
-		"no shards":      `{"shards": []}`,
-		"empty id":       `{"shards":[{"id":"","url":"http://h:1"}]}`,
-		"dup id":         `{"shards":[{"id":"a","url":"http://h:1"},{"id":"a","url":"http://h:2"}]}`,
-		"relative url":   `{"shards":[{"id":"a","url":"localhost:9001"}]}`,
-		"bad scheme":     `{"shards":[{"id":"a","url":"ftp://h:1"}]}`,
-		"unknown field":  `{"shards":[{"id":"a","url":"http://h:1"}], "qeue_samples": 5}`,
-		"bad duration":   `{"shards":[{"id":"a","url":"http://h:1"}], "health_interval": "fast"}`,
-		"duration array": `{"shards":[{"id":"a","url":"http://h:1"}], "health_interval": []}`,
+		"no shards":     `{"shards": []}`,
+		"empty id":      `{"shards":[{"id":"","url":"http://h:1"}]}`,
+		"dup id":        `{"shards":[{"id":"a","url":"http://h:1"},{"id":"a","url":"http://h:2"}]}`,
+		"relative url":  `{"shards":[{"id":"a","url":"localhost:9001"}]}`,
+		"bad scheme":    `{"shards":[{"id":"a","url":"ftp://h:1"}]}`,
+		"unknown field": `{` + shards + `, "qeue_samples": 5}`,
+		// The router's tuning is not part of the file format: each former
+		// tuning field is an unknown field like any typo.
+		"replicas":         `{` + shards + `, "replicas": 64}`,
+		"queue_samples":    `{` + shards + `, "queue_samples": 1000}`,
+		"batch_samples":    `{` + shards + `, "batch_samples": 1000}`,
+		"health_interval":  `{` + shards + `, "health_interval": "250ms"}`,
+		"health_timeout":   `{` + shards + `, "health_timeout": "1s"}`,
+		"fail_threshold":   `{` + shards + `, "fail_threshold": 5}`,
+		"forward_timeout":  `{` + shards + `, "forward_timeout": 1000000000}`,
+		"forward_attempts": `{` + shards + `, "forward_attempts": 2}`,
 	}
 	for name, body := range cases {
 		if _, err := ParseConfig(strings.NewReader(body)); err == nil {
@@ -68,8 +66,7 @@ func TestParseConfigRejects(t *testing.T) {
 }
 
 func TestHealthIntervalDisable(t *testing.T) {
-	cfg := Config{HealthInterval: Duration(-1)}
-	if cfg.healthInterval() > 0 {
-		t.Errorf("negative interval should disable health checks, got %v", cfg.healthInterval())
+	if iv := (Config{healthInterval: -1}).withDefaults().healthInterval; iv > 0 {
+		t.Errorf("negative interval should disable health checks, got %v", iv)
 	}
 }

@@ -146,11 +146,12 @@ func New(cfg Config, opts Options) (*Router, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults()
 	ids := make([]string, len(cfg.Shards))
 	for i, s := range cfg.Shards {
 		ids[i] = s.ID
 	}
-	ring, err := NewRing(ids, cfg.replicas())
+	ring, err := NewRing(ids, DefaultReplicas)
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +161,7 @@ func New(cfg Config, opts Options) (*Router, error) {
 	}
 	client := opts.Client
 	if client == nil {
-		client = &http.Client{Timeout: cfg.forwardTimeout()}
+		client = &http.Client{Timeout: cfg.forwardTimeout}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	rt := &Router{
@@ -168,7 +169,7 @@ func New(cfg Config, opts Options) (*Router, error) {
 		ring:    ring,
 		reg:     reg,
 		client:  client,
-		probe:   &http.Client{Timeout: cfg.healthTimeout()},
+		probe:   &http.Client{Timeout: probeTimeout},
 		log:     opts.Logger,
 		sampler: opts.Sampler,
 		spans:   opts.Spans,
@@ -209,7 +210,7 @@ func New(cfg Config, opts Options) (*Router, error) {
 	// Queue capacity counts batches; the sample bound is enforced on the
 	// atomic counter, so the channel just needs room for a realistic number
 	// of distinct pending batches.
-	depth := max(16, cfg.queueSamples()/64)
+	depth := max(16, cfg.queueSamples/64)
 	for _, sc := range cfg.Shards {
 		s := &shard{
 			id:    sc.ID,
@@ -227,9 +228,9 @@ func New(cfg Config, opts Options) (*Router, error) {
 		rt.wg.Add(1)
 		go rt.forwardLoop(s)
 	}
-	if iv := cfg.healthInterval(); iv > 0 {
+	if cfg.healthInterval > 0 {
 		rt.wg.Add(1)
-		go rt.healthLoop(iv)
+		go rt.healthLoop(cfg.healthInterval)
 	}
 	return rt, nil
 }
@@ -250,19 +251,15 @@ type IngestResult struct {
 	TraceID  string `json:"trace_id,omitempty"`
 }
 
-// Ingest partitions samples by ring owner and enqueues each group on its
-// shard's forward queue. Samples for draining or ejected shards, and groups
-// that would overflow a shard's bounded queue, are rejected whole and
+// Ingest partitions samples by ring owner and enqueues each group on
+// its shard's forward queue. Samples for draining or ejected shards, and
+// groups that would overflow a shard's bounded queue, are rejected whole and
 // counted — the router never blocks an ingest request on a slow shard.
-func (rt *Router) Ingest(samples []dataset.TaggedSample) (IngestResult, error) {
-	return rt.IngestTraced(samples, obs.TraceContext{}, time.Time{})
-}
-
-// IngestTraced is Ingest with a pipeline trace decision attached: tc and the
-// receive wall clock recv travel with every enqueued group and, for sampled
-// batches, onto the wire. A zero recv means now. An unsampled tc adds
-// nothing to the hot path.
-func (rt *Router) IngestTraced(samples []dataset.TaggedSample, tc obs.TraceContext, recv time.Time) (IngestResult, error) {
+//
+// tc is the batch's pipeline trace decision and recv its receive wall clock;
+// both travel with every enqueued group and, for sampled batches, onto the
+// wire. A zero recv means now. An unsampled tc adds nothing to the hot path.
+func (rt *Router) Ingest(samples []dataset.TaggedSample, tc obs.TraceContext, recv time.Time) (IngestResult, error) {
 	var res IngestResult
 	if rt.closed.Load() {
 		return res, ErrClosed
@@ -298,7 +295,7 @@ func (rt *Router) IngestTraced(samples []dataset.TaggedSample, tc obs.TraceConte
 			res.Rejected += n
 			continue
 		}
-		if int(s.queued.Load())+n > rt.cfg.queueSamples() {
+		if int(s.queued.Load())+n > rt.cfg.queueSamples {
 			rt.rejQueueFull.Add(uint64(n))
 			res.Rejected += n
 			continue
@@ -316,13 +313,13 @@ func (rt *Router) IngestTraced(samples []dataset.TaggedSample, tc obs.TraceConte
 }
 
 // forwardLoop drains one shard's queue, coalescing adjacent batches up to
-// BatchSamples per POST. It exits when the queue is closed and empty. A
+// forwardBatchSamples per POST. It exits when the queue is closed and empty. A
 // coalesced POST inherits the first sampled trace context among its batches
 // (and that batch's receive clock); queue wait is measured from the oldest
 // batch's enqueue to the start of the POST.
 func (rt *Router) forwardLoop(s *shard) {
 	defer rt.wg.Done()
-	limit := rt.cfg.batchSamples()
+	limit := forwardBatchSamples
 	var batch []dataset.TaggedSample
 	for first := range s.queue {
 		batch = append(batch[:0], first.samples...)
@@ -365,7 +362,7 @@ func (rt *Router) post(s *shard, batch []dataset.TaggedSample, tc obs.TraceConte
 		return
 	}
 	body := buf.Bytes()
-	attempts := rt.cfg.forwardAttempts()
+	attempts := rt.cfg.forwardAttempts
 	final := false
 	for attempt := 1; ; attempt++ {
 		begin := time.Now()
@@ -407,7 +404,7 @@ func (rt *Router) traceExt(tc obs.TraceContext, recv time.Time) *wire.Ext {
 // so a stalled shard cannot hold a forwarder beyond either — even when the
 // caller supplied an http.Client without its own timeout.
 func (rt *Router) postOnce(s *shard, body []byte) error {
-	ctx, cancel := context.WithTimeout(rt.ctx, rt.cfg.forwardTimeout())
+	ctx, cancel := context.WithTimeout(rt.ctx, rt.cfg.forwardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.base+"/v1/samples", bytes.NewReader(body))
 	if err != nil {
@@ -450,7 +447,7 @@ func (rt *Router) healthLoop(interval time.Duration) {
 //	503 node.StatusDraining    -> draining: alive, query-only, never ejected
 //	503 node.StatusCriticalAlert -> treated as draining: the shard's solves
 //	                              are suspect but its estimates stay queryable
-//	anything else              -> failure; FailThreshold consecutive ones eject
+//	anything else              -> failure; failThreshold consecutive ones eject
 func (rt *Router) probeShard(s *shard) {
 	ok, doc := rt.readyz(s)
 	prev := s.State()
@@ -475,7 +472,7 @@ func (rt *Router) probeShard(s *shard) {
 		}
 	default:
 		s.failures++
-		if s.failures >= rt.cfg.failThreshold() && prev != ShardEjected {
+		if s.failures >= rt.cfg.failThreshold && prev != ShardEjected {
 			s.setState(ShardEjected)
 			rt.ejections.Inc()
 			rt.logf("shard ejected", "shard", s.id, "failures", s.failures)
@@ -516,7 +513,7 @@ func (rt *Router) Status() []ShardStatus {
 			URL:     s.base,
 			State:   st.String(),
 			Queued:  s.queued.Load(),
-			MaxQ:    rt.cfg.queueSamples(),
+			MaxQ:    rt.cfg.queueSamples,
 			Healthy: st == ShardHealthy,
 		}
 	}

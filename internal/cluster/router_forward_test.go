@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/rfid-lion/lion/internal/dataset"
+	"github.com/rfid-lion/lion/internal/obs"
 )
 
 // stallShard is a shard stand-in for forward-path failure tests: every
@@ -47,7 +48,7 @@ func oneShardRouter(t *testing.T, url string, opts Options, tune func(*Config)) 
 	t.Helper()
 	cfg := Config{
 		Shards:         []ShardConfig{{ID: "s1", URL: url}},
-		HealthInterval: Duration(-1),
+		healthInterval: -1,
 	}
 	if tune != nil {
 		tune(&cfg)
@@ -89,10 +90,10 @@ func TestForwardShutdownDoesOneFinalAttempt(t *testing.T) {
 	f := newStallShard(true, false)
 	defer f.srv.Close()
 	rt := oneShardRouter(t, f.srv.URL, Options{}, func(c *Config) {
-		c.ForwardAttempts = 10
+		c.forwardAttempts = 10
 	})
 
-	res, err := rt.Ingest([]dataset.TaggedSample{sampleFor("drain-tag", 0)})
+	res, err := rt.Ingest([]dataset.TaggedSample{sampleFor("drain-tag", 0)}, obs.TraceContext{}, time.Time{})
 	if err != nil || res.Accepted != 1 {
 		t.Fatalf("ingest: res=%+v err=%v", res, err)
 	}
@@ -126,11 +127,11 @@ func TestForwardAttemptTimeoutUnsticksStalledShard(t *testing.T) {
 	defer f.srv.Close()
 	defer close(f.release)
 	rt := oneShardRouter(t, f.srv.URL, Options{Client: &http.Client{}}, func(c *Config) {
-		c.ForwardTimeout = Duration(100 * time.Millisecond)
-		c.ForwardAttempts = 2
+		c.forwardTimeout = 100 * time.Millisecond
+		c.forwardAttempts = 2
 	})
 
-	if _, err := rt.Ingest([]dataset.TaggedSample{sampleFor("stall-tag", 0)}); err != nil {
+	if _, err := rt.Ingest([]dataset.TaggedSample{sampleFor("stall-tag", 0)}, obs.TraceContext{}, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	waitFirstAttempt(t, f)
@@ -155,11 +156,11 @@ func TestCloseDeadlineAbortsInFlightForward(t *testing.T) {
 	defer f.srv.Close()
 	defer close(f.release)
 	rt := oneShardRouter(t, f.srv.URL, Options{Client: &http.Client{}}, func(c *Config) {
-		c.ForwardTimeout = Duration(30 * time.Second)
-		c.ForwardAttempts = 1
+		c.forwardTimeout = 30 * time.Second
+		c.forwardAttempts = 1
 	})
 
-	if _, err := rt.Ingest([]dataset.TaggedSample{sampleFor("stall-tag", 0)}); err != nil {
+	if _, err := rt.Ingest([]dataset.TaggedSample{sampleFor("stall-tag", 0)}, obs.TraceContext{}, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	waitFirstAttempt(t, f)

@@ -62,7 +62,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	tc := rt.sampler.Next()
 	rt.ingestDecode.ObserveExemplar(decodeTook.Seconds(), tc)
 	rt.spans.Record(tc, "ingest_decode", "", recv, decodeTook)
-	res, err := rt.IngestTraced(samples, tc, recv)
+	res, err := rt.Ingest(samples, tc, recv)
 	if err != nil {
 		obs.WriteError(w, http.StatusServiceUnavailable, err)
 		return

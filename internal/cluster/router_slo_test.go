@@ -34,7 +34,7 @@ func sloRouter(t *testing.T, shards ...*httptest.Server) *Router {
 	for i, s := range shards {
 		cfgs[i] = ShardConfig{ID: fmt.Sprintf("s%d", i+1), URL: s.URL}
 	}
-	rt, err := New(Config{Shards: cfgs, HealthInterval: Duration(-1)}, Options{})
+	rt, err := New(Config{Shards: cfgs, healthInterval: -1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,7 +129,7 @@ func noHealth(t *testing.T, a, b *fakeShard, tune func(*Config)) *Router {
 			{ID: "s1", URL: a.srv.URL},
 			{ID: "s2", URL: b.srv.URL},
 		},
-		HealthInterval: Duration(-1),
+		healthInterval: -1,
 	}
 	if tune != nil {
 		tune(&cfg)
@@ -149,7 +149,7 @@ func TestRouterPartitionsByOwnerInOrder(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		batch = append(batch, sampleFor(fmt.Sprintf("TAG-%02d", i%7), i))
 	}
-	res, err := rt.Ingest(batch)
+	res, err := rt.Ingest(batch, obs.TraceContext{}, time.Time{})
 	if err != nil || res.Accepted != len(batch) || res.Rejected != 0 {
 		t.Fatalf("Ingest = %+v, %v", res, err)
 	}
@@ -183,7 +183,7 @@ func TestRouterQueueFullRejects(t *testing.T) {
 	block := make(chan struct{})
 	a.block = block
 	b.block = block
-	rt := noHealth(t, a, b, func(c *Config) { c.QueueSamples = 50 })
+	rt := noHealth(t, a, b, func(c *Config) { c.queueSamples = 50 })
 	defer func() {
 		close(block)
 		rt.Close(context.Background())
@@ -195,10 +195,10 @@ func TestRouterQueueFullRejects(t *testing.T) {
 	for i := range batch {
 		batch[i] = sampleFor("HOT", i)
 	}
-	if res, err := rt.Ingest(batch); err != nil || res.Rejected != 0 {
+	if res, err := rt.Ingest(batch, obs.TraceContext{}, time.Time{}); err != nil || res.Rejected != 0 {
 		t.Fatalf("first batch: %+v, %v", res, err)
 	}
-	res, err := rt.Ingest(batch)
+	res, err := rt.Ingest(batch, obs.TraceContext{}, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestRouterDrainingShardIsQueryOnly(t *testing.T) {
 	if toS1 == 0 || toS1 == len(batch) {
 		t.Fatalf("degenerate split: %d/%d to s1", toS1, len(batch))
 	}
-	res, err := rt.Ingest(batch)
+	res, err := rt.Ingest(batch, obs.TraceContext{}, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestRouterEjectedShardFailsFast(t *testing.T) {
 			break
 		}
 	}
-	res, err := rt.Ingest([]dataset.TaggedSample{sampleFor(s2Tag, 0)})
+	res, err := rt.Ingest([]dataset.TaggedSample{sampleFor(s2Tag, 0)}, obs.TraceContext{}, time.Time{})
 	if err != nil || res.Rejected != 1 {
 		t.Errorf("ingest to ejected shard: %+v, %v", res, err)
 	}
@@ -290,8 +290,8 @@ func TestRouterHealthEjectionAndReadmission(t *testing.T) {
 			{ID: "s1", URL: a.srv.URL},
 			{ID: "s2", URL: b.srv.URL},
 		},
-		HealthInterval: Duration(10 * time.Millisecond),
-		FailThreshold:  2,
+		healthInterval: 10 * time.Millisecond,
+		failThreshold:  2,
 	}
 	rt, err := New(cfg, Options{})
 	if err != nil {
@@ -398,7 +398,7 @@ func TestRouterIngestAfterClose(t *testing.T) {
 	if err := rt.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.Ingest([]dataset.TaggedSample{sampleFor("T", 0)}); err != ErrClosed {
+	if _, err := rt.Ingest([]dataset.TaggedSample{sampleFor("T", 0)}, obs.TraceContext{}, time.Time{}); err != ErrClosed {
 		t.Errorf("Ingest after close: %v, want ErrClosed", err)
 	}
 	rec := httptest.NewRecorder()

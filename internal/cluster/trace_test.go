@@ -50,7 +50,7 @@ func TestRouterTracedForwardCarriesExt(t *testing.T) {
 
 	tc := obs.TraceContext{ID: 0xabc123, Sampled: true}
 	recv := time.Now().Add(-10 * time.Millisecond)
-	res, err := rt.IngestTraced([]dataset.TaggedSample{sampleFor(s1Tag, 0), sampleFor(s2Tag, 1)}, tc, recv)
+	res, err := rt.Ingest([]dataset.TaggedSample{sampleFor(s1Tag, 0), sampleFor(s2Tag, 1)}, tc, recv)
 	if err != nil || res.Accepted != 2 {
 		t.Fatalf("ingest: %+v err %v", res, err)
 	}
@@ -70,7 +70,7 @@ func TestRouterTracedForwardCarriesExt(t *testing.T) {
 	}
 
 	// Unsampled ingest arrives plain.
-	if _, err := rt.Ingest([]dataset.TaggedSample{sampleFor(s1Tag, 2)}); err != nil {
+	if _, err := rt.Ingest([]dataset.TaggedSample{sampleFor(s1Tag, 2)}, obs.TraceContext{}, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	drain(t, a, 2)
@@ -183,7 +183,7 @@ func TestRouterSLORollup(t *testing.T) {
 			{ID: "s1", URL: s1.URL},
 			{ID: "s2", URL: s2.URL},
 		},
-		HealthInterval: Duration(-1),
+		healthInterval: -1,
 	}, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -159,12 +158,12 @@ func sweep(specs []gridSpec, workers int, tr *lionobs.Tracer, eval func(gridSpec
 	jobs := make([]batch.Job, len(specs))
 	for i := range specs {
 		i := i
-		jobs[i] = func(context.Context) (any, error) {
+		jobs[i] = func() (any, error) {
 			fill(i)
 			return nil, nil
 		}
 	}
-	batch.New(batch.Options{Workers: workers}).Run(context.Background(), jobs)
+	batch.New(batch.Options{Workers: workers}).Run(jobs)
 	return cands
 }
 

@@ -1,12 +1,14 @@
 package experiment
 
 import (
+	"strconv"
 	"time"
 
 	"github.com/rfid-lion/lion/internal/core"
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/hologram"
 	"github.com/rfid-lion/lion/internal/hyperbola"
+	"github.com/rfid-lion/lion/internal/rf"
 	"github.com/rfid-lion/lion/internal/stats"
 )
 
@@ -152,7 +154,7 @@ func AblationIRWLS(cfg Config) ([]AblationIRWLSRow, *Table, error) {
 		Columns: []string{"max iterations", "mean err (cm)"},
 	}
 	for _, r := range rows {
-		tbl.AddRow(itoa(r.MaxIterations), cm(r.MeanErr))
+		tbl.AddRow(strconv.Itoa(r.MaxIterations), cm(r.MeanErr))
 	}
 	return rows, tbl, nil
 }
@@ -180,10 +182,10 @@ func AblationSmoothing(cfg Config) ([]AblationSmoothingRow, *Table, error) {
 		for i := range positions {
 			positions[i] = geom.V3(-0.5+float64(i)/float64(n-1), 0, 0)
 			theta := 4 * 3.141592653589793 * ant.Dist(positions[i]) / simLambda
-			wrapped[i] = theta + rng.Normal(0, 0.15)
+			wrapped[i] = rf.WrapPhase(theta + rng.Normal(0, 0.15))
 		}
 		for wi, w := range windows {
-			obs, err := core.Preprocess(positions, wrapSlice(wrapped), w)
+			obs, err := core.Preprocess(positions, wrapped, w)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -207,23 +209,7 @@ func AblationSmoothing(cfg Config) ([]AblationSmoothingRow, *Table, error) {
 		Columns: []string{"window", "mean err (cm)"},
 	}
 	for _, r := range rows {
-		tbl.AddRow(itoa(r.Window), cm(r.MeanErr))
+		tbl.AddRow(strconv.Itoa(r.Window), cm(r.MeanErr))
 	}
 	return rows, tbl, nil
-}
-
-// wrapSlice wraps each phase onto [0, 2π).
-func wrapSlice(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		t := x
-		for t >= 2*3.141592653589793 {
-			t -= 2 * 3.141592653589793
-		}
-		for t < 0 {
-			t += 2 * 3.141592653589793
-		}
-		out[i] = t
-	}
-	return out
 }

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"math"
+
 	"github.com/rfid-lion/lion/internal/core"
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/hologram"
@@ -81,9 +83,9 @@ func Fig14a3D(cfg Config) ([]Fig14aRow, *Table, error) {
 				return nil, nil, err
 			}
 			truth := ant.PhaseCenter()
-			xe += absf(sol.Position.X - truth.X)
-			ye += absf(sol.Position.Y - truth.Y)
-			ze += absf(sol.Position.Z - truth.Z)
+			xe += math.Abs(sol.Position.X - truth.X)
+			ye += math.Abs(sol.Position.Y - truth.Y)
+			ze += math.Abs(sol.Position.Z - truth.Z)
 			de += sol.Position.Dist(truth)
 		}
 		n := float64(trials)

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"math"
+
 	"github.com/rfid-lion/lion/internal/core"
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/rf"
@@ -145,7 +147,7 @@ func spanX(obs []core.PosPhase) (lo, hi float64) {
 func windowX(obs []core.PosPhase, center, width float64) []core.PosPhase {
 	out := make([]core.PosPhase, 0, len(obs))
 	for _, o := range obs {
-		if absf(o.Pos.X-center) <= width/2 {
+		if math.Abs(o.Pos.X-center) <= width/2 {
 			out = append(out, o)
 		}
 	}

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/rfid-lion/lion/internal/core"
 	"github.com/rfid-lion/lion/internal/geom"
@@ -209,8 +210,8 @@ func Fig21Turntable(cfg Config) ([]Fig21Row, *Table, error) {
 				return nil, nil, err
 			}
 			truth := ant.PhaseCenter()
-			xe += absf(sol.Position.X - truth.X)
-			ye += absf(sol.Position.Y - truth.Y)
+			xe += math.Abs(sol.Position.X - truth.X)
+			ye += math.Abs(sol.Position.Y - truth.Y)
 			de += sol.Position.XY().Dist(truth.XY())
 		}
 		n := float64(trials)

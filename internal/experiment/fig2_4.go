@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"math"
+	"strconv"
 	"time"
 
 	"github.com/rfid-lion/lion/internal/core"
@@ -114,7 +116,7 @@ func parabolaVertex(theta []float64, coord func(int) float64, minI int, window f
 	var rhs []float64
 	for i, v := range theta {
 		x := coord(i)
-		if absf(x-center) > window {
+		if math.Abs(x-center) > window {
 			continue
 		}
 		rows = append(rows, [3]float64{x * x, x, 1})
@@ -210,11 +212,11 @@ func Fig3PhaseOffsets(cfg Config) ([]Fig3Result, *Table, error) {
 func circularMean(phases []float64) float64 {
 	var s, c float64
 	for _, p := range phases {
-		sp, cp := sincos(p)
+		sp, cp := math.Sincos(p)
 		s += sp
 		c += cp
 	}
-	return rf.WrapPhase(atan2(s, c))
+	return rf.WrapPhase(math.Atan2(s, c))
 }
 
 // Fig4Result summarises the hologram illustration (Fig. 4).
@@ -299,7 +301,7 @@ func Fig4Hologram(cfg Config) ([]Fig4Result, *Table, error) {
 		if r.Weighted {
 			label = "on"
 		}
-		tbl.AddRow(label, cm(r.RidgeDistance), itoa(r.HighLikelihoodCells), secs(r.Elapsed.Seconds()))
+		tbl.AddRow(label, cm(r.RidgeDistance), strconv.Itoa(r.HighLikelihoodCells), secs(r.Elapsed.Seconds()))
 	}
 	return results, tbl, nil
 }
@@ -322,11 +324,11 @@ func ridgeStats(obs []core.PosPhase, hc hologram.Config, threshold float64, ant 
 			var re, im float64
 			for _, o := range obs {
 				predicted := k * (p.Dist(o.Pos) - dRef)
-				s, c := sincos((o.Theta - refTheta) - predicted)
+				s, c := math.Sincos((o.Theta - refTheta) - predicted)
 				re += c
 				im += s
 			}
-			if hypot(re, im)/float64(len(obs)) >= threshold {
+			if math.Hypot(re, im)/float64(len(obs)) >= threshold {
 				count++
 				if d := p.Dist(ant); d < closest {
 					closest = d

@@ -89,8 +89,8 @@ func Fig6Directions(cfg Config) ([]Fig6Row, *Table, error) {
 				return nil, nil, err
 			}
 			lionDist += sol.Position.Dist(d.ant)
-			lionX += absf(sol.Position.X - d.ant.X)
-			lionY += absf(sol.Position.Y - d.ant.Y)
+			lionX += math.Abs(sol.Position.X - d.ant.X)
+			lionY += math.Abs(sol.Position.Y - d.ant.Y)
 
 			hres, err := hologram.Locate(obs, hologram.Config{
 				Lambda:   simLambda,
@@ -103,8 +103,8 @@ func Fig6Directions(cfg Config) ([]Fig6Row, *Table, error) {
 				return nil, nil, err
 			}
 			dahDist += hres.Position.Dist(d.ant)
-			dahX += absf(hres.Position.X - d.ant.X)
-			dahY += absf(hres.Position.Y - d.ant.Y)
+			dahX += math.Abs(hres.Position.X - d.ant.X)
+			dahY += math.Abs(hres.Position.Y - d.ant.Y)
 		}
 		n := float64(trials)
 		rows = append(rows,

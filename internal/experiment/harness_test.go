@@ -74,12 +74,6 @@ func TestFormatHelpers(t *testing.T) {
 	if got := secs(0.12345); got != "0.1234" && got != "0.1235" {
 		t.Errorf("secs = %q", got)
 	}
-	if got := itoa(42); got != "42" {
-		t.Errorf("itoa = %q", got)
-	}
-	if got := absf(-2.5); got != 2.5 {
-		t.Errorf("absf = %v", got)
-	}
 }
 
 func TestWindowHelpers(t *testing.T) {

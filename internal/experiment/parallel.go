@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/rfid-lion/lion/internal/batch"
@@ -19,8 +18,7 @@ func solveTrials[T any](workers, n int, solve func(trial int) (T, error)) ([]T, 
 	for i := range indices {
 		indices[i] = i
 	}
-	results, errs := batch.Map(context.Background(), eng, indices,
-		func(_ context.Context, i int) (T, error) { return solve(i) })
+	results, errs := batch.Map(eng, indices, solve)
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("experiment: trial %d: %w", i, err)

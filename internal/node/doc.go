@@ -8,6 +8,10 @@
 // obs.Quantiles (one /v1/slo dimension), obs.WriteJSON/obs.WriteError, and
 // the /debug/pipespans handler obs.SpanLog.
 //
+// liond's engine flags (-window, -span, -min, -every, -smooth, -workers and
+// the solver flags) map one to one onto stream.Config. Negative values, and
+// a -lambda that is negative or not finite, fail at startup.
+//
 // Endpoints:
 //
 //	POST /v1/samples               NDJSON lines, {"samples":[...]} or binary wire frames

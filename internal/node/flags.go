@@ -4,6 +4,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -47,24 +48,18 @@ func parseFlags(args []string) (*config, error) {
 		lambda = fs.Float64("lambda", 0, "carrier wavelength, m (0 = paper's 920.625 MHz band)")
 		solver = fs.String("solver", "line",
 			"window solver: line (2-D lower-dimension), 2d, 3d")
-		incremental = fs.Bool("incremental", false,
-			"line solver only: per-tag line sessions, estimates identical to "+
-				"-smooth 0 (zero-alloc steady-state re-solves; implies -smooth 0)")
 		intervals = fs.String("intervals", "0.2",
 			"comma-separated pairing intervals for the line solver, m")
 		stride = fs.Int("stride", 0,
 			"pairing stride for the 2d/3d solvers (0 = quarter window)")
 		side = fs.Bool("positive-side", true,
 			"line solver: target on the +90° side of the scan direction")
-		window = fs.Int("window", 256, "sliding window capacity, samples")
-		span   = fs.Duration("span", 0, "sliding window time-span (0 = unbounded)")
-		minS   = fs.Int("min", 8, "minimum window length before solving")
-		every  = fs.Int("every", 16, "solve every N accepted samples")
-		smooth = fs.Int("smooth", 9, "phase smoothing window (odd, 0 = off)")
-		reject = fs.Bool("reject-newest", false,
-			"refuse samples at a full window instead of evicting the oldest")
+		window  = fs.Int("window", 256, "sliding window capacity, samples")
+		span    = fs.Duration("span", 0, "sliding window time-span (0 = unbounded)")
+		minS    = fs.Int("min", 8, "minimum window length before solving")
+		every   = fs.Int("every", 16, "solve every N accepted samples")
+		smooth  = fs.Int("smooth", 9, "phase smoothing window (odd, 0 = off)")
 		workers = fs.Int("workers", 0, "solve pool size (0 = GOMAXPROCS)")
-		timeout = fs.Duration("solve-timeout", 0, "per-window solve timeout (0 = none)")
 		drain   = fs.Duration("drain", 10*time.Second, "shutdown drain timeout")
 		monitor = fs.Bool("monitor", true,
 			"run the solve-health monitor (alerts, /v1/alerts) and trace every window solve "+
@@ -98,6 +93,9 @@ func parseFlags(args []string) (*config, error) {
 		return nil, err
 	}
 	lam := *lambda
+	if !(lam >= 0) || math.IsInf(lam, 0) {
+		return nil, fmt.Errorf("-lambda must be a finite wavelength >= 0, got %v", lam)
+	}
 	if lam == 0 {
 		lam = rf.DefaultBand().Wavelength()
 	}
@@ -113,44 +111,12 @@ func parseFlags(args []string) (*config, error) {
 		}
 		ivs = append(ivs, v)
 	}
-	var (
-		sv      stream.Solver
-		factory func() stream.SessionSolver
-	)
-	smoothW := *smooth
-	if *incremental {
-		if *solver != "line" {
-			return nil, fmt.Errorf("-incremental requires -solver line, got %q", *solver)
-		}
-		if len(ivs) == 0 {
-			return nil, errors.New("line solver needs at least one interval")
-		}
-		smoothSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "smooth" {
-				smoothSet = true
-			}
-		})
-		if smoothSet && *smooth > 1 {
-			return nil, errors.New("-incremental is incompatible with -smooth: " +
-				"its per-tag sessions only unwrap, they do not smooth")
-		}
-		smoothW = 0
-		var err error
-		factory, err = stream.IncrementalLine2DFactory(lam, ivs, *side, core.DefaultSolveOptions())
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		sv, err = buildSolver(*solver, lam, ivs, *stride, *side)
-		if err != nil {
-			return nil, err
-		}
+	if *stride < 0 {
+		return nil, fmt.Errorf("-stride must be >= 0, got %d", *stride)
 	}
-	policy := stream.EvictOldest
-	if *reject {
-		policy = stream.RejectNewest
+	sv, err := buildSolver(*solver, lam, ivs, *stride, *side)
+	if err != nil {
+		return nil, err
 	}
 	hcfg := health.Config{Rules: health.DefaultRules()}
 	for i := range hcfg.Rules {
@@ -198,17 +164,14 @@ func parseFlags(args []string) (*config, error) {
 		intervals:    ivs,
 		positiveSide: *side,
 		cfg: stream.Config{
-			WindowSize:    *window,
-			WindowSpan:    *span,
-			MinSamples:    *minS,
-			SolveEvery:    *every,
-			Smooth:        smoothW,
-			Policy:        policy,
-			Workers:       *workers,
-			JobTimeout:    *timeout,
-			Solver:        sv,
-			SolverFactory: factory,
-			Antenna:       *antenna,
+			WindowSize: *window,
+			WindowSpan: *span,
+			MinSamples: *minS,
+			SolveEvery: *every,
+			Smooth:     *smooth,
+			Workers:    *workers,
+			Solver:     sv,
+			Antenna:    *antenna,
 		},
 	}, nil
 }

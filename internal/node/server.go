@@ -254,8 +254,8 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.ingestDecode.ObserveExemplar(decodeTook.Seconds(), tc)
 	s.spans.Record(tc, "ingest_decode", "", recv, decodeTook)
 	// The whole batch enters the engine under one lock acquisition; bad
-	// samples (RejectNewest overflow, non-finite floats) are counted and
-	// skipped so one cannot poison the rest of the batch.
+	// samples (empty tag, non-finite floats) are counted and skipped so one
+	// cannot poison the rest of the batch.
 	batch := make([]stream.Tagged, len(samples))
 	for i, ts := range samples {
 		batch[i] = stream.Tagged{Tag: ts.Tag, Sample: stream.FromSim(ts.Sample())}

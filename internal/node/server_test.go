@@ -235,9 +235,23 @@ func TestParseFlagsRejectsBadSolver(t *testing.T) {
 	if _, err := parseFlags([]string{"-solver", "line", "-intervals", ""}); err == nil {
 		t.Error("line solver with no intervals accepted")
 	}
+	for _, lam := range []string{"-0.33", "NaN", "+Inf"} {
+		if _, err := parseFlags([]string{"-lambda", lam}); err == nil {
+			t.Errorf("-lambda %s accepted", lam)
+		}
+	}
+	if _, err := parseFlags([]string{"-solver", "2d", "-stride", "-4"}); err == nil {
+		t.Error("negative -stride accepted")
+	}
 	// A -min above -window (256) parses, but no window could ever reach
 	// the solve threshold: the pipeline must refuse it.
 	pipelineRejects(t, "-min", "300")
+	// Negative tuning values parse as integers; the engine refuses them
+	// instead of reading them as "off" or as the default.
+	pipelineRejects(t, "-smooth", "-3")
+	pipelineRejects(t, "-every", "-16")
+	pipelineRejects(t, "-min", "-5")
+	pipelineRejects(t, "-workers", "-2")
 }
 
 // pipelineRejects asserts that liond's command line args parses but
@@ -256,35 +270,27 @@ func pipelineRejects(t *testing.T, args ...string) {
 	}
 }
 
-func TestParseFlagsIncremental(t *testing.T) {
-	cfg, err := parseFlags([]string{"-incremental"})
+// TestParseFlagsRemovedFlags: -incremental, -reject-newest and
+// -solve-timeout are gone. Their former default behaviours are the only
+// behaviours: the line solver at -smooth 0 gives the estimates -incremental
+// gave, a full window always slides, and window solves run to completion.
+func TestParseFlagsRemovedFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-incremental"},
+		{"-reject-newest"},
+		{"-solve-timeout", "1s"},
+	} {
+		_, err := parseFlags(args)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("parseFlags(%v) = %v, want an undefined-flag error", args, err)
+		}
+	}
+	cfg, err := parseFlags([]string{"-smooth", "0"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.cfg.SolverFactory == nil || cfg.cfg.Solver != nil {
-		t.Error("-incremental did not select the session-solver factory")
-	}
-	if cfg.cfg.Smooth != 0 {
-		t.Errorf("-incremental left Smooth = %d, want 0", cfg.cfg.Smooth)
-	}
-	// The resulting config must pass engine validation as-is.
-	e, err := stream.New(cfg.cfg)
-	if err != nil {
-		t.Fatalf("engine rejects -incremental config: %v", err)
-	}
-	e.Close(context.Background())
-
-	if _, err := parseFlags([]string{"-incremental", "-solver", "2d"}); err == nil {
-		t.Error("-incremental with -solver 2d accepted")
-	}
-	if _, err := parseFlags([]string{"-incremental", "-smooth", "9"}); err == nil {
-		t.Error("-incremental with explicit -smooth accepted")
-	}
-	if _, err := parseFlags([]string{"-incremental", "-intervals", ""}); err == nil {
-		t.Error("-incremental with no intervals accepted")
-	}
-	if cfg, err := parseFlags([]string{"-incremental", "-smooth", "0"}); err != nil || cfg.cfg.Smooth != 0 {
-		t.Errorf("-incremental with explicit -smooth 0 rejected: %v", err)
+	if cfg.cfg.Solver == nil || cfg.cfg.SolverFactory != nil || cfg.cfg.Smooth != 0 {
+		t.Errorf("-smooth 0 config = %+v, want the line solver without smoothing", cfg.cfg)
 	}
 }
 

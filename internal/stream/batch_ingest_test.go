@@ -70,7 +70,7 @@ func TestIngestTaggedMatchesPerSample(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tag := range []string{"A", "B", "C"} {
-		if a, b := single.WindowLen(tag), batched.WindowLen(tag); a != b {
+		if a, b := windowLen(single, tag), windowLen(batched, tag); a != b {
 			t.Errorf("tag %s window %d vs %d", tag, b, a)
 		}
 		ea, aok := single.Latest(tag)
@@ -107,23 +107,8 @@ func TestIngestTaggedDropsBadSamplesAndContinues(t *testing.T) {
 	if got := e.Metrics().Rejected; got != 1 {
 		t.Errorf("rejected counter %d, want 1 (only the NaN sample)", got)
 	}
-	if n := e.WindowLen("T1"); n != 6 {
+	if n := windowLen(e, "T1"); n != 6 {
 		t.Errorf("window length %d, want 6", n)
-	}
-}
-
-func TestIngestTaggedRejectNewestOverflow(t *testing.T) {
-	e, err := New(Config{WindowSize: 4, MinSamples: 4, Policy: RejectNewest, Workers: 1, Solver: countSolver})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close(context.Background())
-	accepted, dropped, err := e.IngestTagged(batchOf("T1", 10, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if accepted != 4 || dropped != 6 {
-		t.Errorf("accepted %d dropped %d, want 4/6", accepted, dropped)
 	}
 }
 

@@ -168,11 +168,11 @@ func findHealthAlert(alerts []health.Alert, state health.State) *health.Alert {
 	return nil
 }
 
-// TestMonitorDropAccounting checks that real sample losses — age evictions
-// here; RejectNewest refusals count the same way — reach the monitor's
-// drop-rate signal. Routine EvictOldest rotation must NOT: in steady state a
-// full window rotates on every sample, and flagging that as loss would fire
-// the drop rule on every healthy long-running stream.
+// TestMonitorDropAccounting checks that real sample losses — age evictions,
+// the only ones the engine has — reach the monitor's drop-rate signal.
+// Routine full-window rotation must NOT: in steady state a full window
+// rotates on every sample, and flagging that as loss would fire the drop
+// rule on every healthy long-running stream.
 func TestMonitorDropAccounting(t *testing.T) {
 	mon, err := health.New(health.Config{
 		Rules: []health.Rule{{
@@ -212,7 +212,7 @@ func TestMonitorDropAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The contrast case: a full window rotating under EvictOldest is healthy
+	// The contrast case: a full window sliding on every sample is healthy
 	// and must leave the drop signal at zero.
 	mon2, err := health.New(health.Config{
 		Rules: []health.Rule{{
@@ -240,7 +240,7 @@ func TestMonitorDropAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := mon2.Alerts(); len(got) != 0 {
-		t.Fatalf("EvictOldest rotation raised drop alerts: %+v", got)
+		t.Fatalf("full-window rotation raised drop alerts: %+v", got)
 	}
 }
 

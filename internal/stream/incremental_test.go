@@ -337,7 +337,6 @@ func TestIncrementalEngineConcurrentSessions(t *testing.T) {
 				e.Metrics()
 				for _, tag := range e.Tags() {
 					e.Latest(tag)
-					e.WindowLen(tag)
 					mon.Flight(tag)
 				}
 				time.Sleep(time.Millisecond)

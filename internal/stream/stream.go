@@ -22,9 +22,6 @@ import (
 var (
 	// ErrClosed is returned by Ingest and Close once the engine has shut down.
 	ErrClosed = errors.New("stream: engine closed")
-	// ErrWindowFull is returned under the RejectNewest policy when a sample
-	// arrives at a full window.
-	ErrWindowFull = errors.New("stream: window full")
 	// ErrBadSample is returned for samples with non-finite position or phase.
 	ErrBadSample = errors.New("stream: sample has non-finite fields")
 	// ErrNoTag is returned for an empty tag id.
@@ -69,22 +66,11 @@ type SessionSolver interface {
 	SolveWindow(samples []Sample, tr *obs.Tracer) (*core.Solution, error)
 }
 
-// DropPolicy selects what happens when a sample arrives at a full window.
-type DropPolicy int
-
-const (
-	// EvictOldest slides the window: the oldest sample is dropped to make
-	// room. This is the default and the natural streaming semantics.
-	EvictOldest DropPolicy = iota
-	// RejectNewest refuses the incoming sample and returns ErrWindowFull,
-	// preserving the existing window.
-	RejectNewest
-)
-
 // Config parameterises an Engine.
 type Config struct {
 	// WindowSize is the ring capacity per tag: the maximum number of samples
-	// one solve sees. Required.
+	// one solve sees. Required. A sample arriving at a full window evicts the
+	// oldest one: the window always slides.
 	WindowSize int
 	// WindowSpan, when positive, additionally evicts samples older than this
 	// relative to the newest sample's timestamp.
@@ -99,12 +85,8 @@ type Config struct {
 	// Smooth is the centred moving-average window passed to core.Preprocess;
 	// zero or one disables smoothing, otherwise it must be odd.
 	Smooth int
-	// Policy selects the overflow behaviour; the zero value is EvictOldest.
-	Policy DropPolicy
 	// Workers sizes the solve pool; zero means runtime.GOMAXPROCS(0).
 	Workers int
-	// JobTimeout, when positive, bounds each window solve.
-	JobTimeout time.Duration
 	// Solver produces estimates from window snapshots. Required unless
 	// SolverFactory is set.
 	Solver Solver
@@ -147,14 +129,14 @@ type Config struct {
 }
 
 func (c Config) minSamples() int {
-	if c.MinSamples <= 0 {
+	if c.MinSamples == 0 {
 		return 4
 	}
 	return c.MinSamples
 }
 
 func (c Config) solveEvery() int {
-	if c.SolveEvery <= 0 {
+	if c.SolveEvery == 0 {
 		return 1
 	}
 	return c.SolveEvery
@@ -197,7 +179,7 @@ type Metrics struct {
 	Tags            int
 	Ingested        uint64
 	Rejected        uint64 // non-finite samples refused at the boundary
-	DroppedOverflow uint64 // samples evicted or refused at a full window
+	DroppedOverflow uint64 // samples evicted by a full window sliding
 	DroppedAge      uint64 // samples evicted by WindowSpan
 	Coalesced       uint64 // pending snapshots replaced before solving
 	SubDropped      uint64 // estimates lost to slow subscribers
@@ -291,7 +273,7 @@ type snapshot struct {
 	samples []Sample
 	buf     windowBuffers // preprocessing storage for Config.Solver solves
 	sv      solved
-	run     func(context.Context) (any, error)
+	run     func() (any, error)
 	done    func(batch.Outcome)
 
 	// Profile pinned under e.mu when the window was frozen — the swap
@@ -332,6 +314,13 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Smooth > 1 && cfg.Smooth%2 == 0 {
 		return nil, fmt.Errorf("%w: smoothing window %d must be odd", ErrBadConfig, cfg.Smooth)
 	}
+	for name, v := range map[string]int{
+		"Smooth": cfg.Smooth, "SolveEvery": cfg.SolveEvery, "MinSamples": cfg.MinSamples, "Workers": cfg.Workers,
+	} {
+		if v < 0 {
+			return nil, fmt.Errorf("%w: %s %d must not be negative", ErrBadConfig, name, v)
+		}
+	}
 	if cfg.WindowSpan < 0 {
 		return nil, fmt.Errorf("%w: window span %v must not be negative", ErrBadConfig, cfg.WindowSpan)
 	}
@@ -345,7 +334,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:      cfg,
-		pool:     batch.NewPool(batch.Options{Workers: cfg.Workers, JobTimeout: cfg.JobTimeout, Registry: reg}),
+		pool:     batch.NewPool(batch.Options{Workers: cfg.Workers, Registry: reg}),
 		sessions: make(map[string]*session),
 		subs:     make(map[int]chan Estimate),
 
@@ -438,9 +427,8 @@ func (b *windowBuffers) solve(samples []Sample, smooth int, solver Solver, tr *o
 	return solver(win, tr)
 }
 
-// Ingest accepts one sample for the tag. Under RejectNewest it returns
-// ErrWindowFull when the window is full; under EvictOldest it never rejects a
-// valid sample. Safe for concurrent use.
+// Ingest accepts one sample for the tag; a full window slides, so a valid
+// sample is never refused. Safe for concurrent use.
 func (e *Engine) Ingest(tag string, s Sample) error {
 	if tag == "" {
 		return ErrNoTag
@@ -455,7 +443,8 @@ func (e *Engine) Ingest(tag string, s Sample) error {
 	if e.closed {
 		return ErrClosed
 	}
-	return e.ingestLocked(tag, s, obs.TraceContext{}, now, now)
+	e.ingestLocked(tag, s, obs.TraceContext{}, now, now)
+	return nil
 }
 
 // Tagged couples a tag id with one sample for batched ingest.
@@ -468,10 +457,10 @@ type Tagged struct {
 // the ingest entry point for the HTTP daemons, where a decoded request body
 // arrives as one slice and per-sample locking would dominate at cluster
 // ingest rates. Semantics match per-sample Ingest: samples are applied in
-// order; a non-finite sample, an empty tag, or a RejectNewest overflow drops
-// that sample (counted) without poisoning the rest of the batch. The only
-// error returned is ErrClosed, with accepted/dropped covering the samples
-// processed before the engine closed.
+// order; a non-finite sample or an empty tag drops that sample (counted)
+// without poisoning the rest of the batch. The only error returned is
+// ErrClosed, with accepted/dropped covering the samples processed before the
+// engine closed.
 func (e *Engine) IngestTagged(batch []Tagged) (accepted, dropped int, err error) {
 	return e.IngestTaggedTraced(batch, obs.TraceContext{}, time.Time{})
 }
@@ -505,10 +494,7 @@ func (e *Engine) IngestTaggedTraced(batch []Tagged, tc obs.TraceContext, origin 
 			dropped++
 			continue
 		}
-		if e.ingestLocked(ts.Tag, ts.Sample, tc, origin, now) != nil {
-			dropped++
-			continue
-		}
+		e.ingestLocked(ts.Tag, ts.Sample, tc, origin, now)
 		accepted++
 	}
 	return accepted, dropped, nil
@@ -517,7 +503,7 @@ func (e *Engine) IngestTaggedTraced(batch []Tagged, tc obs.TraceContext, origin 
 // ingestLocked applies one validated sample to its session. The caller holds
 // e.mu and has checked closed, tag, and finiteness. tc/origin/accepted are
 // the pipeline-trace context and clocks of the enclosing batch.
-func (e *Engine) ingestLocked(tag string, s Sample, tc obs.TraceContext, origin, accepted time.Time) error {
+func (e *Engine) ingestLocked(tag string, s Sample, tc obs.TraceContext, origin, accepted time.Time) {
 	sess := e.sessions[tag]
 	if sess == nil {
 		sess = &session{
@@ -538,17 +524,12 @@ func (e *Engine) ingestLocked(tag string, s Sample, tc obs.TraceContext, origin,
 		}
 	}
 	if sess.win.Len() == sess.win.Cap() {
-		if e.cfg.Policy == RejectNewest {
-			e.droppedOverflow.Inc()
-			e.cfg.Monitor.ObserveDrop(s.Time)
-			return fmt.Errorf("%w: tag %q holds %d samples", ErrWindowFull, tag, sess.win.Len())
-		}
-		// The Push below evicts the oldest sample.
+		// The Push below evicts the oldest sample. That rotation is not
+		// reported to the monitor: in steady state every full window rotates
+		// on each sample, and the evicted sample has already contributed to
+		// solves. Health drop accounting covers real losses only — age
+		// evictions.
 		e.droppedOverflow.Inc()
-		// EvictOldest rotation is not reported to the monitor: in steady
-		// state every full window rotates on each sample, and the evicted
-		// sample has already contributed to solves. Health drop accounting
-		// covers real losses only — RejectNewest refusals and age evictions.
 	}
 	sess.win.Push(s)
 	sess.since++
@@ -560,7 +541,6 @@ func (e *Engine) ingestLocked(tag string, s Sample, tc obs.TraceContext, origin,
 	if sess.win.Len() >= e.cfg.minSamples() && sess.since >= e.cfg.solveEvery() {
 		e.dispatchLocked(sess)
 	}
-	return nil
 }
 
 // Latest returns the most recent estimate for the tag, if any. The estimate
@@ -602,16 +582,6 @@ func (e *Engine) StalenessSeries(tag string) []float64 {
 		return sess.stale.AppendTo(nil)
 	}
 	return nil
-}
-
-// WindowLen returns the current window length for the tag.
-func (e *Engine) WindowLen(tag string) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if sess := e.sessions[tag]; sess != nil {
-		return sess.win.Len()
-	}
-	return 0
 }
 
 // Subscribe registers an estimate listener. The returned cancel function
@@ -771,10 +741,7 @@ func (e *Engine) submitLocked(sess *session, snap *snapshot) {
 // solve runs the window solve in a pool worker. It writes into the
 // snapshot-owned solved carrier and returns its address, so a steady-state
 // solve boxes no new values.
-func (snap *snapshot) solve(ctx context.Context) (any, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+func (snap *snapshot) solve() (any, error) {
 	e := snap.e
 	var tr *obs.Tracer
 	if e.cfg.Monitor != nil {

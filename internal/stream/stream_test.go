@@ -217,7 +217,7 @@ func TestExactCapacityThenOverflow(t *testing.T) {
 	if m := e.Metrics(); m.DroppedOverflow != 0 {
 		t.Errorf("dropped %d at exact capacity, want 0", m.DroppedOverflow)
 	}
-	if got := e.WindowLen("T1"); got != 16 {
+	if got := windowLen(e, "T1"); got != 16 {
 		t.Errorf("window length %d, want 16", got)
 	}
 	if err := e.Ingest("T1", FromSim(trace[16])); err != nil {
@@ -241,38 +241,6 @@ func TestExactCapacityThenOverflow(t *testing.T) {
 	}
 }
 
-func TestRejectNewestPolicy(t *testing.T) {
-	trace, lambda := testTrace(t, 5)
-	cfg := lineConfig(lambda)
-	cfg.WindowSize = 8
-	cfg.Policy = RejectNewest
-	cfg.SolveEvery = 1 << 30
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range trace[:8] {
-		if err := e.Ingest("T1", FromSim(s)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	err = e.Ingest("T1", FromSim(trace[8]))
-	if !errors.Is(err, ErrWindowFull) {
-		t.Fatalf("ingest at full window = %v, want ErrWindowFull", err)
-	}
-	if err := e.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	est, ok := e.Latest("T1")
-	if !ok {
-		t.Fatal("no estimate")
-	}
-	// The original window is preserved: it still starts at trace[0].
-	if est.From != trace[0].Time || est.To != trace[7].Time {
-		t.Errorf("window [%v, %v], want [%v, %v]", est.From, est.To, trace[0].Time, trace[7].Time)
-	}
-}
-
 func TestWindowSpanEviction(t *testing.T) {
 	_, lambda := testTrace(t, 6)
 	cfg := lineConfig(lambda)
@@ -292,7 +260,7 @@ func TestWindowSpanEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := e.WindowLen("T1"); got != 1 {
+	if got := windowLen(e, "T1"); got != 1 {
 		t.Errorf("window length %d after span eviction, want 1", got)
 	}
 	if m := e.Metrics(); m.DroppedAge != 2 {
@@ -440,6 +408,10 @@ func TestBadConfigs(t *testing.T) {
 		{WindowSize: 8},
 		{WindowSize: 8, Smooth: 4, Solver: solver},
 		{WindowSize: 8, WindowSpan: -time.Second, Solver: solver},
+		{WindowSize: 8, Smooth: -3, Solver: solver},
+		{WindowSize: 8, SolveEvery: -16, Solver: solver},
+		{WindowSize: 8, MinSamples: -5, Solver: solver},
+		{WindowSize: 8, Workers: -2, Solver: solver},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); !errors.Is(err, ErrBadConfig) {
@@ -474,6 +446,16 @@ func TestMinSamplesAboveWindowRejected(t *testing.T) {
 		t.Fatalf("min samples equal to the window rejected: %v", err)
 	}
 	e.Close(context.Background())
+}
+
+// windowLen returns the tag's current window length (0 for an unknown tag).
+func windowLen(e *Engine, tag string) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if sess := e.sessions[tag]; sess != nil {
+		return sess.win.Len()
+	}
+	return 0
 }
 
 func toStream(trace []sim.Sample) []Sample {

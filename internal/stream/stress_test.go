@@ -62,7 +62,6 @@ func TestStressConcurrentPublishers(t *testing.T) {
 				e.Latest("A")
 				e.Metrics()
 				e.Tags()
-				e.WindowLen("shared")
 			}
 		}()
 	}
