@@ -85,11 +85,12 @@ pipebench-test:
 	cd pipebench && $(GO) test .
 
 ## fuzz: short fuzzing passes over the phase-wrap, preprocessing, ingest
-## decoding, and latency-histogram invariants (their seed corpora also run in
-## every plain `go test`).
+## decoding, latency-histogram and calibration-solve invariants (their seed
+## corpora also run in every plain `go test`).
 fuzz:
 	$(GO) test -fuzz FuzzWrapPhase -fuzztime 30s ./internal/rf
 	$(GO) test -run '^$$' -fuzz FuzzPreprocess -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzIngestDecode -fuzztime 30s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzHistRecord -fuzztime 30s ./internal/stats
+	$(GO) test -run '^$$' -fuzz FuzzCalibEstimate -fuzztime 30s ./internal/calib

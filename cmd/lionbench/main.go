@@ -189,7 +189,7 @@ func writeTrace(path string, seed int64, stdout io.Writer) error {
 	if err := tr.WriteNDJSON(f); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "trace: %d events from %d candidates written to %s (estimate %v)\n",
-		tr.Len(), len(res.All), path, res.Position)
+	fmt.Fprintf(stdout, "trace: %d events written to %s (estimate %v)\n",
+		tr.Len(), path, res.Center)
 	return nil
 }

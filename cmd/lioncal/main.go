@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -25,13 +26,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "lioncal:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("lioncal", flag.ContinueOnError)
 	var (
 		in   = fs.String("in", "", "input CSV dataset (required)")
@@ -41,11 +42,11 @@ func run(args []string) error {
 		physical = fs.String("physical", "",
 			"physical center as x,y,z to report the displacement against")
 		smooth    = fs.Int("smooth", 9, "moving-average window (odd), 0 = off")
-		interval  = fs.Float64("interval", 0.2, "pairing interval x_o, m")
+		interval  = fs.Float64("interval", 0.2, "pairing interval x_o, m (non-adaptive solves)")
 		scanRange = fs.Float64("range", 0.8,
-			"scanning range, m (0 = use everything)")
+			"scanning range, m (0 = use everything; non-adaptive twoline/threeline)")
 		adaptive = fs.Bool("adaptive", true,
-			"sweep range/interval and fuse by the residual rule")
+			"sweep the pairing interval (and, for twoline/threeline, the scanning range) and fuse by the residual rule")
 		side = fs.Bool("above", true,
 			"target on the positive side (above the plane / +90° of the line)")
 		hopFreqs = fs.String("channels", "",
@@ -78,66 +79,58 @@ func run(args []string) error {
 	}
 	lambda := band.Wavelength()
 
-	var sol lion.Vec3
+	var res calib.Result
 	if *mode == "multichannel" {
-		sol, err = locateMultiChannel(samples, *hopFreqs, *smooth)
+		res.Center, err = locateMultiChannel(samples, *hopFreqs, *smooth)
 	} else {
-		var obs []lion.PosPhase
-		obs, err = lion.Preprocess(sim.Positions(samples), sim.Phases(samples), *smooth)
-		if err != nil {
-			return err
-		}
-		sol, err = locate(*mode, obs, samples, lambda, *interval, *scanRange, *adaptive, *side)
+		res, err = calib.Estimate(*mode, sim.Positions(samples), sim.Phases(samples), sim.Segments(samples),
+			scanConfig(lambda, *smooth, *interval, *scanRange, *adaptive, *side))
 	}
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("reads:            %d\n", len(samples))
-	fmt.Printf("wavelength:       %.4f m\n", lambda)
-	fmt.Printf("estimated center: %v\n", sol)
+	fmt.Fprintf(stdout, "reads:            %d\n", len(samples))
+	fmt.Fprintf(stdout, "wavelength:       %.4f m\n", lambda)
+	fmt.Fprintf(stdout, "estimated center: %v\n", res.Center)
 	if *physical != "" {
 		phys, err := parseVec3(*physical)
 		if err != nil {
 			return err
 		}
-		calib := lion.CenterCalibration{
+		cal := lion.CenterCalibration{
 			PhysicalCenter:  phys,
-			EstimatedCenter: sol,
+			EstimatedCenter: res.Center,
 		}
-		fmt.Printf("physical center:  %v\n", phys)
-		fmt.Printf("displacement:     %v (%.2f cm)\n",
-			calib.Displacement(), calib.DisplacementNorm()*100)
+		fmt.Fprintf(stdout, "physical center:  %v\n", phys)
+		fmt.Fprintf(stdout, "displacement:     %v (%.2f cm)\n",
+			cal.Displacement(), cal.DisplacementNorm()*100)
 	}
 	if *mode == "multichannel" {
 		// Offsets are channel-specific under hopping; a single figure
 		// against one carrier would be misleading.
-		fmt.Println("phase offset:     per-channel under hopping (not reported)")
+		fmt.Fprintln(stdout, "phase offset:     per-channel under hopping (not reported)")
 		return nil
 	}
-	offset, err := lion.PhaseOffset(sim.Positions(samples), sim.Phases(samples), sol, lambda)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("phase offset:     %.4f rad (tag + antenna combined)\n", offset)
+	fmt.Fprintf(stdout, "phase offset:     %.4f rad (tag + antenna combined)\n", res.Offset)
 	return nil
 }
 
-// locate dispatches on the scan mode and returns the estimated center via
-// the shared internal/calib solver core (the same code path the online
-// recalibration controller uses).
-func locate(mode string, obs []lion.PosPhase, samples []sim.Sample, lambda, interval, scanRange float64, adaptive, side bool) (lion.Vec3, error) {
-	labels := make([]int, len(samples))
-	for i, s := range samples {
-		labels[i] = s.Segment
-	}
-	return calib.LocateScan(mode, obs, labels, calib.ScanConfig{
+// scanConfig maps lioncal's flags onto the calibration config: -interval
+// pins the one pairing interval of a non-adaptive solve, while an adaptive
+// solve sweeps calib's own interval grid.
+func scanConfig(lambda float64, smooth int, interval, scanRange float64, adaptive, side bool) calib.Config {
+	cfg := calib.Config{
 		Lambda:       lambda,
-		Interval:     interval,
+		Smooth:       smooth,
 		ScanRange:    scanRange,
-		Adaptive:     adaptive,
 		PositiveSide: side,
-	})
+		Adaptive:     adaptive,
+	}
+	if !adaptive {
+		cfg.Intervals = []float64{interval}
+	}
+	return cfg
 }
 
 // locateMultiChannel splits a channel-hopped dataset by channel, unwraps
@@ -180,6 +173,13 @@ func locateMultiChannel(samples []sim.Sample, hopFreqs string, smooth int) (lion
 	sol, err := lion.Locate2DMultiChannel(chans, minLen/4, lion.DefaultSolveOptions())
 	if err != nil {
 		return lion.Vec3{}, err
+	}
+	// A straight pass leaves the perpendicular coordinate out of the joint
+	// linear system, and the multi-channel solve does not recover it.
+	for c := 0; c < sol.Dim; c++ {
+		if !sol.Known[c] {
+			return lion.Vec3{}, fmt.Errorf("multichannel solve left %c unknown: the scan geometry does not determine it (a straight pass needs -mode line)", "xyz"[c])
+		}
 	}
 	return sol.Position, nil
 }

@@ -1,13 +1,19 @@
 package main
 
 import (
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	lion "github.com/rfid-lion/lion"
+	"github.com/rfid-lion/lion/internal/calib"
 	"github.com/rfid-lion/lion/internal/dataset"
 	"github.com/rfid-lion/lion/internal/geom"
+	"github.com/rfid-lion/lion/internal/sim"
 	"github.com/rfid-lion/lion/internal/traject"
 )
 
@@ -80,30 +86,30 @@ func writeScanDataset(t *testing.T) (string, geom.Vec3) {
 
 func TestRunEndToEnd(t *testing.T) {
 	path, _ := writeScanDataset(t)
-	if err := run([]string{"-in", path, "-mode", "threeline", "-physical", "0,0.8,0"}); err != nil {
+	if err := run([]string{"-in", path, "-mode", "threeline", "-physical", "0,0.8,0"}, io.Discard); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 }
 
 func TestRunMissingInput(t *testing.T) {
-	if err := run(nil); err == nil {
+	if err := run(nil, io.Discard); err == nil {
 		t.Error("missing -in accepted")
 	}
-	if err := run([]string{"-in", "/nonexistent.csv"}); err == nil {
+	if err := run([]string{"-in", "/nonexistent.csv"}, io.Discard); err == nil {
 		t.Error("nonexistent file accepted")
 	}
 }
 
 func TestRunBadMode(t *testing.T) {
 	path, _ := writeScanDataset(t)
-	if err := run([]string{"-in", path, "-mode", "bogus"}); err == nil {
+	if err := run([]string{"-in", path, "-mode", "bogus"}, io.Discard); err == nil {
 		t.Error("unknown mode accepted")
 	}
 }
 
 func TestRunBadFrequency(t *testing.T) {
 	path, _ := writeScanDataset(t)
-	if err := run([]string{"-in", path, "-freq", "-1"}); err == nil {
+	if err := run([]string{"-in", path, "-freq", "-1"}, io.Discard); err == nil {
 		t.Error("negative frequency accepted")
 	}
 }
@@ -120,18 +126,91 @@ func TestLocateDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	lambda := lion.DefaultBand().Wavelength()
-	obs, err := lion.Preprocess(lion.Positions(samples), lion.Phases(samples), 9)
+	cfg := scanConfig(lambda, 9, 0.2, 0.8, true, true)
+	res, err := calib.Estimate("threeline", sim.Positions(samples), sim.Phases(samples), sim.Segments(samples), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pos, err := locate("threeline", obs, samples, lambda, 0.2, 0.8, true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := pos.Dist(truth); d > 0.03 {
+	if d := res.Center.Dist(truth); d > 0.03 {
 		t.Errorf("threeline estimate off by %v m", d)
 	}
-	if _, err := locate("nope", obs, samples, lambda, 0.2, 0.8, true, true); err == nil {
+	if _, err := calib.Estimate("nope", sim.Positions(samples), sim.Phases(samples), sim.Segments(samples), cfg); err == nil {
 		t.Error("unknown mode accepted")
+	}
+}
+
+// writeLineDataset simulates one straight pass 0.8 m in front of an
+// antenna, optionally channel-hopped, and writes it as CSV.
+func writeLineDataset(t *testing.T, hop []float64) string {
+	t.Helper()
+	env, err := lion.NewEnvironment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := lion.ReaderConfig{RateHz: 100, Seed: 1}
+	if hop != nil {
+		cfg.Hopping = &lion.HopPlan{FrequenciesHz: hop}
+	}
+	reader, err := lion.NewReader(env, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ant := &lion.Antenna{
+		PhysicalCenter:    geom.V3(0, 0.8, 0),
+		PhaseCenterOffset: geom.V3(0.02, -0.015, 0),
+		PhaseOffset:       2.74,
+	}
+	trj, err := traject.NewLinear(geom.V3(-0.6, 0, 0), geom.V3(0.6, 0, 0), 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := reader.Scan(ant, &lion.Tag{PhaseOffset: 0.4}, trj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "line.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := dataset.Write(f, samples); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestRunLineModeHonoursAdaptive: -mode line used to solve one fixed
+// interval whatever -adaptive said. The adaptive run must print the
+// interval sweep's center, the non-adaptive run the -interval solve's.
+func TestRunLineModeHonoursAdaptive(t *testing.T) {
+	path := writeLineDataset(t, nil)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	samples, err := dataset.Read(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lambda := lion.DefaultBand().Wavelength()
+	for _, adaptive := range []bool{true, false} {
+		var out strings.Builder
+		args := []string{"-in", path, "-mode", "line", "-adaptive=" + strconv.FormatBool(adaptive)}
+		if err := run(args, &out); err != nil {
+			t.Fatalf("adaptive=%v: %v", adaptive, err)
+		}
+		cfg := calib.Config{Lambda: lambda, Smooth: 9, PositiveSide: true, Adaptive: adaptive}
+		if !adaptive {
+			cfg.Intervals = []float64{0.2}
+		}
+		want, err := calib.EstimateLine(sim.Positions(samples), sim.Phases(samples), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if line := fmt.Sprintf("estimated center: %v\n", want.Center); !strings.Contains(out.String(), line) {
+			t.Errorf("adaptive=%v: output\n%s\nlacks %q", adaptive, out.String(), line)
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	lion "github.com/rfid-lion/lion"
@@ -56,14 +58,27 @@ func TestRunMultiChannelMode(t *testing.T) {
 	path, _ := writeHoppedDataset(t)
 	if err := run([]string{
 		"-in", path, "-mode", "multichannel", "-channels", hopList,
-	}); err != nil {
+	}, io.Discard); err != nil {
 		t.Fatalf("run: %v", err)
+	}
+}
+
+// TestRunMultiChannelStraightPassFails: the joint solve of a hopped
+// straight pass cannot determine the perpendicular coordinate. lioncal used
+// to print it as NaN and exit 0; it must fail and name the coordinate.
+func TestRunMultiChannelStraightPassFails(t *testing.T) {
+	path := writeLineDataset(t, []float64{902.75e6, 910.75e6, 918.75e6, 927.25e6})
+	err := run([]string{
+		"-in", path, "-mode", "multichannel", "-channels", "902.75e6,910.75e6,918.75e6,927.25e6",
+	}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "y unknown") {
+		t.Fatalf("hopped straight pass: err = %v, want an error naming y", err)
 	}
 }
 
 func TestMultiChannelModeRequiresChannels(t *testing.T) {
 	path, _ := writeHoppedDataset(t)
-	if err := run([]string{"-in", path, "-mode", "multichannel"}); err == nil {
+	if err := run([]string{"-in", path, "-mode", "multichannel"}, io.Discard); err == nil {
 		t.Error("missing -channels accepted")
 	}
 }

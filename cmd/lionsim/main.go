@@ -24,9 +24,9 @@ import (
 	"time"
 
 	lion "github.com/rfid-lion/lion"
+	"github.com/rfid-lion/lion/internal/calib"
 	"github.com/rfid-lion/lion/internal/core"
 	"github.com/rfid-lion/lion/internal/dataset"
-	"github.com/rfid-lion/lion/internal/experiment"
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/load"
 	"github.com/rfid-lion/lion/internal/obs"
@@ -240,36 +240,33 @@ func emitPaced(w io.Writer, format, tagID string, samples []sim.Sample, rate flo
 // traceSmooth matches the experiments' preprocessing window.
 const traceSmooth = 9
 
+// traceModes maps each scenario to the calibration mode that localizes it.
+var traceModes = map[string]string{
+	"linear":    calib.ModeLine,
+	"threeline": calib.ModeThreeLine,
+	"twoline":   calib.ModeTwoLine,
+}
+
 // writeTrace localizes the generated scan with the scenario's natural solver,
 // recording every adaptive candidate and IRWLS iteration, and dumps the trace
-// as NDJSON.
+// as NDJSON. The line scans run the adaptive calibration solve; the circle
+// runs the stride-paired 2-D solve.
 func writeTrace(path, scenario string, samples []sim.Sample, lambda float64) error {
-	obsv, err := core.Preprocess(sim.Positions(samples), sim.Phases(samples), traceSmooth)
-	if err != nil {
-		return err
-	}
 	tr := obs.NewTracer()
 	solve := core.DefaultSolveOptions()
 	solve.Trace = tr
-	switch scenario {
-	case "linear":
-		_, err = core.AdaptiveLocate2DLine(obsv, lambda, []float64{0.15, 0.2, 0.25}, true, solve)
-	case "threeline":
-		var in core.ThreeLineInput
-		if in, err = experiment.SplitThreeLine(obsv, samples, lambda); err == nil {
-			_, err = core.AdaptiveLocateThreeLine(in,
-				[]float64{0.6, 0.8, 1.0}, []float64{0.15, 0.2, 0.25},
-				core.StructuredOptions{Solve: solve})
+	positions, phases := sim.Positions(samples), sim.Phases(samples)
+	var err error
+	switch mode, ok := traceModes[scenario]; {
+	case ok:
+		_, err = calib.Estimate(mode, positions, phases, sim.Segments(samples), calib.Config{
+			Lambda: lambda, Smooth: traceSmooth, PositiveSide: true, Adaptive: true, Solve: solve,
+		})
+	case scenario == "circle":
+		var obsv []core.PosPhase
+		if obsv, err = core.Preprocess(positions, phases, traceSmooth); err == nil {
+			_, err = core.Locate2D(obsv, lambda, core.StridePairs(len(obsv), len(obsv)/4), solve)
 		}
-	case "twoline":
-		var in core.TwoLineInput
-		if in, err = experiment.SplitTwoLine(obsv, samples, lambda); err == nil {
-			_, err = core.AdaptiveLocateTwoLine(in, true,
-				[]float64{0.6, 0.8, 1.0}, []float64{0.15, 0.2, 0.25},
-				core.StructuredOptions{Solve: solve})
-		}
-	case "circle":
-		_, err = core.Locate2D(obsv, lambda, core.StridePairs(len(obsv), len(obsv)/4), solve)
 	default:
 		return fmt.Errorf("no trace solver for scenario %q", scenario)
 	}

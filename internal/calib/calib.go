@@ -1,10 +1,12 @@
-// Package calib is the reusable antenna-calibration solver core: given a
-// scan of (tag position, wrapped phase) measurements it estimates the
-// antenna's phase center with the linear localization model and the
+// Package calib is the only code that turns a calibration scan into an
+// antenna calibration: given (tag position, wrapped phase) measurements and,
+// for the multi-line scans, each sample's line label, it estimates the
+// antenna's phase center with the linear localization model (Sec. IV-B,
+// with the adaptive range/interval selection of Sec. IV-C-1) and the
 // combined tag+antenna phase offset Δθ via the paper's Eq. 17 circular
-// mean. It is the engine behind both the offline cmd/lioncal pipeline and
-// the online internal/recal closed-loop recalibration controller, which is
-// why it lives below the command layer and speaks internal types only.
+// mean. cmd/lioncal, lionsim -trace, the experiments and the online
+// internal/recal controller all call it, which is why it lives below the
+// command layer and speaks internal types only.
 package calib
 
 import (
@@ -22,25 +24,51 @@ import (
 // than Config.MinSamples (or the absolute floor of 8).
 var ErrTooFewSamples = errors.New("calib: too few samples for a calibration solve")
 
-// DefaultIntervals is the pairing-interval sweep used when Config.Intervals
-// is nil — the same grid the adaptive offline pipeline sweeps.
-var DefaultIntervals = []float64{0.15, 0.2, 0.25}
+// The scan modes Estimate dispatches on.
+const (
+	// ModeLine is one straight pass (Sec. III-C-1): a 2-D center in the
+	// plane of the line and the antenna.
+	ModeLine = "line"
+	// ModeTwoLine is two parallel lines in one plane (Fig. 14a): a 3-D
+	// center whose out-of-plane coordinate comes from d_r.
+	ModeTwoLine = "twoline"
+	// ModeThreeLine is the Fig. 11 three-line scan (Eqs. 10–12).
+	ModeThreeLine = "threeline"
+	// ModePlanar is any non-linear trajectory confined to a plane
+	// (Sec. III-C-2), solved over stride-n/4 pairs.
+	ModePlanar = "planar"
+)
 
-// Config controls a line-scan calibration solve (EstimateLine).
+// The adaptive parameter grid of Sec. IV-C-1: the pairing intervals x_o
+// every adaptive solve sweeps (DefaultIntervals, also the joint intervals
+// of a non-adaptive solve) and the scanning ranges the structured modes
+// sweep with them.
+var (
+	DefaultIntervals = []float64{0.15, 0.2, 0.25}
+	adaptiveRanges   = []float64{0.6, 0.8, 1.0}
+)
+
+// Config controls a calibration solve (Estimate).
 type Config struct {
 	// Lambda is the carrier wavelength in metres. Required.
 	Lambda float64
 	// Smooth is the centred moving-average window applied during
 	// preprocessing (odd, 0 or 1 disables).
 	Smooth int
-	// Intervals are the pairing intervals x_o to sweep; nil selects
-	// DefaultIntervals.
+	// Intervals are the pairing intervals x_o; nil selects
+	// DefaultIntervals. A non-adaptive solve combines them in one system,
+	// an adaptive one sweeps them.
 	Intervals []float64
+	// ScanRange bounds the scan extent a non-adaptive twoline or
+	// threeline solve uses (0 = use everything). Adaptive solves sweep
+	// the scanning range instead.
+	ScanRange float64
 	// PositiveSide places the antenna on the positive side of the scan
-	// line (the +90° half-plane).
+	// (the +90° half-plane of a line, above the plane of a planar scan).
 	PositiveSide bool
-	// Adaptive fuses the interval sweep by the paper's residual rule
-	// instead of solving one joint system over all intervals.
+	// Adaptive sweeps the parameter grid and fuses the candidates by the
+	// paper's residual rule instead of solving one joint system. Planar
+	// scans have no grid and ignore it.
 	Adaptive bool
 	// MinSamples is the minimum number of samples accepted; values below
 	// 8 are raised to 8 (a line solve needs enough pairs to be
@@ -86,13 +114,20 @@ type Result struct {
 	RMS float64
 }
 
-// EstimateLine runs the full single-line calibration pipeline: unwrap and
-// smooth the raw wrapped phases, estimate the phase center with the linear
-// model (adaptive interval sweep or one joint multi-interval system), then
-// estimate the Eq. 17 phase offset against that center and report the
-// resulting model-fit RMS.
+// EstimateLine is Estimate for a single-line scan (ModeLine), the
+// calibration the recal controller re-solves from live windows.
 func EstimateLine(positions []geom.Vec3, wrapped []float64, cfg Config) (Result, error) {
-	if cfg.Lambda <= 0 {
+	return Estimate(ModeLine, positions, wrapped, nil, cfg)
+}
+
+// Estimate runs the full calibration pipeline on one scan: unwrap and
+// smooth the raw wrapped phases, estimate the phase center with the linear
+// model for the scan mode, then estimate the Eq. 17 phase offset against
+// that center over the raw phases and report the resulting model-fit RMS.
+// labels carries each sample's line (traject.LineL1/L2/L3); only the
+// twoline and threeline modes read it, and they require one per sample.
+func Estimate(mode string, positions []geom.Vec3, wrapped []float64, labels []int, cfg Config) (Result, error) {
+	if !(cfg.Lambda > 0) {
 		return Result{}, core.ErrBadLambda
 	}
 	if len(positions) != len(wrapped) {
@@ -106,21 +141,9 @@ func EstimateLine(positions []geom.Vec3, wrapped []float64, cfg Config) (Result,
 	if err != nil {
 		return Result{}, err
 	}
-	var center geom.Vec3
-	if cfg.Adaptive {
-		res, err := core.AdaptiveLocate2DLine(obs, cfg.Lambda, cfg.intervals(),
-			cfg.PositiveSide, cfg.solve())
-		if err != nil {
-			return Result{}, err
-		}
-		center = res.Position
-	} else {
-		sol, err := core.Locate2DLineIntervals(obs, cfg.Lambda, cfg.intervals(),
-			cfg.PositiveSide, cfg.solve())
-		if err != nil {
-			return Result{}, err
-		}
-		center = sol.Position
+	center, err := locate(mode, obs, labels, cfg)
+	if err != nil {
+		return Result{}, err
 	}
 	offset, err := core.PhaseOffset(positions, wrapped, center, cfg.Lambda)
 	if err != nil {
@@ -132,6 +155,75 @@ func EstimateLine(positions []geom.Vec3, wrapped []float64, cfg Config) (Result,
 		Samples: len(positions),
 		RMS:     OffsetResidualRMS(positions, wrapped, center, offset, cfg.Lambda),
 	}, nil
+}
+
+// locate estimates the phase center of one preprocessed scan.
+func locate(mode string, obs []core.PosPhase, labels []int, cfg Config) (geom.Vec3, error) {
+	if (mode == ModeTwoLine || mode == ModeThreeLine) && len(labels) != len(obs) {
+		return geom.Vec3{}, fmt.Errorf("calib: %s scan has %d labels for %d samples", mode, len(labels), len(obs))
+	}
+	solve := cfg.solve()
+	intervals := cfg.intervals()
+	adaptive := core.StructuredOptions{Solve: solve}
+	joint := core.StructuredOptions{ScanRange: cfg.ScanRange, Intervals: intervals, Solve: solve}
+	switch mode {
+	case ModeLine:
+		if cfg.Adaptive {
+			return fused(core.AdaptiveLocate2DLine(obs, cfg.Lambda, intervals, cfg.PositiveSide, solve))
+		}
+		return solved(core.Locate2DLineIntervals(obs, cfg.Lambda, intervals, cfg.PositiveSide, solve))
+	case ModeTwoLine:
+		l1, l2, _ := Lines(obs, labels)
+		in := core.TwoLineInput{L1: l1, L2: l2, Lambda: cfg.Lambda}
+		if cfg.Adaptive {
+			return fused(core.AdaptiveLocateTwoLine(in, cfg.PositiveSide, adaptiveRanges, intervals, adaptive))
+		}
+		return solved(core.LocateTwoLine(in, cfg.PositiveSide, joint))
+	case ModeThreeLine:
+		l1, l2, l3 := Lines(obs, labels)
+		in := core.ThreeLineInput{L1: l1, L2: l2, L3: l3, Lambda: cfg.Lambda}
+		if cfg.Adaptive {
+			return fused(core.AdaptiveLocateThreeLine(in, adaptiveRanges, intervals, adaptive))
+		}
+		return solved(core.LocateThreeLine(in, joint))
+	case ModePlanar:
+		pairs := core.StridePairs(len(obs), len(obs)/4)
+		return solved(core.Locate3DPlanar(obs, cfg.Lambda, pairs, cfg.PositiveSide, solve))
+	}
+	return geom.Vec3{}, fmt.Errorf("calib: unknown mode %q (want %s, %s, %s or %s)",
+		mode, ModeLine, ModeTwoLine, ModeThreeLine, ModePlanar)
+}
+
+func fused(res *core.AdaptiveResult, err error) (geom.Vec3, error) {
+	if err != nil {
+		return geom.Vec3{}, err
+	}
+	return res.Position, nil
+}
+
+func solved(sol *core.Solution, err error) (geom.Vec3, error) {
+	if err != nil {
+		return geom.Vec3{}, err
+	}
+	return sol.Position, nil
+}
+
+// Lines splits a labelled scan into its traject.LineL1, LineL2 and LineL3
+// observations, in scan order; samples with any other label (the moves
+// between lines) belong to none. The unwrapped profile stays continuous
+// across the lines because the scan is one uninterrupted movement.
+func Lines(obs []core.PosPhase, labels []int) (l1, l2, l3 []core.PosPhase) {
+	for i, label := range labels {
+		switch label {
+		case traject.LineL1:
+			l1 = append(l1, obs[i])
+		case traject.LineL2:
+			l2 = append(l2, obs[i])
+		case traject.LineL3:
+			l3 = append(l3, obs[i])
+		}
+	}
+	return l1, l2, l3
 }
 
 // OffsetResidualRMS scores a calibration (center, offset) against raw
@@ -151,120 +243,4 @@ func OffsetResidualRMS(positions []geom.Vec3, wrapped []float64, center geom.Vec
 		sum += r * r
 	}
 	return math.Sqrt(sum / float64(len(positions)))
-}
-
-// ScanConfig controls a structured-scan center solve (LocateScan) — the
-// offline lioncal dispatch over the paper's scan geometries.
-type ScanConfig struct {
-	// Lambda is the carrier wavelength in metres. Required.
-	Lambda float64
-	// Interval is the pairing interval x_o for non-adaptive solves.
-	Interval float64
-	// ScanRange bounds the scan extent used by the structured solvers
-	// (0 = use everything).
-	ScanRange float64
-	// Adaptive sweeps ranges {0.6, 0.8, 1.0} and intervals
-	// {0.15, 0.2, 0.25} and fuses by the residual rule.
-	Adaptive bool
-	// PositiveSide places the target on the positive side (above the
-	// plane / +90° of the line).
-	PositiveSide bool
-	// Solve configures the least-squares core. A zero value selects
-	// core.DefaultSolveOptions.
-	Solve core.SolveOptions
-}
-
-func (c ScanConfig) solve() core.SolveOptions {
-	if c.Solve == (core.SolveOptions{}) {
-		return core.DefaultSolveOptions()
-	}
-	return c.Solve
-}
-
-// LocateScan dispatches on the scan mode (threeline, twoline, line,
-// planar) and returns the estimated phase center. labels carries the
-// per-observation trajectory segment (traject.LineL1/L2/L3) and is only
-// consulted by the multi-line modes; it may be nil for line/planar.
-func LocateScan(mode string, obs []core.PosPhase, labels []int, cfg ScanConfig) (geom.Vec3, error) {
-	if cfg.Lambda <= 0 {
-		return geom.Vec3{}, core.ErrBadLambda
-	}
-	split := func(label int) []core.PosPhase {
-		var out []core.PosPhase
-		for i := range obs {
-			if i < len(labels) && labels[i] == label {
-				out = append(out, obs[i])
-			}
-		}
-		return out
-	}
-	opts := core.StructuredOptions{
-		ScanRange: cfg.ScanRange,
-		Interval:  cfg.Interval,
-		Solve:     cfg.solve(),
-	}
-	ranges := []float64{cfg.ScanRange}
-	intervals := []float64{cfg.Interval}
-	if cfg.Adaptive {
-		ranges = []float64{0.6, 0.8, 1.0}
-		intervals = []float64{0.15, 0.2, 0.25}
-	}
-	switch mode {
-	case "threeline":
-		in := core.ThreeLineInput{
-			L1:     split(traject.LineL1),
-			L2:     split(traject.LineL2),
-			L3:     split(traject.LineL3),
-			Lambda: cfg.Lambda,
-		}
-		if cfg.Adaptive {
-			res, err := core.AdaptiveLocateThreeLine(in, ranges, intervals,
-				core.StructuredOptions{Solve: cfg.solve()})
-			if err != nil {
-				return geom.Vec3{}, err
-			}
-			return res.Position, nil
-		}
-		sol, err := core.LocateThreeLine(in, opts)
-		if err != nil {
-			return geom.Vec3{}, err
-		}
-		return sol.Position, nil
-	case "twoline":
-		in := core.TwoLineInput{
-			L1:     split(traject.LineL1),
-			L2:     split(traject.LineL2),
-			Lambda: cfg.Lambda,
-		}
-		if cfg.Adaptive {
-			res, err := core.AdaptiveLocateTwoLine(in, cfg.PositiveSide, ranges, intervals,
-				core.StructuredOptions{Solve: cfg.solve()})
-			if err != nil {
-				return geom.Vec3{}, err
-			}
-			return res.Position, nil
-		}
-		sol, err := core.LocateTwoLine(in, cfg.PositiveSide, opts)
-		if err != nil {
-			return geom.Vec3{}, err
-		}
-		return sol.Position, nil
-	case "line":
-		sol, err := core.Locate2DLine(obs, cfg.Lambda, cfg.Interval,
-			cfg.PositiveSide, cfg.solve())
-		if err != nil {
-			return geom.Vec3{}, err
-		}
-		return sol.Position, nil
-	case "planar":
-		pairs := core.StridePairs(len(obs), len(obs)/4)
-		sol, err := core.Locate3DPlanar(obs, cfg.Lambda, pairs,
-			cfg.PositiveSide, cfg.solve())
-		if err != nil {
-			return geom.Vec3{}, err
-		}
-		return sol.Position, nil
-	default:
-		return geom.Vec3{}, fmt.Errorf("calib: unknown mode %q", mode)
-	}
 }

@@ -65,10 +65,3 @@ func PhaseOffset(positions []geom.Vec3, wrapped []float64, center geom.Vec3, lam
 func ApplyPhaseOffset(measured, offset float64) float64 {
 	return rf.WrapPhase(measured - offset)
 }
-
-// RelativeOffset returns the wrapped difference of two device offsets, the
-// quantity multi-antenna systems need to align their phase references
-// (Sec. IV-C-2).
-func RelativeOffset(offsetA, offsetB float64) float64 {
-	return rf.WrapPhase(offsetA - offsetB)
-}

@@ -379,6 +379,9 @@ func LocateThreeLine(in ThreeLineInput, opts StructuredOptions) (*Solution, erro
 	}
 
 	pairs := opts.xPairs(n, opts.gridStep(), 0) // x along L1
+	if len(pairs) == 0 {
+		return nil, fmt.Errorf("core: three-line scan shorter than its pairing interval: %w", ErrTooFewObservations)
+	}
 	for g := 0; g < n; g++ {
 		pairs = append(pairs, Pair{I: g, J: 2*n + g}) // y: L1 vs L3
 		pairs = append(pairs, Pair{I: g, J: n + g})   // z: L1 vs L2
@@ -392,7 +395,14 @@ func LocateThreeLine(in ThreeLineInput, opts StructuredOptions) (*Solution, erro
 	if err != nil {
 		return nil, err
 	}
-	return SolveSystem(sys, opts.Solve)
+	sol, err := SolveSystem(sys, opts.Solve)
+	if err != nil {
+		return nil, err
+	}
+	if !sol.FullyKnown() { // coincident lines pin neither y nor z
+		return nil, fmt.Errorf("core: three-line scan leaves a coordinate unknown: %w", ErrDegenerateGeometry)
+	}
+	return sol, nil
 }
 
 // TwoLineInput carries the reduced two-line planar scan used for the 3-D

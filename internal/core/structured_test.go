@@ -57,6 +57,35 @@ func TestLocateThreeLineNoiseless(t *testing.T) {
 	}
 }
 
+// TestLocateThreeLineShortLinesError: lines shorter than the pairing
+// interval give the grid no along-line pair, so the x column of the system
+// is empty. The solve used to return a NaN x with a nil error.
+func TestLocateThreeLineShortLinesError(t *testing.T) {
+	ant := geom.V3(0.02, 0.8, 0.1)
+	// Ten samples over three 15 cm lines: the grid spans 4 points at a
+	// 4 cm step, and the 20 cm interval pairs none of them.
+	in := genThreeLine(ant, -0.075, 0.075, 0.2, 0.2, 3, 0, nil)
+	in.L1 = genObs(ant, []geom.Vec3{
+		geom.V3(-0.075, 0, 0), geom.V3(-0.025, 0, 0), geom.V3(0.025, 0, 0), geom.V3(0.075, 0, 0),
+	}, 0, 0, nil)
+	sol, err := LocateThreeLine(in, StructuredOptions{Interval: 0.2, Solve: DefaultSolveOptions()})
+	if !errors.Is(err, ErrTooFewObservations) {
+		t.Fatalf("short lines: sol = %+v, err = %v; want ErrTooFewObservations", sol, err)
+	}
+}
+
+// TestLocateThreeLineCoincidentLinesError: three lines at one y/z leave the
+// y and z columns of the system zero. The solve used to return NaN y and z
+// with a nil error.
+func TestLocateThreeLineCoincidentLinesError(t *testing.T) {
+	ant := geom.V3(0.02, 0.8, 0.1)
+	in := genThreeLine(ant, -0.6, 0.6, 0, 0, 100, 0, nil)
+	sol, err := LocateThreeLine(in, DefaultStructuredOptions())
+	if !errors.Is(err, ErrDegenerateGeometry) {
+		t.Fatalf("coincident lines: sol = %+v, err = %v; want ErrDegenerateGeometry", sol, err)
+	}
+}
+
 func TestLocateThreeLineNoisy(t *testing.T) {
 	rng := stats.NewRNG(5)
 	ant := geom.V3(0, 0.8, 0.2)
@@ -273,15 +302,12 @@ func TestPhaseOffsetValidation(t *testing.T) {
 	}
 }
 
-func TestApplyAndRelativeOffset(t *testing.T) {
+func TestApplyPhaseOffset(t *testing.T) {
 	if got := ApplyPhaseOffset(1.0, 0.3); math.Abs(got-0.7) > 1e-12 {
 		t.Errorf("ApplyPhaseOffset = %v", got)
 	}
 	if got := ApplyPhaseOffset(0.1, 0.3); math.Abs(got-(2*math.Pi-0.2)) > 1e-12 {
 		t.Errorf("wrapped ApplyPhaseOffset = %v", got)
-	}
-	if got := RelativeOffset(4.07, 2.74); math.Abs(got-1.33) > 1e-12 {
-		t.Errorf("RelativeOffset = %v", got)
 	}
 }
 

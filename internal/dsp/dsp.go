@@ -57,24 +57,6 @@ func UnwrapInto(dst, wrapped []float64) []float64 {
 	return dst
 }
 
-// Wrap maps every element of xs onto [0, 2π). The input is not modified.
-func Wrap(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		t := math.Mod(x, 2*math.Pi)
-		if t < 0 {
-			t += 2 * math.Pi
-			// Negative values within one ulp of zero round up to exactly
-			// 2π, which would escape the half-open interval.
-			if t >= 2*math.Pi {
-				t = 0
-			}
-		}
-		out[i] = t
-	}
-	return out
-}
-
 // MovingAverage smooths xs with a centred moving-average filter of the given
 // odd window length (Sec. IV-A-2). Windows are truncated at the boundaries
 // so the output has the same length as the input. The input is not modified.

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/rfid-lion/lion/internal/calib"
 	"github.com/rfid-lion/lion/internal/core"
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/sim"
@@ -34,10 +35,8 @@ func adaptiveScenario(t *testing.T, seed int64) (core.ThreeLineInput, core.TwoLi
 	if err != nil {
 		t.Fatal(err)
 	}
-	in3, err := splitThreeLine(obs3, samples3, tb.lambda)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l1, l2, l3 := calib.Lines(obs3, sim.Segments(samples3))
+	in3 := core.ThreeLineInput{L1: l1, L2: l2, L3: l3, Lambda: tb.lambda}
 
 	scan2, err := traject.NewTwoLineScan(-0.5, 0.5, 0.2, 0.1)
 	if err != nil {
@@ -47,10 +46,8 @@ func adaptiveScenario(t *testing.T, seed int64) (core.ThreeLineInput, core.TwoLi
 	if err != nil {
 		t.Fatal(err)
 	}
-	in2, err := splitTwoLine(obs2, samples2, tb.lambda)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l1, l2, _ = calib.Lines(obs2, sim.Segments(samples2))
+	in2 := core.TwoLineInput{L1: l1, L2: l2, Lambda: tb.lambda}
 	return in3, in2
 }
 

@@ -3,6 +3,7 @@ package experiment
 import (
 	"time"
 
+	"github.com/rfid-lion/lion/internal/calib"
 	"github.com/rfid-lion/lion/internal/core"
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/hologram"
@@ -135,10 +136,8 @@ func (s *fig13Setup) gen3D(t *fig13Trial) error {
 		return err
 	}
 	rel := relativeObs(obs, p0)
-	in, err := splitTwoLine(rel, samples, s.tb.lambda)
-	if err != nil {
-		return err
-	}
+	l1, l2, _ := calib.Lines(rel, sim.Segments(samples))
+	in := core.TwoLineInput{L1: l1, L2: l2, Lambda: s.tb.lambda}
 	sub := rel
 	if len(sub) > 150 {
 		step := len(sub) / 150

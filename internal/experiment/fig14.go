@@ -3,6 +3,7 @@ package experiment
 import (
 	"math"
 
+	"github.com/rfid-lion/lion/internal/calib"
 	"github.com/rfid-lion/lion/internal/core"
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/hologram"
@@ -68,10 +69,8 @@ func Fig14a3D(cfg Config) ([]Fig14aRow, *Table, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			in, err := splitTwoLine(obs, samples, tb.lambda)
-			if err != nil {
-				return nil, nil, err
-			}
+			l1, l2, _ := calib.Lines(obs, sim.Segments(samples))
+			in := core.TwoLineInput{L1: l1, L2: l2, Lambda: tb.lambda}
 			// A 0.6 m scanning range keeps the whole scan inside the main
 			// beam even at the nearest depth (0.6 m).
 			sol, err := core.LocateTwoLine(in, true, core.StructuredOptions{

@@ -1,12 +1,11 @@
 package experiment
 
 import (
-	"fmt"
 	"math"
 	"time"
 
+	"github.com/rfid-lion/lion/internal/calib"
 	"github.com/rfid-lion/lion/internal/core"
-	"github.com/rfid-lion/lion/internal/dsp"
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/rf"
 	"github.com/rfid-lion/lion/internal/sim"
@@ -90,50 +89,10 @@ func (tb *testbed) scanToObs(ant *sim.Antenna, tag *sim.Tag, trj traject.Traject
 	return obs, samples, nil
 }
 
-// splitThreeLine converts a labelled three-line scan into the structured
-// solver input. The unwrapped profile stays continuous because the scan is
-// one uninterrupted movement.
-func splitThreeLine(obs []core.PosPhase, samples []sim.Sample, lambda float64) (core.ThreeLineInput, error) {
-	if len(obs) != len(samples) {
-		return core.ThreeLineInput{}, fmt.Errorf("experiment: %d obs vs %d samples", len(obs), len(samples))
-	}
-	var in core.ThreeLineInput
-	in.Lambda = lambda
-	for i, s := range samples {
-		switch s.Segment {
-		case traject.LineL1:
-			in.L1 = append(in.L1, obs[i])
-		case traject.LineL2:
-			in.L2 = append(in.L2, obs[i])
-		case traject.LineL3:
-			in.L3 = append(in.L3, obs[i])
-		}
-	}
-	return in, nil
-}
-
-// splitTwoLine converts a labelled two-line scan into the structured solver
-// input.
-func splitTwoLine(obs []core.PosPhase, samples []sim.Sample, lambda float64) (core.TwoLineInput, error) {
-	if len(obs) != len(samples) {
-		return core.TwoLineInput{}, fmt.Errorf("experiment: %d obs vs %d samples", len(obs), len(samples))
-	}
-	var in core.TwoLineInput
-	in.Lambda = lambda
-	for i, s := range samples {
-		switch s.Segment {
-		case traject.LineL1:
-			in.L1 = append(in.L1, obs[i])
-		case traject.LineL2:
-			in.L2 = append(in.L2, obs[i])
-		}
-	}
-	return in, nil
-}
-
 // calibrateAntenna runs the full calibration pipeline of Sec. IV for one
-// antenna: a three-line scan around scanCenter estimates the phase center,
-// then the same data estimates the hardware offset.
+// antenna: a three-line scan around scanCenter estimates the phase center
+// with adaptive parameter selection (Sec. IV-C-1), then the same data
+// estimates the hardware offset.
 func (tb *testbed) calibrateAntenna(ant *sim.Antenna, tag *sim.Tag, scanCenter geom.Vec3) (core.CenterCalibration, float64, error) {
 	// A slow calibration scan doubles the sample density — calibration is a
 	// one-off, so the extra scan time is well spent.
@@ -151,38 +110,16 @@ func (tb *testbed) calibrateAntenna(ant *sim.Antenna, tag *sim.Tag, scanCenter g
 	if err != nil {
 		return core.CenterCalibration{}, 0, err
 	}
-	obs, err := core.Preprocess(sim.Positions(samples), sim.Phases(samples), smoothWindow)
+	res, err := calib.Estimate(calib.ModeThreeLine, sim.Positions(samples), sim.Phases(samples),
+		sim.Segments(samples), calib.Config{Lambda: tb.lambda, Smooth: smoothWindow, Adaptive: true})
 	if err != nil {
 		return core.CenterCalibration{}, 0, err
 	}
-	in, err := splitThreeLine(obs, samples, tb.lambda)
-	if err != nil {
-		return core.CenterCalibration{}, 0, err
-	}
-	// Adaptive parameter selection (Sec. IV-C-1): sweep scanning range and
-	// interval, keep the estimates whose weighted mean residual is closest
-	// to zero, and average them.
-	res, err := core.AdaptiveLocateThreeLine(in,
-		[]float64{0.6, 0.8, 1.0},
-		[]float64{0.15, 0.2, 0.25},
-		core.StructuredOptions{Solve: core.DefaultSolveOptions()})
-	if err != nil {
-		return core.CenterCalibration{}, 0, err
-	}
-	calib := core.CenterCalibration{
+	return core.CenterCalibration{
 		AntennaID:       ant.ID,
 		PhysicalCenter:  ant.PhysicalCenter,
-		EstimatedCenter: res.Position,
-	}
-	// Offset calibration against the estimated center, on the raw wrapped
-	// phases of the whole scan.
-	positions := sim.Positions(samples)
-	wrapped := dsp.Wrap(sim.Phases(samples))
-	offsetEst, err := core.PhaseOffset(positions, wrapped, calib.EstimatedCenter, tb.lambda)
-	if err != nil {
-		return core.CenterCalibration{}, 0, err
-	}
-	return calib, offsetEst, nil
+		EstimatedCenter: res.Center,
+	}, res.Offset, nil
 }
 
 // shiftedTrajectory translates an inner trajectory by a constant offset,

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"github.com/rfid-lion/lion/internal/calib"
 	"github.com/rfid-lion/lion/internal/core"
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/obs"
@@ -8,32 +9,19 @@ import (
 	"github.com/rfid-lion/lion/internal/traject"
 )
 
-// SplitThreeLine converts a labelled three-line scan into the structured
-// solver input. Exported for the CLI tools (lionsim -trace localizes the
-// scans it just generated).
-func SplitThreeLine(obs []core.PosPhase, samples []sim.Sample, lambda float64) (core.ThreeLineInput, error) {
-	return splitThreeLine(obs, samples, lambda)
-}
-
-// SplitTwoLine converts a labelled two-line scan into the structured solver
-// input.
-func SplitTwoLine(obs []core.PosPhase, samples []sim.Sample, lambda float64) (core.TwoLineInput, error) {
-	return splitTwoLine(obs, samples, lambda)
-}
-
 // TraceCalibration runs one instrumented calibration solve on the simulated
 // testbed: a three-line scan of a default antenna followed by the adaptive
 // range/interval sweep of Sec. IV-C-1, with every candidate solve and IRWLS
-// iteration recorded on tr. It returns the adaptive result so callers can
-// report the selected estimate alongside the trace.
-func TraceCalibration(seed int64, tr *obs.Tracer) (*core.AdaptiveResult, error) {
+// iteration recorded on tr. It returns the calibration so callers can
+// report the estimate alongside the trace.
+func TraceCalibration(seed int64, tr *obs.Tracer) (calib.Result, error) {
 	tb, err := newTestbed(seed)
 	if err != nil {
-		return nil, err
+		return calib.Result{}, err
 	}
 	ant, err := tb.defaultAntenna("A1", geom.V3(0.1, 0.8, 0), geom.V3(0, -1, 0))
 	if err != nil {
-		return nil, err
+		return calib.Result{}, err
 	}
 	tag := &sim.Tag{ID: "T1", PhaseOffset: 0.4}
 	scan, err := traject.NewThreeLineScan(traject.ThreeLineConfig{
@@ -41,24 +29,14 @@ func TraceCalibration(seed int64, tr *obs.Tracer) (*core.AdaptiveResult, error) 
 		YSpacing: 0.2, ZSpacing: 0.2, Speed: 0.05,
 	})
 	if err != nil {
-		return nil, err
+		return calib.Result{}, err
 	}
 	samples, err := tb.reader.Scan(ant, tag, scan)
 	if err != nil {
-		return nil, err
-	}
-	obsv, err := core.Preprocess(sim.Positions(samples), sim.Phases(samples), smoothWindow)
-	if err != nil {
-		return nil, err
-	}
-	in, err := splitThreeLine(obsv, samples, tb.lambda)
-	if err != nil {
-		return nil, err
+		return calib.Result{}, err
 	}
 	solve := core.DefaultSolveOptions()
 	solve.Trace = tr
-	return core.AdaptiveLocateThreeLine(in,
-		[]float64{0.6, 0.8, 1.0},
-		[]float64{0.15, 0.2, 0.25},
-		core.StructuredOptions{Solve: solve})
+	return calib.Estimate(calib.ModeThreeLine, sim.Positions(samples), sim.Phases(samples),
+		sim.Segments(samples), calib.Config{Lambda: tb.lambda, Smooth: smoothWindow, Adaptive: true, Solve: solve})
 }

@@ -61,7 +61,9 @@ func (c Calibration) window() int {
 // DriftStatus is a point-in-time view of one antenna's drift estimate.
 type DriftStatus struct {
 	Antenna string
-	// Calibrated is the recorded offset, radians.
+	// Center and Calibrated are the drift reference: the recorded phase
+	// center and offset (radians).
+	Center     geom.Vec3
 	Calibrated float64
 	// Estimated is the sliding-window re-estimate of the offset, radians in
 	// [0, 2π). Zero until driftMinSamples (32) samples have been seen
@@ -150,7 +152,7 @@ func (d *driftEstimator) refresh() {
 // status computes the current drift estimate.
 func (d *driftEstimator) status() DriftStatus {
 	n := d.win.Len()
-	st := DriftStatus{Antenna: d.cal.Antenna, Calibrated: d.cal.Offset, Samples: n}
+	st := DriftStatus{Antenna: d.cal.Antenna, Center: d.cal.Center, Calibrated: d.cal.Offset, Samples: n}
 	if n < driftMinSamples ||
 		math.Hypot(d.sumSin, d.sumCos) < minMeanResultant*float64(n) {
 		return st

@@ -111,17 +111,16 @@ func TestSwapCalibrationResetsEstimator(t *testing.T) {
 
 	// Swap to the corrected offset: window resets, so the estimate is
 	// invalid until post-swap samples refill it, then reads zero drift.
-	swapped := cal
-	swapped.Offset = rf.WrapPhase(cal.Offset + step)
-	if err := m.SwapCalibration(swapped); err != nil {
+	swapped := rf.WrapPhase(cal.Offset + step)
+	if err := m.SwapCalibration(cal.Antenna, cal.Center, swapped, cal.Lambda); err != nil {
 		t.Fatal(err)
 	}
 	ds = m.Drifts()
 	if len(ds) != 1 || ds[0].Valid || ds[0].Samples != 0 {
 		t.Fatalf("post-swap drift not reset: %+v", ds)
 	}
-	if got, ok := m.Calibration(cal.Antenna); !ok || got.Offset != swapped.Offset {
-		t.Fatalf("Calibration() = %+v, %v; want swapped offset %v", got, ok, swapped.Offset)
+	if ds[0].Calibrated != swapped || ds[0].Center != cal.Center {
+		t.Fatalf("post-swap reference = %v, %v; want %v, %v", ds[0].Center, ds[0].Calibrated, cal.Center, swapped)
 	}
 	for i := 0; i < 64; i++ {
 		pos := geom.V3(0.5+0.01*float64(i%100), 0, 0)
@@ -134,20 +133,23 @@ func TestSwapCalibrationResetsEstimator(t *testing.T) {
 		t.Fatalf("post-swap drift under corrected profile = %+v, want ~0", ds)
 	}
 
-	// Guard rails: unknown antennas, invalid calibrations, nil monitors.
-	unknown := cal
-	unknown.Antenna = "A9"
-	if err := m.SwapCalibration(unknown); err == nil {
-		t.Error("swap for unregistered antenna accepted")
+	// Guard rails: an invalid reference is refused and changes nothing; an
+	// unregistered antenna and a nil monitor have no reference to move.
+	if err := m.SwapCalibration(cal.Antenna, cal.Center, math.NaN(), cal.Lambda); err == nil {
+		t.Error("non-finite offset accepted")
 	}
-	bad := cal
-	bad.Lambda = 0
-	if err := m.SwapCalibration(bad); err == nil {
-		t.Error("invalid calibration accepted")
+	if err := m.SwapCalibration(cal.Antenna, cal.Center, swapped, 0); err == nil {
+		t.Error("zero wavelength accepted")
+	}
+	if err := m.SwapCalibration("A9", cal.Center, 1, cal.Lambda); err != nil {
+		t.Errorf("unregistered antenna: %v, want a no-op", err)
+	}
+	if ds = m.Drifts(); len(ds) != 1 || ds[0].Calibrated != swapped || !ds[0].Valid {
+		t.Errorf("refused swaps changed the reference: %+v", ds)
 	}
 	var nilMon *Monitor
-	if err := nilMon.SwapCalibration(cal); err == nil {
-		t.Error("nil monitor swap accepted")
+	if err := nilMon.SwapCalibration(cal.Antenna, cal.Center, cal.Offset, cal.Lambda); err != nil {
+		t.Errorf("nil monitor swap: %v, want a no-op", err)
 	}
 }
 

@@ -121,8 +121,8 @@ func TestNewRejectsDriftWindowBelowMinimum(t *testing.T) {
 	if err != nil {
 		t.Fatalf("window at the minimum rejected: %v", err)
 	}
-	if err := m.SwapCalibration(Calibration{Antenna: cal.Antenna, Center: cal.Center, Lambda: cal.Lambda, Window: 16}); err == nil {
-		t.Error("swap to a 16-sample window accepted")
+	if err := m.SwapCalibration(cal.Antenna, cal.Center, cal.Offset+0.1, cal.Lambda); err != nil {
+		t.Fatalf("swap at the minimum window rejected: %v", err)
 	}
 	d := newDriftEstimator(cal)
 	feedDrift(d, 1000, cal.Offset)

@@ -461,42 +461,35 @@ func (m *Monitor) enqueueHookLocked(a Alert) {
 	}
 }
 
-// SwapCalibration atomically replaces the recorded calibration of an
-// already-registered antenna and resets its drift estimator: the sliding
-// window is emptied so the re-estimate restarts from post-swap samples
-// only, never mixing offsets measured under the old profile with the new
-// reference. A firing calibration_drift alert for the antenna therefore
-// heals on its own once the corrected profile's samples fill the window.
-// Only antennas registered at construction can be swapped — the gauge and
-// alert-scope cardinality stays bounded by configuration.
-func (m *Monitor) SwapCalibration(cal Calibration) error {
+// SwapCalibration moves an antenna's drift reference to a new phase center,
+// offset and wavelength, keeping its configured window, and resets its
+// estimator: the sliding window is emptied so the re-estimate restarts from
+// post-swap samples only, never mixing offsets measured under the old
+// profile with the new reference. A firing calibration_drift alert for the
+// antenna therefore heals on its own once the corrected profile's samples
+// fill the window. It validates the new reference before changing
+// anything. An antenna without a calibration registered at construction
+// has no drift reference: the call (like any call on a nil monitor)
+// changes nothing and returns nil, which keeps the gauge and alert-scope
+// cardinality bounded by configuration. stream.Engine.SwapProfile is the
+// caller.
+func (m *Monitor) SwapCalibration(antenna string, center geom.Vec3, offset, lambda float64) error {
 	if m == nil {
-		return fmt.Errorf("health: nil monitor cannot swap calibrations")
-	}
-	if err := cal.validate(); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.drift[cal.Antenna]; !ok {
-		return fmt.Errorf("health: no calibration registered for antenna %q", cal.Antenna)
-	}
-	m.drift[cal.Antenna] = newDriftEstimator(cal)
-	return nil
-}
-
-// Calibration returns the current recorded calibration for an antenna.
-func (m *Monitor) Calibration(antenna string) (Calibration, bool) {
-	if m == nil {
-		return Calibration{}, false
+		return nil
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	d := m.drift[antenna]
 	if d == nil {
-		return Calibration{}, false
+		return nil
 	}
-	return d.cal, true
+	cal := d.cal
+	cal.Center, cal.Offset, cal.Lambda = center, offset, lambda
+	if err := cal.validate(); err != nil {
+		return err
+	}
+	m.drift[antenna] = newDriftEstimator(cal)
+	return nil
 }
 
 // Alerts returns every active alert plus the recently-resolved history:

@@ -92,7 +92,6 @@ func buildPipeline(cfg *config) (*stream.Engine, *health.Monitor, *recal.Control
 	if cfg.recal {
 		ctrl, err = recal.New(recal.Config{
 			Engine:       eng,
-			Monitor:      mon,
 			Antenna:      cfg.cfg.Antenna,
 			Lambda:       cfg.lambda,
 			Margin:       cfg.recalMargin,

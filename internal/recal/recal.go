@@ -7,12 +7,13 @@
 // re-solves the phase center and the Eq. 17 phase offset with the shared
 // internal/calib solver core, validates the candidate against held-out
 // samples, and — only if the fit improves by a configurable margin —
-// atomically hot-swaps the antenna profile (stream.Engine.SwapProfile)
-// and the drift reference (health.Monitor.SwapCalibration) with no
-// restart. Every run is recorded in a bounded audit history; a swap
-// enters probation until its alert resolves, with an automatic rollback
-// to the previous profile if recalibration keeps failing while the old
-// profile still fits the evidence better.
+// hot-swaps the antenna profile with no restart. The engine owns the
+// active calibration: the controller reads it with Engine.ActiveProfile
+// and changes it only with Engine.SwapProfile, which moves the monitor's
+// drift reference in the same step. Every run is recorded in a bounded
+// audit history; a swap enters probation until its alert resolves, with an
+// automatic rollback to the previous profile if recalibration keeps
+// failing while the old profile still fits the evidence better.
 package recal
 
 import (
@@ -91,13 +92,12 @@ type Event struct {
 // Config parameterises a Controller.
 type Config struct {
 	// Engine is the stream engine whose windows provide evidence and whose
-	// profile is swapped. Required.
+	// profile is the active calibration the controller reads and swaps.
+	// Required, with an active profile. Its monitor's drift alerts reach
+	// the controller through OnTransition.
 	Engine *stream.Engine
-	// Monitor provides the drift alerts, the active calibration record,
-	// and receives the calibration swap. Required, and it must hold a
-	// Calibration for Antenna.
-	Monitor *health.Monitor
-	// Antenna is the calibrated antenna this controller manages. Required.
+	// Antenna is the calibrated antenna this controller manages (the
+	// drift alert scope). Required.
 	Antenna string
 	// Lambda is the carrier wavelength, metres. Required.
 	Lambda float64
@@ -144,7 +144,7 @@ const auditHistory = 32
 // probation tracks a swap that has not yet proven itself: it clears when
 // the drift alert resolves, and enables rollback while it lasts.
 type probation struct {
-	prev health.Calibration
+	prev stream.Profile
 }
 
 // request is one coalesced trigger.
@@ -187,9 +187,6 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("recal: an engine is required")
 	}
-	if cfg.Monitor == nil {
-		return nil, fmt.Errorf("recal: a monitor is required")
-	}
 	if cfg.Antenna == "" {
 		return nil, fmt.Errorf("recal: an antenna id is required")
 	}
@@ -199,8 +196,8 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Margin < 0 || cfg.Margin >= 1 {
 		return nil, fmt.Errorf("recal: margin %v must be in [0, 1)", cfg.Margin)
 	}
-	if _, ok := cfg.Monitor.Calibration(cfg.Antenna); !ok {
-		return nil, fmt.Errorf("recal: monitor has no calibration for antenna %q", cfg.Antenna)
+	if p, _, ok := cfg.Engine.ActiveProfile(); !ok || p.Antenna != cfg.Antenna {
+		return nil, fmt.Errorf("recal: engine has no active profile for antenna %q", cfg.Antenna)
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -368,13 +365,7 @@ func (c *Controller) run(req request) Event {
 		Time: begin, Reason: req.reason, Antenna: c.cfg.Antenna,
 		DriftLambda: req.drift,
 	}
-	active, ok := c.cfg.Monitor.Calibration(c.cfg.Antenna)
-	if !ok {
-		ev.Outcome = OutcomeFailed
-		ev.Err = fmt.Sprintf("no calibration registered for antenna %q", c.cfg.Antenna)
-		c.record(ev)
-		return ev
-	}
+	active, _, _ := c.cfg.Engine.ActiveProfile()
 	ev.OldCenter, ev.OldOffset = active.Center, active.Offset
 
 	tag, samples := c.evidence(req.tag)
@@ -412,9 +403,9 @@ func (c *Controller) run(req request) Event {
 	// Accept only a real improvement on samples the solve never saw. NaN
 	// comparisons are false, so degenerate residuals reject safely.
 	if candRMS <= (1-c.cfg.margin())*activeRMS {
-		cal := active
-		cal.Center, cal.Offset = res.Center, res.Offset
-		version, swapErr := c.swap(cal)
+		cand := active
+		cand.Center, cand.Offset = res.Center, res.Offset
+		version, swapErr := c.cfg.Engine.SwapProfile(cand)
 		if swapErr != nil {
 			ev.Outcome = OutcomeFailed
 			ev.Err = swapErr.Error()
@@ -444,29 +435,12 @@ func (c *Controller) run(req request) Event {
 	return ev
 }
 
-// swap installs a calibration as both the engine's antenna profile and the
-// monitor's drift reference. The engine swap carries the consistency
-// barrier; the monitor swap resets the drift window so the alert heals
-// under the new profile.
-func (c *Controller) swap(cal health.Calibration) (uint64, error) {
-	version, err := c.cfg.Engine.SwapProfile(stream.Profile{
-		Antenna: cal.Antenna, Center: cal.Center, Offset: cal.Offset, Lambda: cal.Lambda,
-	})
-	if err != nil {
-		return 0, err
-	}
-	if err := c.cfg.Monitor.SwapCalibration(cal); err != nil {
-		return 0, err
-	}
-	return version, nil
-}
-
 // maybeRollback restores the pre-swap profile when a post-swap antenna
 // keeps alerting but cannot be recalibrated (candidate failed or rejected)
 // while the previous profile still fits the current evidence better than
 // the active one by the margin — the escape hatch for a swap that made
 // things worse.
-func (c *Controller) maybeRollback(active health.Calibration, holdPos []geom.Vec3, holdPh []float64, activeRMS, candRMS float64) {
+func (c *Controller) maybeRollback(active stream.Profile, holdPos []geom.Vec3, holdPh []float64, activeRMS, candRMS float64) {
 	c.mu.Lock()
 	p := c.probation
 	c.mu.Unlock()
@@ -482,7 +456,7 @@ func (c *Controller) maybeRollback(active health.Calibration, holdPos []geom.Vec
 		OldCenter: active.Center, OldOffset: active.Offset, OldRMS: activeRMS,
 		NewCenter: p.prev.Center, NewOffset: p.prev.Offset, NewRMS: prevRMS,
 	}
-	version, err := c.swap(p.prev)
+	version, err := c.cfg.Engine.SwapProfile(p.prev)
 	if err != nil {
 		ev.Outcome = OutcomeFailed
 		ev.Err = err.Error()

@@ -70,7 +70,6 @@ func newLoopRig(t *testing.T, antenna geom.Vec3, lambda, calOffset float64, rule
 		t.Fatal(err)
 	}
 	ctrlCfg.Engine = eng
-	ctrlCfg.Monitor = mon
 	ctrlCfg.Antenna = "A1"
 	ctrlCfg.Lambda = lambda
 	ctrlCfg.PositiveSide = true
@@ -102,6 +101,18 @@ func (r *loopRig) feed(t *testing.T, samples []stream.Sample) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// assertOneRecord checks that the engine's active profile and the
+// monitor's drift reference hold the same calibration, and returns it.
+func (r *loopRig) assertOneRecord(t *testing.T) stream.Profile {
+	t.Helper()
+	prof, _, _ := r.eng.ActiveProfile()
+	ds := r.mon.Drifts()
+	if len(ds) != 1 || ds[0].Center != prof.Center || ds[0].Calibrated != prof.Offset {
+		t.Fatalf("active profile %+v and drift reference %+v disagree", prof, ds)
+	}
+	return prof
 }
 
 func findAlert(alerts []health.Alert, rule string, state health.State) *health.Alert {
@@ -190,10 +201,7 @@ func TestClosedLoopEndToEnd(t *testing.T) {
 	if d := math.Abs(rf.WrapPhaseSigned(prof.Offset - wantOffset)); d > 0.05 {
 		t.Errorf("active profile offset %v, want %v", prof.Offset, wantOffset)
 	}
-	cal, ok := rig.mon.Calibration("A1")
-	if !ok || math.Abs(rf.WrapPhaseSigned(cal.Offset-wantOffset)) > 0.05 {
-		t.Errorf("monitor calibration offset %v ok=%v, want %v", cal.Offset, ok, wantOffset)
-	}
+	rig.assertOneRecord(t)
 	// Probation starts with the swap and clears when the alert resolves.
 	// Phase 2 keeps streaming after the swap, so by now either is valid —
 	// but probation without a resolving alert, or vice versa, is a bug.
@@ -269,9 +277,8 @@ func TestRejectedCandidateLeavesProfileUntouched(t *testing.T) {
 	if profAfter != profBefore || verAfter != verBefore {
 		t.Errorf("rejected run changed profile: %+v v%d → %+v v%d", profBefore, verBefore, profAfter, verAfter)
 	}
-	cal, _ := rig.mon.Calibration("A1")
-	if cal.Offset != calOffset {
-		t.Errorf("rejected run changed monitor calibration offset to %v", cal.Offset)
+	if cal := rig.assertOneRecord(t); cal.Offset != calOffset {
+		t.Errorf("rejected run changed the calibration offset to %v", cal.Offset)
 	}
 	if rig.ctrl.OnProbation() {
 		t.Error("rejected run entered probation")
@@ -346,10 +353,7 @@ func TestRollbackRestoresPreviousProfile(t *testing.T) {
 	if version != rolled.ProfileVersion || version < 3 {
 		t.Errorf("profile version %d, want rollback's %d (≥3)", version, rolled.ProfileVersion)
 	}
-	cal, _ := rig.mon.Calibration("A1")
-	if cal.Offset != calOffset {
-		t.Errorf("monitor calibration offset after rollback = %v", cal.Offset)
-	}
+	rig.assertOneRecord(t)
 	if rig.ctrl.OnProbation() {
 		t.Error("probation survived the rollback")
 	}
@@ -360,30 +364,30 @@ func TestRollbackRestoresPreviousProfile(t *testing.T) {
 func TestControllerValidation(t *testing.T) {
 	antenna := geom.V3(0.05, 0.8, 0)
 	lambda := rf.DefaultBand().Wavelength()
-	mon, err := health.New(health.Config{
-		Calibrations: []health.Calibration{{Antenna: "A1", Center: antenna, Offset: 1, Lambda: lambda}},
-	})
-	if err != nil {
-		t.Fatal(err)
+	newEngine := func(prof *stream.Profile) *stream.Engine {
+		eng, err := stream.New(stream.Config{
+			WindowSize: 16, MinSamples: 8,
+			Solver:  stream.Line2DSolver(lambda, []float64{0.2}, true, core.DefaultSolveOptions()),
+			Antenna: "A1",
+			Profile: prof,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close(context.Background()) })
+		return eng
 	}
-	eng, err := stream.New(stream.Config{
-		WindowSize: 16, MinSamples: 8,
-		Solver:  stream.Line2DSolver(lambda, []float64{0.2}, true, core.DefaultSolveOptions()),
-		Antenna: "A1",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close(context.Background())
+	eng := newEngine(&stream.Profile{Antenna: "A1", Center: antenna, Offset: 1, Lambda: lambda})
+	raw := newEngine(nil)
 
 	bad := []Config{
-		{Monitor: mon, Antenna: "A1", Lambda: lambda},                                // no engine
-		{Engine: eng, Antenna: "A1", Lambda: lambda},                                 // no monitor
-		{Engine: eng, Monitor: mon, Lambda: lambda},                                  // no antenna
-		{Engine: eng, Monitor: mon, Antenna: "A1"},                                   // no wavelength
-		{Engine: eng, Monitor: mon, Antenna: "A1", Lambda: lambda, Margin: 1.5},      // margin out of range
-		{Engine: eng, Monitor: mon, Antenna: "A1", Lambda: lambda, Margin: -0.1},     // negative margin
-		{Engine: eng, Monitor: mon, Antenna: "uncalibrated-antenna", Lambda: lambda}, // no calibration
+		{Antenna: "A1", Lambda: lambda},                                // no engine
+		{Engine: eng, Lambda: lambda},                                  // no antenna
+		{Engine: eng, Antenna: "A1"},                                   // no wavelength
+		{Engine: eng, Antenna: "A1", Lambda: lambda, Margin: 1.5},      // margin out of range
+		{Engine: eng, Antenna: "A1", Lambda: lambda, Margin: -0.1},     // negative margin
+		{Engine: eng, Antenna: "uncalibrated-antenna", Lambda: lambda}, // profile for another antenna
+		{Engine: raw, Antenna: "A1", Lambda: lambda},                   // no active profile
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -391,7 +395,7 @@ func TestControllerValidation(t *testing.T) {
 		}
 	}
 
-	ctrl, err := New(Config{Engine: eng, Monitor: mon, Antenna: "A1", Lambda: lambda})
+	ctrl, err := New(Config{Engine: eng, Antenna: "A1", Lambda: lambda})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -405,6 +405,15 @@ func Phases(samples []Sample) []float64 {
 	return out
 }
 
+// Segments extracts the trajectory segment labels of a sample slice.
+func Segments(samples []Sample) []int {
+	out := make([]int, len(samples))
+	for i, s := range samples {
+		out[i] = s.Segment
+	}
+	return out
+}
+
 // Positions extracts the ground-truth tag positions of a sample slice.
 func Positions(samples []Sample) []geom.Vec3 {
 	out := make([]geom.Vec3, len(samples))

@@ -33,7 +33,7 @@ type Profile struct {
 	// Offset is the phase offset Δθ = θ_T + θ_R subtracted from every
 	// sample phase before solving, radians.
 	Offset float64
-	// Lambda is the carrier wavelength, metres (audit metadata).
+	// Lambda is the carrier wavelength, metres (the drift reference needs it).
 	Lambda float64
 }
 
@@ -48,12 +48,14 @@ func (p Profile) validate(engineAntenna string) error {
 	return nil
 }
 
-// SwapProfile atomically replaces the engine's active profile and returns
-// the new profile version. In-flight and queued snapshots keep the profile
-// they were pinned with; every snapshot taken after SwapProfile returns
-// solves entirely under the new profile. The version counter starts at 1
-// for the first profile (Config.Profile or first swap) so version 0 always
-// means "uncorrected raw phases".
+// SwapProfile atomically replaces the engine's active profile, the one
+// record of the antenna calibration, and returns its new version. The same
+// call moves the Monitor's drift reference for the engine's antenna; both
+// validate before either changes (engine lock first, the order ingest
+// takes them in). In-flight and queued snapshots keep the profile they
+// were pinned with; every snapshot taken after SwapProfile returns solves
+// entirely under the new profile. Version 1 is the first profile
+// (Config.Profile or first swap), so 0 always means "uncorrected raw phases".
 func (e *Engine) SwapProfile(p Profile) (uint64, error) {
 	if err := p.validate(e.cfg.Antenna); err != nil {
 		return 0, err
@@ -62,6 +64,9 @@ func (e *Engine) SwapProfile(p Profile) (uint64, error) {
 	defer e.mu.Unlock()
 	if e.closed {
 		return 0, ErrClosed
+	}
+	if err := e.cfg.Monitor.SwapCalibration(e.cfg.Antenna, p.Center, p.Offset, p.Lambda); err != nil {
+		return 0, err
 	}
 	e.profile = p
 	e.profActive = true

@@ -10,6 +10,7 @@ import (
 
 	"github.com/rfid-lion/lion/internal/core"
 	"github.com/rfid-lion/lion/internal/geom"
+	"github.com/rfid-lion/lion/internal/health"
 	"github.com/rfid-lion/lion/internal/rf"
 )
 
@@ -131,6 +132,72 @@ func TestSwapProfileVersioningAndValidation(t *testing.T) {
 	}
 	if _, err := e.SwapProfile(Profile{Antenna: "A1", Offset: 3}); !errors.Is(err, ErrClosed) {
 		t.Errorf("swap after close: err = %v, want ErrClosed", err)
+	}
+}
+
+// TestSwapProfileMovesDriftReference: the engine's profile is the one
+// active calibration. Every successful SwapProfile leaves the engine's
+// ActiveProfile and its monitor's drift reference on the same center and
+// offset, and a profile that either side refuses changes neither.
+func TestSwapProfileMovesDriftReference(t *testing.T) {
+	lambda := rf.DefaultBand().Wavelength()
+	center := geom.V3(0.05, 0.8, 0)
+	mon, err := health.New(health.Config{
+		Calibrations: []health.Calibration{{Antenna: "A1", Center: center, Offset: 1, Lambda: lambda}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Config{
+		WindowSize: 64,
+		MinSamples: 32,
+		Solver:     Line2DSolver(lambda, []float64{0.2}, true, core.DefaultSolveOptions()),
+		Monitor:    mon,
+		Antenna:    "A1",
+		Profile:    &Profile{Antenna: "A1", Center: center, Offset: 1, Lambda: lambda},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close(context.Background())
+	sameRecord := func(when string) Profile {
+		t.Helper()
+		p, _, _ := e.ActiveProfile()
+		ds := mon.Drifts()
+		if len(ds) != 1 || ds[0].Center != p.Center || ds[0].Calibrated != p.Offset {
+			t.Fatalf("%s: active profile %+v, drift reference %+v", when, p, ds)
+		}
+		return p
+	}
+	sameRecord("at start")
+
+	for i, p := range []Profile{
+		{Antenna: "A1", Center: geom.V3(0.06, 0.79, 0), Offset: 2.5, Lambda: lambda},
+		{Center: geom.V3(0.04, 0.81, 0.01), Offset: 0.3, Lambda: lambda},
+	} {
+		if _, err := e.SwapProfile(p); err != nil {
+			t.Fatalf("swap %d: %v", i, err)
+		}
+		if got := sameRecord("after swap"); got != p {
+			t.Fatalf("swap %d: active profile %+v, want %+v", i, got, p)
+		}
+	}
+
+	before, version, _ := e.ActiveProfile()
+	for _, p := range []Profile{
+		{Antenna: "A1", Center: center, Offset: math.Inf(1), Lambda: lambda}, // the engine refuses
+		{Antenna: "A9", Center: center, Offset: 1, Lambda: lambda},           // the engine refuses
+		{Antenna: "A1", Center: center, Offset: 1, Lambda: 0},                // the monitor refuses
+		{Antenna: "A1", Center: center, Offset: 1, Lambda: -lambda},          // the monitor refuses
+	} {
+		if _, err := e.SwapProfile(p); err == nil {
+			t.Errorf("swap to %+v accepted", p)
+		}
+		after, v, _ := e.ActiveProfile()
+		if after != before || v != version {
+			t.Fatalf("refused swap %+v changed the profile to %+v v%d", p, after, v)
+		}
+		sameRecord("after a refused swap")
 	}
 }
 

@@ -117,9 +117,8 @@ type Config struct {
 	Antenna string
 	// Profile, when non-nil, is the initial antenna calibration profile
 	// (version 1): window solves see offset-corrected phases. It can be
-	// hot-swapped later with Engine.SwapProfile. The monitor always
-	// receives raw phases regardless — drift is measured against the
-	// health.Calibration record, not the stream profile.
+	// hot-swapped later with Engine.SwapProfile, which moves the monitor's
+	// drift reference with it. The monitor always receives raw phases.
 	Profile *Profile
 	// Spans, when non-nil, receives pipeline spans (queue wait, solve,
 	// publish) for estimates whose triggering ingest carried a sampled
