@@ -102,7 +102,6 @@ func run(args []string, stdout io.Writer) error {
 		only    = fs.String("only", "", "comma-separated experiment names (e.g. fig13,fig21)")
 		out     = fs.String("o", "", "also write the report to this file")
 		workers = fs.Int("workers", 0, "solver worker pool size (0 = GOMAXPROCS, 1 = serial); results are identical, only wall-clock changes")
-		trace   = fs.String("trace", "", "run one instrumented calibration solve and write its NDJSON trace to this file")
 		profile = fs.String("profile", "", "write CPU and heap profiles to <prefix>.cpu.pprof / <prefix>.heap.pprof")
 		jsonOut = fs.String("json", "", "run the micro-benchmark suite and write a machine-readable snapshot to this file ('-' for stdout), skipping the experiment tables")
 	)
@@ -126,11 +125,6 @@ func run(args []string, stdout io.Writer) error {
 				fmt.Fprintf(os.Stderr, "lionbench: profiles written to %s.cpu.pprof and %s.heap.pprof\n", *profile, *profile)
 			}
 		}()
-	}
-	if *trace != "" {
-		if err := writeTrace(*trace, *seed, stdout); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
 	}
 
 	selected := map[string]bool{}
@@ -171,25 +165,5 @@ func run(args []string, stdout io.Writer) error {
 	if file != nil {
 		fmt.Fprintf(stdout, "report written to %s\n", file.Name())
 	}
-	return nil
-}
-
-// writeTrace runs the instrumented calibration solve and dumps its trace.
-func writeTrace(path string, seed int64, stdout io.Writer) error {
-	tr := obs.NewTracer()
-	res, err := experiment.TraceCalibration(seed, tr)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := tr.WriteNDJSON(f); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "trace: %d events written to %s (estimate %v)\n",
-		tr.Len(), path, res.Center)
 	return nil
 }

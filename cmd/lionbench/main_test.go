@@ -89,3 +89,22 @@ func TestRunBadFlag(t *testing.T) {
 		t.Error("bad flag accepted")
 	}
 }
+
+// TestRunProfileWritesPprof checks the -profile flag produces both profile
+// files in pprof's gzip container format.
+func TestRunProfileWritesPprof(t *testing.T) {
+	prefix := filepath.Join(t.TempDir(), "bench")
+	var out strings.Builder
+	if err := run([]string{"-profile", prefix, "-fast", "-only", "fig21"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, suffix := range []string{".cpu.pprof", ".heap.pprof"} {
+		data, err := os.ReadFile(prefix + suffix)
+		if err != nil {
+			t.Fatalf("%s: %v", suffix, err)
+		}
+		if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+			t.Errorf("%s is not a gzip-compressed profile", suffix)
+		}
+	}
+}

@@ -9,65 +9,106 @@ import (
 	"github.com/rfid-lion/lion/internal/obs"
 )
 
-func rec(tag string, seq uint64, t time.Duration) TraceRecord {
-	return TraceRecord{
-		Tag: tag, Seq: seq, Time: t, Window: 32,
-		Events: []obs.Event{{Kind: obs.KindSpanStart, Span: "solve"}},
-	}
+// traced is one successful traced solve of tag at stream time t.
+func traced(tag string, seq uint64, t time.Duration) SolveObservation {
+	o := solveAt(t, 0.1)
+	o.Tag, o.Seq = tag, seq
+	o.Trace = []obs.Event{{Kind: obs.KindSpanStart, Span: "solve"}}
+	return o
 }
 
+// seqs returns the records' sequence numbers in order.
+func seqs(recs []TraceRecord) []uint64 {
+	var out []uint64
+	for _, r := range recs {
+		out = append(out, r.Seq)
+	}
+	return out
+}
+
+// TestFlightRecorderRingEviction: a tag's flight is capped at its
+// flightDepth newest records, oldest first.
 func TestFlightRecorderRingEviction(t *testing.T) {
-	f := newFlightRecorder(3, 8)
-	for i := 0; i < 5; i++ {
-		f.Record(rec("T1", uint64(i), time.Duration(i)*time.Second))
+	m, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := f.Tag("T1")
-	if len(got) != 3 {
-		t.Fatalf("ring holds %d records, want 3", len(got))
+	for i := 0; i < 20; i++ {
+		m.ObserveSolve(traced("T1", uint64(i), time.Duration(i)*time.Second))
 	}
-	var seqs []uint64
-	for _, r := range got {
-		seqs = append(seqs, r.Seq)
+	want := []uint64{12, 13, 14, 15, 16, 17, 18, 19}
+	if got := seqs(m.Flight("T1")); !reflect.DeepEqual(got, want) {
+		t.Errorf("retained seqs = %v, want oldest-first %v", got, want)
 	}
-	if !reflect.DeepEqual(seqs, []uint64{2, 3, 4}) {
-		t.Errorf("retained seqs = %v, want oldest-first [2 3 4]", seqs)
-	}
-	if f.Len() != 3 {
-		t.Errorf("Len = %d, want 3", f.Len())
-	}
-	if f.Tag("missing") != nil {
+	if m.Flight("missing") != nil {
 		t.Error("unknown tag returned records")
 	}
 }
 
-func TestFlightRecorderTagLRUEviction(t *testing.T) {
-	f := newFlightRecorder(2, 3)
-	f.Record(rec("T1", 1, 1*time.Second))
-	f.Record(rec("T2", 2, 2*time.Second))
-	f.Record(rec("T3", 3, 3*time.Second))
-	// T1 gets fresher than T2.
-	f.Record(rec("T1", 4, 4*time.Second))
-	// A fourth tag evicts the stalest (T2).
-	f.Record(rec("T4", 5, 5*time.Second))
-	want := []string{"T1", "T3", "T4"}
-	if got := f.Tags(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Tags = %v, want %v", got, want)
-	}
-	if f.Tag("T2") != nil {
-		t.Error("evicted tag still has records")
+// TestFlightRecorderKeepsRecentTags: the recorder keeps the newest flightCap
+// solves whatever the fleet size. 256 tags solving round-robin all keep a
+// record and fill the ring; 16 tags keep exactly their flightDepth newest.
+func TestFlightRecorderKeepsRecentTags(t *testing.T) {
+	for _, tc := range []struct{ tags, rounds int }{{256, 12}, {16, 40}} {
+		m, err := New(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seq uint64
+		for r := 0; r < tc.rounds; r++ {
+			for i := 0; i < tc.tags; i++ {
+				m.ObserveSolve(traced(fmt.Sprintf("T%03d", i), seq, time.Duration(seq)*time.Millisecond))
+				seq++
+			}
+		}
+		if got := len(m.FlightTags()); got != tc.tags {
+			t.Errorf("%d tags: FlightTags holds %d", tc.tags, got)
+		}
+		if got := m.flight.Len(); got != flightCap {
+			t.Errorf("%d tags: %d records retained, want %d", tc.tags, got, flightCap)
+		}
+		for i := 0; i < tc.tags; i++ {
+			got := seqs(m.Flight(fmt.Sprintf("T%03d", i)))
+			if len(got) == 0 {
+				t.Fatalf("%d tags: tag %d has no record", tc.tags, i)
+			}
+			if tc.tags > flightCap/flightDepth {
+				continue
+			}
+			var want []uint64
+			for r := tc.rounds - flightDepth; r < tc.rounds; r++ {
+				want = append(want, uint64(r*tc.tags+i))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d tags: tag %d kept %v, want %v", tc.tags, i, got, want)
+			}
+		}
 	}
 }
 
+// TestFlightRecorderMemoryBound: however many tags solve, the recorder
+// holds at most flightCap records and no tag's flight exceeds flightDepth.
 func TestFlightRecorderMemoryBound(t *testing.T) {
-	f := newFlightRecorder(4, 16)
-	for i := 0; i < 500; i++ {
-		f.Record(rec(fmt.Sprintf("T%d", i%40), uint64(i), time.Duration(i)*time.Millisecond))
+	m, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := len(f.Tags()); got != 16 {
-		t.Errorf("tag count = %d, want bound 16", got)
+	for i := 0; i < 3000; i++ {
+		m.ObserveSolve(traced(fmt.Sprintf("T%d", i*i%700), uint64(i), time.Duration(i)*time.Millisecond))
 	}
-	if got := f.Len(); got > 4*16 {
-		t.Errorf("Len = %d, exceeds depth×maxTags bound %d", got, 4*16)
+	if got := m.flight.Len(); got != flightCap {
+		t.Errorf("Len = %d, want bound %d", got, flightCap)
+	}
+	total := 0
+	for _, tag := range m.FlightTags() {
+		n := len(m.Flight(tag))
+		if n == 0 || n > flightDepth {
+			t.Errorf("tag %s: Flight holds %d records, want 1..%d", tag, n, flightDepth)
+		}
+		total += n
+	}
+	if total > flightCap {
+		t.Errorf("flights hold %d records, exceeding the ring bound %d", total, flightCap)
 	}
 }
 
@@ -133,20 +174,11 @@ func TestMonitorFailedSolveRecordedWithoutTrace(t *testing.T) {
 }
 
 // TestTagEvictionTieBreaksBySmallestID: tags touched at one stream time tie
-// for eviction (the monitor stamps every tag solved from one ingest frame
+// for the monitor's baseline-session eviction (the monitor stamps every tag solved from one ingest frame
 // with the same logical clock). The victim must be the smallest tag id in
 // every fresh instance, never whatever map iteration visits first.
 func TestTagEvictionTieBreaksBySmallestID(t *testing.T) {
-	want := []string{"T2", "T3"}
 	for run := 0; run < 64; run++ {
-		f := newFlightRecorder(1, 2)
-		for _, tag := range []string{"T2", "T1", "T3"} {
-			f.Record(rec(tag, 1, time.Second))
-		}
-		if got := f.Tags(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("flight recorder run %d kept %v, want %v", run, got, want)
-		}
-
 		m, err := New(Config{})
 		if err != nil {
 			t.Fatal(err)

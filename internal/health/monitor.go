@@ -3,6 +3,7 @@ package health
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -48,7 +49,21 @@ const (
 	rateAlpha       = 0.2 // EWMA weight of the global error- and drop-rate signals
 	maxTags         = 256 // per-tag baseline sessions, least-recently-observed evicted
 	resolvedHistory = 32  // recently-resolved alerts kept for /v1/alerts
+	flightCap       = 512 // newest solve traces the flight recorder keeps, across all tags
+	flightDepth     = 8   // newest records Flight and alert evidence return per tag
 )
+
+// TraceRecord is one recorded window solve: the identifying metadata plus
+// the full solve trace. Records are what the flight recorder holds and what
+// alert evidence snapshots copy.
+type TraceRecord struct {
+	Tag    string
+	Seq    uint64
+	Time   time.Duration
+	Window int
+	Err    string
+	Events []obs.Event
+}
 
 // rate is an EWMA of a [0, 1] indicator stream.
 type rate struct {
@@ -81,6 +96,14 @@ var evalBuckets = []float64{1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4
 // Monitor consumes the pipeline's solve and ingest signals and maintains
 // baselines, drift estimates, alerts, and the flight recorder. The nil
 // Monitor is the disabled state: every method is a nil-check no-op.
+//
+// The flight recorder is one ring of the newest flightCap solve records
+// over all tags; a tag's traces are the records of it still in the ring.
+// Tags solving at similar rates share the ring evenly, so up to
+// flightCap/flightDepth of them keep flightDepth records each, and a larger
+// fleet keeps every tag that solved within the newest flightCap solves. A
+// quiet tag among busy ones loses its records once flightCap newer solves
+// have passed.
 type Monitor struct {
 	mu  sync.Mutex
 	cfg Config
@@ -108,7 +131,8 @@ type Monitor struct {
 	// unlocking so callbacks never run under the monitor mutex.
 	hookQueue []Alert
 
-	flight *flightRecorder
+	// flight holds the newest flightCap solve records, oldest first.
+	flight stats.Ring[TraceRecord]
 
 	reg           *obs.Registry
 	evalSeconds   *obs.Histogram
@@ -151,7 +175,7 @@ func New(cfg Config) (*Monitor, error) {
 		resolved: stats.NewRing[Alert](resolvedHistory),
 		errRate:  rate{alpha: rateAlpha},
 		dropRate: rate{alpha: rateAlpha},
-		flight:   newFlightRecorder(flightDepth, flightTags),
+		flight:   stats.NewRing[TraceRecord](flightCap),
 
 		reg: reg,
 		evalSeconds: reg.Histogram("lion_health_eval_seconds",
@@ -197,6 +221,8 @@ func New(cfg Config) (*Monitor, error) {
 		return float64(len(m.active))
 	})
 	reg.GaugeFunc("lion_health_flight_traces", "Solve traces retained by the flight recorder.", func() float64 {
+		m.mu.Lock()
+		defer m.mu.Unlock()
 		return float64(m.flight.Len())
 	})
 	return m, nil
@@ -270,7 +296,7 @@ func (m *Monitor) ObserveSolve(o SolveObservation) {
 	// Record the trace first so a firing alert's evidence includes the
 	// solve that confirmed it.
 	if len(o.Trace) > 0 || o.Failed {
-		m.flight.Record(TraceRecord{
+		m.flight.Push(TraceRecord{
 			Tag: o.Tag, Seq: o.Seq, Time: o.Time, Window: o.Window,
 			Err: o.Err, Events: o.Trace,
 		})
@@ -378,6 +404,22 @@ func bool01(b bool) float64 {
 	return 0
 }
 
+// evictStalest deletes the entry of m touched longest ago. Ties — every tag
+// touched at one stream time, as when one ingest frame solves several tags —
+// go to the smallest tag id, so the victim never depends on map iteration
+// order.
+func evictStalest[V any](m map[string]V, touched func(V) time.Duration) {
+	var victim string
+	var oldest time.Duration
+	first := true
+	for tag, v := range m {
+		if t := touched(v); first || t < oldest || (t == oldest && tag < victim) {
+			victim, oldest, first = tag, t, false
+		}
+	}
+	delete(m, victim)
+}
+
 // tagStateLocked returns the tag's baseline set, creating it (and evicting
 // the least-recently-observed tag past the bound) on first sight.
 func (m *Monitor) tagStateLocked(tag string, now time.Duration) *tagState {
@@ -418,7 +460,7 @@ func (m *Monitor) transitionLocked(r Rule, scope, evidenceTag string, violating 
 		if st.State == StatePending && now-st.StartedAt >= r.HoldDown {
 			st.State = StateFiring
 			st.FiredAt = now
-			st.Evidence = m.flight.Tag(evidenceTag)
+			st.Evidence = m.flightLocked(evidenceTag)
 			m.firingGauges[r.Name].Add(1)
 			m.transFiring.Inc()
 			m.cfg.Logger.Warn("alert firing",
@@ -574,18 +616,41 @@ func (m *Monitor) Series(tag string, sig Signal) []float64 {
 	return nil
 }
 
-// Flight returns the tag's retained solve traces, oldest first. Nil-safe.
+// Flight returns the tag's newest flightDepth solve traces, oldest first,
+// or nil. Nil-safe.
 func (m *Monitor) Flight(tag string) []TraceRecord {
 	if m == nil {
 		return nil
 	}
-	return m.flight.Tag(tag)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.flightLocked(tag)
 }
 
-// FlightTags returns the tags with retained traces, sorted. Nil-safe.
+// flightLocked scans the flight ring newest first for the tag's records.
+func (m *Monitor) flightLocked(tag string) []TraceRecord {
+	var out []TraceRecord
+	for i := m.flight.Len() - 1; i >= 0 && len(out) < flightDepth; i-- {
+		if rec := m.flight.At(i); rec.Tag == tag {
+			out = append(out, rec)
+		}
+	}
+	slices.Reverse(out)
+	return out
+}
+
+// FlightTags returns the distinct tags with retained traces, sorted.
+// Nil-safe.
 func (m *Monitor) FlightTags() []string {
 	if m == nil {
 		return nil
 	}
-	return m.flight.Tags()
+	m.mu.Lock()
+	tags := make([]string, m.flight.Len())
+	for i := range tags {
+		tags[i] = m.flight.At(i).Tag
+	}
+	m.mu.Unlock()
+	slices.Sort(tags)
+	return slices.Compact(tags)
 }

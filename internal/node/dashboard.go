@@ -176,8 +176,8 @@ func (s *server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 			sb.WriteString(`</table>`)
 		}
 
-		// Per-tag residual sparklines for the tags the flight recorder has
-		// seen most recently (bounded, so the page stays small).
+		// Per-tag residual sparklines for the first 8 flight-recorder tags in
+		// id order (bounded, so the page stays small).
 		tags := s.mon.FlightTags()
 		if len(tags) > 8 {
 			tags = tags[:8]

@@ -351,5 +351,5 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	obs.WriteEventsNDJSON(w, records[len(records)-1].Events)
+	obs.WriteNDJSON(w, records[len(records)-1].Events)
 }

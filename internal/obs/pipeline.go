@@ -15,7 +15,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -273,7 +272,7 @@ func (l *SpanLog) WriteNDJSON(w io.Writer, traceID uint64) error {
 	} else {
 		spans = l.Spans(traceID)
 	}
-	return WriteSpansNDJSON(w, spans)
+	return WriteNDJSON(w, spans)
 }
 
 // ServeHTTP serves GET /debug/pipespans on liond and lionroute alike: the
@@ -292,16 +291,4 @@ func (l *SpanLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	l.WriteNDJSON(w, id)
-}
-
-// WriteSpansNDJSON writes spans as NDJSON lines.
-func WriteSpansNDJSON(w io.Writer, spans []PipeSpan) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, s := range spans {
-		if err := enc.Encode(s); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

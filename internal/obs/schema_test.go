@@ -31,7 +31,7 @@ func TestTraceSchemaGolden(t *testing.T) {
 {"t_us":20,"event":"span_end","span":"solve","duration_us":19}
 `
 	var buf bytes.Buffer
-	if err := WriteEventsNDJSON(&buf, events); err != nil {
+	if err := WriteNDJSON(&buf, events); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != golden {

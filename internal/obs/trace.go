@@ -180,15 +180,16 @@ func (t *Tracer) Len() int {
 
 // WriteNDJSON writes the recorded events as one JSON object per line.
 func (t *Tracer) WriteNDJSON(w io.Writer) error {
-	return WriteEventsNDJSON(w, t.Events())
+	return WriteNDJSON(w, t.Events())
 }
 
-// WriteEventsNDJSON writes events as NDJSON lines.
-func WriteEventsNDJSON(w io.Writer, events []Event) error {
+// WriteNDJSON writes items as NDJSON, one JSON object per line (solve-trace
+// events, pipeline spans).
+func WriteNDJSON[T any](w io.Writer, items []T) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, e := range events {
-		if err := enc.Encode(e); err != nil {
+	for _, it := range items {
+		if err := enc.Encode(it); err != nil {
 			return err
 		}
 	}
