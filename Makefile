@@ -85,7 +85,8 @@ pipebench-test:
 	cd pipebench && $(GO) test .
 
 ## fuzz: short fuzzing passes over the phase-wrap, preprocessing, ingest
-## decoding, latency-histogram and calibration-solve invariants (their seed
+## decoding, latency-histogram and calibration-solve invariants, and the
+## width-2 normal-equation kernel against the any-width row loop (their seed
 ## corpora also run in every plain `go test`).
 fuzz:
 	$(GO) test -fuzz FuzzWrapPhase -fuzztime 30s ./internal/rf
@@ -94,3 +95,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzHistRecord -fuzztime 30s ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzCalibEstimate -fuzztime 30s ./internal/calib
+	$(GO) test -run '^$$' -fuzz FuzzNormalEq -fuzztime 30s ./internal/mat

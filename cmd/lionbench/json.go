@@ -113,6 +113,24 @@ func benchSuite() []struct {
 				}
 			}
 		}},
+		{"line2d_window_solve", func(b *testing.B) {
+			// The window solve both pipebench workloads run per trigger:
+			// stream.SolveWindow over 256 wrapped reads, smoothing 9,
+			// then the weighted batch line solver at liond's default
+			// 0.2 m pairing interval.
+			strm := benchStream(lambda, 256)
+			win := make([]stream.Sample, len(strm))
+			for i, o := range strm {
+				win[i] = stream.Sample{Time: time.Duration(i) * 10 * time.Millisecond, Pos: o.Pos, Phase: rf.WrapPhase(o.Theta)}
+			}
+			solver := stream.Line2DSolver(lambda, []float64{0.2}, true, opts)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := stream.SolveWindow(win, 9, solver, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 		{"solve_system_ws", func(b *testing.B) {
 			// The workspace solve over the same reduced line system that
 			// locate_2d_line assembles per call: steady-state re-solves of a

@@ -83,6 +83,7 @@ func (r *rate) add(x float64) {
 // tagState is one tag's rolling baselines.
 type tagState struct {
 	baselines map[Signal]*baseline
+	scope     string // the per-tag alerts' scope, "tag:<id>"
 	touched   time.Duration
 }
 
@@ -305,7 +306,7 @@ func (m *Monitor) ObserveSolve(o SolveObservation) {
 
 	if !o.Failed {
 		ts := m.tagStateLocked(o.Tag, now)
-		scope := "tag:" + o.Tag
+		scope := ts.scope
 		for _, r := range m.rules {
 			v, ok := perTagValue(r.Signal, o)
 			if !ok {
@@ -346,7 +347,8 @@ func (m *Monitor) ObserveSolve(o SolveObservation) {
 	}
 
 	for _, ant := range m.order {
-		st := m.drift[ant].status()
+		d := m.drift[ant]
+		st := d.status()
 		gauge := 0.0
 		if st.Valid {
 			gauge = st.DriftRad / (4 * math.Pi)
@@ -354,7 +356,7 @@ func (m *Monitor) ObserveSolve(o SolveObservation) {
 		m.driftGauges[ant].Set(gauge)
 		for _, r := range m.rules {
 			if r.Signal == SignalDrift {
-				m.transitionLocked(r, "antenna:"+ant, o.Tag,
+				m.transitionLocked(r, d.scope, o.Tag,
 					st.Valid && st.DriftLambda > r.Threshold, st.DriftLambda, st.DriftRad, st.Calibrated, now)
 			}
 		}
@@ -428,7 +430,7 @@ func (m *Monitor) tagStateLocked(tag string, now time.Duration) *tagState {
 		if len(m.tags) >= maxTags {
 			evictStalest(m.tags, func(s *tagState) time.Duration { return s.touched })
 		}
-		ts = &tagState{baselines: make(map[Signal]*baseline, len(perTagSignals))}
+		ts = &tagState{baselines: make(map[Signal]*baseline, len(perTagSignals)), scope: "tag:" + tag}
 		for _, sig := range perTagSignals {
 			ts.baselines[sig] = newBaseline(baselineWindow)
 		}

@@ -282,7 +282,19 @@ func (m *Dense) tMulVecInto(out, v []float64) {
 // gramInto and tMulVecInto add them, and a unit weight multiplies exactly,
 // so the unweighted system is bitwise the one those build. The strict upper
 // triangle of gram stays zero: choleskyInto reads only the lower one.
+//
+// Two columns, the line frame's [α, ω] system, take normalEq2: the generic
+// loop loads and stores every Gram entry through memory on every row, which
+// costs that narrow system most of its pass.
 func (m *Dense) normalEqInto(gram *Dense, rhs, w, b []float64) error {
+	if m.cols == 2 {
+		return m.normalEq2(gram, rhs, w, b)
+	}
+	return m.normalEqRows(gram, rhs, w, b)
+}
+
+// normalEqRows is normalEqInto's loop for any column count.
+func (m *Dense) normalEqRows(gram *Dense, rhs, w, b []float64) error {
 	for i := 0; i < m.rows; i++ {
 		wi := 1.0
 		if w != nil {
@@ -310,6 +322,46 @@ func (m *Dense) normalEqInto(gram *Dense, rhs, w, b []float64) error {
 			}
 		}
 	}
+	return nil
+}
+
+// normalEq2 is normalEqRows for two columns with the three lower-triangle
+// Gram entries and both right-hand sides held in locals. It adds the same
+// products in the same row order under the same skips, so its output is
+// bitwise normalEqRows', and a bad weight stops it with the same error on
+// the same row.
+func (m *Dense) normalEq2(gram *Dense, rhs, w, b []float64) error {
+	g00, g10, g11 := gram.data[0], gram.data[2], gram.data[3]
+	h0, h1 := rhs[0], rhs[1]
+	data := m.data[:2*m.rows]
+	b = b[:m.rows]
+	for i := range b {
+		wi := 1.0
+		if w != nil {
+			wi = w[i]
+			if wi < 0 || math.IsNaN(wi) {
+				return fmt.Errorf("weight %d is %v: %w", i, wi, ErrShape)
+			}
+		}
+		r0, r1 := data[2*i], data[2*i+1]
+		if wi != 0 {
+			if r0 != 0 {
+				s := wi * r0
+				g00 += s * r0
+			}
+			if r1 != 0 {
+				s := wi * r1
+				g10 += s * r0
+				g11 += s * r1
+			}
+		}
+		if wv := wi * b[i]; wv != 0 {
+			h0 += r0 * wv
+			h1 += r1 * wv
+		}
+	}
+	gram.data[0], gram.data[2], gram.data[3] = g00, g10, g11
+	rhs[0], rhs[1] = h0, h1
 	return nil
 }
 

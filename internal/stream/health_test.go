@@ -3,6 +3,8 @@ package stream
 import (
 	"context"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -166,6 +168,82 @@ func findHealthAlert(alerts []health.Alert, state health.State) *health.Alert {
 		}
 	}
 	return nil
+}
+
+// TestFlightRecordsSurviveTracerReuse solves one tag, then keeps the
+// engine's single pooled snapshot (one worker, a Flush per sample) busy with
+// another tag's solves. The snapshot's tracer is reset for every solve, so a
+// flight record that aliased its storage would be overwritten; each of the
+// first tag's records must keep its own iteration events.
+func TestFlightRecordsSurviveTracerReuse(t *testing.T) {
+	trace, lambda := testTrace(t, 11)
+	mon, err := health.New(health.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Config{
+		WindowSize: 256, MinSamples: 128, SolveEvery: 1, Smooth: 9, Workers: 1,
+		Solver:  Line2DSolver(lambda, []float64{0.1}, true, core.DefaultSolveOptions()),
+		Monitor: mon,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close(context.Background())
+	ctx := context.Background()
+	feed := func(tag string, from, to int) {
+		t.Helper()
+		for _, s := range trace[from:to] {
+			if err := e.Ingest(tag, FromSim(s)); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	feed("T1", 0, 130) // three solves, at 128, 129 and 130 samples
+	first := mon.Flight("T1")
+	if len(first) != 3 {
+		t.Fatalf("T1 has %d flight records, want 3", len(first))
+	}
+	saved := make([][]lionobs.Event, len(first))
+	for i, r := range first {
+		if len(r.Events) == 0 || r.Events[0].Kind != lionobs.KindSpanStart || r.Events[0].Span != "window_solve" {
+			t.Fatalf("T1 record %d does not open with its window_solve span: %+v", i, r.Events)
+		}
+		iters := 0
+		for _, ev := range r.Events {
+			if ev.Kind == lionobs.KindIRLSIter {
+				iters++
+				if ev.Iter != iters {
+					t.Fatalf("T1 record %d: irls_iter %d where %d was due", i, ev.Iter, iters)
+				}
+			}
+		}
+		if iters == 0 {
+			t.Fatalf("T1 record %d has no irls_iter events", i)
+		}
+		saved[i] = slices.Clone(r.Events)
+	}
+
+	feed("T2", 300, 450) // 23 solves of another tag on the same snapshot
+	e.mu.Lock()
+	pooled := len(e.snapFree)
+	e.mu.Unlock()
+	if pooled != 1 {
+		t.Fatalf("%d pooled snapshots, want the one every solve reused", pooled)
+	}
+	if m := e.Metrics(); m.Solves != 3+23 || m.SolveErrors != 0 {
+		t.Fatalf("%d solves (%d failed), want 26 clean ones", m.Solves, m.SolveErrors)
+	}
+	for i, r := range mon.Flight("T1") {
+		if !reflect.DeepEqual(r.Events, saved[i]) {
+			t.Errorf("T1 record %d (seq %d) changed after later solves reused its snapshot:\ngot  %+v\nwant %+v",
+				i, r.Seq, r.Events, saved[i])
+		}
+	}
 }
 
 // TestMonitorDropAccounting checks that real sample losses — age evictions,

@@ -107,9 +107,10 @@ type Config struct {
 	Registry *obs.Registry
 	// Monitor, when non-nil, receives a health hook on every accepted
 	// sample, every drop, and every completed window solve, and every
-	// window solve gets a fresh obs.Tracer whose events go to the
-	// monitor's flight recorder. Nil keeps the solve path monitor-free at
-	// zero cost: one nil check, and solvers see a nil tracer.
+	// window solve is traced on its pooled snapshot's obs.Tracer, whose
+	// events the monitor's flight recorder gets a copy of. Nil keeps the
+	// solve path monitor-free at zero cost: one nil check, and solvers see
+	// a nil tracer.
 	Monitor *health.Monitor
 	// Antenna labels this engine's samples for the monitor's per-antenna
 	// drift detector. Single-reader deployments run one engine per antenna;
@@ -262,15 +263,16 @@ type session struct {
 
 // snapshot is one frozen window awaiting a solve. Snapshots are pooled on the
 // engine free list: the sample buffer, the preprocessing buffers, the
-// solve/done closures, and the solved carrier are built once per object and
-// reused across dispatches, so a steady-state dispatch performs no heap
-// allocations.
+// solve/done closures, the tracer and the solved carrier are built once per
+// object and reused across dispatches, so a steady-state dispatch performs
+// no heap allocations.
 type snapshot struct {
 	e       *Engine
 	sess    *session
 	tag     string
 	samples []Sample
 	buf     windowBuffers // preprocessing storage for Config.Solver solves
+	tr      *obs.Tracer   // solve tracer, reset per solve; nil without a Monitor
 	sv      solved
 	run     func() (any, error)
 	done    func(batch.Outcome)
@@ -682,6 +684,9 @@ func (e *Engine) getSnapLocked(sess *session) *snapshot {
 		snap = &snapshot{e: e}
 		snap.run = snap.solve
 		snap.done = func(o batch.Outcome) { snap.e.complete(snap, o) }
+		if e.cfg.Monitor != nil {
+			snap.tr = obs.NewTracer()
+		}
 	}
 	snap.sess = sess
 	snap.tag = sess.tag
@@ -739,13 +744,13 @@ func (e *Engine) submitLocked(sess *session, snap *snapshot) {
 
 // solve runs the window solve in a pool worker. It writes into the
 // snapshot-owned solved carrier and returns its address, so a steady-state
-// solve boxes no new values.
+// solve boxes no new values; a monitored solve traces into the
+// snapshot-owned tracer and hands the flight recorder an exact-size copy
+// of its events.
 func (snap *snapshot) solve() (any, error) {
 	e := snap.e
-	var tr *obs.Tracer
-	if e.cfg.Monitor != nil {
-		tr = obs.NewTracer()
-	}
+	tr := snap.tr
+	tr.Reset()
 	snap.applyProfile()
 	begin := time.Now()
 	mark := tr.SpanAt("window_solve")
