@@ -144,11 +144,12 @@ func TestClusterInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// estimate drops the per-process fields: seq counts coalesced
-	// dispatches and the latency is wall time.
-	estimate := func(base, tag string) map[string]any {
+	// estimate reads the tag's estimate object from /estimate, or from the
+	// "estimate" field of explain, and drops the per-process fields: seq
+	// counts coalesced dispatches and the latency is wall time.
+	estimate := func(base, tag, view string) map[string]any {
 		t.Helper()
-		resp, err := http.Get(base + "/v1/tags/" + tag + "/estimate")
+		resp, err := http.Get(base + "/v1/tags/" + tag + "/" + view)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,6 +161,9 @@ func TestClusterInProcess(t *testing.T) {
 		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 			t.Fatal(err)
 		}
+		if view == "explain" {
+			doc, _ = doc["estimate"].(map[string]any)
+		}
 		delete(doc, "seq")
 		delete(doc, "solve_latency_ms")
 		return doc
@@ -167,7 +171,7 @@ func TestClusterInProcess(t *testing.T) {
 	for _, tag := range tags {
 		deadline := time.Now().Add(20 * time.Second)
 		for {
-			viaRouter, viaSingle := estimate(front.URL, tag), estimate(single, tag)
+			viaRouter, viaSingle := estimate(front.URL, tag, "estimate"), estimate(single, tag, "estimate")
 			if viaRouter != nil && viaRouter["to_s"] == last[tag] &&
 				viaSingle != nil && viaSingle["to_s"] == last[tag] {
 				if viaSingle["error"] != nil || viaSingle["x_m"] == nil {
@@ -175,6 +179,10 @@ func TestClusterInProcess(t *testing.T) {
 				}
 				if !reflect.DeepEqual(viaRouter, viaSingle) {
 					t.Errorf("tag %s: router %v, single node %v", tag, viaRouter, viaSingle)
+				}
+				explained := estimate(front.URL, tag, "explain")
+				if explained == nil || !reflect.DeepEqual(explained, viaSingle) {
+					t.Errorf("tag %s: explain via router %v, single node estimate %v", tag, explained, viaSingle)
 				}
 				break
 			}

@@ -23,6 +23,7 @@ import (
 //	POST /v1/samples               ingest (NDJSON or binary wire frames)
 //	GET  /v1/tags                  union of tag ids across live shards
 //	GET  /v1/tags/{id}/estimate    proxied to the owning shard
+//	GET  /v1/tags/{id}/explain     proxied to the owning shard
 //	GET  /v1/alerts                per-shard alert documents
 //	GET  /v1/cluster               shard states and queue depths
 //	GET  /v1/slo                   per-shard SLO documents + cluster rollup
@@ -35,7 +36,8 @@ func (rt *Router) Routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/samples", rt.handleIngest)
 	mux.HandleFunc("GET /v1/tags", rt.handleTags)
-	mux.HandleFunc("GET /v1/tags/{id}/estimate", rt.handleEstimate)
+	mux.HandleFunc("GET /v1/tags/{id}/estimate", rt.handleTag("estimate"))
+	mux.HandleFunc("GET /v1/tags/{id}/explain", rt.handleTag("explain"))
 	mux.HandleFunc("GET /v1/alerts", rt.handleAlerts)
 	mux.HandleFunc("GET /v1/cluster", rt.handleCluster)
 	mux.HandleFunc("GET /v1/slo", rt.handleSLO)
@@ -70,15 +72,19 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	obs.WriteJSON(w, http.StatusOK, res)
 }
 
-func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	tag := r.PathValue("id")
-	s := rt.shards[rt.ring.Owner(tag)]
-	if s.State() == ShardEjected {
-		obs.WriteError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("shard %s owning tag %q is ejected", s.id, tag))
-		return
+// handleTag proxies one per-tag read, /v1/tags/{id}/<view>, to the shard
+// owning the tag.
+func (rt *Router) handleTag(view string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		tag := r.PathValue("id")
+		s := rt.shards[rt.ring.Owner(tag)]
+		if s.State() == ShardEjected {
+			obs.WriteError(w, http.StatusServiceUnavailable,
+				fmt.Errorf("shard %s owning tag %q is ejected", s.id, tag))
+			return
+		}
+		rt.proxy(w, s, "/v1/tags/"+url.PathEscape(tag)+"/"+view)
 	}
-	rt.proxy(w, s, "/v1/tags/"+url.PathEscape(tag)+"/estimate")
 }
 
 // proxy forwards one GET to a shard and relays status, content type, and

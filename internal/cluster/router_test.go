@@ -68,9 +68,9 @@ func newFakeShard(t *testing.T) *fakeShard {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprint(w, `{"status":"ok"}`)
 	})
-	mux.HandleFunc("GET /v1/tags/{id}/estimate", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/tags/{id}/{view}", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"tag":%q,"served_by":"fake"}`, r.PathValue("id"))
+		fmt.Fprintf(w, `{"tag":%q,"view":%q,"served_by":"fake"}`, r.PathValue("id"), r.PathValue("view"))
 	})
 	mux.HandleFunc("GET /v1/tags", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
@@ -408,8 +408,8 @@ func TestRouterIngestAfterClose(t *testing.T) {
 	}
 }
 
-// TestRouterEstimateEscapesTag: the estimate proxy must hand the owning shard
-// the tag the client asked for. Tag ids are client input, so ids with a
+// TestRouterEstimateEscapesTag: the estimate and explain proxies must hand the
+// owning shard the tag the client asked for. Tag ids are client input, so ids with a
 // slash, a question mark, or a literal percent escape must survive the hop
 // to the shard unchanged instead of routing to a 404 or to another tag.
 func TestRouterEstimateEscapesTag(t *testing.T) {
@@ -417,21 +417,24 @@ func TestRouterEstimateEscapesTag(t *testing.T) {
 	rt := noHealth(t, a, b, nil)
 	defer rt.Close(context.Background())
 	mux := rt.Routes()
-	for _, tag := range []string{"a/b", "a?b", "a%2Fb"} {
-		rec := httptest.NewRecorder()
-		mux.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/tags/"+url.PathEscape(tag)+"/estimate", nil))
-		if rec.Code != http.StatusOK {
-			t.Errorf("tag %q: status %d: %s", tag, rec.Code, rec.Body)
-			continue
-		}
-		var doc struct {
-			Tag string `json:"tag"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
-			t.Fatalf("tag %q: %v in %s", tag, err, rec.Body)
-		}
-		if doc.Tag != tag {
-			t.Errorf("tag %q: shard served tag %q", tag, doc.Tag)
+	for _, view := range []string{"estimate", "explain"} {
+		for _, tag := range []string{"a/b", "a?b", "a%2Fb"} {
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/tags/"+url.PathEscape(tag)+"/"+view, nil))
+			if rec.Code != http.StatusOK {
+				t.Errorf("%s of tag %q: status %d: %s", view, tag, rec.Code, rec.Body)
+				continue
+			}
+			var doc struct {
+				Tag  string `json:"tag"`
+				View string `json:"view"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+				t.Fatalf("%s of tag %q: %v in %s", view, tag, err, rec.Body)
+			}
+			if doc.Tag != tag || doc.View != view {
+				t.Errorf("%s of tag %q: shard served %s of tag %q", view, tag, doc.View, doc.Tag)
+			}
 		}
 	}
 }

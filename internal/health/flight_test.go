@@ -3,6 +3,7 @@ package health
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -24,6 +25,19 @@ func seqs(recs []TraceRecord) []uint64 {
 		out = append(out, r.Seq)
 	}
 	return out
+}
+
+// flightTags returns the distinct tags with records in the flight ring,
+// sorted.
+func flightTags(m *Monitor) []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var tags []string
+	for i := 0; i < m.flight.Len(); i++ {
+		tags = append(tags, m.flight.At(i).Tag)
+	}
+	slices.Sort(tags)
+	return slices.Compact(tags)
 }
 
 // TestFlightRecorderRingEviction: a tag's flight is capped at its
@@ -61,8 +75,8 @@ func TestFlightRecorderKeepsRecentTags(t *testing.T) {
 				seq++
 			}
 		}
-		if got := len(m.FlightTags()); got != tc.tags {
-			t.Errorf("%d tags: FlightTags holds %d", tc.tags, got)
+		if got := len(flightTags(m)); got != tc.tags {
+			t.Errorf("%d tags: the flight ring holds %d tags", tc.tags, got)
 		}
 		if got := m.flight.Len(); got != flightCap {
 			t.Errorf("%d tags: %d records retained, want %d", tc.tags, got, flightCap)
@@ -100,7 +114,7 @@ func TestFlightRecorderMemoryBound(t *testing.T) {
 		t.Errorf("Len = %d, want bound %d", got, flightCap)
 	}
 	total := 0
-	for _, tag := range m.FlightTags() {
+	for _, tag := range flightTags(m) {
 		n := len(m.Flight(tag))
 		if n == 0 || n > flightDepth {
 			t.Errorf("tag %s: Flight holds %d records, want 1..%d", tag, n, flightDepth)
@@ -150,8 +164,8 @@ func TestMonitorFlightIntegration(t *testing.T) {
 	if got := m.Flight("T1"); len(got) != flightDepth || got[0].Seq != 2 {
 		t.Errorf("Flight = %+v, want %d records from seq 2", got, flightDepth)
 	}
-	if got := m.FlightTags(); !reflect.DeepEqual(got, []string{"T1"}) {
-		t.Errorf("FlightTags = %v", got)
+	if got := flightTags(m); !reflect.DeepEqual(got, []string{"T1"}) {
+		t.Errorf("flight ring tags = %v", got)
 	}
 	// Evidence snapshot is unchanged by later records.
 	if f.Evidence[len(f.Evidence)-1].Seq != 3 {
@@ -193,7 +207,7 @@ func TestTagEvictionTieBreaksBySmallestID(t *testing.T) {
 			m.ObserveSolve(o)
 		}
 		for _, tag := range tags {
-			kept := m.Series(tag, SignalResidual) != nil
+			kept := m.tags[tag] != nil
 			if kept != (tag != "T001") {
 				t.Fatalf("monitor run %d: tag %s kept=%v, want only T001 evicted", run, tag, kept)
 			}

@@ -599,25 +599,6 @@ func (m *Monitor) Drifts() []DriftStatus {
 	return out
 }
 
-// Series returns a copy of the tag's rolling baseline window for one
-// per-solve signal, oldest first — the raw series dashboards render as
-// sparklines. Nil when the tag or signal is unknown.
-func (m *Monitor) Series(tag string, sig Signal) []float64 {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ts := m.tags[tag]
-	if ts == nil {
-		return nil
-	}
-	if b := ts.baselines[sig]; b != nil {
-		return b.win.AppendTo(nil)
-	}
-	return nil
-}
-
 // Flight returns the tag's newest flightDepth solve traces, oldest first,
 // or nil. Nil-safe.
 func (m *Monitor) Flight(tag string) []TraceRecord {
@@ -639,20 +620,4 @@ func (m *Monitor) flightLocked(tag string) []TraceRecord {
 	}
 	slices.Reverse(out)
 	return out
-}
-
-// FlightTags returns the distinct tags with retained traces, sorted.
-// Nil-safe.
-func (m *Monitor) FlightTags() []string {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	tags := make([]string, m.flight.Len())
-	for i := range tags {
-		tags[i] = m.flight.At(i).Tag
-	}
-	m.mu.Unlock()
-	slices.Sort(tags)
-	return slices.Compact(tags)
 }

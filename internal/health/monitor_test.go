@@ -125,35 +125,6 @@ func TestAlertsOrdering(t *testing.T) {
 	}
 }
 
-func TestMonitorSeries(t *testing.T) {
-	m, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= baselineWindow+1; i++ {
-		m.ObserveSolve(solveAt(time.Duration(i)*time.Second, float64(i)))
-	}
-	got := m.Series("T1", SignalResidual)
-	var want []float64
-	for v := 2; v <= baselineWindow+1; v++ {
-		want = append(want, float64(v))
-	}
-	if len(got) != len(want) {
-		t.Fatalf("Series = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Series = %v, want %v", got, want)
-		}
-	}
-	if m.Series("nope", SignalResidual) != nil {
-		t.Error("unknown tag returned a series")
-	}
-	if m.Series("T1", SignalDrift) != nil {
-		t.Error("non-per-tag signal returned a series")
-	}
-}
-
 func TestMonitorTagEviction(t *testing.T) {
 	m, err := New(Config{})
 	if err != nil {
@@ -167,10 +138,10 @@ func TestMonitorTagEviction(t *testing.T) {
 	if got := len(m.tags); got != maxTags {
 		t.Errorf("tag sessions = %d, want bound %d", got, maxTags)
 	}
-	if m.Series("T000", SignalResidual) != nil {
+	if m.tags["T000"] != nil {
 		t.Error("evicted tag still has baselines")
 	}
-	if m.Series(fmt.Sprintf("T%03d", maxTags), SignalResidual) == nil {
+	if ts := m.tags[fmt.Sprintf("T%03d", maxTags)]; ts == nil || ts.baselines[SignalResidual] == nil {
 		t.Error("newest tag missing baselines")
 	}
 }

@@ -17,6 +17,7 @@
 //	POST /v1/samples               NDJSON lines, {"samples":[...]} or binary wire frames
 //	GET  /v1/tags                  known tag ids
 //	GET  /v1/tags/{id}/estimate    latest estimate for one tag
+//	GET  /v1/tags/{id}/explain     the estimate with its aperture, solve, calibration, alerts and spans
 //	GET  /v1/alerts                health alerts + per-antenna drift status
 //	GET  /v1/slo                   latency/freshness quantiles + alert latency
 //	GET  /v1/recal/history         closed-loop recalibration audit log (-recal)
@@ -24,9 +25,7 @@
 //	GET  /healthz                  liveness (always 200 while the process runs)
 //	GET  /readyz                   readiness (503 while draining or a critical alert fires)
 //	GET  /metrics                  Prometheus exposition (obs registry)
-//	GET  /debug/trace/{id}         newest flight-recorder solve trace for one tag, NDJSON
 //	GET  /debug/flight/{id}        flight-recorder traces for one tag, NDJSON
 //	GET  /debug/pipespans          pipeline spans, NDJSON (?trace= filters)
-//	GET  /debug/dashboard          dependency-free HTML health dashboard
 //	GET  /debug/pprof/...          net/http/pprof profiles
 package node

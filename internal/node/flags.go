@@ -63,7 +63,7 @@ func parseFlags(args []string) (*config, error) {
 		drain   = fs.Duration("drain", 10*time.Second, "shutdown drain timeout")
 		monitor = fs.Bool("monitor", true,
 			"run the solve-health monitor (alerts, /v1/alerts) and trace every window solve "+
-				"into its flight recorder (/debug/flight, /debug/trace)")
+				"into its flight recorder (/debug/flight)")
 		antenna = fs.String("antenna", "A1",
 			"antenna id this daemon ingests for (alert scope and drift gauge label)")
 		calCenter = fs.String("cal-center", "",

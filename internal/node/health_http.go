@@ -64,6 +64,18 @@ func toAlertJSON(a health.Alert) alertJSON {
 	}
 }
 
+func toDriftJSON(d health.DriftStatus) driftJSON {
+	return driftJSON{
+		Antenna:     d.Antenna,
+		CalibratedR: d.Calibrated,
+		EstimatedR:  d.Estimated,
+		DriftR:      d.DriftRad,
+		DriftLambda: d.DriftLambda,
+		Samples:     d.Samples,
+		Valid:       d.Valid,
+	}
+}
+
 // handleAlerts serves the active alerts, the recently-resolved history, and
 // the per-antenna drift status as one JSON document.
 func (s *server) handleAlerts(w http.ResponseWriter, r *http.Request) {
@@ -82,15 +94,7 @@ func (s *server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	}
 	drifts := []driftJSON{}
 	for _, d := range s.mon.Drifts() {
-		drifts = append(drifts, driftJSON{
-			Antenna:     d.Antenna,
-			CalibratedR: d.Calibrated,
-			EstimatedR:  d.Estimated,
-			DriftR:      d.DriftRad,
-			DriftLambda: d.DriftLambda,
-			Samples:     d.Samples,
-			Valid:       d.Valid,
-		})
+		drifts = append(drifts, toDriftJSON(d))
 	}
 	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"active":   active,

@@ -237,41 +237,10 @@ func TestAlertsAndFlightEndpoints(t *testing.T) {
 	}
 }
 
-// TestDashboard checks the HTML dashboard renders the gauges, drift table,
-// alert table, and sparklines without external assets.
-func TestDashboard(t *testing.T) {
-	s, h := newHealthServer(t)
-	center := geom.V3(0.1, 0.8, 0)
-	lambda := rf.DefaultBand().Wavelength()
-	feedChunks(t, s, h, "T1", driftSamples(center, lambda, 2.74, 200, 0))
-	feedChunks(t, s, h, "T1", driftSamples(center, lambda, 2.74+0.05*4*math.Pi, 400, 2*time.Second))
-
-	code, body := doGet(t, h, "/debug/dashboard")
-	if code != http.StatusOK {
-		t.Fatalf("dashboard status %d", code)
-	}
-	for _, want := range []string{
-		"<!doctype html",
-		"liond",
-		"ingested",          // gauges
-		"calibration_drift", // alert table
-		"antenna:A1",
-		"<svg", // sparklines
-		"<polyline",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("dashboard missing %q", want)
-		}
-	}
-	for _, banned := range []string{"<script src", "<link rel", "http://", "https://"} {
-		if strings.Contains(body, banned) {
-			t.Errorf("dashboard references external asset: %q", banned)
-		}
-	}
-}
-
-// TestMonitorDisabled covers -monitor=false: health endpoints and the solve
-// trace 404, readyz still answers, solve path runs monitor-free.
+// TestMonitorDisabled covers -monitor=false: the health endpoints 404,
+// readyz still answers, the solve path runs monitor-free, and explain answers
+// without its drift and alerts sections. The removed /debug/trace and
+// /debug/dashboard answer 404 with or without a monitor.
 func TestMonitorDisabled(t *testing.T) {
 	s, h := newHealthServer(t, "-monitor=false")
 	if s.mon != nil {
@@ -286,9 +255,6 @@ func TestMonitorDisabled(t *testing.T) {
 	if code, _ := doGet(t, h, "/readyz"); code != http.StatusOK {
 		t.Errorf("readyz with monitoring disabled: %d, want 200", code)
 	}
-	if code, body := doGet(t, h, "/debug/dashboard"); code != http.StatusOK || !strings.Contains(body, "monitoring false") {
-		t.Errorf("dashboard with monitoring disabled: %d", code)
-	}
 	center := geom.V3(0.1, 0.8, 0)
 	lambda := rf.DefaultBand().Wavelength()
 	postSamples(t, h, "T1", driftSamples(center, lambda, 2.74, 200, 0))
@@ -298,8 +264,26 @@ func TestMonitorDisabled(t *testing.T) {
 	if got := s.eng.Metrics().Solves; got == 0 {
 		t.Error("no solves with monitoring disabled")
 	}
-	if code, _ := doGet(t, h, "/debug/trace/T1"); code != http.StatusNotFound {
-		t.Errorf("trace with monitoring disabled: %d, want 404", code)
+	code, body := doGet(t, h, "/v1/tags/T1/explain")
+	if code != http.StatusOK {
+		t.Fatalf("explain with monitoring disabled: %d %s", code, body)
+	}
+	var ex map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(body), &ex); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ex["estimate"]; !ok {
+		t.Errorf("explain lacks the estimate: %s", body)
+	}
+	for _, section := range []string{"drift", "alerts"} {
+		if _, ok := ex[section]; ok {
+			t.Errorf("explain with monitoring disabled carries %q: %s", section, body)
+		}
+	}
+	for _, path := range []string{"/debug/trace/T1", "/debug/dashboard", "/debug/flight/T1"} {
+		if code, _ := doGet(t, h, path); code != http.StatusNotFound {
+			t.Errorf("%s with monitoring disabled: %d, want 404", path, code)
+		}
 	}
 }
 

@@ -155,6 +155,7 @@ type server struct {
 	eng      *stream.Engine
 	mon      *health.Monitor   // nil when -monitor=false
 	ctrl     *recal.Controller // nil without -recal
+	antenna  string            // the engine's antenna id (alert scope, drift status)
 	start    time.Time
 	draining atomic.Bool
 
@@ -168,7 +169,7 @@ type server struct {
 
 func newServer(eng *stream.Engine, mon *health.Monitor, ctrl *recal.Controller, cfg *config) *server {
 	s := &server{
-		eng: eng, mon: mon, ctrl: ctrl, start: time.Now(),
+		eng: eng, mon: mon, ctrl: ctrl, antenna: cfg.cfg.Antenna, start: time.Now(),
 		spans: cfg.cfg.Spans,
 	}
 	if cfg.traceSample > 0 {
@@ -189,6 +190,7 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("POST /v1/samples", s.handleIngest)
 	mux.HandleFunc("GET /v1/tags", s.handleTags)
 	mux.HandleFunc("GET /v1/tags/{id}/estimate", s.handleEstimate)
+	mux.HandleFunc("GET /v1/tags/{id}/explain", s.handleExplain)
 	mux.HandleFunc("GET /v1/alerts", s.handleAlerts)
 	mux.HandleFunc("GET /v1/slo", s.handleSLO)
 	mux.HandleFunc("GET /v1/recal/history", s.handleRecalHistory)
@@ -196,10 +198,8 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	mux.Handle("GET /metrics", s.eng.Registry().Handler())
-	mux.HandleFunc("GET /debug/trace/{id}", s.handleTrace)
 	mux.HandleFunc("GET /debug/flight/{id}", s.handleFlight)
 	mux.Handle("GET /debug/pipespans", s.spans)
-	mux.HandleFunc("GET /debug/dashboard", s.handleDashboard)
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
@@ -304,13 +304,17 @@ func fnum(v float64) *float64 {
 	return &v
 }
 
-func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
+// latest returns the tag's newest estimate, or answers 404 and false.
+func (s *server) latest(w http.ResponseWriter, r *http.Request) (stream.Estimate, bool) {
 	tag := r.PathValue("id")
 	est, ok := s.eng.Latest(tag)
 	if !ok {
 		obs.WriteError(w, http.StatusNotFound, fmt.Errorf("no estimate for tag %q", tag))
-		return
 	}
+	return est, ok
+}
+
+func toEstimateJSON(est stream.Estimate) estimateJSON {
 	out := estimateJSON{
 		Tag:            est.Tag,
 		Seq:            est.Seq,
@@ -330,7 +334,13 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		out.RefDist = fnum(sol.RefDistance)
 		out.RMSResid = fnum(sol.RMSResidual)
 	}
-	obs.WriteJSON(w, http.StatusOK, out)
+	return out
+}
+
+func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
+	if est, ok := s.latest(w, r); ok {
+		obs.WriteJSON(w, http.StatusOK, toEstimateJSON(est))
+	}
 }
 
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -338,18 +348,4 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"status":         "ok",
 		"uptime_seconds": time.Since(s.start).Seconds(),
 	})
-}
-
-// handleTrace serves the events of the tag's newest flight-recorder trace as
-// NDJSON, one obs.Event per line.
-func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	tag := r.PathValue("id")
-	records := s.mon.Flight(tag)
-	if len(records) == 0 {
-		obs.WriteError(w, http.StatusNotFound,
-			fmt.Errorf("no flight-recorder trace for tag %q", tag))
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	obs.WriteNDJSON(w, records[len(records)-1].Events)
 }

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -167,28 +168,28 @@ func TestServeSmoke(t *testing.T) {
 		}
 	}
 
-	// The solve trace endpoint serves the newest flight-recorder trace as
-	// NDJSON with per-iteration solver events. Flush first so the health
-	// hook has recorded the final solve.
+	// The explain endpoint wraps the tag's /estimate object, unchanged, with
+	// the solve's IRLS figures. Flush first so no solve is still running.
 	if err := eng.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	traceBody := getOK(t, base+"/debug/trace/T1")
-	var sawIter bool
-	for _, line := range strings.Split(strings.TrimSpace(traceBody), "\n") {
-		var ev map[string]any
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("trace line %q: %v", line, err)
-		}
-		if ev["event"] == "irls_iter" {
-			sawIter = true
-		}
+	var direct estimateJSON
+	if err := json.Unmarshal([]byte(getOK(t, base+"/v1/tags/T1/estimate")), &direct); err != nil {
+		t.Fatal(err)
 	}
-	if !sawIter {
-		t.Errorf("trace has no irls_iter events:\n%s", traceBody)
+	explainBody := getOK(t, base+"/v1/tags/T1/explain")
+	var ex explainJSON
+	if err := json.Unmarshal([]byte(explainBody), &ex); err != nil {
+		t.Fatalf("explain decode: %v in %s", err, explainBody)
 	}
-	if code, _ := get(t, base+"/debug/trace/NOPE"); code != http.StatusNotFound {
-		t.Errorf("trace for unknown tag: status %d, want 404", code)
+	if !reflect.DeepEqual(ex.Estimate, direct) {
+		t.Errorf("explain estimate = %+v, /estimate = %+v", ex.Estimate, direct)
+	}
+	if ex.Iterations == 0 || ex.FinalResidual == nil || ex.Condition == nil || ex.ApertureM <= 0 {
+		t.Errorf("explain lacks solve figures: %s", explainBody)
+	}
+	if code, _ := get(t, base+"/v1/tags/NOPE/explain"); code != http.StatusNotFound {
+		t.Errorf("explain for unknown tag: status %d, want 404", code)
 	}
 
 	// pprof is mounted: a short CPU profile comes back as a valid pprof

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -241,6 +242,31 @@ func (l *SpanLog) Total() uint64 {
 // the trace is unknown (evicted, never sampled, or recorded elsewhere).
 func (l *SpanLog) Spans(traceID uint64) []PipeSpan {
 	return l.filter(func(s PipeSpan) bool { return s.TraceID == traceID })
+}
+
+// NewestForTag returns the spans of the tag's newest sampled solve, oldest
+// first: the newest retained span naming the tag, and the earlier spans of
+// the same trace and tag up to the first repeated stage. Nil when no
+// retained span names the tag.
+func (l *SpanLog) NewestForTag(tag string) []PipeSpan {
+	if l == nil {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []PipeSpan
+	for i := l.ring.Len() - 1; i >= 0; i-- {
+		s := l.ring.At(i)
+		if s.Tag != tag || (len(out) > 0 && s.TraceID != out[0].TraceID) {
+			continue
+		}
+		if slices.ContainsFunc(out, func(o PipeSpan) bool { return o.Stage == s.Stage }) {
+			break
+		}
+		out = append(out, s)
+	}
+	slices.Reverse(out)
+	return out
 }
 
 // All returns every retained span, oldest first.

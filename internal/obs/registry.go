@@ -98,7 +98,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 }
 
 // FindHistogram returns the registered histogram with this name, if any —
-// read access for in-process consumers (the liond dashboard) without
+// read access for in-process consumers (liond's /v1/slo) without
 // re-registering.
 func (r *Registry) FindHistogram(name string) (*Histogram, bool) {
 	r.mu.Lock()

@@ -8,7 +8,7 @@ import (
 
 // TestTraceSchemaGolden freezes the NDJSON wire schema of solve-trace
 // events: the exact field names, types, and omit-empty behaviour that the
-// flight recorder, /debug/trace, and /debug/flight consumers rely on.
+// flight recorder and /debug/flight consumers rely on.
 // Changing this output is a breaking change to the trace schema guarantee in
 // DESIGN.md §9 and must be made deliberately, updating both.
 func TestTraceSchemaGolden(t *testing.T) {

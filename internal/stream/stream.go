@@ -156,6 +156,10 @@ type Estimate struct {
 	Window int
 	// From and To are the timestamps of the window's first and last sample.
 	From, To time.Duration
+	// Aperture is the distance in metres between the window's first and last
+	// sample positions: a short aperture constrains the radical-line solve
+	// weakly, as the paper's range study shows.
+	Aperture float64
 	// Solution is the solver output; nil when Err is non-nil.
 	Solution *core.Solution
 	// Err is the solve error, if any.
@@ -228,10 +232,6 @@ type Engine struct {
 	staleness       *obs.Histogram
 }
 
-// stalenessSeriesCap bounds the per-tag staleness series retained for the
-// dashboard sparkline.
-const stalenessSeriesCap = 128
-
 // session is the per-tag state: the ring-buffered window plus dispatch
 // book-keeping. All fields are guarded by the engine mutex, except solver,
 // which is written once at session creation and thereafter touched only by
@@ -256,9 +256,6 @@ type session struct {
 	tc       obs.TraceContext
 	origin   time.Time
 	accepted time.Time
-	// stale is the per-tag recent staleness series (seconds), feeding the
-	// dashboard sparkline. Allocated once at session creation; Push is free.
-	stale stats.Ring[float64]
 }
 
 // snapshot is one frozen window awaiting a solve. Snapshots are pooled on the
@@ -507,11 +504,7 @@ func (e *Engine) IngestTaggedTraced(batch []Tagged, tc obs.TraceContext, origin 
 func (e *Engine) ingestLocked(tag string, s Sample, tc obs.TraceContext, origin, accepted time.Time) {
 	sess := e.sessions[tag]
 	if sess == nil {
-		sess = &session{
-			tag:   tag,
-			win:   stats.NewRing[Sample](e.cfg.WindowSize),
-			stale: stats.NewRing[float64](stalenessSeriesCap),
-		}
+		sess = &session{tag: tag, win: stats.NewRing[Sample](e.cfg.WindowSize)}
 		if e.cfg.SolverFactory != nil {
 			sess.solver = e.cfg.SolverFactory()
 		}
@@ -571,18 +564,6 @@ func (e *Engine) Tags() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// StalenessSeries returns the tag's recent per-estimate staleness values in
-// seconds, oldest first (at most stalenessSeriesCap points) — the dashboard
-// sparkline feed. Nil when the tag is unknown or has published nothing.
-func (e *Engine) StalenessSeries(tag string) []float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if sess := e.sessions[tag]; sess != nil {
-		return sess.stale.AppendTo(nil)
-	}
-	return nil
 }
 
 // Subscribe registers an estimate listener. The returned cancel function
@@ -791,9 +772,10 @@ func (e *Engine) complete(snap *snapshot, o batch.Outcome) {
 			est.QueueWait = qw
 		}
 	}
-	if len(snap.samples) > 0 {
-		est.From = snap.samples[0].Time
-		est.To = snap.samples[len(snap.samples)-1].Time
+	if n := len(snap.samples); n > 0 {
+		first, last := snap.samples[0], snap.samples[n-1]
+		est.From, est.To = first.Time, last.Time
+		est.Aperture = first.Pos.Dist(last.Pos)
 	}
 	// A session solver reuses its Solution storage on the next solve, which
 	// may start as soon as the pending snapshot is chained below. Latest
@@ -836,7 +818,6 @@ func (e *Engine) complete(snap *snapshot, o batch.Outcome) {
 			stale = 0
 		}
 		e.staleness.ObserveExemplar(stale.Seconds(), snap.tc)
-		sess.stale.Push(stale.Seconds())
 	}
 	if l := e.cfg.Spans; l != nil && snap.tc.Sampled {
 		if est.QueueWait > 0 {
