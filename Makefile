@@ -47,10 +47,15 @@ bench:
 ## bench-guard: re-measure the lionbench micro-suite and fail on a >10%
 ## regression of the guarded hot paths (ns/op for the latency-critical
 ## benchmarks, allocs/op for all — a zero-alloc baseline fails on the first
-## allocation) against the committed $(BENCH_BASELINE).
+## allocation) against the committed $(BENCH_BASELINE). The fresh snapshot
+## goes to a per-run temporary file, removed on exit, so concurrent runs from
+## different checkouts never read each other's measurements.
 bench-guard:
-	$(GO) run ./cmd/lionbench -json /tmp/lion-bench-current.json
-	$(GO) run ./tools/benchguard -baseline $(BENCH_BASELINE) -current /tmp/lion-bench-current.json
+	@snap="$$(mktemp -t lion-bench-current.XXXXXX)" || exit 1; \
+	trap 'rm -f "$$snap"' EXIT; \
+	echo "$(GO) run ./cmd/lionbench -json $$snap"; \
+	$(GO) run ./cmd/lionbench -json "$$snap" && \
+	$(GO) run ./tools/benchguard -baseline $(BENCH_BASELINE) -current "$$snap"
 
 ## serve-smoke: end-to-end liond check — start the daemon on a random port,
 ## push a replayed NDJSON trace over HTTP, assert a 200 estimate, and verify

@@ -1,10 +1,9 @@
 // Command lionbench regenerates every table and figure of the paper's
 // evaluation on the simulated testbed and prints the results. Use -fast for
-// a quick smoke run, -only to select individual experiments, -workers N to
-// size the per-trial solver pool (results are identical at any size; only
-// wall-clock changes, which is how the serial-vs-parallel speedup is
-// measured), and -o to write the report to a file (the source of
-// EXPERIMENTS.md).
+// a quick smoke run, -only to select individual experiments, and -o to write
+// the report to a file (the source of EXPERIMENTS.md). Per-trial solves and
+// adaptive sweeps run on a GOMAXPROCS-sized pool; results are identical at
+// any GOMAXPROCS, only wall-clock changes.
 package main
 
 import (
@@ -101,7 +100,6 @@ func run(args []string, stdout io.Writer) error {
 		trials  = fs.Int("trials", 0, "override repetition count (0 = default)")
 		only    = fs.String("only", "", "comma-separated experiment names (e.g. fig13,fig21)")
 		out     = fs.String("o", "", "also write the report to this file")
-		workers = fs.Int("workers", 0, "solver worker pool size (0 = GOMAXPROCS, 1 = serial); results are identical, only wall-clock changes")
 		profile = fs.String("profile", "", "write CPU and heap profiles to <prefix>.cpu.pprof / <prefix>.heap.pprof")
 		jsonOut = fs.String("json", "", "run the micro-benchmark suite and write a machine-readable snapshot to this file ('-' for stdout), skipping the experiment tables")
 	)
@@ -111,7 +109,7 @@ func run(args []string, stdout io.Writer) error {
 	if *jsonOut != "" {
 		return writeBenchJSON(*jsonOut, stdout)
 	}
-	cfg := experiment.Config{Seed: *seed, Trials: *trials, Fast: *fast, Workers: *workers}
+	cfg := experiment.Config{Seed: *seed, Trials: *trials, Fast: *fast}
 
 	if *profile != "" {
 		stop, err := obs.StartProfiles(*profile)

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -57,15 +58,19 @@ func TestRunWritesReportFile(t *testing.T) {
 	}
 }
 
-// TestRunWorkersEquivalence runs the same experiment serially and with a
-// 4-worker pool; the rendered error columns must be identical (solver-time
-// columns vary, so compare a figure whose table has no timing column).
+// TestRunWorkersEquivalence runs the same experiment at GOMAXPROCS 1 and 4;
+// the rendered error columns must be identical (solver-time columns vary,
+// so compare a figure whose table has no timing column).
 func TestRunWorkersEquivalence(t *testing.T) {
 	var serial, parallel strings.Builder
-	if err := run([]string{"-fast", "-only", "fig21", "-workers", "1"}, &serial); err != nil {
+	runAt := func(procs int, out *strings.Builder) error {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return run([]string{"-fast", "-only", "fig21"}, out)
+	}
+	if err := runAt(1, &serial); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-fast", "-only", "fig21", "-workers", "4"}, &parallel); err != nil {
+	if err := runAt(4, &parallel); err != nil {
 		t.Fatal(err)
 	}
 	stripTiming := func(s string) string {

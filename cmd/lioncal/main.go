@@ -134,7 +134,8 @@ func scanConfig(lambda float64, smooth int, interval, scanRange float64, adaptiv
 }
 
 // locateMultiChannel splits a channel-hopped dataset by channel, unwraps
-// each channel's profile separately, and runs the joint multi-channel solve.
+// each channel's profile separately, and runs the joint multi-channel solve
+// with the channels in ascending index order.
 func locateMultiChannel(samples []sim.Sample, hopFreqs string, smooth int) (lion.Vec3, error) {
 	if hopFreqs == "" {
 		return lion.Vec3{}, fmt.Errorf("multichannel mode needs -channels")
@@ -147,15 +148,20 @@ func locateMultiChannel(samples []sim.Sample, hopFreqs string, smooth int) (lion
 		}
 		freqs = append(freqs, f)
 	}
-	byChannel := map[int][]sim.Sample{}
+	// Bucket by channel index and solve the channels in ascending order, so
+	// the joint system's rows, and hence its bits, are the same every run.
+	byChannel := make([][]sim.Sample, len(freqs))
 	for _, s := range samples {
+		if s.Channel < 0 || s.Channel >= len(freqs) {
+			return lion.Vec3{}, fmt.Errorf("channel index %d outside -channels list", s.Channel)
+		}
 		byChannel[s.Channel] = append(byChannel[s.Channel], s)
 	}
 	var chans []lion.ChannelObservations
 	minLen := 0
 	for c, chSamples := range byChannel {
-		if c < 0 || c >= len(freqs) {
-			return lion.Vec3{}, fmt.Errorf("channel index %d outside -channels list", c)
+		if len(chSamples) == 0 {
+			continue
 		}
 		band := lion.Band{FrequencyHz: freqs[c]}
 		if err := band.Validate(); err != nil {

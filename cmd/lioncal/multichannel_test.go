@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -120,5 +121,39 @@ func TestLocateMultiChannelValidation(t *testing.T) {
 	// A channel index beyond the list must be rejected.
 	if _, err := locateMultiChannel(samples, "902.75e6", 9); err == nil {
 		t.Error("short channel list accepted")
+	}
+}
+
+// bits is v's exact bit pattern, for bit-identity comparisons.
+func bits(v geom.Vec3) [3]uint64 {
+	return [3]uint64{math.Float64bits(v.X), math.Float64bits(v.Y), math.Float64bits(v.Z)}
+}
+
+// TestLocateMultiChannelDeterministic solves one hopped scan 20 times: the
+// channels must enter the joint solve in the same order every time, so the
+// center is bit-identical across runs.
+func TestLocateMultiChannelDeterministic(t *testing.T) {
+	path, _ := writeHoppedDataset(t)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	samples, err := dataset.Read(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := locateMultiChannel(samples, hopList, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run < 20; run++ {
+		pos, err := locateMultiChannel(samples, hopList, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bits(pos) != bits(first) {
+			t.Fatalf("run %d: center bits %x, run 0: %x", run, bits(pos), bits(first))
+		}
 	}
 }

@@ -4,39 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
-
-	"github.com/rfid-lion/lion/internal/obs"
 )
 
 // ErrPanic wraps a panic recovered from a job. Use errors.Is to detect it;
 // the wrapped message carries the panic value.
 var ErrPanic = errors.New("batch: job panicked")
-
-// Options configures an Engine.
-type Options struct {
-	// Workers is the pool size. Zero or negative means runtime.GOMAXPROCS(0).
-	Workers int
-	// Registry receives lion_batch_* metrics from Pool (Engine.Run is
-	// stateless and stays uninstrumented). Nil means a private registry.
-	Registry *obs.Registry
-}
-
-// Engine is a bounded worker pool with deterministic result ordering.
-// An Engine is stateless between Run calls and safe for concurrent use.
-type Engine struct {
-	workers int
-}
-
-// New builds an engine from the options.
-func New(opts Options) *Engine {
-	w := opts.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return &Engine{workers: w}
-}
 
 // Job is one unit of work.
 type Job func() (any, error)
@@ -45,40 +17,29 @@ type Job func() (any, error)
 type Outcome struct {
 	// Index is the job's position in the submitted slice.
 	Index int
-	// Value is the job's return value when Err is nil.
+	// Value is the job's return value; nil after a recovered panic.
 	Value any
 	// Err is the job's error or a recovered panic (errors.Is ErrPanic).
 	Err error
 }
 
-// Run executes the jobs across the pool and returns one outcome per job in
-// submission order: out[i] is always job i's result, independent of worker
-// count and scheduling, so parallel runs reproduce serial runs exactly.
-func (e *Engine) Run(jobs []Job) []Outcome {
+// Run executes the jobs on a Pool of runtime.GOMAXPROCS(0) workers and
+// returns one outcome per job in submission order: out[i] is always job i's
+// result, independent of worker count and scheduling, so a run at
+// GOMAXPROCS 1 reproduces a run at any other setting exactly.
+func Run(jobs []Job) []Outcome {
 	out := make([]Outcome, len(jobs))
-	workers := min(e.workers, len(jobs))
-	if workers <= 1 {
-		for i, job := range jobs {
-			out[i] = runOne(i, job)
-		}
+	if len(jobs) == 0 {
 		return out
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				out[i] = runOne(i, jobs[i])
-			}
-		}()
+	p := NewPool(min(runtime.GOMAXPROCS(0), len(jobs)), nil)
+	// The pool is fresh and still open, so Submit cannot fail, and it
+	// numbers submissions from 0, so Index is the job's slot.
+	done := func(o Outcome) { out[o.Index] = o }
+	for _, job := range jobs {
+		_ = p.Submit(job, done)
 	}
-	wg.Wait()
+	p.Close()
 	return out
 }
 
@@ -92,30 +53,4 @@ func runOne(index int, job Job) (o Outcome) {
 	}()
 	o.Value, o.Err = job()
 	return o
-}
-
-// Map fans fn over items with deterministic ordering: results[i] and
-// errs[i] belong to items[i]. It is the typed convenience wrapper over
-// Engine.Run for homogeneous workloads.
-func Map[T, R any](e *Engine, items []T, fn func(item T) (R, error)) ([]R, []error) {
-	jobs := make([]Job, len(items))
-	for i := range items {
-		item := items[i]
-		jobs[i] = func() (any, error) {
-			return fn(item)
-		}
-	}
-	outcomes := e.Run(jobs)
-	results := make([]R, len(items))
-	errs := make([]error, len(items))
-	for i, o := range outcomes {
-		if o.Err != nil {
-			errs[i] = o.Err
-			continue
-		}
-		if v, ok := o.Value.(R); ok {
-			results[i] = v
-		}
-	}
-	return results, errs
 }

@@ -4,17 +4,26 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 )
 
+// atProcs runs f with GOMAXPROCS set to n, the only input that sizes Run's
+// pool, and restores the previous setting.
+func atProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
 func TestRunOrderingMatchesSubmission(t *testing.T) {
-	e := New(Options{Workers: 8})
 	jobs := make([]Job, 100)
 	for i := range jobs {
 		i := i
 		jobs[i] = func() (any, error) { return i * i, nil }
 	}
-	out := e.Run(jobs)
+	var out []Outcome
+	atProcs(8, func() { out = Run(jobs) })
 	for i, o := range out {
 		if o.Index != i || o.Err != nil || o.Value.(int) != i*i {
 			t.Fatalf("outcome %d = %+v", i, o)
@@ -23,33 +32,41 @@ func TestRunOrderingMatchesSubmission(t *testing.T) {
 }
 
 func TestRunEmpty(t *testing.T) {
-	e := New(Options{})
-	if out := e.Run(nil); len(out) != 0 {
+	if out := Run(nil); len(out) != 0 {
 		t.Fatalf("empty run returned %d outcomes", len(out))
 	}
-	out := e.Run([]Job{func() (any, error) { return "ok", nil }})
+	out := Run([]Job{func() (any, error) { return "ok", nil }})
 	if out[0].Err != nil || out[0].Value != "ok" {
 		t.Fatalf("single-job run = %+v", out[0])
 	}
 }
 
+// TestDefaultWorkers checks that a zero or negative pool size still starts
+// workers: a pool without any would never run the job.
 func TestDefaultWorkers(t *testing.T) {
-	if w := New(Options{}).workers; w < 1 {
-		t.Fatalf("default workers = %d", w)
-	}
-	if w := New(Options{Workers: -3}).workers; w < 1 {
-		t.Fatalf("negative workers = %d", w)
+	for _, n := range []int{0, -3} {
+		p := NewPool(n, nil)
+		done := make(chan struct{})
+		if err := p.Submit(func() (any, error) { return nil, nil }, func(Outcome) { close(done) }); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("NewPool(%d) ran no job", n)
+		}
+		p.Close()
 	}
 }
 
 func TestPanicRecovery(t *testing.T) {
-	e := New(Options{Workers: 4})
 	jobs := []Job{
 		func() (any, error) { return 1, nil },
 		func() (any, error) { panic("boom") },
 		func() (any, error) { return 3, nil },
 	}
-	out := e.Run(jobs)
+	var out []Outcome
+	atProcs(4, func() { out = Run(jobs) })
 	if out[0].Err != nil || out[2].Err != nil {
 		t.Fatalf("healthy jobs failed: %+v", out)
 	}
@@ -60,7 +77,8 @@ func TestPanicRecovery(t *testing.T) {
 
 // TestStressMixedJobsDeterministic submits 1000 mixed jobs (pure compute,
 // erroring, panicking) and asserts the outcome slice is identical across 10
-// repeated parallel runs — the determinism contract under -race.
+// repeated parallel runs — the determinism contract under -race — and
+// identical to a run at GOMAXPROCS 1.
 func TestStressMixedJobsDeterministic(t *testing.T) {
 	const n = 1000
 	errSentinel := errors.New("job failed")
@@ -89,40 +107,19 @@ func TestStressMixedJobsDeterministic(t *testing.T) {
 		}
 		return s
 	}
-	e := New(Options{Workers: 8})
-	first := normalize(e.Run(jobs))
-	for run := 0; run < 10; run++ {
-		got := normalize(e.Run(jobs))
-		if !reflect.DeepEqual(got, first) {
-			t.Fatalf("run %d differs from first run", run)
+	var first, serial []string
+	atProcs(8, func() {
+		first = normalize(Run(jobs))
+		for run := 0; run < 10; run++ {
+			got := normalize(Run(jobs))
+			if !reflect.DeepEqual(got, first) {
+				t.Fatalf("run %d differs from first run", run)
+			}
 		}
-	}
+	})
 	// Serial run is identical too.
-	serial := normalize(New(Options{Workers: 1}).Run(jobs))
+	atProcs(1, func() { serial = normalize(Run(jobs)) })
 	if !reflect.DeepEqual(serial, first) {
 		t.Fatal("serial run differs from parallel run")
-	}
-}
-
-func TestMapTypedResults(t *testing.T) {
-	e := New(Options{Workers: 4})
-	items := []int{1, 2, 3, 4, 5}
-	results, errs := Map(e, items,
-		func(v int) (float64, error) {
-			if v == 3 {
-				return 0, errors.New("skip three")
-			}
-			return float64(v) * 0.5, nil
-		})
-	for i, v := range items {
-		if v == 3 {
-			if errs[i] == nil {
-				t.Error("expected error for item 3")
-			}
-			continue
-		}
-		if errs[i] != nil || results[i] != float64(v)*0.5 {
-			t.Errorf("item %d: result %v err %v", v, results[i], errs[i])
-		}
 	}
 }

@@ -2,6 +2,7 @@ package batch
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 
 	"github.com/rfid-lion/lion/internal/obs"
@@ -10,10 +11,10 @@ import (
 // ErrPoolClosed is returned by Submit after Close has been called.
 var ErrPoolClosed = errors.New("batch: pool closed")
 
-// Pool is the persistent sibling of Engine: the same bounded workers and
-// panic recovery, but accepting jobs over time instead of one slice per Run.
-// It backs streaming workloads (internal/stream) where windows arrive
-// continuously and each completion must fire a callback.
+// Pool is a bounded set of workers that accepts jobs over time and recovers
+// their panics. It backs streaming workloads (internal/stream), where
+// windows arrive continuously and each completion fires a callback, and Run,
+// which submits one slice and waits for it.
 //
 // The queue is unbounded; callers that need back-pressure must bound their
 // own outstanding submissions (the stream engine keeps at most one queued
@@ -38,10 +39,13 @@ type poolTask struct {
 	done  func(Outcome)
 }
 
-// NewPool starts the workers immediately. Zero or negative Workers means
-// runtime.GOMAXPROCS(0), as for New.
-func NewPool(opts Options) *Pool {
-	reg := opts.Registry
+// NewPool starts the workers immediately. Zero or negative workers means
+// runtime.GOMAXPROCS(0). reg receives the lion_batch_* metrics; nil means a
+// private registry.
+func NewPool(workers int, reg *obs.Registry) *Pool {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
@@ -55,7 +59,7 @@ func NewPool(opts Options) *Pool {
 		return float64(p.Len())
 	})
 	p.cond = sync.NewCond(&p.mu)
-	for range New(opts).workers {
+	for range workers {
 		p.wg.Add(1)
 		go p.worker()
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestPoolRunsEveryJob(t *testing.T) {
-	p := NewPool(Options{Workers: 4})
+	p := NewPool(4, nil)
 	var sum atomic.Int64
 	var wg sync.WaitGroup
 	for i := 1; i <= 100; i++ {
@@ -36,7 +36,7 @@ func TestPoolRunsEveryJob(t *testing.T) {
 }
 
 func TestPoolCloseDrainsQueue(t *testing.T) {
-	p := NewPool(Options{Workers: 1})
+	p := NewPool(1, nil)
 	var ran atomic.Int64
 	for i := 0; i < 50; i++ {
 		if err := p.Submit(func() (any, error) {
@@ -57,7 +57,7 @@ func TestPoolCloseDrainsQueue(t *testing.T) {
 }
 
 func TestPoolRecoversPanic(t *testing.T) {
-	p := NewPool(Options{Workers: 2})
+	p := NewPool(2, nil)
 	defer p.Close()
 	done := make(chan Outcome, 1)
 	if err := p.Submit(func() (any, error) {

@@ -126,44 +126,32 @@ func gridSpecs(ranges, intervals []float64) []gridSpec {
 }
 
 // sweep evaluates every candidate with eval. Each candidate is an
-// independent solve, so the sweep fans out across a batch worker pool;
-// results land in the slice slot matching their candidate index, which keeps
-// the output bit-identical to a serial loop (ties in SelectByResidual are
-// broken by candidate order, i.e. deterministically by index). workers ≤ 1
-// runs serially on the calling goroutine; workers == 0 uses GOMAXPROCS.
-// A non-nil tracer receives one candidate event per evaluated cell with the
-// weighted mean residual the selection rule ranks by.
-func sweep(specs []gridSpec, workers int, tr *lionobs.Tracer, eval func(gridSpec) (*Solution, error)) []Candidate {
-	cands := make([]Candidate, len(specs))
-	fill := func(i int) {
-		sol, err := eval(specs[i])
-		cands[i] = Candidate{
-			ScanRange: specs[i].scanRange,
-			Interval:  specs[i].interval,
-			Solution:  sol,
-			Err:       err,
-		}
-		wres := 0.0
-		if sol != nil {
-			wres = sol.MeanResidual
-		}
-		tr.Candidate("adaptive", specs[i].scanRange, specs[i].interval, wres, err)
-	}
-	if workers == 1 || len(specs) < 2 {
-		for i := range specs {
-			fill(i)
-		}
-		return cands
-	}
+// independent solve, so the sweep fans out through batch.Run; results land
+// in the slice slot matching their candidate index, which keeps the output
+// bit-identical at any GOMAXPROCS (ties in SelectByResidual are broken by
+// candidate order, i.e. deterministically by index). A candidate whose eval
+// panics keeps its range and interval and carries the recovered panic
+// (errors.Is batch.ErrPanic) in Err. A non-nil tracer receives one candidate
+// event per evaluated cell with the weighted mean residual the selection
+// rule ranks by.
+func sweep(specs []gridSpec, tr *lionobs.Tracer, eval func(gridSpec) (*Solution, error)) []Candidate {
 	jobs := make([]batch.Job, len(specs))
-	for i := range specs {
-		i := i
+	for i, s := range specs {
 		jobs[i] = func() (any, error) {
-			fill(i)
-			return nil, nil
+			sol, err := eval(s)
+			wres := 0.0
+			if sol != nil {
+				wres = sol.MeanResidual
+			}
+			tr.Candidate("adaptive", s.scanRange, s.interval, wres, err)
+			return sol, err
 		}
 	}
-	batch.New(batch.Options{Workers: workers}).Run(jobs)
+	cands := make([]Candidate, len(specs))
+	for i, o := range batch.Run(jobs) {
+		sol, _ := o.Value.(*Solution)
+		cands[i] = Candidate{ScanRange: specs[i].scanRange, Interval: specs[i].interval, Solution: sol, Err: o.Err}
+	}
 	return cands
 }
 
@@ -172,19 +160,12 @@ func sweep(specs []gridSpec, workers int, tr *lionobs.Tracer, eval func(gridSpec
 // combination in parallel, and fuses the estimates with SelectByResidual.
 // base provides the grid step and solve options shared by all combinations.
 func AdaptiveLocateThreeLine(in ThreeLineInput, ranges, intervals []float64, base StructuredOptions) (*AdaptiveResult, error) {
-	return AdaptiveLocateThreeLineWorkers(in, ranges, intervals, base, 0)
-}
-
-// AdaptiveLocateThreeLineWorkers is AdaptiveLocateThreeLine with an explicit
-// pool size: 0 means GOMAXPROCS, 1 forces the serial path. Both paths return
-// bit-identical results.
-func AdaptiveLocateThreeLineWorkers(in ThreeLineInput, ranges, intervals []float64, base StructuredOptions, workers int) (*AdaptiveResult, error) {
 	if len(ranges) == 0 || len(intervals) == 0 {
 		return nil, ErrNoCandidates
 	}
 	tr := base.Solve.Trace
 	defer tr.SpanAt("adaptive_three_line").End()
-	cands := sweep(gridSpecs(ranges, intervals), workers, tr, func(s gridSpec) (*Solution, error) {
+	cands := sweep(gridSpecs(ranges, intervals), tr, func(s gridSpec) (*Solution, error) {
 		opts := base
 		opts.ScanRange = s.scanRange
 		opts.Interval = s.interval
@@ -205,18 +186,12 @@ func candidateSpan(tr *lionobs.Tracer, s gridSpec) string {
 
 // AdaptiveLocateTwoLine is the two-line analogue of AdaptiveLocateThreeLine.
 func AdaptiveLocateTwoLine(in TwoLineInput, abovePlane bool, ranges, intervals []float64, base StructuredOptions) (*AdaptiveResult, error) {
-	return AdaptiveLocateTwoLineWorkers(in, abovePlane, ranges, intervals, base, 0)
-}
-
-// AdaptiveLocateTwoLineWorkers is AdaptiveLocateTwoLine with an explicit
-// pool size: 0 means GOMAXPROCS, 1 forces the serial path.
-func AdaptiveLocateTwoLineWorkers(in TwoLineInput, abovePlane bool, ranges, intervals []float64, base StructuredOptions, workers int) (*AdaptiveResult, error) {
 	if len(ranges) == 0 || len(intervals) == 0 {
 		return nil, ErrNoCandidates
 	}
 	tr := base.Solve.Trace
 	defer tr.SpanAt("adaptive_two_line").End()
-	cands := sweep(gridSpecs(ranges, intervals), workers, tr, func(s gridSpec) (*Solution, error) {
+	cands := sweep(gridSpecs(ranges, intervals), tr, func(s gridSpec) (*Solution, error) {
 		opts := base
 		opts.ScanRange = s.scanRange
 		opts.Interval = s.interval
@@ -229,12 +204,6 @@ func AdaptiveLocateTwoLineWorkers(in TwoLineInput, abovePlane bool, ranges, inte
 // AdaptiveLocate2DLine sweeps the pairing interval for the single-line 2-D
 // case and fuses the estimates with SelectByResidual.
 func AdaptiveLocate2DLine(obs []PosPhase, lambda float64, intervals []float64, positiveSide bool, opts SolveOptions) (*AdaptiveResult, error) {
-	return AdaptiveLocate2DLineWorkers(obs, lambda, intervals, positiveSide, opts, 0)
-}
-
-// AdaptiveLocate2DLineWorkers is AdaptiveLocate2DLine with an explicit pool
-// size: 0 means GOMAXPROCS, 1 forces the serial path.
-func AdaptiveLocate2DLineWorkers(obs []PosPhase, lambda float64, intervals []float64, positiveSide bool, opts SolveOptions, workers int) (*AdaptiveResult, error) {
 	if len(intervals) == 0 {
 		return nil, ErrNoCandidates
 	}
@@ -244,7 +213,7 @@ func AdaptiveLocate2DLineWorkers(obs []PosPhase, lambda float64, intervals []flo
 	for i, iv := range intervals {
 		specs[i] = gridSpec{interval: iv}
 	}
-	cands := sweep(specs, workers, tr, func(s gridSpec) (*Solution, error) {
+	cands := sweep(specs, tr, func(s gridSpec) (*Solution, error) {
 		o := opts
 		o.TraceSpan = candidateSpan(tr, s)
 		return Locate2DLine(obs, lambda, s.interval, positiveSide, o)

@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
+	"github.com/rfid-lion/lion/internal/batch"
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/rf"
 	"github.com/rfid-lion/lion/internal/stats"
@@ -200,6 +202,44 @@ func TestAdaptiveEmptySweeps(t *testing.T) {
 	}
 	if _, err := AdaptiveLocate2DLine(nil, testLambda, nil, true, SolveOptions{}); !errors.Is(err, ErrNoCandidates) {
 		t.Errorf("empty intervals err = %v", err)
+	}
+}
+
+// TestSweepReportsPanickingCandidate checks that a candidate whose solve
+// panics stays in its own cell, with its range and interval and the
+// recovered panic as its error, while its neighbours keep their solutions,
+// at GOMAXPROCS 1 and 4.
+func TestSweepReportsPanickingCandidate(t *testing.T) {
+	specs := gridSpecs([]float64{0.6, 0.8}, []float64{0.15, 0.2, 0.25})
+	const bad = 4 // range 0.8, interval 0.2
+	eval := func(s gridSpec) (*Solution, error) {
+		if s == specs[bad] {
+			panic("singular candidate")
+		}
+		return &Solution{MeanResidual: s.scanRange * s.interval}, nil
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		cands := sweep(specs, nil, eval)
+		runtime.GOMAXPROCS(prev)
+		if len(cands) != len(specs) {
+			t.Fatalf("GOMAXPROCS %d: %d candidates, want %d", procs, len(cands), len(specs))
+		}
+		for i, c := range cands {
+			if c.ScanRange != specs[i].scanRange || c.Interval != specs[i].interval {
+				t.Errorf("GOMAXPROCS %d: cell %d = (%g, %g), want (%g, %g)",
+					procs, i, c.ScanRange, c.Interval, specs[i].scanRange, specs[i].interval)
+			}
+			if i == bad {
+				if !errors.Is(c.Err, batch.ErrPanic) || c.Solution != nil {
+					t.Errorf("GOMAXPROCS %d: panicking cell = %+v, want nil solution and batch.ErrPanic", procs, c)
+				}
+				continue
+			}
+			if c.Err != nil || c.Solution == nil || c.Solution.MeanResidual != specs[i].scanRange*specs[i].interval {
+				t.Errorf("GOMAXPROCS %d: healthy cell %d = %+v", procs, i, c)
+			}
+		}
 	}
 }
 

@@ -85,7 +85,7 @@ func TestAdaptiveSweepEmitsCandidateTrace(t *testing.T) {
 	tr := lionobs.NewTracer()
 	opts := DefaultSolveOptions()
 	opts.Trace = tr
-	res, err := AdaptiveLocate2DLineWorkers(obs, testLambda, intervals, true, opts, 1)
+	res, err := AdaptiveLocate2DLine(obs, testLambda, intervals, true, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

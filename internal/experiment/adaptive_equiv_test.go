@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/rfid-lion/lion/internal/calib"
@@ -51,10 +52,18 @@ func adaptiveScenario(t *testing.T, seed int64) (core.ThreeLineInput, core.TwoLi
 	return in3, in2
 }
 
+// atProcs runs f with GOMAXPROCS set to n (n < 1 keeps the current value),
+// the only input that sizes the batch pool behind adaptive sweeps and trial
+// fan-out, and restores the previous setting.
+func atProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
 // TestAdaptiveParallelEquivalentToSerial proves the parallel adaptive sweep
 // returns a bit-identical AdaptiveResult — chosen candidates (range,
 // interval), fused position, and the full sweep — to the serial path, on
-// seeded testbed scenarios and across several pool sizes.
+// seeded testbed scenarios and across several GOMAXPROCS settings.
 func TestAdaptiveParallelEquivalentToSerial(t *testing.T) {
 	ranges := []float64{0.6, 0.8, 1.0}
 	intervals := []float64{0.15, 0.2, 0.25}
@@ -63,29 +72,36 @@ func TestAdaptiveParallelEquivalentToSerial(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		in3, in2 := adaptiveScenario(t, seed)
 
-		serial3, err := core.AdaptiveLocateThreeLineWorkers(in3, ranges, intervals, base, 1)
-		if err != nil {
-			t.Fatalf("seed %d: serial three-line: %v", seed, err)
+		var serial3, serial2 *core.AdaptiveResult
+		var err3, err2 error
+		atProcs(1, func() {
+			serial3, err3 = core.AdaptiveLocateThreeLine(in3, ranges, intervals, base)
+			serial2, err2 = core.AdaptiveLocateTwoLine(in2, true, ranges, intervals, base)
+		})
+		if err3 != nil {
+			t.Fatalf("seed %d: serial three-line: %v", seed, err3)
 		}
-		serial2, err := core.AdaptiveLocateTwoLineWorkers(in2, true, ranges, intervals, base, 1)
-		if err != nil {
-			t.Fatalf("seed %d: serial two-line: %v", seed, err)
+		if err2 != nil {
+			t.Fatalf("seed %d: serial two-line: %v", seed, err2)
 		}
 
-		for _, workers := range []int{0, 2, 4, 8} {
-			par3, err := core.AdaptiveLocateThreeLineWorkers(in3, ranges, intervals, base, workers)
-			if err != nil {
-				t.Fatalf("seed %d workers %d: three-line: %v", seed, workers, err)
+		for _, procs := range []int{0, 2, 4, 8} { // 0 keeps the default
+			var par3, par2 *core.AdaptiveResult
+			atProcs(procs, func() {
+				par3, err3 = core.AdaptiveLocateThreeLine(in3, ranges, intervals, base)
+				par2, err2 = core.AdaptiveLocateTwoLine(in2, true, ranges, intervals, base)
+			})
+			if err3 != nil {
+				t.Fatalf("seed %d GOMAXPROCS %d: three-line: %v", seed, procs, err3)
 			}
 			if !reflect.DeepEqual(par3, serial3) {
-				t.Errorf("seed %d workers %d: three-line AdaptiveResult differs from serial", seed, workers)
+				t.Errorf("seed %d GOMAXPROCS %d: three-line AdaptiveResult differs from serial", seed, procs)
 			}
-			par2, err := core.AdaptiveLocateTwoLineWorkers(in2, true, ranges, intervals, base, workers)
-			if err != nil {
-				t.Fatalf("seed %d workers %d: two-line: %v", seed, workers, err)
+			if err2 != nil {
+				t.Fatalf("seed %d GOMAXPROCS %d: two-line: %v", seed, procs, err2)
 			}
 			if !reflect.DeepEqual(par2, serial2) {
-				t.Errorf("seed %d workers %d: two-line AdaptiveResult differs from serial", seed, workers)
+				t.Errorf("seed %d GOMAXPROCS %d: two-line AdaptiveResult differs from serial", seed, procs)
 			}
 		}
 
@@ -107,15 +123,17 @@ func TestAdaptiveParallelEquivalentToSerial(t *testing.T) {
 	}
 }
 
-// TestFig13WorkersEquivalence runs the full Fig. 13 harness serially and on
-// a 4-worker pool: every error cell must be bit-identical (solver times are
+// TestFig13WorkersEquivalence runs the full Fig. 13 harness at GOMAXPROCS 1
+// and 4: every error cell must be bit-identical (solver times are
 // wall-clock and naturally vary).
 func TestFig13WorkersEquivalence(t *testing.T) {
-	serial, _, err := Fig13Overall(Config{Seed: 5, Fast: true, Workers: 1})
+	var serial, parallel []Fig13Row
+	var err error
+	atProcs(1, func() { serial, _, err = Fig13Overall(Config{Seed: 5, Fast: true}) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, _, err := Fig13Overall(Config{Seed: 5, Fast: true, Workers: 4})
+	atProcs(4, func() { parallel, _, err = Fig13Overall(Config{Seed: 5, Fast: true}) })
 	if err != nil {
 		t.Fatal(err)
 	}

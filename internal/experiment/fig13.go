@@ -270,7 +270,7 @@ func Fig13Overall(cfg Config) ([]Fig13Row, *Table, error) {
 	// is a pure function of its pre-generated input, and solveTrials keys
 	// results by trial index, so the reduction below is order-identical to
 	// the serial loop.
-	results, err := solveTrials(cfg.Workers, trials, func(i int) (fig13Result, error) {
+	results, err := solveTrials(trials, func(i int) (fig13Result, error) {
 		var r fig13Result
 		if err := s.solve2D(&inputs[i], dahStep2D, &r); err != nil {
 			return r, err

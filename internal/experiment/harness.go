@@ -26,11 +26,6 @@ type Config struct {
 	// seconds — used by unit tests; benchmarks and the CLI use the full
 	// configuration.
 	Fast bool
-	// Workers sizes the worker pool for per-trial solver fan-out. Zero
-	// means runtime.GOMAXPROCS(0); one forces the serial path. Results are
-	// identical for any value — trial inputs are generated serially from
-	// the seeded RNG and solver results are reduced in submission order.
-	Workers int
 }
 
 func (c Config) seed() int64 {

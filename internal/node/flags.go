@@ -32,11 +32,11 @@ type config struct {
 	traceSample int
 
 	// Closed-loop recalibration (-recal): solver geometry the controller
-	// re-solves with, plus its acceptance tuning.
+	// re-solves with, plus its acceptance tuning. Its antenna and
+	// wavelength come from the engine's active profile.
 	recal        bool
 	recalMargin  float64
 	recalMin     int
-	lambda       float64
 	intervals    []float64
 	positiveSide bool
 }
@@ -160,7 +160,6 @@ func parseFlags(args []string) (*config, error) {
 		recal:        *recalOn,
 		recalMargin:  *recalMargin,
 		recalMin:     *recalMin,
-		lambda:       lam,
 		intervals:    ivs,
 		positiveSide: *side,
 		cfg: stream.Config{

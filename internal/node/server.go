@@ -92,8 +92,6 @@ func buildPipeline(cfg *config) (*stream.Engine, *health.Monitor, *recal.Control
 	if cfg.recal {
 		ctrl, err = recal.New(recal.Config{
 			Engine:       eng,
-			Antenna:      cfg.cfg.Antenna,
-			Lambda:       cfg.lambda,
 			Margin:       cfg.recalMargin,
 			MinSamples:   cfg.recalMin,
 			Intervals:    cfg.intervals,

@@ -93,14 +93,10 @@ type Event struct {
 type Config struct {
 	// Engine is the stream engine whose windows provide evidence and whose
 	// profile is the active calibration the controller reads and swaps.
-	// Required, with an active profile. Its monitor's drift alerts reach
-	// the controller through OnTransition.
+	// Required, with an active profile that names its antenna (the drift
+	// alert scope the controller manages) and a positive wavelength. Its
+	// monitor's drift alerts reach the controller through OnTransition.
 	Engine *stream.Engine
-	// Antenna is the calibrated antenna this controller manages (the
-	// drift alert scope). Required.
-	Antenna string
-	// Lambda is the carrier wavelength, metres. Required.
-	Lambda float64
 	// Margin is the required relative improvement of the held-out residual
 	// before a candidate is accepted: candRMS ≤ (1−Margin)·activeRMS.
 	// Zero defaults to 0.05; it may be set negative-free only in [0, 1).
@@ -159,7 +155,9 @@ type request struct {
 // on the controller's own goroutine (coalesced — at most one queued), so
 // the monitor's solve-path hook never blocks on a re-solve.
 type Controller struct {
-	cfg Config
+	cfg     Config
+	antenna string  // the active profile's antenna at New
+	lambda  float64 // the active profile's wavelength at New, metres
 
 	// runMu serializes recalibration runs (worker loop vs manual Trigger).
 	runMu sync.Mutex
@@ -187,17 +185,18 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("recal: an engine is required")
 	}
-	if cfg.Antenna == "" {
-		return nil, fmt.Errorf("recal: an antenna id is required")
-	}
-	if !(cfg.Lambda > 0) {
-		return nil, fmt.Errorf("recal: wavelength %v must be positive", cfg.Lambda)
-	}
 	if cfg.Margin < 0 || cfg.Margin >= 1 {
 		return nil, fmt.Errorf("recal: margin %v must be in [0, 1)", cfg.Margin)
 	}
-	if p, _, ok := cfg.Engine.ActiveProfile(); !ok || p.Antenna != cfg.Antenna {
-		return nil, fmt.Errorf("recal: engine has no active profile for antenna %q", cfg.Antenna)
+	active, _, ok := cfg.Engine.ActiveProfile()
+	if !ok {
+		return nil, fmt.Errorf("recal: engine has no active profile")
+	}
+	if active.Antenna == "" {
+		return nil, fmt.Errorf("recal: the active profile names no antenna")
+	}
+	if !(active.Lambda > 0) {
+		return nil, fmt.Errorf("recal: active profile wavelength %v must be positive", active.Lambda)
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -205,6 +204,8 @@ func New(cfg Config) (*Controller, error) {
 	}
 	c := &Controller{
 		cfg:     cfg,
+		antenna: active.Antenna,
+		lambda:  active.Lambda,
 		history: stats.NewRing[Event](auditHistory),
 		trigCh:  make(chan request, 1),
 		stopCh:  make(chan struct{}),
@@ -234,7 +235,7 @@ func New(cfg Config) (*Controller, error) {
 // queued run always re-reads fresh evidence, so back-to-back transitions
 // collapse into one run); a resolving one ends the post-swap probation.
 func (c *Controller) OnTransition(a health.Alert) {
-	if a.Rule != triggerRule || a.Scope != "antenna:"+c.cfg.Antenna {
+	if a.Rule != triggerRule || a.Scope != "antenna:"+c.antenna {
 		return
 	}
 	switch a.State {
@@ -251,7 +252,7 @@ func (c *Controller) OnTransition(a health.Alert) {
 		c.mu.Lock()
 		c.probation = nil
 		c.mu.Unlock()
-		c.logger.Info("recal probation cleared", "antenna", c.cfg.Antenna, "rule", a.Rule)
+		c.logger.Info("recal probation cleared", "antenna", c.antenna, "rule", a.Rule)
 	}
 }
 
@@ -362,7 +363,7 @@ func (c *Controller) run(req request) Event {
 	begin := time.Now()
 
 	ev := Event{
-		Time: begin, Reason: req.reason, Antenna: c.cfg.Antenna,
+		Time: begin, Reason: req.reason, Antenna: c.antenna,
 		DriftLambda: req.drift,
 	}
 	active, _, _ := c.cfg.Engine.ActiveProfile()
@@ -380,11 +381,11 @@ func (c *Controller) run(req request) Event {
 	}
 
 	trainPos, trainPh, holdPos, holdPh := split(samples)
-	activeRMS := calib.OffsetResidualRMS(holdPos, holdPh, active.Center, active.Offset, c.cfg.Lambda)
+	activeRMS := calib.OffsetResidualRMS(holdPos, holdPh, active.Center, active.Offset, c.lambda)
 	ev.OldRMS = activeRMS
 
 	res, err := calib.EstimateLine(trainPos, trainPh, calib.Config{
-		Lambda:       c.cfg.Lambda,
+		Lambda:       c.lambda,
 		Intervals:    c.cfg.Intervals,
 		PositiveSide: c.cfg.PositiveSide,
 		Adaptive:     true,
@@ -397,7 +398,7 @@ func (c *Controller) run(req request) Event {
 		c.solveSeconds.Observe(time.Since(begin).Seconds())
 		return ev
 	}
-	candRMS := calib.OffsetResidualRMS(holdPos, holdPh, res.Center, res.Offset, c.cfg.Lambda)
+	candRMS := calib.OffsetResidualRMS(holdPos, holdPh, res.Center, res.Offset, c.lambda)
 	ev.NewCenter, ev.NewOffset, ev.NewRMS = res.Center, res.Offset, candRMS
 
 	// Accept only a real improvement on samples the solve never saw. NaN
@@ -420,14 +421,14 @@ func (c *Controller) run(req request) Event {
 		c.mu.Unlock()
 		c.record(ev)
 		c.logger.Info("recal profile swapped",
-			"antenna", c.cfg.Antenna, "tag", tag, "version", version,
+			"antenna", c.antenna, "tag", tag, "version", version,
 			"old_offset", active.Offset, "new_offset", res.Offset,
 			"old_rms", activeRMS, "new_rms", candRMS)
 	} else {
 		ev.Outcome = OutcomeRejected
 		c.record(ev)
 		c.logger.Info("recal candidate rejected",
-			"antenna", c.cfg.Antenna, "tag", tag,
+			"antenna", c.antenna, "tag", tag,
 			"active_rms", activeRMS, "candidate_rms", candRMS, "margin", c.cfg.margin())
 		c.maybeRollback(active, holdPos, holdPh, activeRMS, candRMS)
 	}
@@ -447,12 +448,12 @@ func (c *Controller) maybeRollback(active stream.Profile, holdPos []geom.Vec3, h
 	if p == nil || len(holdPos) == 0 {
 		return
 	}
-	prevRMS := calib.OffsetResidualRMS(holdPos, holdPh, p.prev.Center, p.prev.Offset, c.cfg.Lambda)
+	prevRMS := calib.OffsetResidualRMS(holdPos, holdPh, p.prev.Center, p.prev.Offset, c.lambda)
 	if !(prevRMS <= (1-c.cfg.margin())*activeRMS && prevRMS < candRMS) {
 		return
 	}
 	ev := Event{
-		Time: time.Now(), Reason: "rollback", Antenna: c.cfg.Antenna,
+		Time: time.Now(), Reason: "rollback", Antenna: c.antenna,
 		OldCenter: active.Center, OldOffset: active.Offset, OldRMS: activeRMS,
 		NewCenter: p.prev.Center, NewOffset: p.prev.Offset, NewRMS: prevRMS,
 	}
@@ -470,7 +471,7 @@ func (c *Controller) maybeRollback(active stream.Profile, holdPos []geom.Vec3, h
 	c.mu.Unlock()
 	c.record(ev)
 	c.logger.Warn("recal rolled back to previous profile",
-		"antenna", c.cfg.Antenna, "version", version,
+		"antenna", c.antenna, "version", version,
 		"active_rms", activeRMS, "previous_rms", prevRMS)
 }
 

@@ -70,8 +70,6 @@ func newLoopRig(t *testing.T, antenna geom.Vec3, lambda, calOffset float64, rule
 		t.Fatal(err)
 	}
 	ctrlCfg.Engine = eng
-	ctrlCfg.Antenna = "A1"
-	ctrlCfg.Lambda = lambda
 	ctrlCfg.PositiveSide = true
 	ctrl, err := New(ctrlCfg)
 	if err != nil {
@@ -379,15 +377,16 @@ func TestControllerValidation(t *testing.T) {
 	}
 	eng := newEngine(&stream.Profile{Antenna: "A1", Center: antenna, Offset: 1, Lambda: lambda})
 	raw := newEngine(nil)
+	unnamed := newEngine(&stream.Profile{Center: antenna, Offset: 1, Lambda: lambda})
+	noLambda := newEngine(&stream.Profile{Antenna: "A1", Center: antenna, Offset: 1, Lambda: 0})
 
 	bad := []Config{
-		{Antenna: "A1", Lambda: lambda},                                // no engine
-		{Engine: eng, Lambda: lambda},                                  // no antenna
-		{Engine: eng, Antenna: "A1"},                                   // no wavelength
-		{Engine: eng, Antenna: "A1", Lambda: lambda, Margin: 1.5},      // margin out of range
-		{Engine: eng, Antenna: "A1", Lambda: lambda, Margin: -0.1},     // negative margin
-		{Engine: eng, Antenna: "uncalibrated-antenna", Lambda: lambda}, // profile for another antenna
-		{Engine: raw, Antenna: "A1", Lambda: lambda},                   // no active profile
+		{},                          // no engine
+		{Engine: eng, Margin: 1.5},  // margin out of range
+		{Engine: eng, Margin: -0.1}, // negative margin
+		{Engine: raw},               // no active profile
+		{Engine: unnamed},           // profile names no antenna
+		{Engine: noLambda},          // profile wavelength 0
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -395,7 +394,7 @@ func TestControllerValidation(t *testing.T) {
 		}
 	}
 
-	ctrl, err := New(Config{Engine: eng, Antenna: "A1", Lambda: lambda})
+	ctrl, err := New(Config{Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}

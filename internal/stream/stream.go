@@ -332,7 +332,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:      cfg,
-		pool:     batch.NewPool(batch.Options{Workers: cfg.Workers, Registry: reg}),
+		pool:     batch.NewPool(cfg.Workers, reg),
 		sessions: make(map[string]*session),
 		subs:     make(map[int]chan Estimate),
 

@@ -44,7 +44,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchguard", flag.ContinueOnError)
 	var (
-		baselinePath = fs.String("baseline", "BENCH_7.json", "committed snapshot to guard against")
+		baselinePath = fs.String("baseline", "", "committed snapshot to guard against (required)")
 		currentPath  = fs.String("current", "", "freshly measured snapshot (required)")
 		maxShift     = fs.Float64("max-shift", 0.10, "allowed fractional regression per metric")
 		// recal_solve is deliberately NOT ns-guarded: the recalibration
@@ -58,6 +58,9 @@ func run(args []string, stdout io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *baselinePath == "" {
+		return fmt.Errorf("-baseline is required")
 	}
 	if *currentPath == "" {
 		return fmt.Errorf("-current is required")

@@ -99,6 +99,11 @@ func TestRunEndToEnd(t *testing.T) {
 	if err := run([]string{"-baseline", base}, &out); err == nil {
 		t.Fatal("missing -current accepted")
 	}
+	// No default baseline: a stale default would guard against the wrong
+	// snapshot without saying so.
+	if err := run([]string{"-current", good}, &out); err == nil || !strings.Contains(err.Error(), "-baseline is required") {
+		t.Fatalf("missing -baseline: err = %v, want \"-baseline is required\"", err)
+	}
 	if err := run([]string{"-baseline", base, "-current", write("junk.json", "{")}, &out); err == nil {
 		t.Fatal("malformed current snapshot accepted")
 	}
