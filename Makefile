@@ -2,7 +2,7 @@ GO ?= go
 
 ## BENCH_BASELINE: the committed lionbench snapshot bench-guard compares
 ## against. Bump when a PR lands a new snapshot.
-BENCH_BASELINE ?= BENCH_10.json
+BENCH_BASELINE ?= BENCH_11.json
 
 .PHONY: check fmt vet build test race bench bench-guard fuzz serve-smoke cluster-smoke recal-smoke load-smoke metriclint pipebench-test
 

@@ -33,6 +33,7 @@ func Run(jobs []Job) []Outcome {
 		return out
 	}
 	p := NewPool(min(runtime.GOMAXPROCS(0), len(jobs)), nil)
+	p.reserve(len(jobs))
 	// The pool is fresh and still open, so Submit cannot fail, and it
 	// numbers submissions from 0, so Index is the job's slot.
 	done := func(o Outcome) { out[o.Index] = o }

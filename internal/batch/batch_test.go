@@ -123,3 +123,24 @@ func TestStressMixedJobsDeterministic(t *testing.T) {
 		t.Fatal("serial run differs from parallel run")
 	}
 }
+
+// TestRunAllocs pins the cost of Run's throwaway pool: with no registry the
+// pool registers no lion_batch_* series, and its queue is sized once, so
+// four trivial jobs cost only the outcomes, the pool, its queue, the
+// completion callback and a worker (5 allocations measured). A private
+// obs.Registry with the series, which nobody could read, and a queue grown
+// job by job cost 19.
+func TestRunAllocs(t *testing.T) {
+	jobs := make([]Job, 4)
+	for i := range jobs {
+		jobs[i] = func() (any, error) { return nil, nil }
+	}
+	for _, procs := range []int{1, 2} {
+		atProcs(procs, func() {
+			Run(jobs)
+			if a := testing.AllocsPerRun(100, func() { Run(jobs) }); a > 6 {
+				t.Errorf("GOMAXPROCS %d: Run of 4 jobs allocates %.1f times, want at most 6", procs, a)
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package batch
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 
 	"github.com/rfid-lion/lion/internal/obs"
@@ -25,7 +26,7 @@ type Pool struct {
 	jobsPanic *obs.Counter
 
 	mu     sync.Mutex
-	cond   *sync.Cond
+	cond   sync.Cond  // L is &mu
 	queue  []poolTask // ring-ish FIFO: live tasks are queue[head:]
 	head   int        // index of the next task to dequeue
 	closed bool
@@ -40,25 +41,21 @@ type poolTask struct {
 }
 
 // NewPool starts the workers immediately. Zero or negative workers means
-// runtime.GOMAXPROCS(0). reg receives the lion_batch_* metrics; nil means a
-// private registry.
+// runtime.GOMAXPROCS(0). reg receives the lion_batch_* metrics; nil
+// registers none, so a throwaway pool (Run's) builds no series nobody reads.
 func NewPool(workers int, reg *obs.Registry) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if reg == nil {
-		reg = obs.NewRegistry()
+	p := &Pool{}
+	if reg != nil {
+		jobs := reg.CounterVec("lion_batch_jobs_total", "Pool jobs completed, by result.", "result")
+		p.jobsOK, p.jobsErr, p.jobsPanic = jobs.With("ok"), jobs.With("error"), jobs.With("panic")
+		reg.GaugeFunc("lion_batch_queue_depth", "Pool jobs queued but not yet running.", func() float64 {
+			return float64(p.Len())
+		})
 	}
-	jobs := reg.CounterVec("lion_batch_jobs_total", "Pool jobs completed, by result.", "result")
-	p := &Pool{
-		jobsOK:    jobs.With("ok"),
-		jobsErr:   jobs.With("error"),
-		jobsPanic: jobs.With("panic"),
-	}
-	reg.GaugeFunc("lion_batch_queue_depth", "Pool jobs queued but not yet running.", func() float64 {
-		return float64(p.Len())
-	})
-	p.cond = sync.NewCond(&p.mu)
+	p.cond.L = &p.mu
 	for range workers {
 		p.wg.Add(1)
 		go p.worker()
@@ -79,6 +76,14 @@ func (p *Pool) Submit(job Job, done func(Outcome)) error {
 	p.next++
 	p.cond.Signal()
 	return nil
+}
+
+// reserve grows the queue to take n more jobs, so that n Submits append
+// without reallocating it.
+func (p *Pool) reserve(n int) {
+	p.mu.Lock()
+	p.queue = slices.Grow(p.queue, n)
+	p.mu.Unlock()
 }
 
 // Len returns the number of jobs queued but not yet picked up by a worker.
@@ -131,6 +136,7 @@ func (p *Pool) worker() {
 		p.mu.Unlock()
 		o := runOne(t.index, t.job)
 		switch {
+		case p.jobsOK == nil: // no registry: nothing to count
 		case o.Err == nil:
 			p.jobsOK.Inc()
 		case errors.Is(o.Err, ErrPanic):

@@ -262,3 +262,53 @@ func TestLineWorkspaceZeroAllocs(t *testing.T) {
 		t.Errorf("warm Locate2DLineIntervalsInto allocates %.1f times, want 0", allocs)
 	}
 }
+
+// TestLineGoldenFixedPointBound is the accuracy contract of the IRLS stopping
+// rule, next to the bit identity above. Over the golden corpus, each default
+// solve is compared with the converged fixed point of the same refinement
+// (Tolerance 1e-13, 1000 iterations):
+//   - a window that stops on the 0.1 mm step rule lies within 0.25 mm of the
+//     fixed point;
+//   - a window that hits the 10-iteration cap lies no farther from it than
+//     the 1 µm rule's answer, which is the same 10th iterate.
+func TestLineGoldenFixedPointBound(t *testing.T) {
+	const bound = 0.25e-3 // metres
+	defaults := DefaultSolveOptions()
+	micron := SolveOptions{Weighted: true, Tolerance: 1e-6}
+	fixed := SolveOptions{Weighted: true, Tolerance: 1e-13, MaxIterations: 1000}
+	var stopped []float64
+	capped, worstCapped := 0, 0.0
+	for i := 0; i < goldenCases; i++ {
+		c := makeGoldenCase(i)
+		solve := func(opts SolveOptions) *Solution {
+			t.Helper()
+			sol, err := Locate2DLineIntervals(c.obs, testLambda, c.intervals, c.positive, opts)
+			if err != nil {
+				t.Fatalf("case %d (%s): %v", i, c.desc, err)
+			}
+			return sol
+		}
+		got, ref := solve(defaults), solve(fixed)
+		d := got.Position.Dist(ref.Position)
+		if got.Iterations < defaults.maxIter() {
+			stopped = append(stopped, d)
+			if d > bound {
+				t.Errorf("case %d (%s): stopped after %d iterations %.1f µm from the fixed point, bound %.0f µm",
+					i, c.desc, got.Iterations, d*1e6, bound*1e6)
+			}
+			continue
+		}
+		capped++
+		worstCapped = math.Max(worstCapped, d)
+		if dm := solve(micron).Position.Dist(ref.Position); d > dm {
+			t.Errorf("case %d (%s): capped solve %.1f µm from the fixed point, 1 µm rule %.1f µm",
+				i, c.desc, d*1e6, dm*1e6)
+		}
+	}
+	sort.Float64s(stopped)
+	if len(stopped) > 0 {
+		t.Logf("%d windows stopped on the step rule: distance to the fixed point p50 %.0f µm, p90 %.0f µm, max %.0f µm",
+			len(stopped), stopped[len(stopped)/2]*1e6, stopped[len(stopped)*9/10]*1e6, stopped[len(stopped)-1]*1e6)
+	}
+	t.Logf("%d windows hit the cap: worst %.2f mm from the fixed point", capped, worstCapped*1e3)
+}

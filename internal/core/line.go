@@ -32,13 +32,18 @@ type LineWorkspace struct {
 // the same solve, bit for bit, with every intermediate buffer taken from ws
 // and the result written into sol. The Solution's slices are appended into
 // sol's own backing arrays, never aliased to ws, so callers may keep or
-// change a Solution freely while ws serves later solves.
+// change a Solution freely while ws serves later solves. A NaN or infinite
+// position or phase in obs fails with ErrNonFiniteInput before any work:
+// this is the only finiteness scan of a streamed window solve.
 func Locate2DLineIntervalsInto(ws *LineWorkspace, obs []PosPhase, lambda float64, intervals []float64,
 	positiveSide bool, opts SolveOptions, sol *Solution) error {
 	if len(obs) < 4 {
 		return ErrTooFewObservations
 	}
 	if err := checkIntervals(intervals); err != nil {
+		return err
+	}
+	if err := checkFinite(obs); err != nil {
 		return err
 	}
 	origin, u, v, err := lineFrame(obs)

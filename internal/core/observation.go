@@ -46,9 +46,21 @@ type PosPhase struct {
 // smoothing; the window must be odd otherwise. Positions and phases must
 // have equal length.
 //
+// A NaN or infinite position or phase fails with ErrNonFiniteInput.
+//
 // It allocates fresh storage per call; PreprocessInto is the same code on
-// reusable buffers.
+// reusable buffers, without the finiteness scan.
 func Preprocess(positions []geom.Vec3, wrapped []float64, smoothWindow int) ([]PosPhase, error) {
+	for i, p := range positions {
+		if !p.IsFinite() {
+			return nil, fmt.Errorf("core: position %d is %v: %w", i, p, ErrNonFiniteInput)
+		}
+	}
+	for i, th := range wrapped {
+		if math.IsNaN(th) || math.IsInf(th, 0) {
+			return nil, fmt.Errorf("core: phase %d is %v: %w", i, th, ErrNonFiniteInput)
+		}
+	}
 	var buf PreprocessBuffers
 	return PreprocessInto(&buf, positions, wrapped, smoothWindow)
 }
@@ -66,20 +78,15 @@ type PreprocessBuffers struct {
 // PreprocessInto is Preprocess writing into buf. The returned profile
 // aliases buf and is valid until the next call with the same buf; positions
 // and wrapped are not modified.
+//
+// Unlike Preprocess it does not scan for non-finite input: a NaN or infinite
+// position or phase stays non-finite in the profile, and the window solves
+// it feeds (Locate2DLineIntervalsInto, NewProfileRef) reject it with
+// ErrNonFiniteInput. That keeps one scan per streamed window solve.
 func PreprocessInto(buf *PreprocessBuffers, positions []geom.Vec3, wrapped []float64, smoothWindow int) ([]PosPhase, error) {
 	if len(positions) != len(wrapped) {
 		return nil, fmt.Errorf("core: %d positions vs %d phases: %w",
 			len(positions), len(wrapped), ErrTooFewObservations)
-	}
-	for i, p := range positions {
-		if !p.IsFinite() {
-			return nil, fmt.Errorf("core: position %d is %v: %w", i, p, ErrNonFiniteInput)
-		}
-	}
-	for i, th := range wrapped {
-		if math.IsNaN(th) || math.IsInf(th, 0) {
-			return nil, fmt.Errorf("core: phase %d is %v: %w", i, th, ErrNonFiniteInput)
-		}
 	}
 	buf.theta = dsp.UnwrapInto(buf.theta, wrapped)
 	theta := buf.theta
@@ -117,18 +124,33 @@ func NewProfile(obs []PosPhase, lambda float64) (*Profile, error) {
 	return NewProfileRef(obs, lambda, len(obs)/2)
 }
 
-// NewProfileRef builds a profile with an explicit reference index.
+// NewProfileRef builds a profile with an explicit reference index. A NaN or
+// infinite observation fails with ErrNonFiniteInput.
 func NewProfileRef(obs []PosPhase, lambda float64, refIndex int) (*Profile, error) {
 	p := &Profile{Obs: append([]PosPhase(nil), obs...)}
 	if err := p.reset(lambda, refIndex); err != nil {
 		return nil, err
 	}
+	if err := checkFinite(p.Obs); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
-// reset validates the wavelength, the reference index and every observation
-// of p.Obs as NewProfileRef documents, then refills Δd relative to refIndex,
-// reusing p's storage.
+// checkFinite fails with ErrNonFiniteInput on the first observation whose
+// position or phase is NaN or infinite.
+func checkFinite(obs []PosPhase) error {
+	for i, o := range obs {
+		if !o.Pos.IsFinite() || math.IsNaN(o.Theta) || math.IsInf(o.Theta, 0) {
+			return fmt.Errorf("core: observation %d is %v: %w", i, o, ErrNonFiniteInput)
+		}
+	}
+	return nil
+}
+
+// reset validates the wavelength and the reference index, then refills Δd
+// of p.Obs relative to refIndex, reusing p's storage. It does not check the
+// observations for finiteness; its callers do (checkFinite).
 func (p *Profile) reset(lambda float64, refIndex int) error {
 	if lambda <= 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
 		return ErrBadLambda
@@ -139,11 +161,6 @@ func (p *Profile) reset(lambda float64, refIndex int) error {
 	if refIndex < 0 || refIndex >= len(p.Obs) {
 		return fmt.Errorf("core: reference index %d out of range [0,%d)",
 			refIndex, len(p.Obs))
-	}
-	for i, o := range p.Obs {
-		if !o.Pos.IsFinite() || math.IsNaN(o.Theta) || math.IsInf(o.Theta, 0) {
-			return fmt.Errorf("core: observation %d is %v: %w", i, o, ErrNonFiniteInput)
-		}
 	}
 	p.Lambda, p.RefIndex = lambda, refIndex
 	if cap(p.deltaD) < len(p.Obs) {

@@ -125,7 +125,11 @@ func SolveSystemInto(ws *SolveWorkspace, sys *System, opts SolveOptions, sol *So
 
 // irlsRefine runs the IRWLS refinement of Eqs. 14–16 over the reduced
 // system: weights exp(−d²/2) from standardised residuals, re-solve, repeat
-// until the iterate moves less than the tolerance. xp points at the
+// until the iterate moves less than the tolerance (0.1 mm by default, 1 % of
+// the paper's centimetre accuracy) or the iteration cap is reached. Over
+// the line golden corpus a window that stops on the step lies within
+// 0.25 mm of the refinement's fixed point (TestLineGoldenFixedPointBound),
+// at about half the iterations of a 1 µm step. xp points at the
 // workspace-owned iterate and is updated in place (the slice may be
 // re-appended); weights must be pre-initialised to ones and is overwritten.
 //

@@ -40,14 +40,12 @@ func UnwrapInto(dst, wrapped []float64) []float64 {
 	offset := 0.0
 	for i := 1; i < len(wrapped); i++ {
 		cur := wrapped[i]
-		d := cur - prev
-		for d >= math.Pi {
-			offset -= 2 * math.Pi
-			d -= 2 * math.Pi
-		}
-		for d <= -math.Pi {
-			offset += 2 * math.Pi
-			d += 2 * math.Pi
+		if d := cur - prev; d >= math.Pi || d <= -math.Pi {
+			// Whole turns to remove, in one step rather than a loop: a jump
+			// of ±Inf, or one so large that subtracting 2π leaves it
+			// unchanged, would never bring a loop below π. For the jumps of
+			// a wrapped sequence (|d| < 2π) this is exactly one turn.
+			offset -= 2 * math.Pi * math.Round(d/(2*math.Pi))
 		}
 		dst[i] = cur + offset
 		prev = cur

@@ -296,3 +296,48 @@ func TestMovingAverageIntoMatchesMovingAverage(t *testing.T) {
 		t.Errorf("even window error = %v, want ErrBadWindow", err)
 	}
 }
+
+// TestUnwrapHugeAndInfiniteJumps: a jump of ±Inf, or one so large that
+// subtracting 2π leaves it unchanged, used to spin the unwrap loop forever.
+// Unwrap must return, and a non-finite input must leave the output
+// non-finite so that the solve's finiteness scan still rejects it.
+func TestUnwrapHugeAndInfiniteJumps(t *testing.T) {
+	for _, v := range []float64{math.Inf(1), math.Inf(-1), 1e20, -1e300} {
+		got := Unwrap([]float64{0.1, v, 0.2, 0.3})
+		if len(got) != 4 {
+			t.Fatalf("%v: len %d", v, len(got))
+		}
+		finite := true
+		for _, x := range got {
+			finite = finite && !math.IsNaN(x) && !math.IsInf(x, 0)
+		}
+		if math.IsInf(v, 0) == finite {
+			t.Errorf("jump to %v: output %v, finite %v", v, got, finite)
+		}
+	}
+}
+
+// TestUnwrapOneTurnPerWrappedJump pins the arithmetic of a wrapped sequence:
+// each jump of at least π moves the offset by exactly one turn, so the
+// output bits equal the running sum of ±2π steps.
+func TestUnwrapOneTurnPerWrappedJump(t *testing.T) {
+	in := []float64{6.2, 0.1, 6.25, 3.1, 6.2831, 0, math.Pi, 0}
+	want := make([]float64, len(in))
+	want[0] = in[0]
+	offset := 0.0
+	for i := 1; i < len(in); i++ {
+		switch d := in[i] - in[i-1]; {
+		case d >= math.Pi:
+			offset -= 2 * math.Pi
+		case d <= -math.Pi:
+			offset += 2 * math.Pi
+		}
+		want[i] = in[i] + offset
+	}
+	got := Unwrap(in)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("sample %d: got %v, want %v", i, got[i], want[i])
+		}
+	}
+}

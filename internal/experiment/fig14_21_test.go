@@ -3,6 +3,9 @@ package experiment
 import (
 	"math"
 	"testing"
+
+	"github.com/rfid-lion/lion/internal/core"
+	"github.com/rfid-lion/lion/internal/stats"
 )
 
 func TestFig14a3D(t *testing.T) {
@@ -182,5 +185,55 @@ func TestFig21Turntable(t *testing.T) {
 	// center→antenna direction, which is y here).
 	if rows[3].XErr > rows[3].YErr {
 		t.Errorf("x err %v above y err %v at r=0.25", rows[3].XErr, rows[3].YErr)
+	}
+}
+
+// TestFadeAccuracyStepRule checks that the IRLS stopping rule keeps what
+// the weights are for, rejecting bursty phase errors, on the Fig. 15 fade
+// deployment: 300 scans, each solved at the default 0.1 mm step and at the
+// 1 µm step. The default's mean and p90 error stay within 2 % of the 1 µm
+// rule's.
+func TestFadeAccuracyStepRule(t *testing.T) {
+	d, err := newFig15Deployment(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rules := []struct {
+		name string
+		opts core.SolveOptions
+	}{
+		{"0.1 mm (default)", core.DefaultSolveOptions()},
+		{"1 µm", core.SolveOptions{Weighted: true, Tolerance: 1e-6}},
+	}
+	errs := make([][]float64, len(rules))
+	iters := make([]int, len(rules))
+	const trials = 300
+	for trial := 0; trial < trials; trial++ {
+		rel, trueT, err := d.scanRelative(0.55)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, rule := range rules {
+			sol, err := core.Locate2DLine(rel, d.tb.lambda, 0.2, true, rule.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			errs[r] = append(errs[r], sol.Position.XY().Dist(trueT.XY()))
+			iters[r] += sol.Iterations
+		}
+	}
+	mean := make([]float64, len(rules))
+	p90 := make([]float64, len(rules))
+	for r, rule := range rules {
+		mean[r] = stats.Mean(errs[r])
+		p90[r], _ = stats.Percentile(errs[r], 90)
+		t.Logf("%-16s iterations %.2f, mean %.3f cm, p90 %.3f cm",
+			rule.name, float64(iters[r])/trials, mean[r]*100, p90[r]*100)
+	}
+	if math.Abs(mean[0]-mean[1]) > 0.02*mean[1] {
+		t.Errorf("mean error %.4f cm vs %.4f cm under the 1 µm rule: more than 2 %% apart", mean[0]*100, mean[1]*100)
+	}
+	if math.Abs(p90[0]-p90[1]) > 0.02*p90[1] {
+		t.Errorf("p90 error %.4f cm vs %.4f cm under the 1 µm rule: more than 2 %% apart", p90[0]*100, p90[1]*100)
 	}
 }

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -399,5 +400,46 @@ func TestIncrementalFactoryValidation(t *testing.T) {
 	}
 	if _, err := New(Config{WindowSize: 16}); err == nil {
 		t.Error("config without solver or factory accepted")
+	}
+}
+
+// TestSolversRejectNonFiniteWindow: the engine's ingest rejects non-finite
+// samples, but a SessionSolver or a SolveWindow caller may hand one straight
+// to the solver. Both window paths scan once, inside the line solve, and
+// must fail with core.ErrNonFiniteInput on a NaN position or phase, and on
+// an infinite phase, which they unwrap before that scan.
+func TestSolversRejectNonFiniteWindow(t *testing.T) {
+	trace, lambda := testTrace(t, 3)
+	clean := make([]Sample, 200)
+	for i := range clean {
+		clean[i] = FromSim(trace[i])
+	}
+	factory, err := IncrementalLine2DFactory(lambda, []float64{0.1}, true, core.DefaultSolveOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := factory()
+	solver := Line2DSolver(lambda, []float64{0.1}, true, core.DefaultSolveOptions())
+	poison := map[string]func(*Sample){
+		"NaN position": func(s *Sample) { s.Pos.Y = math.NaN() },
+		"NaN phase":    func(s *Sample) { s.Phase = math.NaN() },
+		"+Inf phase":   func(s *Sample) { s.Phase = math.Inf(1) },
+	}
+	for name, spoil := range poison {
+		for _, at := range []int{0, len(clean) / 2, len(clean) - 1} {
+			win := append([]Sample(nil), clean...)
+			spoil(&win[at])
+			if _, err := session.SolveWindow(win, nil); !errors.Is(err, core.ErrNonFiniteInput) {
+				t.Errorf("%s at %d, SessionSolver: err = %v", name, at, err)
+			}
+			for _, smooth := range []int{0, 9} {
+				if _, err := SolveWindow(win, smooth, solver, nil); !errors.Is(err, core.ErrNonFiniteInput) {
+					t.Errorf("%s at %d, SolveWindow smooth %d: err = %v", name, at, smooth, err)
+				}
+			}
+		}
+	}
+	if _, err := session.SolveWindow(clean, nil); err != nil {
+		t.Errorf("clean window after rejected ones: %v", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/rfid-lion/lion/internal/core"
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/rf"
 	"github.com/rfid-lion/lion/internal/sim"
@@ -306,5 +307,32 @@ func TestTrackerEstimateAllocs(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(20, estimate); a > 1 {
 		t.Errorf("one warm estimate allocates %v times, want at most 1 (the Estimate)", a)
+	}
+}
+
+// TestTrackerRejectsNonFinitePhase: Push takes any float. A NaN or infinite
+// read must make the estimate fail with core.ErrNonFiniteInput (the line
+// solve's scan) rather than hang the unwrap or publish a NaN position.
+func TestTrackerRejectsNonFinitePhase(t *testing.T) {
+	lambda := rf.DefaultBand().Wavelength()
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := baseConfig(lambda)
+		cfg.WindowSize, cfg.MinWindow, cfg.Every = 300, 200, 1
+		trk, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last error
+		for i := 0; i < 250; i++ {
+			pos := geom.V3(-0.5+0.002*float64(i), 0, 0)
+			phase := rf.WrapPhase(rf.PhaseOfDistance(cfg.AntennaPos.Dist(pos), lambda))
+			if i == 100 {
+				phase = bad
+			}
+			_, last = trk.Push(time.Duration(i)*20*time.Millisecond, phase)
+		}
+		if !errors.Is(last, core.ErrNonFiniteInput) {
+			t.Errorf("phase %v in the window: err = %v, want core.ErrNonFiniteInput", bad, last)
+		}
 	}
 }

@@ -29,6 +29,10 @@ func TestFacadeRejectsNonFiniteInput(t *testing.T) {
 	if _, err := lion.Preprocess(badPos, phases, 0); !errors.Is(err, lion.ErrNonFiniteInput) {
 		t.Errorf("Inf position: err = %v, want lion.ErrNonFiniteInput", err)
 	}
+	badPos[5] = lion.V3(math.NaN(), 0, 0)
+	if _, err := lion.Preprocess(badPos, phases, 0); !errors.Is(err, lion.ErrNonFiniteInput) {
+		t.Errorf("NaN position: err = %v, want lion.ErrNonFiniteInput", err)
+	}
 
 	if _, err := lion.Preprocess(pos, phases[:7], 0); !errors.Is(err, lion.ErrTooFewObservations) {
 		t.Errorf("mismatched lengths: err = %v, want lion.ErrTooFewObservations", err)
