@@ -94,7 +94,7 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "wavelength:       %.4f m\n", lambda)
 	fmt.Fprintf(stdout, "estimated center: %v\n", res.Center)
 	if *physical != "" {
-		phys, err := parseVec3(*physical)
+		phys, err := geom.ParseVec3(*physical)
 		if err != nil {
 			return err
 		}
@@ -188,21 +188,4 @@ func locateMultiChannel(samples []sim.Sample, hopFreqs string, smooth int) (lion
 		}
 	}
 	return sol.Position, nil
-}
-
-// parseVec3 parses "x,y,z".
-func parseVec3(s string) (geom.Vec3, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 3 {
-		return geom.Vec3{}, fmt.Errorf("want x,y,z, got %q", s)
-	}
-	var vals [3]float64
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return geom.Vec3{}, fmt.Errorf("component %d of %q: %w", i, s, err)
-		}
-		vals[i] = v
-	}
-	return geom.V3(vals[0], vals[1], vals[2]), nil
 }

@@ -17,30 +17,6 @@ import (
 	"github.com/rfid-lion/lion/internal/traject"
 )
 
-func TestParseVec3(t *testing.T) {
-	tests := []struct {
-		in      string
-		want    geom.Vec3
-		wantErr bool
-	}{
-		{"1,2,3", geom.V3(1, 2, 3), false},
-		{" 0.5 , -0.25 , 0 ", geom.V3(0.5, -0.25, 0), false},
-		{"1,2", geom.Vec3{}, true},
-		{"1,2,3,4", geom.Vec3{}, true},
-		{"a,2,3", geom.Vec3{}, true},
-	}
-	for _, tt := range tests {
-		got, err := parseVec3(tt.in)
-		if (err != nil) != tt.wantErr {
-			t.Errorf("parseVec3(%q) err = %v", tt.in, err)
-			continue
-		}
-		if !tt.wantErr && got != tt.want {
-			t.Errorf("parseVec3(%q) = %v, want %v", tt.in, got, tt.want)
-		}
-	}
-}
-
 // writeScanDataset simulates a three-line calibration scan and writes it as
 // CSV, returning the path and the true phase center.
 func writeScanDataset(t *testing.T) (string, geom.Vec3) {
@@ -88,6 +64,18 @@ func TestRunEndToEnd(t *testing.T) {
 	path, _ := writeScanDataset(t)
 	if err := run([]string{"-in", path, "-mode", "threeline", "-physical", "0,0.8,0"}, io.Discard); err != nil {
 		t.Fatalf("run: %v", err)
+	}
+}
+
+// TestRunRejectsNonFinitePhysical: strconv parses "nan" and "inf", and a
+// non-finite -physical center can only yield a NaN displacement, so the
+// flag must be refused.
+func TestRunRejectsNonFinitePhysical(t *testing.T) {
+	path, _ := writeScanDataset(t)
+	for _, phys := range []string{"nan,0,inf", "0,0.8,-Inf", "NaN,0.8,0"} {
+		if err := run([]string{"-in", path, "-mode", "threeline", "-physical", phys}, io.Discard); err == nil {
+			t.Errorf("-physical %s accepted", phys)
+		}
 	}
 }
 

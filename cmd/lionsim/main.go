@@ -197,9 +197,9 @@ func run(args []string) error {
 }
 
 // emitPaced streams the scan in fixed-size chunks on an ideal-clock schedule
-// (chunk i due at start + i·interval), the same load.Pacer lionload's
-// generator runs on: replay keeps the target rate even when a write stalls,
-// because the next chunk's due time never moves. CSV is a batch file format,
+// (chunk i due at start + i·interval, see load.Pacer): replay keeps the
+// target rate even when a write stalls, because the next chunk's due time
+// never moves. CSV is a batch file format,
 // so pacing supports only the streaming ingest formats.
 func emitPaced(w io.Writer, format, tagID string, samples []sim.Sample, rate float64, batch int) error {
 	if batch <= 0 {

@@ -353,15 +353,14 @@ func (rt *Router) forwardLoop(s *shard) {
 // after it would have. The batch travels as wire frames; sampled batches
 // carry the trace id and receive clock in the frames' trace extension.
 func (rt *Router) post(s *shard, batch []dataset.TaggedSample, tc obs.TraceContext, recv time.Time) {
-	var buf bytes.Buffer
-	if err := wire.NewWriter(&buf, 0).WriteBatchExt(batch, rt.traceExt(tc, recv)); err != nil {
+	body, err := wire.AppendFrames(nil, batch, rt.traceExt(tc, recv))
+	if err != nil {
 		// Unencodable batches cannot happen for validated ingest samples;
 		// count and drop rather than wedging the queue.
 		rt.forwardErrors.Add(uint64(len(batch)))
 		rt.logf("forward encode failed", "shard", s.id, "err", err.Error())
 		return
 	}
-	body := buf.Bytes()
 	attempts := rt.cfg.forwardAttempts
 	final := false
 	for attempt := 1; ; attempt++ {

@@ -5,27 +5,22 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"mime"
-	"strings"
 )
 
-// Codec is one ingest encoding of tagged sample batches. The two
-// implementations are NDJSON (this package — the compatibility format) and
-// the binary frame format (internal/wire — the hot-path format); liond and
-// lionroute pick between them per request by Content-Type.
+// Codec is one ingest encoding of tagged sample batches, as the load
+// generator and lionsim write them. The two implementations are NDJSON (this
+// package — the compatibility format) and the binary frame format
+// (internal/wire — the hot-path format). liond and lionroute decode a
+// request by its Content-Type with the matching DecodeIngest.
 //
-// Decode returns only validated samples: non-empty tags, finite floats, and
-// timestamps within ±MaxIngestTimeS, never more than MaxIngestSamples of
-// them. Encode output must round-trip through Decode bit-exactly — both
-// codecs preserve the float64 payload (NDJSON via Go's shortest-round-trip
-// float formatting, wire via raw IEEE 754 bits).
+// Encode output must round-trip through that DecodeIngest bit-exactly —
+// both codecs preserve the float64 payload (NDJSON via Go's
+// shortest-round-trip float formatting, wire via raw IEEE 754 bits).
 type Codec interface {
 	// Name identifies the codec in flags and logs ("ndjson", "wire").
 	Name() string
 	// ContentType is the exact HTTP content type the codec serves.
 	ContentType() string
-	// Decode parses one request body.
-	Decode(r io.Reader) ([]TaggedSample, error)
 	// Encode writes samples in this codec's format.
 	Encode(w io.Writer, samples []TaggedSample) error
 }
@@ -45,11 +40,8 @@ func (NDJSON) Name() string { return "ndjson" }
 // ContentType is the HTTP content type the codec serves.
 func (NDJSON) ContentType() string { return NDJSONContentType }
 
-// Decode parses NDJSON sample lines and envelopes.
-func (NDJSON) Decode(r io.Reader) ([]TaggedSample, error) { return DecodeIngest(r) }
-
 // Encode writes samples as one {"samples": [...]} envelope line, the densest
-// of the shapes Decode accepts.
+// of the shapes DecodeIngest accepts.
 func (NDJSON) Encode(w io.Writer, samples []TaggedSample) error {
 	bw := bufio.NewWriter(w)
 	if err := json.NewEncoder(bw).Encode(struct {
@@ -58,28 +50,4 @@ func (NDJSON) Encode(w io.Writer, samples []TaggedSample) error {
 		return fmt.Errorf("dataset: encode ingest envelope: %w", err)
 	}
 	return bw.Flush()
-}
-
-// SelectCodec picks the codec whose ContentType matches the request's
-// Content-Type header (parameters like charset are ignored). Any other
-// content type — including none at all — falls back to the first codec in
-// the list, by convention the NDJSON compatibility codec: curl-style clients
-// send arbitrary types (`--data-binary` defaults to
-// application/x-www-form-urlencoded) and have always been decoded as NDJSON.
-func SelectCodec(codecs []Codec, contentType string) Codec {
-	if len(codecs) == 0 {
-		return nil
-	}
-	mt := strings.TrimSpace(contentType)
-	if mt != "" {
-		if parsed, _, err := mime.ParseMediaType(mt); err == nil {
-			mt = parsed
-		}
-	}
-	for _, c := range codecs {
-		if strings.EqualFold(mt, c.ContentType()) {
-			return c
-		}
-	}
-	return codecs[0]
 }

@@ -16,42 +16,11 @@ func TestNDJSONCodecRoundTrip(t *testing.T) {
 	if err := c.Encode(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.Decode(&buf)
+	out, err := DecodeIngest(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Errorf("round trip mismatch:\n got  %+v\n want %+v", out, in)
-	}
-}
-
-// fakeCodec stands in for the wire codec, which dataset cannot import.
-type fakeCodec struct{ NDJSON }
-
-func (fakeCodec) Name() string        { return "fake" }
-func (fakeCodec) ContentType() string { return "application/x-fake" }
-
-func TestSelectCodec(t *testing.T) {
-	codecs := []Codec{NDJSON{}, fakeCodec{}}
-	cases := []struct {
-		contentType string
-		want        string
-	}{
-		{"", "ndjson"},
-		{"application/x-ndjson", "ndjson"},
-		{"application/x-fake", "fake"},
-		{"APPLICATION/X-FAKE", "fake"},
-		{"application/x-fake; charset=utf-8", "fake"},
-		{"application/x-www-form-urlencoded", "ndjson"}, // curl --data-binary default
-		{"application/json", "ndjson"},
-		{"complete nonsense", "ndjson"},
-	}
-	for _, tc := range cases {
-		if got := SelectCodec(codecs, tc.contentType).Name(); got != tc.want {
-			t.Errorf("SelectCodec(%q) = %s, want %s", tc.contentType, got, tc.want)
-		}
-	}
-	if SelectCodec(nil, "x") != nil {
-		t.Error("empty codec list must select nil")
 	}
 }

@@ -3,6 +3,8 @@ package geom
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 )
 
 // Vec2 is a point or displacement in the plane.
@@ -156,4 +158,26 @@ func (v Vec3) IsFinite() bool {
 // String implements fmt.Stringer.
 func (v Vec3) String() string {
 	return fmt.Sprintf("(%.6g, %.6g, %.6g)", v.X, v.Y, v.Z)
+}
+
+// ParseVec3 parses "x,y,z" (spaces around components allowed) into a
+// vector. Every component must be a finite number: NaN and ±Inf, which
+// strconv accepts, fail here.
+func ParseVec3(s string) (Vec3, error) {
+	parts := strings.Split(s, ",")
+	if len(parts) != 3 {
+		return Vec3{}, fmt.Errorf("want x,y,z, got %q", s)
+	}
+	var c [3]float64
+	for i, p := range parts {
+		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil {
+			return Vec3{}, fmt.Errorf("component %d of %q: %w", i, s, err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return Vec3{}, fmt.Errorf("component %d of %q is %v, want a finite number", i, s, v)
+		}
+		c[i] = v
+	}
+	return V3(c[0], c[1], c[2]), nil
 }

@@ -211,3 +211,32 @@ func TestVec2PropertyRotatePreservesNorm(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestParseVec3(t *testing.T) {
+	tests := []struct {
+		in      string
+		want    Vec3
+		wantErr bool
+	}{
+		{"1,2,3", V3(1, 2, 3), false},
+		{" 0.5 , -0.25 , 0 ", V3(0.5, -0.25, 0), false},
+		{"1,2", Vec3{}, true},
+		{"1,2,3,4", Vec3{}, true},
+		{"a,2,3", Vec3{}, true},
+		{"nan,0,inf", Vec3{}, true},
+		{"0,NaN,0", Vec3{}, true},
+		{"0,0,-Inf", Vec3{}, true},
+		{"+inf,0,0", Vec3{}, true},
+		{"1e400,0,0", Vec3{}, true}, // overflows to ±Inf: strconv reports ErrRange
+	}
+	for _, tt := range tests {
+		got, err := ParseVec3(tt.in)
+		if (err != nil) != tt.wantErr {
+			t.Errorf("ParseVec3(%q) err = %v", tt.in, err)
+			continue
+		}
+		if !tt.wantErr && got != tt.want {
+			t.Errorf("ParseVec3(%q) = %v, want %v", tt.in, got, tt.want)
+		}
+	}
+}

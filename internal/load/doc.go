@@ -24,9 +24,9 @@
 // distorting the tail it exists to measure.
 //
 // The same scenario run also drives the server-side half of the
-// measurement: a scraper polls /v1/slo and /metrics during the run so
-// client-observed latency can be correlated with server-reported
-// staleness, queue wait, and alert-fire latency, and the verdict engine
-// cross-checks that the client's p99 and the server's p99 agree — a
-// disagreement means one side of the instrumentation is lying.
+// measurement: a scraper polls /v1/slo during the run so client-observed
+// latency can be correlated with server-reported staleness, queue wait,
+// and alert-fire latency, and the verdict engine cross-checks that the
+// client's p99 and the server's p99 agree — a disagreement means one side
+// of the instrumentation is lying.
 package load

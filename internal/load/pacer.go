@@ -4,9 +4,10 @@ import "time"
 
 // Pacer is the ideal-clock schedule of an open-loop sender: tick i is due
 // at start + i·interval, independent of how long any send actually took.
-// It is the shared pacing primitive of the lionload generator and
-// `lionsim -pace`, and the heart of coordinated-omission safety — latency
-// is measured against ScheduledAt, never against "when the loop got here".
+// It paces `lionsim -pace`. lionload's workers follow the same rule on
+// their precomputed schedule slots (buildSchedule) instead: a send is
+// measured against its scheduled time, never against "when the loop got
+// here", which is what makes the generator coordinated-omission safe.
 //
 // Pacer is a value type with no internal state mutation; it is safe to
 // copy and to use from multiple goroutines (each goroutine paces its own

@@ -29,7 +29,7 @@ type Config struct {
 	Workers int
 	// Codec encodes ingest bodies. Nil means the binary wire codec.
 	Codec dataset.Codec
-	// ScrapeEvery is the /v1/slo + /metrics poll interval. Zero means 1s.
+	// ScrapeEvery is the /v1/slo poll interval. Zero means 1s.
 	ScrapeEvery time.Duration
 	// Settle is how long to wait after the last send before the final
 	// scrape, letting server queues drain into the histograms. Zero means
@@ -267,7 +267,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if scraper != nil {
 		res.Scrape = scraper.Summary()
 	} else {
-		res.Scrape = ScrapeSummary{Dims: map[string]*DimSummary{}, Counters: map[string]float64{}}
+		res.Scrape = ScrapeSummary{Dims: map[string]*DimSummary{}}
 	}
 	if err := ctx.Err(); err != nil {
 		return res, fmt.Errorf("load: run interrupted: %w", err)

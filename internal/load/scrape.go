@@ -1,14 +1,11 @@
 package load
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -32,18 +29,15 @@ type ScrapeSummary struct {
 	// records whether any scrape reported one at all.
 	AlertLatency float64
 	AlertSeen    bool
-	// Counters holds the final /metrics counter readings, summed across
-	// label sets per metric name.
-	Counters map[string]float64
 	// Scrapes and Errors count poll attempts and failures.
 	Scrapes int
 	Errors  int
 }
 
-// Scraper polls a target's /v1/slo and /metrics during a load run so
-// client-observed latency can be correlated with what the server believes
-// about itself. It understands both document shapes: liond's flat map and
-// lionroute's {"shards":…,"cluster":…} rollup (the cluster section is used).
+// Scraper polls a target's /v1/slo during a load run so client-observed
+// latency can be correlated with what the server believes about itself. It
+// understands both document shapes: liond's flat map and lionroute's
+// {"shards":…,"cluster":…} rollup (the cluster section is used).
 type Scraper struct {
 	client *http.Client
 	base   string
@@ -61,10 +55,7 @@ func NewScraper(client *http.Client, base string) *Scraper {
 	return &Scraper{
 		client: client,
 		base:   base,
-		sum: ScrapeSummary{
-			Dims:     map[string]*DimSummary{},
-			Counters: map[string]float64{},
-		},
+		sum:    ScrapeSummary{Dims: map[string]*DimSummary{}},
 	}
 }
 
@@ -87,14 +78,13 @@ func (s *Scraper) Run(ctx context.Context, interval time.Duration) {
 	}
 }
 
-// Scrape performs one poll of both endpoints.
+// Scrape performs one poll of /v1/slo.
 func (s *Scraper) Scrape() {
-	doc, sloErr := s.fetchSLO()
-	counters, metErr := s.fetchCounters()
+	doc, err := s.fetchSLO()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sum.Scrapes++
-	if sloErr != nil || metErr != nil {
+	if err != nil {
 		s.sum.Errors++
 	}
 	for key, q := range doc.Dims {
@@ -114,9 +104,6 @@ func (s *Scraper) Scrape() {
 			s.sum.AlertLatency = doc.AlertLatency
 		}
 	}
-	for name, v := range counters {
-		s.sum.Counters[name] = v
-	}
 }
 
 // Summary returns a copy of everything scraped so far.
@@ -127,16 +114,12 @@ func (s *Scraper) Summary() ScrapeSummary {
 		Dims:         make(map[string]*DimSummary, len(s.sum.Dims)),
 		AlertLatency: s.sum.AlertLatency,
 		AlertSeen:    s.sum.AlertSeen,
-		Counters:     make(map[string]float64, len(s.sum.Counters)),
 		Scrapes:      s.sum.Scrapes,
 		Errors:       s.sum.Errors,
 	}
 	for k, d := range s.sum.Dims {
 		c := *d
 		out.Dims[k] = &c
-	}
-	for k, v := range s.sum.Counters {
-		out.Counters[k] = v
 	}
 	return out
 }
@@ -170,42 +153,4 @@ func (s *Scraper) fetchSLO() (obs.SLO, error) {
 		return doc, fmt.Errorf("load: /v1/slo: %w", err)
 	}
 	return doc, nil
-}
-
-// fetchCounters fetches /metrics and sums every sample per base metric name.
-// The parser handles exactly the subset the registry emits: `name value` and
-// `name{labels} value` lines plus # comments — it is a run correlator, not a
-// general Prometheus client.
-func (s *Scraper) fetchCounters() (map[string]float64, error) {
-	resp, err := s.client.Get(s.base + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("load: /metrics status %d", resp.StatusCode)
-	}
-	out := map[string]float64{}
-	sc := bufio.NewScanner(io.LimitReader(resp.Body, 4<<20))
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp <= 0 {
-			continue
-		}
-		name := line[:sp]
-		if b := strings.IndexByte(name, '{'); b >= 0 {
-			name = name[:b]
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(line[sp+1:]), 64)
-		if err != nil {
-			continue
-		}
-		out[name] += v
-	}
-	return out, sc.Err()
 }

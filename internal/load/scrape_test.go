@@ -20,11 +20,6 @@ func TestScraperFlatDoc(t *testing.T) {
 			}
 			fmt.Fprintf(w, `{"staleness_seconds":{"p50":0.01,"p95":0.05,"p99":%g,"count":100},
 				"alert_latency_seconds":2.5}`, p99)
-		case "/metrics":
-			fmt.Fprint(w, "# HELP lion_x_total x\n"+
-				"lion_x_total 41\n"+
-				"lion_y_total{shard=\"a\"} 1\n"+
-				"lion_y_total{shard=\"b\"} 2\n")
 		default:
 			http.NotFound(w, r)
 		}
@@ -50,12 +45,6 @@ func TestScraperFlatDoc(t *testing.T) {
 	if !sum.AlertSeen || sum.AlertLatency != 2.5 {
 		t.Fatalf("alert latency %v seen=%v", sum.AlertLatency, sum.AlertSeen)
 	}
-	if sum.Counters["lion_x_total"] != 41 {
-		t.Fatalf("lion_x_total = %v", sum.Counters["lion_x_total"])
-	}
-	if sum.Counters["lion_y_total"] != 3 {
-		t.Fatalf("labelled counter not summed: %v", sum.Counters["lion_y_total"])
-	}
 }
 
 func TestScraperClusterDoc(t *testing.T) {
@@ -64,8 +53,6 @@ func TestScraperClusterDoc(t *testing.T) {
 		case "/v1/slo":
 			fmt.Fprint(w, `{"shards":{"a":{"staleness_seconds":{"p99":9}}},
 				"cluster":{"ingest_request_seconds":{"p50":0.001,"p95":0.002,"p99":0.003,"count":42}}}`)
-		case "/metrics":
-			fmt.Fprint(w, "")
 		default:
 			http.NotFound(w, r)
 		}

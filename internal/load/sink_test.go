@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/rfid-lion/lion/internal/dataset"
+	"github.com/rfid-lion/lion/internal/node"
 	"github.com/rfid-lion/lion/internal/wire"
 )
 
@@ -23,8 +24,7 @@ func TestHTTPSinkCodecs(t *testing.T) {
 	var gotN int
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gotCT = r.Header.Get("Content-Type")
-		codec := dataset.SelectCodec([]dataset.Codec{dataset.NDJSON{}, wire.Codec{}}, gotCT)
-		samples, err := codec.Decode(r.Body)
+		samples, _, err := node.DecodeIngest(w, r)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

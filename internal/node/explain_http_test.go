@@ -83,11 +83,11 @@ func TestExplainSpans(t *testing.T) {
 	for i, sm := range trace {
 		tagged[i] = dataset.Tagged("T1", sm)
 	}
-	var body bytes.Buffer
-	if err := wire.NewWriter(&body, 0).WriteBatchExt(tagged, &wire.Ext{TraceID: 0xbeef}); err != nil {
+	body, err := wire.AppendFrames(nil, tagged, &wire.Ext{TraceID: 0xbeef})
+	if err != nil {
 		t.Fatal(err)
 	}
-	req := httptest.NewRequest("POST", "/v1/samples", &body)
+	req := httptest.NewRequest("POST", "/v1/samples", bytes.NewReader(body))
 	req.Header.Set("Content-Type", wire.ContentType)
 	h.ServeHTTP(httptest.NewRecorder(), req)
 	postSamples(t, h, "T2", trace)

@@ -126,7 +126,7 @@ func parseFlags(args []string) (*config, error) {
 		}
 	}
 	if *calCenter != "" {
-		center, err := parseVec3(*calCenter)
+		center, err := geom.ParseVec3(*calCenter)
 		if err != nil {
 			return nil, fmt.Errorf("cal-center: %w", err)
 		}
@@ -173,23 +173,6 @@ func parseFlags(args []string) (*config, error) {
 			Antenna:    *antenna,
 		},
 	}, nil
-}
-
-// parseVec3 parses "x,y,z" into a vector.
-func parseVec3(s string) (geom.Vec3, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 3 {
-		return geom.Vec3{}, fmt.Errorf("want x,y,z, got %q", s)
-	}
-	var out [3]float64
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return geom.Vec3{}, err
-		}
-		out[i] = v
-	}
-	return geom.V3(out[0], out[1], out[2]), nil
 }
 
 func buildSolver(name string, lambda float64, intervals []float64, stride int, positiveSide bool) (stream.Solver, error) {

@@ -294,6 +294,9 @@ func TestParseFlagsHealth(t *testing.T) {
 	if _, err := parseFlags([]string{"-cal-center", "a,b,c"}); err == nil {
 		t.Error("non-numeric cal-center accepted")
 	}
+	if _, err := parseFlags([]string{"-cal-center", "0,nan,inf"}); err == nil {
+		t.Error("non-finite cal-center accepted")
+	}
 	cfg, err := parseFlags([]string{"-cal-center", "0.1, 0.8, 0", "-cal-offset", "2.74", "-antenna", "A7"})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"mime"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -206,22 +207,18 @@ func (s *server) routes() http.Handler {
 	return mux
 }
 
-// ingestCodecs are the POST /v1/samples codecs of both node and router:
-// NDJSON first so it is the fallback for curl-style clients, wire matched
-// exactly by content type.
-var ingestCodecs = []dataset.Codec{dataset.NDJSON{}, wire.Codec{}}
-
-// DecodeIngest reads one POST /v1/samples body, at a node or at the router:
-// the Content-Type picks the codec among ingestCodecs, the body is bounded
-// by MaxBody, and a wire body's trace extension, if any, is returned with
-// the samples.
+// DecodeIngest reads one POST /v1/samples body, at a node or at the router,
+// bounded by MaxBody. A wire Content-Type (parameters and letter case
+// ignored) decodes frames and returns a trace extension, if any, with the
+// samples. Any other type, or none, decodes NDJSON: curl-style clients send
+// arbitrary types (`--data-binary` defaults to
+// application/x-www-form-urlencoded) and have always been read as NDJSON.
 func DecodeIngest(w http.ResponseWriter, r *http.Request) ([]dataset.TaggedSample, *wire.Ext, error) {
 	body := http.MaxBytesReader(w, r.Body, MaxBody)
-	codec := dataset.SelectCodec(ingestCodecs, r.Header.Get("Content-Type"))
-	if _, isWire := codec.(wire.Codec); isWire {
+	if mt, _, err := mime.ParseMediaType(r.Header.Get("Content-Type")); err == nil && mt == wire.ContentType {
 		return wire.DecodeIngestExt(body)
 	}
-	samples, err := codec.Decode(body)
+	samples, err := dataset.DecodeIngest(body)
 	return samples, nil, err
 }
 

@@ -45,11 +45,11 @@ func TestTracedWireIngest(t *testing.T) {
 	}
 
 	ext := wire.Ext{TraceID: 0xbeef, RouterRecvUnixNano: time.Now().Add(-40 * time.Millisecond).UnixNano()}
-	var body bytes.Buffer
-	if err := wire.NewWriter(&body, 0).WriteBatchExt(tagged, &ext); err != nil {
+	body, err := wire.AppendFrames(nil, tagged, &ext)
+	if err != nil {
 		t.Fatal(err)
 	}
-	req := httptest.NewRequest("POST", "/v1/samples", &body)
+	req := httptest.NewRequest("POST", "/v1/samples", bytes.NewReader(body))
 	req.Header.Set("Content-Type", wire.ContentType)
 	rec := httptest.NewRecorder()
 	s.routes().ServeHTTP(rec, req)

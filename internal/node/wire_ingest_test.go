@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -105,5 +107,47 @@ func TestIngestWireCodec(t *testing.T) {
 	}
 	if ea.Solution == nil || eb.Solution == nil || ea.Solution.Position != eb.Solution.Position {
 		t.Fatalf("positions diverge: %+v vs %+v", ea.Solution, eb.Solution)
+	}
+}
+
+// TestDecodeIngestContentType pins which decoder a POST /v1/samples
+// Content-Type reaches: the wire type, with parameters or in any letter
+// case, decodes frames; every other type, or none, decodes NDJSON.
+func TestDecodeIngestContentType(t *testing.T) {
+	in := []dataset.TaggedSample{{Tag: "T1", TimeS: 0.25, Phase: 1.5}, {Tag: "T2", TimeS: 0.5, X: -0.1}}
+	bodies := map[string]*bytes.Buffer{"ndjson": {}, "wire": {}}
+	if err := (dataset.NDJSON{}).Encode(bodies["ndjson"], in); err != nil {
+		t.Fatal(err)
+	}
+	if err := (wire.Codec{}).Encode(bodies["wire"], in); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		contentType string
+		want        string
+	}{
+		{"", "ndjson"},
+		{"application/x-ndjson", "ndjson"},
+		{"application/x-lion-wire", "wire"},
+		{"APPLICATION/X-LION-WIRE", "wire"},
+		{"application/x-lion-wire; charset=utf-8", "wire"},
+		{"application/x-www-form-urlencoded", "ndjson"}, // curl --data-binary default
+		{"application/json", "ndjson"},
+		{"complete nonsense", "ndjson"},
+	}
+	for _, tc := range cases {
+		for name, body := range bodies {
+			req := httptest.NewRequest("POST", "/v1/samples", bytes.NewReader(body.Bytes()))
+			if tc.contentType != "" {
+				req.Header.Set("Content-Type", tc.contentType)
+			}
+			got, _, err := DecodeIngest(httptest.NewRecorder(), req)
+			if name == tc.want && (err != nil || !reflect.DeepEqual(got, in)) {
+				t.Errorf("%q: %s body decoded to %+v, err = %v", tc.contentType, name, got, err)
+			}
+			if name != tc.want && err == nil {
+				t.Errorf("%q: %s body accepted by the %s decoder", tc.contentType, name, tc.want)
+			}
+		}
 	}
 }

@@ -149,8 +149,14 @@ func New(cfg Config) (*Tracker, error) {
 
 // Push ingests one read (wrapped phase in [0, 2π)). It returns an Estimate
 // every cfg.Every pushes once the window is primed, and ErrNotReady
-// otherwise.
+// otherwise. A NaN or infinite phase is refused on arrival with an error
+// wrapping core.ErrNonFiniteInput: it is not stored and does not count
+// toward Every, so it cannot spoil the estimates of the window it would
+// have joined.
 func (t *Tracker) Push(at time.Duration, wrappedPhase float64) (*Estimate, error) {
+	if math.IsNaN(wrappedPhase) || math.IsInf(wrappedPhase, 0) {
+		return nil, fmt.Errorf("tracker: phase %v at %v: %w", wrappedPhase, at, core.ErrNonFiniteInput)
+	}
 	t.reads.Push(read{at: at, phase: wrappedPhase})
 	t.count++
 	if t.reads.Len() < t.cfg.MinWindow || t.count < t.cfg.Every {

@@ -311,8 +311,9 @@ func TestTrackerEstimateAllocs(t *testing.T) {
 }
 
 // TestTrackerRejectsNonFinitePhase: Push takes any float. A NaN or infinite
-// read must make the estimate fail with core.ErrNonFiniteInput (the line
-// solve's scan) rather than hang the unwrap or publish a NaN position.
+// read must be refused by the push that carries it, with
+// core.ErrNonFiniteInput, and must not be stored: 150 reads later, while it
+// would still sit in the 300-read window, the tracker estimates again.
 func TestTrackerRejectsNonFinitePhase(t *testing.T) {
 	lambda := rf.DefaultBand().Wavelength()
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
@@ -322,17 +323,23 @@ func TestTrackerRejectsNonFinitePhase(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var last error
-		for i := 0; i < 250; i++ {
+		for i := 0; i <= 250; i++ {
 			pos := geom.V3(-0.5+0.002*float64(i), 0, 0)
 			phase := rf.WrapPhase(rf.PhaseOfDistance(cfg.AntennaPos.Dist(pos), lambda))
 			if i == 100 {
 				phase = bad
 			}
-			_, last = trk.Push(time.Duration(i)*20*time.Millisecond, phase)
-		}
-		if !errors.Is(last, core.ErrNonFiniteInput) {
-			t.Errorf("phase %v in the window: err = %v, want core.ErrNonFiniteInput", bad, last)
+			est, err := trk.Push(time.Duration(i)*20*time.Millisecond, phase)
+			switch i {
+			case 100:
+				if !errors.Is(err, core.ErrNonFiniteInput) {
+					t.Errorf("phase %v: push err = %v, want core.ErrNonFiniteInput", bad, err)
+				}
+			case 250:
+				if err != nil || est == nil {
+					t.Errorf("phase %v: push 150 reads later: est = %v, err = %v", bad, est, err)
+				}
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 
@@ -28,9 +29,12 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(valid[:len(valid)-7])
 	f.Add(appendUvarintFrame(MaxPayloadBytes + 1))
 	f.Add(appendUvarintFrame(math.MaxUint64))
+	// A payload-length varint of 10 continuation bytes and a terminator:
+	// overlong, so ErrTooLarge whether decoded whole or streamed.
+	f.Add([]byte("LW\x01\x01\xff\xff\xff\x80\x86\x86\x86\x86\x86\x860"))
 	// Payload length claims 5 bytes, carries a huge sample count varint.
 	f.Add(append([]byte{magic0, magic1, Version, 0, 5}, 0x80, 0x80, 0x80, 0x80, 0x01))
-	// Two concatenated valid frames exercise the streaming reader.
+	// Two concatenated valid frames exercise the streaming decoder.
 	f.Add(append(bytes.Clone(valid), valid...))
 	// Trace-extension seeds: a valid flagged frame, the flagged frame
 	// truncated at every byte of the 16-byte extension (header is 4 magic
@@ -53,10 +57,46 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(appendFramed(nil, FlagTrace, []byte{1, 2, 3}))
 	f.Add(mutate(valid, 3, 0x80))
 	f.Add(mutate(traced, 3, 0x81))
-	// A traced frame followed by a plain frame exercises TraceExt reset.
+	// A traced frame followed by a plain frame, and the reverse, exercise
+	// the first-extension-wins rule.
 	f.Add(append(bytes.Clone(traced), valid...))
+	f.Add(append(bytes.Clone(valid), traced...))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
+		// The streaming DecodeIngestExt either fails as DecodeFrameExt
+		// applied frame after frame does, or returns exactly its samples and
+		// the first extension.
+		want, exts, werr := decodeFrames(b)
+		got, gext, gerr := DecodeIngestExt(bytes.NewReader(b))
+		for _, sentinel := range []error{ErrBadMagic, ErrVersion, ErrTruncated, ErrTooLarge, ErrCorrupt, ErrSample} {
+			if errors.Is(gerr, sentinel) != errors.Is(werr, sentinel) {
+				t.Fatalf("DecodeIngestExt err %v, frame after frame %v", gerr, werr)
+			}
+		}
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("DecodeIngestExt err %v, frame after frame %v", gerr, werr)
+		}
+		if gerr == nil {
+			if len(got) != len(want) {
+				t.Fatalf("DecodeIngestExt decoded %d samples, frame after frame %d", len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("sample %d: DecodeIngestExt %+v, frame after frame %+v", i, got[i], want[i])
+				}
+			}
+			var first *Ext
+			for _, e := range exts {
+				if e != nil {
+					first = e
+					break
+				}
+			}
+			if (gext == nil) != (first == nil) || (gext != nil && *gext != *first) {
+				t.Fatalf("DecodeIngestExt ext %+v, first frame ext %+v", gext, first)
+			}
+		}
+
 		samples, fext, n, err := DecodeFrameExt(b, nil)
 		if err != nil {
 			if n != 0 {
@@ -111,19 +151,23 @@ func FuzzWireDecode(f *testing.F) {
 					i, back[i], samples[i])
 			}
 		}
-
-		// The streaming reader agrees with the frame decoder on the same prefix.
-		rd := NewReader(bytes.NewReader(b))
-		streamed, serr := rd.ReadBatch(nil)
-		if serr != nil {
-			t.Fatalf("Reader fails where DecodeFrame succeeded: %v", serr)
-		}
-		if len(streamed) != len(samples) {
-			t.Fatalf("Reader decoded %d samples, DecodeFrame %d", len(streamed), len(samples))
-		}
-		rext := rd.TraceExt()
-		if (rext == nil) != (fext == nil) || (rext != nil && *rext != *fext) {
-			t.Fatalf("Reader ext %+v disagrees with DecodeFrameExt %+v", rext, fext)
-		}
 	})
+}
+
+// decodeFrames decodes b frame after frame with DecodeFrameExt, returning
+// every sample, each frame's extension, and the first error.
+func decodeFrames(b []byte) ([]dataset.TaggedSample, []*Ext, error) {
+	var out []dataset.TaggedSample
+	var exts []*Ext
+	for len(b) > 0 {
+		var ext *Ext
+		var n int
+		var err error
+		if out, ext, n, err = DecodeFrameExt(b, out); err != nil {
+			return nil, nil, err
+		}
+		exts = append(exts, ext)
+		b = b[n:]
+	}
+	return out, exts, nil
 }

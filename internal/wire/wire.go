@@ -49,12 +49,12 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"github.com/rfid-lion/lion/internal/dataset"
 )
@@ -148,7 +148,7 @@ var (
 // the extended slice. Tags must be non-empty and at most MaxTagBytes bytes;
 // one frame holds at most MaxFrameTags distinct tags and its payload must
 // stay within MaxPayloadBytes. Callers with larger batches split them across
-// frames (Writer does this automatically).
+// frames (AppendFrames splits at DefaultBatch).
 func AppendFrame(dst []byte, samples []dataset.TaggedSample) ([]byte, error) {
 	return AppendFrameExt(dst, samples, nil)
 }
@@ -235,34 +235,16 @@ func DecodeFrame(b []byte, into []dataset.TaggedSample) ([]dataset.TaggedSample,
 // rejected with ErrCorrupt, exactly as all non-zero flags were before the
 // extension existed.
 func DecodeFrameExt(b []byte, into []dataset.TaggedSample) ([]dataset.TaggedSample, *Ext, int, error) {
-	if len(b) < 4 {
-		return into, nil, 0, fmt.Errorf("%w: %d header bytes", ErrTruncated, len(b))
+	flags, size, head, err := parseHeader(b)
+	if err != nil {
+		return into, nil, 0, err
 	}
-	if b[0] != magic0 || b[1] != magic1 {
-		return into, nil, 0, fmt.Errorf("%w: % x", ErrBadMagic, b[:2])
-	}
-	if b[2] != Version {
-		return into, nil, 0, fmt.Errorf("%w: version %d (want %d)", ErrVersion, b[2], Version)
-	}
-	flags := b[3]
-	if flags&^flagMask != 0 {
-		return into, nil, 0, fmt.Errorf("%w: undefined flag bits %#x", ErrCorrupt, flags&^flagMask)
-	}
-	size, n := binary.Uvarint(b[4:])
-	if n == 0 {
-		return into, nil, 0, fmt.Errorf("%w: payload length varint", ErrTruncated)
-	}
-	if n < 0 || size > MaxPayloadBytes {
-		return into, nil, 0, fmt.Errorf("%w: payload length %d (max %d)", ErrTooLarge, size, MaxPayloadBytes)
-	}
-	head := 4 + n
-	if uint64(len(b)-head) < size {
+	if len(b)-head < size {
 		return into, nil, 0, fmt.Errorf("%w: payload %d of %d bytes", ErrTruncated, len(b)-head, size)
 	}
-	payload := b[head : head+int(size)]
+	payload := b[head : head+size]
 	var ext *Ext
 	if flags&FlagTrace != 0 {
-		var err error
 		if ext, payload, err = decodeExt(payload); err != nil {
 			return into, nil, 0, err
 		}
@@ -271,7 +253,35 @@ func DecodeFrameExt(b []byte, into []dataset.TaggedSample) ([]dataset.TaggedSamp
 	if err != nil {
 		return into, nil, 0, err
 	}
-	return out, ext, head + int(size), nil
+	return out, ext, head + size, nil
+}
+
+// parseHeader checks the frame header at the start of b: magic, version,
+// flag bits, and the payload-length varint against MaxPayloadBytes. It
+// returns the flags, the payload length and the header length. A b that
+// ends inside the header fails with ErrTruncated.
+func parseHeader(b []byte) (flags byte, size, head int, err error) {
+	if len(b) < 4 {
+		return 0, 0, 0, fmt.Errorf("%w: %d header bytes", ErrTruncated, len(b))
+	}
+	if b[0] != magic0 || b[1] != magic1 {
+		return 0, 0, 0, fmt.Errorf("%w: % x", ErrBadMagic, b[:2])
+	}
+	if b[2] != Version {
+		return 0, 0, 0, fmt.Errorf("%w: version %d (want %d)", ErrVersion, b[2], Version)
+	}
+	flags = b[3]
+	if flags&^flagMask != 0 {
+		return 0, 0, 0, fmt.Errorf("%w: undefined flag bits %#x", ErrCorrupt, flags&^flagMask)
+	}
+	v, n := binary.Uvarint(b[4:])
+	if n == 0 {
+		return 0, 0, 0, fmt.Errorf("%w: payload length varint", ErrTruncated)
+	}
+	if n < 0 || v > MaxPayloadBytes {
+		return 0, 0, 0, fmt.Errorf("%w: payload length %d (max %d)", ErrTooLarge, v, MaxPayloadBytes)
+	}
+	return flags, int(v), 4 + n, nil
 }
 
 // decodePayload parses the tag table and sample records of one frame.
@@ -314,9 +324,9 @@ func decodePayload(p []byte, into []dataset.TaggedSample) ([]dataset.TaggedSampl
 		return into, fmt.Errorf("%w: sample count %d exceeds payload", ErrCorrupt, sampleCount)
 	}
 	if cap(into)-len(into) < int(sampleCount) {
-		// Grow geometrically so repeated ReadBatch appends stay amortised
-		// O(1) per sample; the fresh capacity is still bounded by the actual
-		// bytes decoded so far plus this frame's validated count.
+		// Grow geometrically so DecodeIngestExt's frame-by-frame appends stay
+		// amortised O(1) per sample; the fresh capacity is still bounded by
+		// the samples decoded so far plus this frame's validated count.
 		newCap := max(2*cap(into), len(into)+int(sampleCount))
 		grown := make([]dataset.TaggedSample, len(into), newCap)
 		copy(grown, into)
@@ -396,132 +406,6 @@ func zigzag(v int) uint64 { return uint64((int64(v) << 1) ^ (int64(v) >> 63)) }
 
 func unzigzag(u uint64) int { return int(int64(u>>1) ^ -int64(u&1)) }
 
-// Writer frames batches onto an io.Writer, splitting any batch larger than
-// batchSize across multiple frames. The zero batchSize means DefaultBatch.
-// Writer reuses one scratch buffer across WriteBatch calls; it is not safe
-// for concurrent use.
-type Writer struct {
-	w       io.Writer
-	batch   int
-	scratch []byte
-}
-
-// DefaultBatch is the samples-per-frame split applied by Writer and by
-// Write when the caller does not choose one.
-const DefaultBatch = 4096
-
-// NewWriter returns a Writer emitting frames of at most batch samples
-// (DefaultBatch when batch <= 0).
-func NewWriter(w io.Writer, batch int) *Writer {
-	if batch <= 0 {
-		batch = DefaultBatch
-	}
-	return &Writer{w: w, batch: batch}
-}
-
-// WriteBatch encodes samples as one or more frames and writes them out.
-func (wr *Writer) WriteBatch(samples []dataset.TaggedSample) error {
-	return wr.WriteBatchExt(samples, nil)
-}
-
-// WriteBatchExt is WriteBatch with an optional trace extension: a non-nil ext
-// is carried on every emitted frame (a split batch stays one traced unit). A
-// nil ext emits plain frames. Only decoders that know FlagTrace accept
-// flagged frames.
-func (wr *Writer) WriteBatchExt(samples []dataset.TaggedSample, ext *Ext) error {
-	var flags byte
-	if ext != nil {
-		flags = FlagTrace
-	}
-	for len(samples) > 0 {
-		n := min(len(samples), wr.batch)
-		payload := wr.scratch[:0]
-		if ext != nil {
-			payload = appendExt(payload, ext)
-		}
-		payload, err := appendPayload(payload, samples[:n])
-		if err != nil {
-			return err
-		}
-		wr.scratch = payload
-		var head [4 + binary.MaxVarintLen64]byte
-		head[0], head[1], head[2], head[3] = magic0, magic1, Version, flags
-		hn := 4 + binary.PutUvarint(head[4:], uint64(len(payload)))
-		if _, err := wr.w.Write(head[:hn]); err != nil {
-			return err
-		}
-		if _, err := wr.w.Write(payload); err != nil {
-			return err
-		}
-		samples = samples[n:]
-	}
-	return nil
-}
-
-// Reader decodes a stream of concatenated frames.
-type Reader struct {
-	r       *bufio.Reader
-	payload []byte
-	ext     *Ext // trace extension of the last frame read, nil when plain
-}
-
-// NewReader wraps r for frame-at-a-time reading.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r)}
-}
-
-// TraceExt returns the trace extension of the most recently read frame, or
-// nil when that frame was plain (or nothing has been read yet).
-func (rd *Reader) TraceExt() *Ext { return rd.ext }
-
-// ReadBatch reads the next frame and appends its samples to into, returning
-// the extended slice. A clean end of stream returns io.EOF; a stream ending
-// inside a frame returns ErrTruncated. A flagged frame's trace extension is
-// retained until the next read (TraceExt).
-func (rd *Reader) ReadBatch(into []dataset.TaggedSample) ([]dataset.TaggedSample, error) {
-	rd.ext = nil
-	var head [4]byte
-	if _, err := io.ReadFull(rd.r, head[:1]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return into, io.EOF
-		}
-		return into, err
-	}
-	if _, err := io.ReadFull(rd.r, head[1:]); err != nil {
-		return into, fmt.Errorf("%w: header", ErrTruncated)
-	}
-	if head[0] != magic0 || head[1] != magic1 {
-		return into, fmt.Errorf("%w: % x", ErrBadMagic, head[:2])
-	}
-	if head[2] != Version {
-		return into, fmt.Errorf("%w: version %d (want %d)", ErrVersion, head[2], Version)
-	}
-	flags := head[3]
-	if flags&^flagMask != 0 {
-		return into, fmt.Errorf("%w: undefined flag bits %#x", ErrCorrupt, flags&^flagMask)
-	}
-	size, err := binary.ReadUvarint(rd.r)
-	if err != nil {
-		return into, fmt.Errorf("%w: payload length varint", ErrTruncated)
-	}
-	if size > MaxPayloadBytes {
-		return into, fmt.Errorf("%w: payload length %d (max %d)", ErrTooLarge, size, MaxPayloadBytes)
-	}
-	if uint64(cap(rd.payload)) < size {
-		rd.payload = make([]byte, size)
-	}
-	buf := rd.payload[:size]
-	if _, err := io.ReadFull(rd.r, buf); err != nil {
-		return into, fmt.Errorf("%w: payload %d bytes", ErrTruncated, size)
-	}
-	if flags&FlagTrace != 0 {
-		if rd.ext, buf, err = decodeExt(buf); err != nil {
-			return into, err
-		}
-	}
-	return decodePayload(buf, into)
-}
-
 // DecodeIngest reads a whole stream of frames, mirroring
 // dataset.DecodeIngest for the binary format: every returned sample has a
 // non-empty tag, finite fields, and an in-range timestamp, and the total is
@@ -533,28 +417,88 @@ func DecodeIngest(r io.Reader) ([]dataset.TaggedSample, error) {
 
 // DecodeIngestExt is DecodeIngest surfacing the trace extension: ext is the
 // first extension seen in the stream (a router-traced request carries the
-// same extension on every frame of the batch), or nil for plain streams.
+// same extension on every frame of the batch), or nil for plain streams. It
+// reads one frame at a time into one reused buffer and decodes it with
+// DecodeFrameExt. A stream ending inside a frame fails with ErrTruncated.
 func DecodeIngestExt(r io.Reader) ([]dataset.TaggedSample, *Ext, error) {
-	rd := NewReader(r)
 	var out []dataset.TaggedSample
-	var ext *Ext
+	var first *Ext
+	var frame []byte
 	for {
-		next, err := rd.ReadBatch(out)
-		if errors.Is(err, io.EOF) {
-			return out, ext, nil
+		var err error
+		frame, err = readFrame(r, frame)
+		if err == io.EOF {
+			return out, first, nil
 		}
 		if err != nil {
 			return nil, nil, err
 		}
-		if ext == nil {
-			ext = rd.TraceExt()
+		var ext *Ext
+		if out, ext, _, err = DecodeFrameExt(frame, out); err != nil {
+			return nil, nil, err
 		}
-		if len(next) > dataset.MaxIngestSamples {
+		if first == nil {
+			first = ext
+		}
+		if len(out) > dataset.MaxIngestSamples {
 			return nil, nil, fmt.Errorf("%w: over %d samples", dataset.ErrIngestTooLarge, dataset.MaxIngestSamples)
 		}
-		out = next
 	}
 }
+
+// readFrame reads the next whole frame from r into buf, reusing its
+// capacity. A stream that ends cleanly before the frame starts returns
+// io.EOF; one that ends inside the header fails as parseHeader reports it,
+// and one that ends inside the payload with ErrTruncated.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	// The header, a byte at a time up to the last byte of its length varint.
+	// It has room for one byte past the longest varint: binary.Uvarint, and
+	// so DecodeFrame, calls a varint overlong only once it sees that byte.
+	var head [4 + binary.MaxVarintLen64 + 1]byte
+	n := 0
+	for n < len(head) && (n < 5 || head[n-1]&0x80 != 0) {
+		_, err := io.ReadFull(r, head[n:n+1])
+		if err == io.EOF && n == 0 {
+			return buf, io.EOF
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return buf, err
+		}
+		n++
+	}
+	_, size, hn, err := parseHeader(head[:n])
+	if err != nil {
+		return buf, err
+	}
+	buf = slices.Grow(buf[:0], hn+size)[:hn+size]
+	copy(buf, head[:hn])
+	got, err := io.ReadFull(r, buf[hn:])
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return buf, fmt.Errorf("%w: payload %d of %d bytes", ErrTruncated, got, size)
+	}
+	return buf, err
+}
+
+// AppendFrames appends samples to dst as frames of at most DefaultBatch
+// samples each. A non-nil ext rides on every frame, so a split batch stays
+// one traced unit; a nil ext emits plain frames. No samples append nothing.
+func AppendFrames(dst []byte, samples []dataset.TaggedSample, ext *Ext) ([]byte, error) {
+	for len(samples) > 0 {
+		n := min(len(samples), DefaultBatch)
+		var err error
+		if dst, err = AppendFrameExt(dst, samples[:n], ext); err != nil {
+			return dst, err
+		}
+		samples = samples[n:]
+	}
+	return dst, nil
+}
+
+// DefaultBatch is the samples-per-frame split applied by AppendFrames.
+const DefaultBatch = 4096
 
 // Codec is the wire implementation of dataset.Codec.
 type Codec struct{}
@@ -565,10 +509,12 @@ func (Codec) Name() string { return "wire" }
 // ContentType is the HTTP content type the codec serves.
 func (Codec) ContentType() string { return ContentType }
 
-// Decode parses a stream of frames.
-func (Codec) Decode(r io.Reader) ([]dataset.TaggedSample, error) { return DecodeIngest(r) }
-
-// Encode frames the samples with the default batch split.
+// Encode frames the samples with AppendFrames' DefaultBatch split.
 func (Codec) Encode(w io.Writer, samples []dataset.TaggedSample) error {
-	return NewWriter(w, 0).WriteBatch(samples)
+	b, err := AppendFrames(nil, samples, nil)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
 }

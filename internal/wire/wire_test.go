@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
-	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -118,58 +117,63 @@ func TestWireTracedGolden(t *testing.T) {
 	}
 }
 
-// TestWriterReaderTraceExt proves the stream path carries the extension on
-// every frame of a split batch, that TraceExt resets on a following plain
-// frame, and that DecodeIngestExt surfaces the first extension seen.
-func TestWriterReaderTraceExt(t *testing.T) {
+// TestAppendFramesTraced proves the encode helper carries the extension on
+// every frame of a split batch and none on a following plain frame, and that
+// DecodeIngestExt surfaces the first extension seen.
+func TestAppendFramesTraced(t *testing.T) {
 	var in []dataset.TaggedSample
-	for i := 0; i < 300; i++ {
+	for i := 0; i < DefaultBatch+300; i++ {
 		in = append(in, dataset.TaggedSample{Tag: "T1", TimeS: float64(i) * 0.01, Phase: 1})
 	}
-	var buf bytes.Buffer
-	wr := NewWriter(&buf, 128) // forces a 3-frame split
 	ext := goldenExt
-	if err := wr.WriteBatchExt(in, &ext); err != nil {
+	stream, err := AppendFrames(nil, in, &ext) // a 2-frame split
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wr.WriteBatch(goldenSamples()); err != nil { // plain tail frame
+	if stream, err = AppendFrames(stream, goldenSamples(), nil); err != nil { // plain tail frame
 		t.Fatal(err)
 	}
 
-	rd := NewReader(bytes.NewReader(buf.Bytes()))
-	var out []dataset.TaggedSample
-	frames := 0
-	for {
-		next, err := rd.ReadBatch(out[:0])
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames++
-		if frames <= 3 {
-			if got := rd.TraceExt(); got == nil || *got != goldenExt {
-				t.Fatalf("frame %d ext = %+v, want %+v", frames, rd.TraceExt(), goldenExt)
-			}
-		} else if rd.TraceExt() != nil {
-			t.Fatalf("plain frame %d carries ext %+v", frames, rd.TraceExt())
-		}
-		out = next
+	_, exts, err := decodeFrames(stream)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if frames != 4 {
-		t.Fatalf("read %d frames, want 4", frames)
+	if len(exts) != 3 {
+		t.Fatalf("encoded %d frames, want 3", len(exts))
+	}
+	for i, fext := range exts[:2] {
+		if fext == nil || *fext != goldenExt {
+			t.Errorf("split frame %d ext = %+v, want %+v", i, fext, goldenExt)
+		}
+	}
+	if exts[2] != nil {
+		t.Errorf("plain tail frame carries ext %+v", exts[2])
 	}
 
-	samples, gotExt, err := DecodeIngestExt(bytes.NewReader(buf.Bytes()))
+	samples, gotExt, err := DecodeIngestExt(bytes.NewReader(stream))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotExt == nil || *gotExt != goldenExt {
 		t.Errorf("DecodeIngestExt ext = %+v, want %+v", gotExt, goldenExt)
 	}
-	if len(samples) != len(in)+len(goldenSamples()) {
-		t.Errorf("decoded %d samples, want %d", len(samples), len(in)+len(goldenSamples()))
+	if !reflect.DeepEqual(samples, append(in, goldenSamples()...)) {
+		t.Errorf("decoded %d samples, want the %d encoded", len(samples), len(in)+len(goldenSamples()))
+	}
+
+	// The first extension seen wins, even behind a plain frame.
+	later := Ext{TraceID: 7}
+	mixed, err := AppendFrames(nil, goldenSamples(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*Ext{&ext, &later} {
+		if mixed, err = AppendFrames(mixed, goldenSamples(), e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, gotExt, err = DecodeIngestExt(bytes.NewReader(mixed)); err != nil || gotExt == nil || *gotExt != goldenExt {
+		t.Errorf("plain-then-traced stream: ext = %+v, err = %v, want %+v", gotExt, err, goldenExt)
 	}
 }
 
@@ -211,18 +215,21 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriterReaderStream(t *testing.T) {
+func TestAppendFramesStream(t *testing.T) {
 	var in []dataset.TaggedSample
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < 2*DefaultBatch+1000; i++ {
 		in = append(in, dataset.TaggedSample{
 			Tag: "T" + string(rune('A'+i%7)), TimeS: float64(i) * 0.01,
 			X: float64(i) * 0.001, Phase: float64(i%628) / 100, Channel: i % 16,
 		})
 	}
 	var buf bytes.Buffer
-	// A small batch size forces the split path: 1000 samples over 8 frames.
-	if err := NewWriter(&buf, 128).WriteBatch(in); err != nil {
+	// Codec.Encode splits at DefaultBatch: 3 frames.
+	if err := (Codec{}).Encode(&buf, in); err != nil {
 		t.Fatal(err)
+	}
+	if _, exts, err := decodeFrames(buf.Bytes()); err != nil || len(exts) != 3 {
+		t.Errorf("encoded %d frames (err %v), want 3", len(exts), err)
 	}
 	out, err := DecodeIngest(&buf)
 	if err != nil {
@@ -230,6 +237,14 @@ func TestWriterReaderStream(t *testing.T) {
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("stream round trip mismatch (%d in, %d out)", len(in), len(out))
+	}
+	// No samples encode to an empty stream, which decodes to no samples.
+	buf.Reset()
+	if err := (Codec{}).Encode(&buf, nil); err != nil || buf.Len() != 0 {
+		t.Fatalf("empty batch: %d bytes, err = %v", buf.Len(), err)
+	}
+	if out, err := DecodeIngest(&buf); err != nil || len(out) != 0 {
+		t.Fatalf("empty stream: %d samples, err = %v", len(out), err)
 	}
 }
 
@@ -242,7 +257,7 @@ func TestCodecImplementsDatasetCodec(t *testing.T) {
 	if err := c.Encode(&buf, goldenSamples()); err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.Decode(&buf)
+	out, err := DecodeIngest(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,24 +386,26 @@ func TestAppendFrameRejectsBadSamples(t *testing.T) {
 	}
 }
 
-func TestReaderCleanAndDirtyEOF(t *testing.T) {
-	var buf bytes.Buffer
-	if err := NewWriter(&buf, 0).WriteBatch(goldenSamples()); err != nil {
+func TestDecodeIngestCleanAndDirtyEOF(t *testing.T) {
+	one, err := AppendFrame(nil, goldenSamples())
+	if err != nil {
 		t.Fatal(err)
 	}
-	full := bytes.Clone(buf.Bytes())
-
-	rd := NewReader(bytes.NewReader(full))
-	if _, err := rd.ReadBatch(nil); err != nil {
-		t.Fatal(err)
+	full := append(bytes.Clone(one), one...)
+	if out, err := DecodeIngest(bytes.NewReader(full)); err != nil || len(out) != 2*len(goldenSamples()) {
+		t.Fatalf("clean end: %d samples, err = %v", len(out), err)
 	}
-	if _, err := rd.ReadBatch(nil); !errors.Is(err, io.EOF) {
-		t.Errorf("clean end: err = %v, want io.EOF", err)
+	// The second frame cut inside its fixed header, its length varint, and
+	// its payload: each is a stream ending mid-frame.
+	for _, cut := range []int{len(one) + 3, len(one) + 5, len(full) - 3} {
+		if _, err := DecodeIngest(bytes.NewReader(full[:cut])); !errors.Is(err, ErrTruncated) {
+			t.Errorf("stream cut at %d of %d bytes: err = %v, want ErrTruncated", cut, len(full), err)
+		}
 	}
-
-	rd = NewReader(bytes.NewReader(full[:len(full)-3]))
-	if _, err := rd.ReadBatch(nil); !errors.Is(err, ErrTruncated) {
-		t.Errorf("mid-frame end: err = %v, want ErrTruncated", err)
+	// A bad header is reported as such even when the stream ends right after
+	// it, exactly as DecodeFrame reports the same bytes.
+	if _, err := DecodeIngest(bytes.NewReader(mutate(one, 0, 'X')[:4])); !errors.Is(err, ErrBadMagic) {
+		t.Errorf("bad magic then end: err = %v, want ErrBadMagic", err)
 	}
 }
 
