@@ -97,10 +97,7 @@ func benchSuite() []struct {
 	if err != nil {
 		panic(err) // static config; cannot fail
 	}
-	solveObs := health.SolveObservation{
-		Tag: "T1", Window: 64, Residual: 0.01,
-		Condition: 10, Iterations: 3, Latency: 100 * time.Microsecond,
-	}
+	solveObs := health.SolveObservation{Tag: "T1", Window: 64, Condition: 10}
 
 	return []struct {
 		name string

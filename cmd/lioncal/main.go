@@ -59,6 +59,14 @@ func run(args []string, stdout io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("missing -in")
 	}
+	var phys *geom.Vec3
+	if *physical != "" {
+		p, err := geom.ParseVec3(*physical)
+		if err != nil {
+			return fmt.Errorf("-physical: %w", err)
+		}
+		phys = &p
+	}
 
 	f, err := os.Open(*in)
 	if err != nil {
@@ -93,16 +101,12 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "reads:            %d\n", len(samples))
 	fmt.Fprintf(stdout, "wavelength:       %.4f m\n", lambda)
 	fmt.Fprintf(stdout, "estimated center: %v\n", res.Center)
-	if *physical != "" {
-		phys, err := geom.ParseVec3(*physical)
-		if err != nil {
-			return err
-		}
+	if phys != nil {
 		cal := lion.CenterCalibration{
-			PhysicalCenter:  phys,
+			PhysicalCenter:  *phys,
 			EstimatedCenter: res.Center,
 		}
-		fmt.Fprintf(stdout, "physical center:  %v\n", phys)
+		fmt.Fprintf(stdout, "physical center:  %v\n", *phys)
 		fmt.Fprintf(stdout, "displacement:     %v (%.2f cm)\n",
 			cal.Displacement(), cal.DisplacementNorm()*100)
 	}

@@ -79,6 +79,19 @@ func TestRunRejectsNonFinitePhysical(t *testing.T) {
 	}
 }
 
+// TestRunPhysicalParsedBeforeSolve: a bad -physical is refused before the
+// dataset is read or solved, so nothing of a calibration report is printed.
+func TestRunPhysicalParsedBeforeSolve(t *testing.T) {
+	path, _ := writeScanDataset(t)
+	var out strings.Builder
+	if err := run([]string{"-in", path, "-mode", "threeline", "-physical", "nan,0,inf"}, &out); err == nil {
+		t.Fatal("-physical nan,0,inf accepted")
+	}
+	if out.Len() != 0 {
+		t.Errorf("printed before refusing -physical:\n%s", out.String())
+	}
+}
+
 func TestRunMissingInput(t *testing.T) {
 	if err := run(nil, io.Discard); err == nil {
 		t.Error("missing -in accepted")

@@ -41,15 +41,11 @@ type Alert struct {
 	Scope string
 	// State is the lifecycle stage.
 	State State
-	// Value is the most recent violating signal value (for deviation rules,
-	// the z-score; RawValue then carries the underlying signal).
+	// Value is the most recent violating signal value.
 	Value float64
-	// RawValue is the underlying signal value for deviation rules; equal to
-	// Value for static rules.
+	// RawValue is the drift in radians for calibration_drift (Value is in
+	// wavelengths); for every other rule it equals Value.
 	RawValue float64
-	// Baseline is the scope's window mean at the last evaluation (deviation
-	// rules only).
-	Baseline float64
 	// Threshold copies the rule's limit.
 	Threshold float64
 	// StartedAt is when the violation was first observed; FiredAt and
@@ -72,8 +68,23 @@ type alertState struct {
 	healthy      bool
 }
 
-// alertKey identifies one (rule, scope) state machine.
+// alertKey identifies one alert state machine: a rule and the subject it
+// watches — a tag id for ill_conditioned, an antenna id for drift, "" for
+// the stream-wide rates. A rule watches one kind of subject, so the pair
+// maps onto exactly one scope.
 type alertKey struct {
-	rule  string
-	scope string
+	rule    string
+	subject string
+}
+
+// scopeOf names the alert scope of a subject for the signal: "tag:<id>",
+// "antenna:<id>" or "stream".
+func scopeOf(sig Signal, subject string) string {
+	switch sig {
+	case SignalCondition:
+		return "tag:" + subject
+	case SignalDrift:
+		return "antenna:" + subject
+	}
+	return "stream"
 }

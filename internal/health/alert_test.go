@@ -5,20 +5,18 @@ import (
 	"time"
 )
 
-// solveAt builds a healthy observation at stream time t.
-func solveAt(t time.Duration, residual float64) SolveObservation {
-	return SolveObservation{
-		Tag: "T1", Time: t, Window: 64, Residual: residual,
-		Condition: 10, Iterations: 3, Latency: 100 * time.Microsecond,
-	}
+// solveAt builds an observation of tag T1 at stream time t whose solve has
+// the given condition estimate.
+func solveAt(t time.Duration, condition float64) SolveObservation {
+	return SolveObservation{Tag: "T1", Time: t, Window: 64, Condition: condition}
 }
 
-// staticResidualMonitor builds a monitor with one static residual rule.
-func staticResidualMonitor(t *testing.T, hold, resolve time.Duration) *Monitor {
+// staticConditionMonitor builds a monitor with one static condition rule.
+func staticConditionMonitor(t *testing.T, hold, resolve time.Duration) *Monitor {
 	t.Helper()
 	m, err := New(Config{
 		Rules: []Rule{{
-			Name: "residual_static", Signal: SignalResidual, Kind: KindStatic,
+			Name: "condition_static", Signal: SignalCondition,
 			Threshold: 1.0, HoldDown: hold, ResolveAfter: resolve, Severity: SevCritical,
 		}},
 	})
@@ -38,7 +36,7 @@ func findAlert(alerts []Alert, rule string, state State) *Alert {
 }
 
 func TestAlertPendingFiringResolved(t *testing.T) {
-	m := staticResidualMonitor(t, 2*time.Second, 3*time.Second)
+	m := staticConditionMonitor(t, 2*time.Second, 3*time.Second)
 
 	// Healthy traffic: no alerts.
 	m.ObserveSolve(solveAt(1*time.Second, 0.5))
@@ -48,7 +46,7 @@ func TestAlertPendingFiringResolved(t *testing.T) {
 
 	// First violation: pending.
 	m.ObserveSolve(solveAt(2*time.Second, 5))
-	a := findAlert(m.Alerts(), "residual_static", StatePending)
+	a := findAlert(m.Alerts(), "condition_static", StatePending)
 	if a == nil {
 		t.Fatalf("no pending alert after violation: %+v", m.Alerts())
 	}
@@ -61,13 +59,13 @@ func TestAlertPendingFiringResolved(t *testing.T) {
 
 	// Still violating inside the hold-down: stays pending.
 	m.ObserveSolve(solveAt(3*time.Second, 6))
-	if findAlert(m.Alerts(), "residual_static", StatePending) == nil {
+	if findAlert(m.Alerts(), "condition_static", StatePending) == nil {
 		t.Fatalf("alert left pending before hold-down: %+v", m.Alerts())
 	}
 
 	// Hold-down (2 s since start at t=2 s) expires at t=4 s: fires.
 	m.ObserveSolve(solveAt(4*time.Second, 7))
-	f := findAlert(m.Alerts(), "residual_static", StateFiring)
+	f := findAlert(m.Alerts(), "condition_static", StateFiring)
 	if f == nil {
 		t.Fatalf("alert did not fire after hold-down: %+v", m.Alerts())
 	}
@@ -80,18 +78,18 @@ func TestAlertPendingFiringResolved(t *testing.T) {
 
 	// Healthy again: needs 3 s of health to resolve.
 	m.ObserveSolve(solveAt(5*time.Second, 0.1))
-	if findAlert(m.Alerts(), "residual_static", StateFiring) == nil {
+	if findAlert(m.Alerts(), "condition_static", StateFiring) == nil {
 		t.Fatalf("alert resolved before hysteresis: %+v", m.Alerts())
 	}
 	// A violation inside the resolve window restarts the hysteresis.
 	m.ObserveSolve(solveAt(6*time.Second, 9))
 	m.ObserveSolve(solveAt(7*time.Second, 0.1))
 	m.ObserveSolve(solveAt(9*time.Second, 0.1))
-	if findAlert(m.Alerts(), "residual_static", StateFiring) == nil {
+	if findAlert(m.Alerts(), "condition_static", StateFiring) == nil {
 		t.Fatalf("alert resolved too early after re-violation: %+v", m.Alerts())
 	}
 	m.ObserveSolve(solveAt(10*time.Second, 0.1))
-	r := findAlert(m.Alerts(), "residual_static", StateResolved)
+	r := findAlert(m.Alerts(), "condition_static", StateResolved)
 	if r == nil {
 		t.Fatalf("alert did not resolve: %+v", m.Alerts())
 	}
@@ -104,7 +102,7 @@ func TestAlertPendingFiringResolved(t *testing.T) {
 }
 
 func TestAlertDebounceDiscardsHealedPending(t *testing.T) {
-	m := staticResidualMonitor(t, 5*time.Second, 0)
+	m := staticConditionMonitor(t, 5*time.Second, 0)
 	m.ObserveSolve(solveAt(1*time.Second, 5)) // pending
 	m.ObserveSolve(solveAt(2*time.Second, 0.5))
 	if got := m.Alerts(); len(got) != 0 {
@@ -112,80 +110,24 @@ func TestAlertDebounceDiscardsHealedPending(t *testing.T) {
 	}
 	// A later violation starts a fresh pending with a fresh hold-down.
 	m.ObserveSolve(solveAt(3*time.Second, 5))
-	a := findAlert(m.Alerts(), "residual_static", StatePending)
+	a := findAlert(m.Alerts(), "condition_static", StatePending)
 	if a == nil || a.StartedAt != 3*time.Second {
 		t.Fatalf("restarted pending = %+v", a)
 	}
 }
 
 func TestAlertZeroHoldDownFiresImmediately(t *testing.T) {
-	m := staticResidualMonitor(t, 0, 0)
+	m := staticConditionMonitor(t, 0, 0)
 	m.ObserveSolve(solveAt(1*time.Second, 5))
-	if findAlert(m.Alerts(), "residual_static", StateFiring) == nil {
+	if findAlert(m.Alerts(), "condition_static", StateFiring) == nil {
 		t.Fatalf("zero hold-down must fire on the first violating tick: %+v", m.Alerts())
-	}
-}
-
-func TestDeviationRuleWarmupGate(t *testing.T) {
-	m, err := New(Config{
-		Rules: []Rule{{
-			Name: "residual_dev", Signal: SignalResidual, Kind: KindDeviation,
-			Threshold: 3, HoldDown: time.Second, Severity: SevWarning,
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An extreme value with no established baseline must not alert.
-	m.ObserveSolve(solveAt(1*time.Second, 100))
-	if got := m.Alerts(); len(got) != 0 {
-		t.Fatalf("deviation alert during warmup: %+v", got)
-	}
-}
-
-func TestDeviationRuleDetectsAnomaly(t *testing.T) {
-	m, err := New(Config{
-		Rules: []Rule{{
-			Name: "residual_dev", Signal: SignalResidual, Kind: KindDeviation,
-			Threshold: 3, HoldDown: 0, Severity: SevWarning,
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Establish a tight baseline around 1.0.
-	for i := 0; i < 20; i++ {
-		m.ObserveSolve(solveAt(time.Duration(i+1)*time.Second, 1+0.01*float64(i%5)))
-	}
-	if got := m.Alerts(); len(got) != 0 {
-		t.Fatalf("steady baseline raised alerts: %+v", got)
-	}
-	// A 20x step is hundreds of sigma out: fires immediately (no hold-down).
-	m.ObserveSolve(solveAt(30*time.Second, 20))
-	a := findAlert(m.Alerts(), "residual_dev", StateFiring)
-	if a == nil {
-		t.Fatalf("no firing deviation alert: %+v", m.Alerts())
-	}
-	if a.RawValue != 20 || a.Value < 3 {
-		t.Errorf("deviation alert Value (z) = %v RawValue = %v", a.Value, a.RawValue)
-	}
-	if a.Baseline > 1.1 {
-		t.Errorf("alert Baseline = %v, want the pre-anomaly mean near 1.02", a.Baseline)
-	}
-	// Baselines self-heal: sustained 20s become the new normal and the
-	// alert eventually resolves even without an operator fix.
-	for i := 31; i < 80; i++ {
-		m.ObserveSolve(solveAt(time.Duration(i)*time.Second, 20))
-	}
-	if findAlert(m.Alerts(), "residual_dev", StateResolved) == nil {
-		t.Fatalf("deviation alert did not self-heal: %+v", m.Alerts())
 	}
 }
 
 func TestResolvedHistoryBounded(t *testing.T) {
 	m, err := New(Config{
 		Rules: []Rule{{
-			Name: "residual_static", Signal: SignalResidual, Kind: KindStatic,
+			Name: "condition_static", Signal: SignalCondition,
 			Threshold: 1, HoldDown: 0, Severity: SevWarning,
 		}},
 	})

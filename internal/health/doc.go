@@ -1,7 +1,7 @@
-// Package health closes the observability loop: it watches the per-solve
-// signals the pipeline already emits (residual norm, condition estimate,
-// IRLS iteration counts, solve latency, stream drop rate) and turns them
-// into actionable alerts instead of silently degrading estimates.
+// Package health closes the observability loop: it watches signals the
+// pipeline already emits (each window solve's condition estimate, the solve
+// error rate, the stream drop rate) plus a calibration-drift estimate, and
+// turns them into actionable alerts instead of silently degrading estimates.
 //
 // The paper's central warning is that an uncalibrated phase offset corrupts
 // every downstream estimate without any visible failure (Eq. 17). The
@@ -10,13 +10,11 @@
 // samples and alerts when it wanders from the calibrated value by more than
 // a configured fraction of the wavelength.
 //
-// Three pieces compose:
+// Two pieces compose:
 //
-//   - rolling quality baselines (windowed mean and z-score) per tag, so
-//     deviation rules adapt to each deployment's own normal;
-//   - a declarative rule set (static thresholds and deviation-from-baseline)
-//     evaluated on every window solve, driving a pending → firing → resolved
-//     alert state machine with hold-down and resolve hysteresis;
+//   - a declarative rule set of static thresholds evaluated on every window
+//     solve, driving a pending → firing → resolved alert state machine with
+//     hold-down and resolve hysteresis;
 //   - a bounded flight recorder that keeps the last solve traces per tag and
 //     snapshots them onto every alert as it fires, so an alert always
 //     carries the evidence that triggered it.

@@ -89,7 +89,6 @@ type DriftStatus struct {
 // O(1) per sample.
 type driftEstimator struct {
 	cal            Calibration
-	scope          string // the drift alerts' scope, "antenna:<id>"
 	win            stats.Ring[unitVec]
 	sumSin, sumCos float64
 }
@@ -108,7 +107,7 @@ type unitVec struct{ sin, cos float64 }
 const minMeanResultant = 1e-9
 
 func newDriftEstimator(cal Calibration) *driftEstimator {
-	return &driftEstimator{cal: cal, scope: "antenna:" + cal.Antenna, win: stats.NewRing[unitVec](cal.window())}
+	return &driftEstimator{cal: cal, win: stats.NewRing[unitVec](cal.window())}
 }
 
 // add records one streamed sample.

@@ -157,7 +157,7 @@ func TestOnTransitionHook(t *testing.T) {
 	var got []Alert
 	m, err := New(Config{
 		Rules: []Rule{{
-			Name: "residual_static", Signal: SignalResidual, Kind: KindStatic,
+			Name: "condition_static", Signal: SignalCondition,
 			Threshold: 1.0, HoldDown: 2 * time.Second, ResolveAfter: time.Second,
 			Severity: SevCritical,
 		}},
@@ -176,7 +176,7 @@ func TestOnTransitionHook(t *testing.T) {
 		t.Fatalf("hook saw %d transitions (%+v), want %d", len(got), got, len(want))
 	}
 	for i, st := range want {
-		if got[i].State != st || got[i].Rule != "residual_static" {
+		if got[i].State != st || got[i].Rule != "condition_static" {
 			t.Errorf("transition %d = %v/%s, want %v", i, got[i].Rule, got[i].State, st)
 		}
 	}

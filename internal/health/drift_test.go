@@ -135,7 +135,7 @@ func TestMonitorDriftAlertEndToEnd(t *testing.T) {
 	cal := testCalibration()
 	m, err := New(Config{
 		Rules: []Rule{{
-			Name: "calibration_drift", Signal: SignalDrift, Kind: KindStatic,
+			Name: "calibration_drift", Signal: SignalDrift,
 			Threshold: 0.02, HoldDown: 2 * time.Second, Severity: SevCritical,
 		}},
 		Calibrations: []Calibration{cal},

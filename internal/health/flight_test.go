@@ -129,15 +129,15 @@ func TestFlightRecorderMemoryBound(t *testing.T) {
 func TestMonitorFlightIntegration(t *testing.T) {
 	m, err := New(Config{
 		Rules: []Rule{{
-			Name: "residual_static", Signal: SignalResidual, Kind: KindStatic,
+			Name: "condition_static", Signal: SignalCondition,
 			Threshold: 1, HoldDown: time.Second, Severity: SevWarning,
 		}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	solve := func(t time.Duration, residual float64, seq uint64) SolveObservation {
-		o := solveAt(t, residual)
+	solve := func(t time.Duration, condition float64, seq uint64) SolveObservation {
+		o := solveAt(t, condition)
 		o.Seq = seq
 		o.Trace = []obs.Event{{Kind: obs.KindSpanStart, Span: "solve"}}
 		return o
@@ -145,7 +145,7 @@ func TestMonitorFlightIntegration(t *testing.T) {
 	m.ObserveSolve(solve(1*time.Second, 0.1, 1))
 	m.ObserveSolve(solve(2*time.Second, 5, 2)) // pending
 	m.ObserveSolve(solve(3*time.Second, 6, 3)) // fires, evidence snapshot
-	f := findAlert(m.Alerts(), "residual_static", StateFiring)
+	f := findAlert(m.Alerts(), "condition_static", StateFiring)
 	if f == nil {
 		t.Fatalf("no firing alert: %+v", m.Alerts())
 	}
@@ -184,33 +184,5 @@ func TestMonitorFailedSolveRecordedWithoutTrace(t *testing.T) {
 	got := m.Flight("T1")
 	if len(got) != 1 || got[0].Err != "rank deficient" {
 		t.Fatalf("failed solve not recorded: %+v", got)
-	}
-}
-
-// TestTagEvictionTieBreaksBySmallestID: tags touched at one stream time tie
-// for the monitor's baseline-session eviction (the monitor stamps every tag solved from one ingest frame
-// with the same logical clock). The victim must be the smallest tag id in
-// every fresh instance, never whatever map iteration visits first.
-func TestTagEvictionTieBreaksBySmallestID(t *testing.T) {
-	for run := 0; run < 64; run++ {
-		m, err := New(Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tags := []string{"T002", "T001"}
-		for i := 3; i <= maxTags+1; i++ {
-			tags = append(tags, fmt.Sprintf("T%03d", i))
-		}
-		for _, tag := range tags {
-			o := solveAt(time.Second, 0.1)
-			o.Tag = tag
-			m.ObserveSolve(o)
-		}
-		for _, tag := range tags {
-			kept := m.tags[tag] != nil
-			if kept != (tag != "T001") {
-				t.Fatalf("monitor run %d: tag %s kept=%v, want only T001 evicted", run, tag, kept)
-			}
-		}
 	}
 }

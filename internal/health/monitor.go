@@ -40,14 +40,10 @@ type Config struct {
 	OnTransition func(Alert)
 }
 
-// Fixed monitor sizing. Baselines and rates feed deviation z-scores and
-// rate thresholds; the bounds keep memory flat regardless of tag
+// Fixed monitor sizing. The bounds keep memory flat regardless of tag
 // cardinality or uptime.
 const (
-	baselineWindow  = 128 // per-signal rolling window deviation rules take z-scores over
-	minBaseline     = 16  // window fill before a deviation rule may fire
 	rateAlpha       = 0.2 // EWMA weight of the global error- and drop-rate signals
-	maxTags         = 256 // per-tag baseline sessions, least-recently-observed evicted
 	resolvedHistory = 32  // recently-resolved alerts kept for /v1/alerts
 	flightCap       = 512 // newest solve traces the flight recorder keeps, across all tags
 	flightDepth     = 8   // newest records Flight and alert evidence return per tag
@@ -80,22 +76,12 @@ func (r *rate) add(x float64) {
 	r.v += r.alpha * (x - r.v)
 }
 
-// tagState is one tag's rolling baselines.
-type tagState struct {
-	baselines map[Signal]*baseline
-	scope     string // the per-tag alerts' scope, "tag:<id>"
-	touched   time.Duration
-}
-
-// perTagSignals are the signals evaluated against a tag's own baseline.
-var perTagSignals = [...]Signal{SignalResidual, SignalCondition, SignalIterations, SignalLatency}
-
 // evalBuckets size the evaluation-latency histogram: a full rule pass is
 // microseconds, far below solve latency.
 var evalBuckets = []float64{1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 1e-3, 1e-2}
 
 // Monitor consumes the pipeline's solve and ingest signals and maintains
-// baselines, drift estimates, alerts, and the flight recorder. The nil
+// rates, drift estimates, alerts, and the flight recorder. The nil
 // Monitor is the disabled state: every method is a nil-check no-op.
 //
 // The flight recorder is one ring of the newest flightCap solve records
@@ -110,7 +96,6 @@ type Monitor struct {
 	cfg Config
 
 	rules  []Rule
-	tags   map[string]*tagState
 	drift  map[string]*driftEstimator
 	order  []string // calibration antenna ids, registration order
 	active map[alertKey]*alertState
@@ -170,7 +155,6 @@ func New(cfg Config) (*Monitor, error) {
 	m := &Monitor{
 		cfg:      cfg,
 		rules:    rules,
-		tags:     make(map[string]*tagState),
 		drift:    make(map[string]*driftEstimator),
 		active:   make(map[alertKey]*alertState),
 		resolved: stats.NewRing[Alert](resolvedHistory),
@@ -282,8 +266,8 @@ func (m *Monitor) ObserveDrop(t time.Duration) {
 }
 
 // ObserveSolve feeds one window solve through the rule set: it records the
-// trace into the flight recorder, updates the scope baselines and global
-// rates, and advances every matching alert state machine.
+// trace into the flight recorder, updates the global rates, and advances
+// every matching alert state machine.
 func (m *Monitor) ObserveSolve(o SolveObservation) {
 	if m == nil {
 		return
@@ -304,45 +288,21 @@ func (m *Monitor) ObserveSolve(o SolveObservation) {
 		m.flightRecords.Inc()
 	}
 
-	if !o.Failed {
-		ts := m.tagStateLocked(o.Tag, now)
-		scope := ts.scope
-		for _, r := range m.rules {
-			v, ok := perTagValue(r.Signal, o)
-			if !ok {
-				continue
-			}
-			switch r.Kind {
-			case KindStatic:
-				m.transitionLocked(r, scope, o.Tag, v > r.Threshold, v, v, 0, now)
-			case KindDeviation:
-				b := ts.baselines[r.Signal]
-				z, established := b.zscore(v, minBaseline)
-				m.transitionLocked(r, scope, o.Tag, established && z > r.Threshold, z, v, b.mean(), now)
-			}
-		}
-		// Baselines absorb the value only after every rule evaluated
-		// against the pre-observation window.
-		for _, sig := range perTagSignals {
-			v, _ := perTagValue(sig, o)
-			ts.baselines[sig].add(v)
-		}
-	}
-
 	m.errRate.add(bool01(o.Failed))
-	for _, r := range m.rules {
-		if r.Signal == SignalErrorRate {
-			m.transitionLocked(r, "stream", o.Tag, m.errRate.v > r.Threshold, m.errRate.v, m.errRate.v, 0, now)
-		}
-	}
-
 	if dA, dD := m.accepted-m.lastAccepted, m.dropped-m.lastDropped; dA+dD > 0 {
 		m.dropRate.add(float64(dD) / float64(dA+dD))
 		m.lastAccepted, m.lastDropped = m.accepted, m.dropped
 	}
 	for _, r := range m.rules {
-		if r.Signal == SignalDropRate {
-			m.transitionLocked(r, "stream", o.Tag, m.dropRate.v > r.Threshold, m.dropRate.v, m.dropRate.v, 0, now)
+		switch r.Signal {
+		case SignalCondition:
+			if !o.Failed {
+				m.transitionLocked(r, o.Tag, o.Tag, o.Condition > r.Threshold, o.Condition, o.Condition, now)
+			}
+		case SignalErrorRate:
+			m.transitionLocked(r, "", o.Tag, m.errRate.v > r.Threshold, m.errRate.v, m.errRate.v, now)
+		case SignalDropRate:
+			m.transitionLocked(r, "", o.Tag, m.dropRate.v > r.Threshold, m.dropRate.v, m.dropRate.v, now)
 		}
 	}
 
@@ -356,8 +316,8 @@ func (m *Monitor) ObserveSolve(o SolveObservation) {
 		m.driftGauges[ant].Set(gauge)
 		for _, r := range m.rules {
 			if r.Signal == SignalDrift {
-				m.transitionLocked(r, d.scope, o.Tag,
-					st.Valid && st.DriftLambda > r.Threshold, st.DriftLambda, st.DriftRad, st.Calibrated, now)
+				m.transitionLocked(r, ant, o.Tag,
+					st.Valid && st.DriftLambda > r.Threshold, st.DriftLambda, st.DriftRad, now)
 			}
 		}
 	}
@@ -384,21 +344,6 @@ func (m *Monitor) SetOnTransition(fn func(Alert)) {
 	m.mu.Unlock()
 }
 
-// perTagValue extracts a per-solve signal from the observation.
-func perTagValue(sig Signal, o SolveObservation) (float64, bool) {
-	switch sig {
-	case SignalResidual:
-		return o.Residual, true
-	case SignalCondition:
-		return o.Condition, true
-	case SignalIterations:
-		return float64(o.Iterations), true
-	case SignalLatency:
-		return o.Latency.Seconds(), true
-	}
-	return 0, false
-}
-
 func bool01(b bool) float64 {
 	if b {
 		return 1
@@ -406,58 +351,26 @@ func bool01(b bool) float64 {
 	return 0
 }
 
-// evictStalest deletes the entry of m touched longest ago. Ties — every tag
-// touched at one stream time, as when one ingest frame solves several tags —
-// go to the smallest tag id, so the victim never depends on map iteration
-// order.
-func evictStalest[V any](m map[string]V, touched func(V) time.Duration) {
-	var victim string
-	var oldest time.Duration
-	first := true
-	for tag, v := range m {
-		if t := touched(v); first || t < oldest || (t == oldest && tag < victim) {
-			victim, oldest, first = tag, t, false
-		}
-	}
-	delete(m, victim)
-}
-
-// tagStateLocked returns the tag's baseline set, creating it (and evicting
-// the least-recently-observed tag past the bound) on first sight.
-func (m *Monitor) tagStateLocked(tag string, now time.Duration) *tagState {
-	ts := m.tags[tag]
-	if ts == nil {
-		if len(m.tags) >= maxTags {
-			evictStalest(m.tags, func(s *tagState) time.Duration { return s.touched })
-		}
-		ts = &tagState{baselines: make(map[Signal]*baseline, len(perTagSignals)), scope: "tag:" + tag}
-		for _, sig := range perTagSignals {
-			ts.baselines[sig] = newBaseline(baselineWindow)
-		}
-		m.tags[tag] = ts
-	}
-	ts.touched = now
-	return ts
-}
-
-// transitionLocked advances one (rule, scope) alert state machine by one
-// evaluation tick.
-func (m *Monitor) transitionLocked(r Rule, scope, evidenceTag string, violating bool, value, raw, base float64, now time.Duration) {
-	key := alertKey{rule: r.Name, scope: scope}
+// transitionLocked advances the alert state machine of one rule and subject
+// (a tag id, an antenna id, or "" for the stream-wide rates) by one
+// evaluation tick. The alert's scope string is built only when a violation
+// creates its state, so a healthy tick allocates nothing.
+func (m *Monitor) transitionLocked(r Rule, subject, evidenceTag string, violating bool, value, raw float64, now time.Duration) {
+	key := alertKey{rule: r.Name, subject: subject}
 	st := m.active[key]
 	if violating {
 		if st == nil {
 			st = &alertState{Alert: Alert{
-				Rule: r.Name, Signal: r.Signal, Severity: r.Severity, Scope: scope,
+				Rule: r.Name, Signal: r.Signal, Severity: r.Severity, Scope: scopeOf(r.Signal, subject),
 				State: StatePending, Threshold: r.Threshold, StartedAt: now,
 			}}
 			m.active[key] = st
 			m.transPending.Inc()
-			m.cfg.Logger.Info("alert pending", "rule", r.Name, "scope", scope, "value", value)
-			st.Value, st.RawValue, st.Baseline, st.UpdatedAt = value, raw, base, now
+			m.cfg.Logger.Info("alert pending", "rule", r.Name, "scope", st.Scope, "value", value)
+			st.Value, st.RawValue, st.UpdatedAt = value, raw, now
 			m.enqueueHookLocked(st.Alert)
 		}
-		st.Value, st.RawValue, st.Baseline, st.UpdatedAt = value, raw, base, now
+		st.Value, st.RawValue, st.UpdatedAt = value, raw, now
 		st.healthy = false
 		if st.State == StatePending && now-st.StartedAt >= r.HoldDown {
 			st.State = StateFiring
@@ -466,7 +379,7 @@ func (m *Monitor) transitionLocked(r Rule, scope, evidenceTag string, violating 
 			m.firingGauges[r.Name].Add(1)
 			m.transFiring.Inc()
 			m.cfg.Logger.Warn("alert firing",
-				"rule", r.Name, "scope", scope, "severity", r.Severity.String(),
+				"rule", r.Name, "scope", st.Scope, "severity", r.Severity.String(),
 				"value", value, "threshold", r.Threshold)
 			m.enqueueHookLocked(st.Alert)
 		}
@@ -491,7 +404,7 @@ func (m *Monitor) transitionLocked(r Rule, scope, evidenceTag string, violating 
 			m.resolved.Push(st.Alert)
 			m.firingGauges[r.Name].Add(-1)
 			m.transResolved.Inc()
-			m.cfg.Logger.Info("alert resolved", "rule", r.Name, "scope", scope)
+			m.cfg.Logger.Info("alert resolved", "rule", r.Name, "scope", st.Scope)
 			m.enqueueHookLocked(st.Alert)
 		}
 	}

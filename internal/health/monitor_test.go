@@ -1,7 +1,6 @@
 package health
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -12,15 +11,15 @@ import (
 )
 
 func TestNewValidatesConfig(t *testing.T) {
-	dup := Rule{Name: "r", Signal: SignalResidual, Kind: KindStatic, Threshold: 1}
+	dup := Rule{Name: "r", Signal: SignalCondition, Threshold: 1}
 	if _, err := New(Config{Rules: []Rule{dup, dup}}); err == nil {
 		t.Error("duplicate rule names accepted")
 	}
-	if _, err := New(Config{Rules: []Rule{{Name: "Bad Name", Signal: SignalResidual, Kind: KindStatic, Threshold: 1}}}); err == nil {
+	if _, err := New(Config{Rules: []Rule{{Name: "Bad Name", Signal: SignalCondition, Threshold: 1}}}); err == nil {
 		t.Error("invalid rule name accepted")
 	}
-	if _, err := New(Config{Rules: []Rule{{Name: "r", Signal: SignalDrift, Kind: KindDeviation, Threshold: 1}}}); err == nil {
-		t.Error("deviation kind on drift signal accepted")
+	if _, err := New(Config{Rules: []Rule{{Name: "r", Signal: "residual_norm", Threshold: 1}}}); err == nil {
+		t.Error("unknown signal accepted")
 	}
 	cal := testCalibration()
 	if _, err := New(Config{Calibrations: []Calibration{cal, cal}}); err == nil {
@@ -43,7 +42,7 @@ func TestMonitorMetricsExposition(t *testing.T) {
 	reg := obs.NewRegistry()
 	m, err := New(Config{
 		Rules: []Rule{{
-			Name: "residual_static", Signal: SignalResidual, Kind: KindStatic,
+			Name: "condition_static", Signal: SignalCondition,
 			Threshold: 1, HoldDown: 0, Severity: SevCritical,
 		}},
 		Calibrations: []Calibration{testCalibration()},
@@ -69,7 +68,7 @@ func TestMonitorMetricsExposition(t *testing.T) {
 		"lion_health_flight_records_total 2",
 		`lion_health_alert_transitions_total{state="pending"} 1`,
 		`lion_health_alert_transitions_total{state="firing"} 1`,
-		`lion_health_alerts_firing{rule="residual_static"} 1`,
+		`lion_health_alerts_firing{rule="condition_static"} 1`,
 		`lion_health_drift_lambda{antenna="A1"} 0`,
 		"lion_health_alerts_active 1",
 		"lion_health_flight_traces 2",
@@ -86,7 +85,7 @@ func TestMonitorMetricsExposition(t *testing.T) {
 	reg.WritePrometheus(&sb)
 	text = sb.String()
 	for _, want := range []string{
-		`lion_health_alerts_firing{rule="residual_static"} 0`,
+		`lion_health_alerts_firing{rule="condition_static"} 0`,
 		`lion_health_alert_transitions_total{state="resolved"} 1`,
 		"lion_health_alerts_active 0",
 	} {
@@ -99,58 +98,35 @@ func TestMonitorMetricsExposition(t *testing.T) {
 func TestAlertsOrdering(t *testing.T) {
 	m, err := New(Config{
 		Rules: []Rule{
-			{Name: "residual_static", Signal: SignalResidual, Kind: KindStatic,
+			{Name: "condition_fast", Signal: SignalCondition,
 				Threshold: 1, HoldDown: 0, Severity: SevWarning},
-			{Name: "condition_static", Signal: SignalCondition, Kind: KindStatic,
+			{Name: "condition_slow", Signal: SignalCondition,
 				Threshold: 100, HoldDown: time.Hour, Severity: SevWarning},
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := solveAt(1*time.Second, 5)
-	bad.Condition = 1e6
+	bad := solveAt(1*time.Second, 1e6)
 	m.ObserveSolve(bad) // both pending
 	bad.Time = 2 * time.Second
-	m.ObserveSolve(bad) // residual fires; condition stays pending (1h hold)
+	m.ObserveSolve(bad) // condition_fast fires; condition_slow stays pending (1h hold)
 	got := m.Alerts()
 	if len(got) != 2 {
 		t.Fatalf("Alerts() = %+v", got)
 	}
-	if got[0].State != StateFiring || got[0].Rule != "residual_static" {
-		t.Errorf("Alerts()[0] = %+v, want firing residual_static first", got[0])
+	if got[0].State != StateFiring || got[0].Rule != "condition_fast" {
+		t.Errorf("Alerts()[0] = %+v, want firing condition_fast first", got[0])
 	}
-	if got[1].State != StatePending || got[1].Rule != "condition_static" {
-		t.Errorf("Alerts()[1] = %+v, want pending condition_static", got[1])
-	}
-}
-
-func TestMonitorTagEviction(t *testing.T) {
-	m, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i <= maxTags; i++ {
-		o := solveAt(time.Duration(i+1)*time.Second, 0.1)
-		o.Tag = fmt.Sprintf("T%03d", i)
-		m.ObserveSolve(o)
-	}
-	if got := len(m.tags); got != maxTags {
-		t.Errorf("tag sessions = %d, want bound %d", got, maxTags)
-	}
-	if m.tags["T000"] != nil {
-		t.Error("evicted tag still has baselines")
-	}
-	if ts := m.tags[fmt.Sprintf("T%03d", maxTags)]; ts == nil || ts.baselines[SignalResidual] == nil {
-		t.Error("newest tag missing baselines")
+	if got[1].State != StatePending || got[1].Rule != "condition_slow" {
+		t.Errorf("Alerts()[1] = %+v, want pending condition_slow", got[1])
 	}
 }
 
 func TestDropRateSignal(t *testing.T) {
 	m, err := New(Config{
 		Rules: []Rule{{
-			Name: "stream_drops", Signal: SignalDropRate, Kind: KindStatic,
-			Threshold: 0.25, HoldDown: 0, Severity: SevWarning,
+			Name: "stream_drops", Signal: SignalDropRate, Threshold: 0.25, HoldDown: 0, Severity: SevWarning,
 		}},
 	})
 	if err != nil {
@@ -184,8 +160,7 @@ func TestDropRateSignal(t *testing.T) {
 func TestErrorRateSignal(t *testing.T) {
 	m, err := New(Config{
 		Rules: []Rule{{
-			Name: "solve_errors", Signal: SignalErrorRate, Kind: KindStatic,
-			Threshold: 0.5, HoldDown: 0, Severity: SevCritical,
+			Name: "solve_errors", Signal: SignalErrorRate, Threshold: 0.5, HoldDown: 0, Severity: SevCritical,
 		}},
 	})
 	if err != nil {

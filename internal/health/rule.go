@@ -6,26 +6,6 @@ import (
 	"time"
 )
 
-// Kind selects how a rule's threshold is interpreted.
-type Kind int
-
-const (
-	// KindStatic violates when the signal value exceeds Threshold.
-	KindStatic Kind = iota
-	// KindDeviation violates when the signal's z-score against the scope's
-	// rolling baseline exceeds Threshold (in standard deviations, one-sided
-	// upward: quality signals only ever degrade by growing).
-	KindDeviation
-)
-
-// String names the kind for wire output.
-func (k Kind) String() string {
-	if k == KindDeviation {
-		return "deviation"
-	}
-	return "static"
-}
-
 // Severity ranks an alert's urgency.
 type Severity int
 
@@ -56,10 +36,8 @@ type Rule struct {
 	Name string
 	// Signal selects the monitored quantity.
 	Signal Signal
-	// Kind selects static-threshold or deviation-from-baseline semantics.
-	Kind Kind
-	// Threshold is the violation limit: a signal value for static rules, a
-	// z-score (standard deviations) for deviation rules.
+	// Threshold is the violation limit: the rule is violated while the
+	// signal value exceeds it.
 	Threshold float64
 	// HoldDown is how long a violation must persist before the pending
 	// alert fires (debounce). Zero fires on the first confirmed violation
@@ -86,12 +64,6 @@ func (r Rule) validate() error {
 	if r.HoldDown < 0 || r.ResolveAfter < 0 {
 		return fmt.Errorf("health: rule %q has negative duration", r.Name)
 	}
-	if r.Kind == KindDeviation {
-		switch r.Signal {
-		case SignalErrorRate, SignalDropRate, SignalDrift:
-			return fmt.Errorf("health: rule %q: signal %q supports only static thresholds", r.Name, r.Signal)
-		}
-	}
 	return nil
 }
 
@@ -102,26 +74,20 @@ func (r Rule) resolveAfter() time.Duration {
 	return r.HoldDown
 }
 
-// DefaultRules is the stock rule set liond runs with: absolute guards on
-// conditioning, solve failures and stream drops, deviation guards on the
-// per-tag solve-quality signals, and the calibration-drift rule (inert until
-// an antenna calibration is configured). Thresholds follow the repo's
-// simulated-testbed scales; production deployments tune them per site.
+// DefaultRules is the stock rule set liond runs with: static thresholds on
+// conditioning, solve failures and stream drops, and the calibration-drift
+// rule (inert until an antenna calibration is configured). Thresholds follow
+// the repo's simulated-testbed scales; production deployments tune them per
+// site.
 func DefaultRules() []Rule {
 	return []Rule{
-		{Name: "ill_conditioned", Signal: SignalCondition, Kind: KindStatic,
+		{Name: "ill_conditioned", Signal: SignalCondition,
 			Threshold: 1e8, HoldDown: 2 * time.Second, Severity: SevCritical},
-		{Name: "residual_anomaly", Signal: SignalResidual, Kind: KindDeviation,
-			Threshold: 8, HoldDown: 2 * time.Second, Severity: SevWarning},
-		{Name: "iteration_anomaly", Signal: SignalIterations, Kind: KindDeviation,
-			Threshold: 8, HoldDown: 2 * time.Second, Severity: SevWarning},
-		{Name: "latency_anomaly", Signal: SignalLatency, Kind: KindDeviation,
-			Threshold: 10, HoldDown: 5 * time.Second, Severity: SevWarning},
-		{Name: "solve_errors", Signal: SignalErrorRate, Kind: KindStatic,
+		{Name: "solve_errors", Signal: SignalErrorRate,
 			Threshold: 0.5, HoldDown: 2 * time.Second, Severity: SevCritical},
-		{Name: "stream_drops", Signal: SignalDropRate, Kind: KindStatic,
+		{Name: "stream_drops", Signal: SignalDropRate,
 			Threshold: 0.25, HoldDown: 5 * time.Second, Severity: SevWarning},
-		{Name: "calibration_drift", Signal: SignalDrift, Kind: KindStatic,
+		{Name: "calibration_drift", Signal: SignalDrift,
 			Threshold: 0.02, HoldDown: 2 * time.Second, Severity: SevCritical},
 	}
 }

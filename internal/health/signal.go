@@ -6,23 +6,16 @@ import (
 	"github.com/rfid-lion/lion/internal/obs"
 )
 
-// Signal names one monitored quantity. Per-solve signals (residual,
-// condition, iterations, latency) are evaluated against the observing tag's
-// own baseline; stream signals (error rate, drop rate) are global; drift is
+// Signal names one monitored quantity. Every rule compares its signal's
+// current value with a static threshold. The condition estimate is per tag,
+// read from each window solve; the error and drop rates are global; drift is
 // per antenna.
 type Signal string
 
 const (
-	// SignalResidual is Solution.FinalResidual: the 2-norm of the residual
-	// vector at the final IRWLS estimate.
-	SignalResidual Signal = "residual_norm"
 	// SignalCondition is Solution.ConditionEstimate: the solver's lower
-	// bound on the unweighted system's condition number.
+	// bound on the unweighted system's condition number, per tag.
 	SignalCondition Signal = "condition_estimate"
-	// SignalIterations is the IRWLS iteration count of the solve.
-	SignalIterations Signal = "irls_iterations"
-	// SignalLatency is the wall time of the window solve, in seconds.
-	SignalLatency Signal = "solve_latency_seconds"
 	// SignalErrorRate is the EWMA fraction of window solves returning an
 	// error, across all tags.
 	SignalErrorRate Signal = "solve_error_rate"
@@ -39,17 +32,15 @@ const (
 // knownSignal reports whether s is one of the Signal constants.
 func knownSignal(s Signal) bool {
 	switch s {
-	case SignalResidual, SignalCondition, SignalIterations, SignalLatency,
-		SignalErrorRate, SignalDropRate, SignalDrift:
+	case SignalCondition, SignalErrorRate, SignalDropRate, SignalDrift:
 		return true
 	}
 	return false
 }
 
-// SolveObservation carries one window solve's quality signals into the
-// monitor. Time is the stream timestamp of the window's last sample — the
-// monitor's logical clock, which keeps alert timing deterministic under
-// accelerated replay.
+// SolveObservation carries one window solve into the monitor. Time is the
+// stream timestamp of the window's last sample — the monitor's logical
+// clock, which keeps alert timing deterministic under accelerated replay.
 type SolveObservation struct {
 	Tag     string
 	Antenna string
@@ -57,14 +48,11 @@ type SolveObservation struct {
 	Window  int
 	Seq     uint64
 
-	Residual   float64
-	Condition  float64
-	Iterations int
-	Latency    time.Duration
+	// Condition is the solution's condition estimate.
+	Condition float64
 
-	// Failed marks a solve that returned an error; the solution-derived
-	// signals above are not meaningful and only the error-rate signal is
-	// updated.
+	// Failed marks a solve that returned an error; Condition is not
+	// meaningful and only the error-rate signal is updated.
 	Failed bool
 	// Err is the failed solve's error text, recorded with the flight trace.
 	Err string

@@ -25,7 +25,6 @@ type alertJSON struct {
 	State     string  `json:"state"`
 	Value     float64 `json:"value"`
 	RawValue  float64 `json:"raw_value"`
-	Baseline  float64 `json:"baseline,omitempty"`
 	Threshold float64 `json:"threshold"`
 	StartedS  float64 `json:"started_s"`
 	FiredS    float64 `json:"fired_s,omitempty"`
@@ -54,7 +53,6 @@ func toAlertJSON(a health.Alert) alertJSON {
 		State:     a.State.String(),
 		Value:     a.Value,
 		RawValue:  a.RawValue,
-		Baseline:  a.Baseline,
 		Threshold: a.Threshold,
 		StartedS:  a.StartedAt.Seconds(),
 		FiredS:    a.FiredAt.Seconds(),

@@ -155,7 +155,7 @@ func TestClosedLoopEndToEnd(t *testing.T) {
 	const resolveAfter = 300 * time.Millisecond
 
 	rig := newLoopRig(t, antenna, lambda, calOffset, []health.Rule{{
-		Name: "calibration_drift", Signal: health.SignalDrift, Kind: health.KindStatic,
+		Name: "calibration_drift", Signal: health.SignalDrift,
 		Threshold: 0.02, HoldDown: holdDown, ResolveAfter: resolveAfter,
 		Severity: health.SevCritical,
 	}}, Config{MinSamples: 64})

@@ -48,7 +48,7 @@ func TestDriftAlertEndToEnd(t *testing.T) {
 
 	mon, err := health.New(health.Config{
 		Rules: []health.Rule{{
-			Name: "calibration_drift", Signal: health.SignalDrift, Kind: health.KindStatic,
+			Name: "calibration_drift", Signal: health.SignalDrift,
 			Threshold: 0.02, HoldDown: holdDown, Severity: health.SevCritical,
 		}},
 		Calibrations: []health.Calibration{{
@@ -254,7 +254,7 @@ func TestFlightRecordsSurviveTracerReuse(t *testing.T) {
 func TestMonitorDropAccounting(t *testing.T) {
 	mon, err := health.New(health.Config{
 		Rules: []health.Rule{{
-			Name: "stream_drops", Signal: health.SignalDropRate, Kind: health.KindStatic,
+			Name: "stream_drops", Signal: health.SignalDropRate,
 			Threshold: 0.25, HoldDown: 0, Severity: health.SevWarning,
 		}},
 	})
@@ -294,7 +294,7 @@ func TestMonitorDropAccounting(t *testing.T) {
 	// and must leave the drop signal at zero.
 	mon2, err := health.New(health.Config{
 		Rules: []health.Rule{{
-			Name: "stream_drops", Signal: health.SignalDropRate, Kind: health.KindStatic,
+			Name: "stream_drops", Signal: health.SignalDropRate,
 			Threshold: 0.25, HoldDown: 0, Severity: health.SevWarning,
 		}},
 	})

@@ -140,13 +140,14 @@ func TestEngineTracesToFlightRecorder(t *testing.T) {
 
 // TestFlushWaitsForHealthHook pins that Flush covers the health hook, which
 // complete runs after it drops the engine lock: a transition subscriber
-// that sleeps must have finished when Flush returns. The static
-// irls_iterations rule without hold-down makes the first solve go pending.
+// that sleeps must have finished when Flush returns. A static
+// condition_estimate rule below any real condition number, without
+// hold-down, makes the first solve go pending.
 func TestFlushWaitsForHealthHook(t *testing.T) {
 	trace, lambda := testTrace(t, 56)
 	ctx := context.Background()
 	mon, err := health.New(health.Config{Rules: []health.Rule{{
-		Name: "irls_iterations", Signal: health.SignalIterations, Kind: health.KindStatic,
+		Name: "condition_static", Signal: health.SignalCondition,
 		Threshold: 0.5, Severity: health.SevWarning,
 	}}})
 	if err != nil {

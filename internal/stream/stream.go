@@ -847,16 +847,13 @@ func (e *Engine) complete(snap *snapshot, o batch.Outcome) {
 			Time:    est.To,
 			Window:  est.Window,
 			Seq:     est.Seq,
-			Latency: est.Latency,
 			Trace:   sv.trace,
 		}
 		if sv.err != nil {
 			obsv.Failed = true
 			obsv.Err = sv.err.Error()
 		} else if sol := sv.sol; sol != nil {
-			obsv.Residual = sol.FinalResidual
 			obsv.Condition = sol.ConditionEstimate
-			obsv.Iterations = sol.Iterations
 		}
 	}
 	e.putSnapLocked(snap) // everything needed from snap is copied into est

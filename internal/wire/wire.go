@@ -42,10 +42,10 @@
 //
 // Decoding is defensive: truncated frames, bad magic/version, length
 // overflows, and out-of-range counts return errors without panicking, and
-// allocation is bounded by the actual payload size, never by an attacker
-// supplied count. Binary frames, unlike JSON, can encode NaN/Inf, so the
-// decoder additionally rejects non-finite floats to keep the DecodeIngest
-// guarantee of internal/dataset intact.
+// allocation is bounded by the bytes that actually arrive, never by an
+// attacker supplied count or length. Binary frames, unlike JSON, can encode
+// NaN/Inf, so the decoder additionally rejects non-finite floats to keep the
+// DecodeIngest guarantee of internal/dataset intact.
 package wire
 
 import (
@@ -446,40 +446,59 @@ func DecodeIngestExt(r io.Reader) ([]dataset.TaggedSample, *Ext, error) {
 	}
 }
 
+// readStep is the first payload read of a frame. Each later read grows the
+// frame to at most four times the bytes read so far, so a header's claimed
+// length caps the read but never sizes an allocation: the buffer holds at
+// most readStep plus four times the bytes that actually arrived.
+const readStep = 32 << 10
+
 // readFrame reads the next whole frame from r into buf, reusing its
 // capacity. A stream that ends cleanly before the frame starts returns
 // io.EOF; one that ends inside the header fails as parseHeader reports it,
 // and one that ends inside the payload with ErrTruncated.
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	// The header, a byte at a time up to the last byte of its length varint.
-	// It has room for one byte past the longest varint: binary.Uvarint, and
-	// so DecodeFrame, calls a varint overlong only once it sees that byte.
-	var head [4 + binary.MaxVarintLen64 + 1]byte
+	// The header, a byte at a time up to the last byte of its length varint,
+	// read into buf itself: a local array handed to r would escape to the
+	// heap on every call. It has room for one byte past the longest varint:
+	// binary.Uvarint, and so DecodeFrame, calls a varint overlong only once
+	// it sees that byte.
+	const maxHead = 4 + binary.MaxVarintLen64 + 1
+	buf = slices.Grow(buf[:0], maxHead)[:maxHead]
 	n := 0
-	for n < len(head) && (n < 5 || head[n-1]&0x80 != 0) {
-		_, err := io.ReadFull(r, head[n:n+1])
+	for n < maxHead && (n < 5 || buf[n-1]&0x80 != 0) {
+		_, err := io.ReadFull(r, buf[n:n+1])
 		if err == io.EOF && n == 0 {
-			return buf, io.EOF
+			return buf[:0], io.EOF
 		}
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return buf, err
+			return buf[:0], err
 		}
 		n++
 	}
-	_, size, hn, err := parseHeader(head[:n])
+	_, size, hn, err := parseHeader(buf[:n])
 	if err != nil {
-		return buf, err
+		return buf[:0], err
 	}
-	buf = slices.Grow(buf[:0], hn+size)[:hn+size]
-	copy(buf, head[:hn])
-	got, err := io.ReadFull(r, buf[hn:])
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return buf, fmt.Errorf("%w: payload %d of %d bytes", ErrTruncated, got, size)
+	want := hn + size
+	buf = buf[:hn]
+	for len(buf) < want {
+		step := min(want-len(buf), max(readStep, 3*len(buf)))
+		if cap(buf)-len(buf) < step {
+			buf = append(make([]byte, 0, len(buf)+step), buf...)
+		}
+		got, err := io.ReadFull(r, buf[len(buf):len(buf)+step])
+		buf = buf[:len(buf)+got]
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return buf, fmt.Errorf("%w: payload %d of %d bytes", ErrTruncated, len(buf)-hn, size)
+		}
+		if err != nil {
+			return buf, err
+		}
 	}
-	return buf, err
+	return buf, nil
 }
 
 // AppendFrames appends samples to dst as frames of at most DefaultBatch

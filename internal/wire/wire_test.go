@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -406,6 +407,27 @@ func TestDecodeIngestCleanAndDirtyEOF(t *testing.T) {
 	// it, exactly as DecodeFrame reports the same bytes.
 	if _, err := DecodeIngest(bytes.NewReader(mutate(one, 0, 'X')[:4])); !errors.Is(err, ErrBadMagic) {
 		t.Errorf("bad magic then end: err = %v, want ErrBadMagic", err)
+	}
+}
+
+// TestDecodeIngestLyingLengthAllocatesWhatArrives: a header that claims
+// the largest allowed payload but is followed by only 8 bytes must fail as
+// truncated without allocating anywhere near the claimed 16 MiB.
+func TestDecodeIngestLyingLengthAllocatesWhatArrives(t *testing.T) {
+	body := append(appendUvarintFrame(MaxPayloadBytes-1), make([]byte, 8)...)
+	if _, err := DecodeIngest(bytes.NewReader(body)); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("err = %v, want ErrTruncated", err)
+	}
+	const runs = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		DecodeIngest(bytes.NewReader(body))
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall >= 64<<10 {
+		t.Errorf("a truncated frame claiming %d bytes allocated %d bytes per decode, want < 64 KiB",
+			MaxPayloadBytes-1, perCall)
 	}
 }
 
