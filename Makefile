@@ -90,9 +90,10 @@ pipebench-test:
 	cd pipebench && $(GO) test .
 
 ## fuzz: short fuzzing passes over the phase-wrap, preprocessing, ingest
-## decoding, latency-histogram and calibration-solve invariants, and the
-## width-2 normal-equation kernel against the any-width row loop (their seed
-## corpora also run in every plain `go test`).
+## decoding (with its allocation bound), latency-histogram and
+## calibration-solve invariants, the width-2 normal-equation kernel against
+## the any-width row loop, and the stream engine's accounting under hostile
+## samples (their seed corpora also run in every plain `go test`).
 fuzz:
 	$(GO) test -fuzz FuzzWrapPhase -fuzztime 30s ./internal/rf
 	$(GO) test -run '^$$' -fuzz FuzzPreprocess -fuzztime 30s .
@@ -101,3 +102,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHistRecord -fuzztime 30s ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzCalibEstimate -fuzztime 30s ./internal/calib
 	$(GO) test -run '^$$' -fuzz FuzzNormalEq -fuzztime 30s ./internal/mat
+	$(GO) test -run '^$$' -fuzz FuzzEngine -fuzztime 30s ./internal/stream

@@ -97,7 +97,7 @@ func benchSuite() []struct {
 	if err != nil {
 		panic(err) // static config; cannot fail
 	}
-	solveObs := health.SolveObservation{Tag: "T1", Window: 64, Condition: 10}
+	solveObs := health.SolveObservation{Tag: "T1", Condition: 10}
 
 	return []struct {
 		name string

@@ -55,10 +55,9 @@ type Alert struct {
 	FiredAt    time.Duration
 	ResolvedAt time.Duration
 	UpdatedAt  time.Duration
-	// Evidence is the flight-recorder snapshot taken when the alert fired:
-	// the recent solve traces of the tag whose observation confirmed the
-	// violation. Nil when the flight recorder holds nothing for the tag.
-	Evidence []TraceRecord
+	// Tag is the tag whose solve confirmed the violation when the alert
+	// fired; empty until then.
+	Tag string
 }
 
 // alertState wraps an active alert with its hysteresis bookkeeping.

@@ -8,7 +8,7 @@ import (
 // solveAt builds an observation of tag T1 at stream time t whose solve has
 // the given condition estimate.
 func solveAt(t time.Duration, condition float64) SolveObservation {
-	return SolveObservation{Tag: "T1", Time: t, Window: 64, Condition: condition}
+	return SolveObservation{Tag: "T1", Time: t, Condition: condition}
 }
 
 // staticConditionMonitor builds a monitor with one static condition rule.

@@ -10,14 +10,11 @@
 // samples and alerts when it wanders from the calibrated value by more than
 // a configured fraction of the wavelength.
 //
-// Two pieces compose:
-//
-//   - a declarative rule set of static thresholds evaluated on every window
-//     solve, driving a pending → firing → resolved alert state machine with
-//     hold-down and resolve hysteresis;
-//   - a bounded flight recorder that keeps the last solve traces per tag and
-//     snapshots them onto every alert as it fires, so an alert always
-//     carries the evidence that triggered it.
+// A declarative rule set of static thresholds is evaluated on every window
+// solve, driving a pending → firing → resolved alert state machine with
+// hold-down and resolve hysteresis. A firing alert names the tag whose solve
+// confirmed it; that tag's newest Solution (liond's /v1/tags/{id}/explain)
+// is the evidence.
 //
 // The nil *Monitor is the disabled state: every method is a no-op costing
 // one nil check and zero allocations, mirroring the nil *obs.Tracer

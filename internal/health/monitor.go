@@ -3,7 +3,6 @@ package health
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -45,21 +44,7 @@ type Config struct {
 const (
 	rateAlpha       = 0.2 // EWMA weight of the global error- and drop-rate signals
 	resolvedHistory = 32  // recently-resolved alerts kept for /v1/alerts
-	flightCap       = 512 // newest solve traces the flight recorder keeps, across all tags
-	flightDepth     = 8   // newest records Flight and alert evidence return per tag
 )
-
-// TraceRecord is one recorded window solve: the identifying metadata plus
-// the full solve trace. Records are what the flight recorder holds and what
-// alert evidence snapshots copy.
-type TraceRecord struct {
-	Tag    string
-	Seq    uint64
-	Time   time.Duration
-	Window int
-	Err    string
-	Events []obs.Event
-}
 
 // rate is an EWMA of a [0, 1] indicator stream.
 type rate struct {
@@ -81,16 +66,8 @@ func (r *rate) add(x float64) {
 var evalBuckets = []float64{1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 1e-3, 1e-2}
 
 // Monitor consumes the pipeline's solve and ingest signals and maintains
-// rates, drift estimates, alerts, and the flight recorder. The nil
-// Monitor is the disabled state: every method is a nil-check no-op.
-//
-// The flight recorder is one ring of the newest flightCap solve records
-// over all tags; a tag's traces are the records of it still in the ring.
-// Tags solving at similar rates share the ring evenly, so up to
-// flightCap/flightDepth of them keep flightDepth records each, and a larger
-// fleet keeps every tag that solved within the newest flightCap solves. A
-// quiet tag among busy ones loses its records once flightCap newer solves
-// have passed.
+// rates, drift estimates and alerts. The nil Monitor is the disabled state:
+// every method is a nil-check no-op.
 type Monitor struct {
 	mu  sync.Mutex
 	cfg Config
@@ -117,13 +94,9 @@ type Monitor struct {
 	// unlocking so callbacks never run under the monitor mutex.
 	hookQueue []Alert
 
-	// flight holds the newest flightCap solve records, oldest first.
-	flight stats.Ring[TraceRecord]
-
 	reg           *obs.Registry
 	evalSeconds   *obs.Histogram
 	observed      *obs.Counter
-	flightRecords *obs.Counter
 	transPending  *obs.Counter
 	transFiring   *obs.Counter
 	transResolved *obs.Counter
@@ -160,15 +133,12 @@ func New(cfg Config) (*Monitor, error) {
 		resolved: stats.NewRing[Alert](resolvedHistory),
 		errRate:  rate{alpha: rateAlpha},
 		dropRate: rate{alpha: rateAlpha},
-		flight:   stats.NewRing[TraceRecord](flightCap),
 
 		reg: reg,
 		evalSeconds: reg.Histogram("lion_health_eval_seconds",
 			"Wall time of one health rule evaluation pass.", evalBuckets),
 		observed: reg.Counter("lion_health_solves_observed_total",
 			"Window solves fed into the health monitor."),
-		flightRecords: reg.Counter("lion_health_flight_records_total",
-			"Solve traces recorded by the flight recorder."),
 		firingGauges: make(map[string]*obs.Gauge),
 		driftGauges:  make(map[string]*obs.Gauge),
 	}
@@ -204,11 +174,6 @@ func New(cfg Config) (*Monitor, error) {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		return float64(len(m.active))
-	})
-	reg.GaugeFunc("lion_health_flight_traces", "Solve traces retained by the flight recorder.", func() float64 {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return float64(m.flight.Len())
 	})
 	return m, nil
 }
@@ -254,7 +219,8 @@ func (m *Monitor) ObserveSample(antenna string, t time.Duration, pos geom.Vec3, 
 	m.mu.Unlock()
 }
 
-// ObserveDrop records one dropped sample (overflow or age eviction).
+// ObserveDrop records one lost sample: one that left its window before any
+// solve saw it.
 func (m *Monitor) ObserveDrop(t time.Duration) {
 	if m == nil {
 		return
@@ -265,9 +231,8 @@ func (m *Monitor) ObserveDrop(t time.Duration) {
 	m.mu.Unlock()
 }
 
-// ObserveSolve feeds one window solve through the rule set: it records the
-// trace into the flight recorder, updates the global rates, and advances
-// every matching alert state machine.
+// ObserveSolve feeds one window solve through the rule set: it updates the
+// global rates and advances every matching alert state machine.
 func (m *Monitor) ObserveSolve(o SolveObservation) {
 	if m == nil {
 		return
@@ -277,16 +242,6 @@ func (m *Monitor) ObserveSolve(o SolveObservation) {
 	m.mu.Lock()
 	m.advanceLocked(o.Time)
 	now := m.now
-
-	// Record the trace first so a firing alert's evidence includes the
-	// solve that confirmed it.
-	if len(o.Trace) > 0 || o.Failed {
-		m.flight.Push(TraceRecord{
-			Tag: o.Tag, Seq: o.Seq, Time: o.Time, Window: o.Window,
-			Err: o.Err, Events: o.Trace,
-		})
-		m.flightRecords.Inc()
-	}
 
 	m.errRate.add(bool01(o.Failed))
 	if dA, dD := m.accepted-m.lastAccepted, m.dropped-m.lastDropped; dA+dD > 0 {
@@ -353,9 +308,10 @@ func bool01(b bool) float64 {
 
 // transitionLocked advances the alert state machine of one rule and subject
 // (a tag id, an antenna id, or "" for the stream-wide rates) by one
-// evaluation tick. The alert's scope string is built only when a violation
-// creates its state, so a healthy tick allocates nothing.
-func (m *Monitor) transitionLocked(r Rule, subject, evidenceTag string, violating bool, value, raw float64, now time.Duration) {
+// evaluation tick; tag is the tag whose solve drove the tick. The alert's
+// scope string is built only when a violation creates its state, so a
+// healthy tick allocates nothing.
+func (m *Monitor) transitionLocked(r Rule, subject, tag string, violating bool, value, raw float64, now time.Duration) {
 	key := alertKey{rule: r.Name, subject: subject}
 	st := m.active[key]
 	if violating {
@@ -375,7 +331,7 @@ func (m *Monitor) transitionLocked(r Rule, subject, evidenceTag string, violatin
 		if st.State == StatePending && now-st.StartedAt >= r.HoldDown {
 			st.State = StateFiring
 			st.FiredAt = now
-			st.Evidence = m.flightLocked(evidenceTag)
+			st.Tag = tag
 			m.firingGauges[r.Name].Add(1)
 			m.transFiring.Inc()
 			m.cfg.Logger.Warn("alert firing",
@@ -451,8 +407,7 @@ func (m *Monitor) SwapCalibration(antenna string, center geom.Vec3, offset, lamb
 
 // Alerts returns every active alert plus the recently-resolved history:
 // firing first, then pending (each newest first), then resolved newest
-// first. The returned alerts are copies; Evidence slices are shared but
-// immutable.
+// first. The returned alerts are copies.
 func (m *Monitor) Alerts() []Alert {
 	if m == nil {
 		return nil
@@ -509,28 +464,5 @@ func (m *Monitor) Drifts() []DriftStatus {
 	for _, ant := range m.order {
 		out = append(out, m.drift[ant].status())
 	}
-	return out
-}
-
-// Flight returns the tag's newest flightDepth solve traces, oldest first,
-// or nil. Nil-safe.
-func (m *Monitor) Flight(tag string) []TraceRecord {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.flightLocked(tag)
-}
-
-// flightLocked scans the flight ring newest first for the tag's records.
-func (m *Monitor) flightLocked(tag string) []TraceRecord {
-	var out []TraceRecord
-	for i := m.flight.Len() - 1; i >= 0 && len(out) < flightDepth; i-- {
-		if rec := m.flight.At(i); rec.Tag == tag {
-			out = append(out, rec)
-		}
-	}
-	slices.Reverse(out)
 	return out
 }

@@ -55,7 +55,6 @@ func TestMonitorMetricsExposition(t *testing.T) {
 		t.Error("Registry() does not return the configured registry")
 	}
 	o := solveAt(1*time.Second, 5)
-	o.Trace = []obs.Event{{Kind: obs.KindSpanStart, Span: "solve"}}
 	m.ObserveSolve(o) // pending
 	o.Time = 2 * time.Second
 	m.ObserveSolve(o) // firing
@@ -65,13 +64,11 @@ func TestMonitorMetricsExposition(t *testing.T) {
 	text := sb.String()
 	for _, want := range []string{
 		"lion_health_solves_observed_total 2",
-		"lion_health_flight_records_total 2",
 		`lion_health_alert_transitions_total{state="pending"} 1`,
 		`lion_health_alert_transitions_total{state="firing"} 1`,
 		`lion_health_alerts_firing{rule="condition_static"} 1`,
 		`lion_health_drift_lambda{antenna="A1"} 0`,
 		"lion_health_alerts_active 1",
-		"lion_health_flight_traces 2",
 		"lion_health_eval_seconds_count 2",
 	} {
 		if !strings.Contains(text, want) {
@@ -167,7 +164,7 @@ func TestErrorRateSignal(t *testing.T) {
 		t.Fatal(err)
 	}
 	fail := solveAt(1*time.Second, 0)
-	fail.Failed, fail.Err = true, "rank deficient"
+	fail.Failed = true
 	m.ObserveSolve(fail)
 	fail.Time = 2 * time.Second
 	m.ObserveSolve(fail)
@@ -210,5 +207,56 @@ func TestDriftLambdaMatchesRangingError(t *testing.T) {
 	gotMetres := (driftRad / (4 * math.Pi)) * lambda
 	if math.Abs(wantMetres-gotMetres) > 1e-15 {
 		t.Errorf("λ-fraction convention inconsistent: %v vs %v", wantMetres, gotMetres)
+	}
+}
+
+// TestMonitorAlertTag: a firing alert names the tag whose solve confirmed
+// it, not the one whose solve opened it; a pending alert names none, and
+// later solves of other tags leave the name as it fired.
+func TestMonitorAlertTag(t *testing.T) {
+	m, err := New(Config{
+		Rules: []Rule{{
+			Name: "solve_errors", Signal: SignalErrorRate,
+			Threshold: 0.5, HoldDown: time.Second, Severity: SevCritical,
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fail := func(tag string, at time.Duration) SolveObservation {
+		return SolveObservation{Tag: tag, Time: at, Failed: true}
+	}
+	m.ObserveSolve(fail("T1", 1*time.Second))
+	if p := findAlert(m.Alerts(), "solve_errors", StatePending); p == nil || p.Tag != "" {
+		t.Fatalf("pending alert = %+v, want one naming no tag", p)
+	}
+	m.ObserveSolve(fail("T2", 2*time.Second))
+	m.ObserveSolve(fail("T3", 3*time.Second))
+	if f := findAlert(m.Alerts(), "solve_errors", StateFiring); f == nil || f.Tag != "T2" {
+		t.Fatalf("firing alert = %+v, want one naming T2", f)
+	}
+}
+
+// TestMonitorFailedSolveRecordedWithoutTrace: a failed solve carries no
+// solution and no trace, and the monitor still records it: it counts as
+// observed and moves the error rate, while no per-tag condition rule reads
+// its meaningless condition estimate.
+func TestMonitorFailedSolveRecordedWithoutTrace(t *testing.T) {
+	reg := obs.NewRegistry()
+	m, err := New(Config{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.ObserveSolve(SolveObservation{Tag: "T1", Time: time.Second, Failed: true, Condition: math.Inf(1)})
+	var sb strings.Builder
+	reg.WritePrometheus(&sb)
+	if !strings.Contains(sb.String(), "lion_health_solves_observed_total 1") {
+		t.Errorf("failed solve not counted:\n%s", sb.String())
+	}
+	if m.errRate.v != 1 {
+		t.Errorf("error rate %v after one failed solve, want 1", m.errRate.v)
+	}
+	if a := findAlert(m.Alerts(), "ill_conditioned", StatePending); a != nil {
+		t.Errorf("a failed solve's condition estimate raised %+v", a)
 	}
 }

@@ -42,7 +42,7 @@ func TestObserveSolveNewTagsZeroAllocs(t *testing.T) {
 	// len(tags)-1 runs give every call a distinct tag.
 	allocs := testing.AllocsPerRun(len(tags)-1, func() {
 		m.ObserveSolve(SolveObservation{
-			Tag: tags[next], Time: time.Duration(next) * time.Millisecond, Window: 64, Condition: 10,
+			Tag: tags[next], Time: time.Duration(next) * time.Millisecond, Condition: 10,
 		})
 		next++
 	})
@@ -72,7 +72,7 @@ func BenchmarkObserveSolveMonitored(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	o := SolveObservation{Tag: "T1", Window: 64, Condition: 10}
+	o := SolveObservation{Tag: "T1", Condition: 10}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

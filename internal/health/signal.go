@@ -1,10 +1,6 @@
 package health
 
-import (
-	"time"
-
-	"github.com/rfid-lion/lion/internal/obs"
-)
+import "time"
 
 // Signal names one monitored quantity. Every rule compares its signal's
 // current value with a static threshold. The condition estimate is per tag,
@@ -19,9 +15,9 @@ const (
 	// SignalErrorRate is the EWMA fraction of window solves returning an
 	// error, across all tags.
 	SignalErrorRate Signal = "solve_error_rate"
-	// SignalDropRate is the EWMA fraction of stream samples dropped
-	// (overflow or age eviction) among all ingest events since the previous
-	// evaluation tick.
+	// SignalDropRate is the EWMA fraction of stream samples lost (evicted
+	// from their window before any solve saw them) among all ingest events
+	// since the previous evaluation tick.
 	SignalDropRate Signal = "drop_rate"
 	// SignalDrift is the calibration drift: |re-estimated − calibrated phase
 	// offset| expressed as a fraction of the wavelength (Δφ/4π, the
@@ -45,8 +41,6 @@ type SolveObservation struct {
 	Tag     string
 	Antenna string
 	Time    time.Duration
-	Window  int
-	Seq     uint64
 
 	// Condition is the solution's condition estimate.
 	Condition float64
@@ -54,10 +48,4 @@ type SolveObservation struct {
 	// Failed marks a solve that returned an error; Condition is not
 	// meaningful and only the error-rate signal is updated.
 	Failed bool
-	// Err is the failed solve's error text, recorded with the flight trace.
-	Err string
-
-	// Trace is the solve's tracer event log, recorded into the flight
-	// recorder when present.
-	Trace []obs.Event
 }

@@ -12,6 +12,11 @@
 // the solver flags) map one to one onto stream.Config. Negative values, and
 // a -lambda that is negative or not finite, fail at startup.
 //
+// Each tag has one answer: its newest estimate and that estimate's
+// Solution, which /v1/tags/{id}/explain reads, plus the spans of its sampled
+// solves. liond traces no window solve; a firing alert names the tag whose
+// solve confirmed it.
+//
 // Endpoints:
 //
 //	POST /v1/samples               NDJSON lines, {"samples":[...]} or binary wire frames
@@ -25,7 +30,6 @@
 //	GET  /healthz                  liveness (always 200 while the process runs)
 //	GET  /readyz                   readiness (503 while draining or a critical alert fires)
 //	GET  /metrics                  Prometheus exposition (obs registry)
-//	GET  /debug/flight/{id}        flight-recorder traces for one tag, NDJSON
 //	GET  /debug/pipespans          pipeline spans, NDJSON (?trace= filters)
 //	GET  /debug/pprof/...          net/http/pprof profiles
 package node

@@ -3,6 +3,7 @@ package node
 import (
 	"net/http"
 
+	"github.com/rfid-lion/lion/internal/core"
 	"github.com/rfid-lion/lion/internal/obs"
 )
 
@@ -18,9 +19,12 @@ type explainJSON struct {
 	// positions.
 	ApertureM float64 `json:"aperture_m"`
 	// The IRLS refinement of the window solve; absent when the solve failed.
-	Iterations    int      `json:"irls_iterations,omitempty"`
-	FinalResidual *float64 `json:"final_residual,omitempty"`
-	Condition     *float64 `json:"condition_estimate,omitempty"`
+	// WeightFloorHits counts the equations whose final weight fell below
+	// core.WeightFloor: the outliers the refinement discarded.
+	Iterations      int      `json:"irls_iterations,omitempty"`
+	FinalResidual   *float64 `json:"final_residual,omitempty"`
+	Condition       *float64 `json:"condition_estimate,omitempty"`
+	WeightFloorHits *int     `json:"weight_floor_hits,omitempty"`
 	// ProfileVersion solved the window; ActiveProfileVersion is the engine's
 	// calibration now (0 = none). They differ until the tag solves again
 	// after a swap.
@@ -57,6 +61,13 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		out.Iterations = sol.Iterations
 		out.FinalResidual = fnum(sol.FinalResidual)
 		out.Condition = fnum(sol.ConditionEstimate)
+		hits := 0
+		for _, w := range sol.Weights {
+			if w < core.WeightFloor {
+				hits++
+			}
+		}
+		out.WeightFloorHits = &hits
 	}
 	for _, d := range s.mon.Drifts() {
 		if d.Antenna == s.antenna {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/rfid-lion/lion/internal/core"
 	"github.com/rfid-lion/lion/internal/dataset"
 	"github.com/rfid-lion/lion/internal/geom"
 	"github.com/rfid-lion/lion/internal/rf"
@@ -107,5 +108,37 @@ func TestExplainSpans(t *testing.T) {
 	}
 	if spans := getExplain(t, h, "T2").Spans; len(spans) != 0 {
 		t.Errorf("untraced tag explain carries spans %+v", spans)
+	}
+}
+
+// TestExplainWeightFloorHits: a window with phase glitches solves with some
+// equations weighted below core.WeightFloor, and explain reports exactly
+// that count from the estimate's Solution.
+func TestExplainWeightFloorHits(t *testing.T) {
+	s, h := newHealthServer(t, "-smooth", "0")
+	trace := smokeTrace(t)
+	for i := 50; i < len(trace); i += 200 {
+		trace[i].Phase = rf.WrapPhase(trace[i].Phase + 2.5)
+	}
+	postSamples(t, h, "T1", trace)
+	if err := s.eng.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	est, ok := s.eng.Latest("T1")
+	if !ok || est.Solution == nil {
+		t.Fatalf("no solved estimate for T1: %+v", est)
+	}
+	want := 0
+	for _, w := range est.Solution.Weights {
+		if w < core.WeightFloor {
+			want++
+		}
+	}
+	if want == 0 {
+		t.Fatal("the glitched window weighted no equation below the floor")
+	}
+	ex := getExplain(t, h, "T1")
+	if ex.WeightFloorHits == nil || *ex.WeightFloorHits != want {
+		t.Errorf("weight_floor_hits = %v, want %d", ex.WeightFloorHits, want)
 	}
 }

@@ -61,9 +61,7 @@ func parseFlags(args []string) (*config, error) {
 		smooth  = fs.Int("smooth", 9, "phase smoothing window (odd, 0 = off)")
 		workers = fs.Int("workers", 0, "solve pool size (0 = GOMAXPROCS)")
 		drain   = fs.Duration("drain", 10*time.Second, "shutdown drain timeout")
-		monitor = fs.Bool("monitor", true,
-			"run the solve-health monitor (alerts, /v1/alerts) and trace every window solve "+
-				"into its flight recorder (/debug/flight)")
+		monitor = fs.Bool("monitor", true, "run the solve-health monitor (alerts, /v1/alerts)")
 		antenna = fs.String("antenna", "A1",
 			"antenna id this daemon ingests for (alert scope and drift gauge label)")
 		calCenter = fs.String("cal-center", "",

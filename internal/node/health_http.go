@@ -1,4 +1,4 @@
-// Health and alerting endpoints: /v1/alerts, /readyz, /debug/flight/{id}.
+// Health and alerting endpoints: /v1/alerts and /readyz.
 // The liveness/readiness split follows the usual orchestration contract —
 // /healthz answers 200 for as long as the process can serve HTTP at all,
 // while /readyz reports whether this instance should receive traffic: it
@@ -7,7 +7,6 @@
 package node
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -30,7 +29,8 @@ type alertJSON struct {
 	FiredS    float64 `json:"fired_s,omitempty"`
 	ResolvedS float64 `json:"resolved_s,omitempty"`
 	UpdatedS  float64 `json:"updated_s"`
-	Evidence  int     `json:"evidence_traces,omitempty"`
+	// Tag is the tag whose solve confirmed the alert as it fired.
+	Tag string `json:"tag,omitempty"`
 }
 
 // driftJSON is the wire form of one antenna's drift status.
@@ -58,7 +58,7 @@ func toAlertJSON(a health.Alert) alertJSON {
 		FiredS:    a.FiredAt.Seconds(),
 		ResolvedS: a.ResolvedAt.Seconds(),
 		UpdatedS:  a.UpdatedAt.Seconds(),
-		Evidence:  len(a.Evidence),
+		Tag:       a.Tag,
 	}
 }
 
@@ -137,32 +137,4 @@ func (s *server) handleReady(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 	}
 	obs.WriteJSON(w, status, doc)
-}
-
-// handleFlight serves the tag's flight-recorder traces as NDJSON: one JSON
-// object per retained solve, oldest first, each carrying its full event
-// list in the frozen obs.Tracer schema.
-func (s *server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	if s.mon == nil {
-		obs.WriteError(w, http.StatusNotFound, fmt.Errorf("monitoring disabled (liond runs with -monitor=false)"))
-		return
-	}
-	tag := r.PathValue("id")
-	records := s.mon.Flight(tag)
-	if len(records) == 0 {
-		obs.WriteError(w, http.StatusNotFound, fmt.Errorf("no flight records for tag %q", tag))
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	for _, rec := range records {
-		enc.Encode(map[string]any{
-			"tag":    rec.Tag,
-			"seq":    rec.Seq,
-			"t_s":    rec.Time.Seconds(),
-			"window": rec.Window,
-			"error":  rec.Err,
-			"events": rec.Events,
-		})
-	}
 }

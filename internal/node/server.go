@@ -197,7 +197,6 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	mux.Handle("GET /metrics", s.eng.Registry().Handler())
-	mux.HandleFunc("GET /debug/flight/{id}", s.handleFlight)
 	mux.Handle("GET /debug/pipespans", s.spans)
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)

@@ -7,8 +7,8 @@ import (
 )
 
 // TestTraceSchemaGolden freezes the NDJSON wire schema of solve-trace
-// events: the exact field names, types, and omit-empty behaviour that the
-// flight recorder and /debug/flight consumers rely on.
+// events: the exact field names, types, and omit-empty behaviour that
+// consumers of lionsim -trace output rely on.
 // Changing this output is a breaking change to the trace schema guarantee in
 // DESIGN.md §9 and must be made deliberately, updating both.
 func TestTraceSchemaGolden(t *testing.T) {
@@ -39,7 +39,7 @@ func TestTraceSchemaGolden(t *testing.T) {
 	}
 
 	// The reverse direction must hold too: the golden lines decode back into
-	// identical events, so recorded flights replay losslessly.
+	// identical events, so recorded traces replay losslessly.
 	dec := json.NewDecoder(&buf)
 	buf.WriteString(golden)
 	for i := range events {

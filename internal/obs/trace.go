@@ -65,20 +65,6 @@ func NewTracer() *Tracer {
 	return &Tracer{start: time.Now()}
 }
 
-// Reset empties the tracer for reuse: it keeps the event storage, and
-// timestamps restart from this call. Slices Events returned earlier are
-// copies and stay as they were. The caller must ensure no emit runs
-// concurrently with Reset.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.start = time.Now()
-	t.events = t.events[:0]
-	t.mu.Unlock()
-}
-
 // Enabled reports whether events are being recorded.
 func (t *Tracer) Enabled() bool { return t != nil }
 

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"testing"
-	"time"
 )
 
 // TestTracingZeroOverheadWhenNil is the disabled-path contract: every tracer
@@ -101,43 +100,6 @@ func TestTracerRecordsOrderedEvents(t *testing.T) {
 	if tr.Events()[0].Kind != KindSpanStart {
 		t.Error("Events() aliases internal storage")
 	}
-}
-
-// TestTracerResetReusesStorage pins what a pooled tracer relies on: Reset
-// empties the tracer, keeps its event storage and restarts its clock, and a
-// slice Events returned before the Reset keeps its own events.
-func TestTracerResetReusesStorage(t *testing.T) {
-	tr := &Tracer{start: time.Now().Add(-time.Hour)}
-	tr.IRLSIter("first", 1, 0.5, 0, 2)
-	tr.Note("first", "kept")
-	before := tr.Events()
-	if before[0].TMicros < time.Hour.Microseconds() {
-		t.Fatalf("event before Reset at %d µs, want ≥ 1 h", before[0].TMicros)
-	}
-	storage := cap(tr.events)
-
-	tr.Reset()
-	if tr.Len() != 0 || len(tr.Events()) != 0 {
-		t.Fatalf("Reset left %d events", tr.Len())
-	}
-	if cap(tr.events) != storage {
-		t.Errorf("Reset dropped the event storage: cap %d, was %d", cap(tr.events), storage)
-	}
-	tr.IRLSIter("second", 7, 0.25, 1, 3)
-	after := tr.Events()
-	if len(after) != 1 || after[0].Span != "second" || after[0].Iter != 7 {
-		t.Fatalf("events after Reset = %+v, want only the new irls_iter", after)
-	}
-	if after[0].TMicros >= time.Hour.Microseconds() {
-		t.Errorf("event after Reset at %d µs: the clock did not restart", after[0].TMicros)
-	}
-	if len(before) != 2 || before[0].Span != "first" || before[0].Iter != 1 ||
-		before[1].Kind != KindNote || before[1].Detail != "kept" {
-		t.Errorf("a slice returned before Reset changed: %+v", before)
-	}
-
-	var nilTr *Tracer
-	nilTr.Reset() // nil-safe like every other method
 }
 
 func TestTracerNDJSONRoundTrip(t *testing.T) {

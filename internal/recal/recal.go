@@ -240,10 +240,7 @@ func (c *Controller) OnTransition(a health.Alert) {
 	}
 	switch a.State {
 	case health.StateFiring:
-		req := request{reason: "alert:" + a.Rule, drift: a.Value}
-		if n := len(a.Evidence); n > 0 {
-			req.tag = a.Evidence[n-1].Tag
-		}
+		req := request{reason: "alert:" + a.Rule, drift: a.Value, tag: a.Tag}
 		select {
 		case c.trigCh <- req:
 		default: // a run is already queued; it will see the same evidence

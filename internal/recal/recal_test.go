@@ -88,10 +88,16 @@ func newLoopRig(t *testing.T, antenna geom.Vec3, lambda, calOffset float64, rule
 // distinct evaluation times.
 func (r *loopRig) feed(t *testing.T, samples []stream.Sample) {
 	t.Helper()
+	r.feedTag(t, "T1", samples)
+}
+
+// feedTag is feed for a tag other than T1.
+func (r *loopRig) feedTag(t *testing.T, tag string, samples []stream.Sample) {
+	t.Helper()
 	for i := 0; i < len(samples); i += 40 {
 		end := min(i+40, len(samples))
 		for _, s := range samples[i:end] {
-			if err := r.eng.Ingest("T1", s); err != nil {
+			if err := r.eng.Ingest(tag, s); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -237,6 +243,37 @@ func TestClosedLoopEndToEnd(t *testing.T) {
 	}
 	if rig.ctrl.OnProbation() {
 		t.Error("probation not cleared by the alert resolving")
+	}
+}
+
+// TestRecalSolvesOnAlertTag: the re-solve reads the live window of the tag
+// the firing drift alert names. A0 holds an equally full window of samples
+// from before the offset stepped, and sorts first, so the longest-window
+// fallback would pick it and re-solve the stale calibration.
+func TestRecalSolvesOnAlertTag(t *testing.T) {
+	antenna := geom.V3(0.05, 0.8, 0)
+	lambda := rf.DefaultBand().Wavelength()
+	const calOffset = 1.2
+	rig := newLoopRig(t, antenna, lambda, calOffset, []health.Rule{{
+		Name: "calibration_drift", Signal: health.SignalDrift,
+		Threshold: 0.02, HoldDown: 1500 * time.Millisecond, Severity: health.SevCritical,
+	}}, Config{MinSamples: 64})
+
+	rig.feedTag(t, "A0", recalTrace(antenna, lambda, calOffset, 0, 200, nil))
+	rig.feed(t, recalTrace(antenna, lambda, calOffset+0.05*4*math.Pi, 200, 400, nil))
+
+	swapped := rig.waitOutcome(t, OutcomeSwapped)
+	var fired *health.Alert
+	for _, a := range rig.mon.Alerts() {
+		if a.Rule == "calibration_drift" && a.State != health.StatePending {
+			fired = &a
+		}
+	}
+	if fired == nil || fired.Tag != "T1" {
+		t.Fatalf("drift alert = %+v, want one fired by T1", fired)
+	}
+	if swapped.Tag != fired.Tag {
+		t.Errorf("re-solved on %s's window, want the alert's tag %s", swapped.Tag, fired.Tag)
 	}
 }
 

@@ -5,7 +5,7 @@ import "slices"
 // Ring is a fixed-capacity window over the most recent elements of a
 // stream: Push appends at the newest end and, once the ring is full, evicts
 // the oldest element. Every bounded recent window in the pipeline —
-// drift windows, the flight recorder, span logs, session sample windows — is
+// drift windows, resolved alerts, span logs, session sample windows — is
 // one Ring, so the index arithmetic lives only here.
 //
 // Build rings with NewRing; the zero value has no capacity and must not be

@@ -3,8 +3,6 @@ package stream
 import (
 	"context"
 	"math"
-	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -38,8 +36,8 @@ func driftTrace(antenna geom.Vec3, lambda, offset float64, n int, start time.Dur
 // the uncalibrated-drift failure mode the paper's calibration exists to
 // prevent — and walks the full loop: monitor sees every ingest, the drift
 // rule goes pending then firing within the hold-down, the alert names the
-// offending antenna with the drift estimate, the flight recorder holds the
-// confirming traces, and correcting the offset resolves the alert.
+// offending antenna with the drift estimate and the tag whose solve confirmed
+// it, and correcting the offset resolves the alert.
 func TestDriftAlertEndToEnd(t *testing.T) {
 	antenna := geom.V3(0.1, 0.8, 0)
 	lambda := rf.DefaultBand().Wavelength()
@@ -122,19 +120,8 @@ func TestDriftAlertEndToEnd(t *testing.T) {
 	if !mon.CriticalFiring() {
 		t.Error("CriticalFiring false while drift alert fires")
 	}
-	// Evidence: the flight recorder snapshot at fire time holds the solve
-	// traces that confirmed the alert.
-	if len(firing.Evidence) == 0 {
-		t.Fatal("firing alert carries no flight-recorder evidence")
-	}
-	for _, rec := range firing.Evidence {
-		if rec.Tag != "T1" || len(rec.Events) == 0 {
-			t.Fatalf("evidence record without trace events: %+v", rec)
-		}
-	}
-	// The live recorder agrees.
-	if got := mon.Flight("T1"); len(got) == 0 {
-		t.Error("flight recorder empty after traced solves")
+	if firing.Tag != "T1" {
+		t.Errorf("alert tag = %q, want T1, whose solve confirmed it", firing.Tag)
 	}
 	// Drift status names the antenna with the re-estimated offset.
 	drifts := mon.Drifts()
@@ -170,163 +157,83 @@ func findHealthAlert(alerts []health.Alert, state health.State) *health.Alert {
 	return nil
 }
 
-// TestFlightRecordsSurviveTracerReuse solves one tag, then keeps the
-// engine's single pooled snapshot (one worker, a Flush per sample) busy with
-// another tag's solves. The snapshot's tracer is reset for every solve, so a
-// flight record that aliased its storage would be overwritten; each of the
-// first tag's records must keep its own iteration events.
-func TestFlightRecordsSurviveTracerReuse(t *testing.T) {
-	trace, lambda := testTrace(t, 11)
-	mon, err := health.New(health.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(Config{
-		WindowSize: 256, MinSamples: 128, SolveEvery: 1, Smooth: 9, Workers: 1,
-		Solver:  Line2DSolver(lambda, []float64{0.1}, true, core.DefaultSolveOptions()),
-		Monitor: mon,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close(context.Background())
-	ctx := context.Background()
-	feed := func(tag string, from, to int) {
-		t.Helper()
-		for _, s := range trace[from:to] {
-			if err := e.Ingest(tag, FromSim(s)); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Flush(ctx); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	feed("T1", 0, 130) // three solves, at 128, 129 and 130 samples
-	first := mon.Flight("T1")
-	if len(first) != 3 {
-		t.Fatalf("T1 has %d flight records, want 3", len(first))
-	}
-	saved := make([][]lionobs.Event, len(first))
-	for i, r := range first {
-		if len(r.Events) == 0 || r.Events[0].Kind != lionobs.KindSpanStart || r.Events[0].Span != "window_solve" {
-			t.Fatalf("T1 record %d does not open with its window_solve span: %+v", i, r.Events)
-		}
-		iters := 0
-		for _, ev := range r.Events {
-			if ev.Kind == lionobs.KindIRLSIter {
-				iters++
-				if ev.Iter != iters {
-					t.Fatalf("T1 record %d: irls_iter %d where %d was due", i, ev.Iter, iters)
-				}
-			}
-		}
-		if iters == 0 {
-			t.Fatalf("T1 record %d has no irls_iter events", i)
-		}
-		saved[i] = slices.Clone(r.Events)
-	}
-
-	feed("T2", 300, 450) // 23 solves of another tag on the same snapshot
-	e.mu.Lock()
-	pooled := len(e.snapFree)
-	e.mu.Unlock()
-	if pooled != 1 {
-		t.Fatalf("%d pooled snapshots, want the one every solve reused", pooled)
-	}
-	if m := e.Metrics(); m.Solves != 3+23 || m.SolveErrors != 0 {
-		t.Fatalf("%d solves (%d failed), want 26 clean ones", m.Solves, m.SolveErrors)
-	}
-	for i, r := range mon.Flight("T1") {
-		if !reflect.DeepEqual(r.Events, saved[i]) {
-			t.Errorf("T1 record %d (seq %d) changed after later solves reused its snapshot:\ngot  %+v\nwant %+v",
-				i, r.Seq, r.Events, saved[i])
-		}
-	}
-}
-
-// TestMonitorDropAccounting checks that real sample losses — age evictions,
-// the only ones the engine has — reach the monitor's drop-rate signal.
-// Routine full-window rotation must NOT: in steady state a full window
-// rotates on every sample, and flagging that as loss would fire the drop
+// TestMonitorDropAccounting checks that real sample losses — evicted
+// samples no dispatched solve saw, by age or by a full window sliding —
+// reach the monitor's drop-rate signal, and that routine rotation does not:
+// a span aging out samples that solves already covered, or a full window
+// sliding on every sample. Flagging rotation as loss would fire the drop
 // rule on every healthy long-running stream.
 func TestMonitorDropAccounting(t *testing.T) {
-	mon, err := health.New(health.Config{
-		Rules: []health.Rule{{
-			Name: "stream_drops", Signal: health.SignalDropRate,
-			Threshold: 0.25, HoldDown: 0, Severity: health.SevWarning,
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	solver := func(win []core.PosPhase, _ *lionobs.Tracer) (*core.Solution, error) {
 		return &core.Solution{Position: geom.V3(0, 0, 0)}, nil
 	}
-	e, err := New(Config{
-		WindowSize: 64, WindowSpan: 5 * time.Millisecond,
-		MinSamples: 1, SolveEvery: 1, Workers: 1,
-		Solver: solver, Monitor: mon, Antenna: "A1",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Samples 10 ms apart against a 5 ms span: every ingest age-evicts its
-	// predecessor, a sustained ~50% loss rate.
-	for i := range 64 {
-		s := Sample{Time: time.Duration(i) * 10 * time.Millisecond, Pos: geom.V3(float64(i), 0, 0), Phase: 1}
-		if err := e.Ingest("T1", s); err != nil {
+	// run feeds 64 samples of one tag, every 10 ms, and returns the alerts
+	// of a zero-hold-down drop rule. It flushes only after each solveEvery-th
+	// sample, whose cadence dispatch has just run, so Flush waits for that
+	// solve and dispatches nothing the cadence would not.
+	run := func(cfg Config) []health.Alert {
+		t.Helper()
+		mon, err := health.New(health.Config{
+			Rules: []health.Rule{{
+				Name: "stream_drops", Signal: health.SignalDropRate,
+				Threshold: 0.25, HoldDown: 0, Severity: health.SevWarning,
+			}},
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Flush(context.Background()); err != nil {
+		cfg.Solver, cfg.Monitor, cfg.Antenna, cfg.Workers = solver, mon, "A1", 1
+		e, err := New(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if a := findHealthAlert(mon.Alerts(), health.StateFiring); a == nil {
-		t.Fatalf("drop-rate alert not firing at ~50%% drops: %+v", mon.Alerts())
-	}
-	if err := e.Close(context.Background()); err != nil {
-		t.Fatal(err)
+		for i := range 64 {
+			s := Sample{Time: time.Duration(i) * 10 * time.Millisecond, Pos: geom.V3(float64(i), 0, 0), Phase: 1}
+			if err := e.Ingest("T1", s); err != nil {
+				t.Fatal(err)
+			}
+			if (i+1)%cfg.solveEvery() == 0 {
+				if err := e.Flush(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := e.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return mon.Alerts()
 	}
 
-	// The contrast case: a full window sliding on every sample is healthy
-	// and must leave the drop signal at zero.
-	mon2, err := health.New(health.Config{
-		Rules: []health.Rule{{
-			Name: "stream_drops", Signal: health.SignalDropRate,
-			Threshold: 0.25, HoldDown: 0, Severity: health.SevWarning,
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
+	// A 5 ms span against 10 ms spacing keeps one sample per window, and a
+	// solve every 4 samples sees only the newest: 3 of every 4 samples age
+	// out unseen, a sustained ~43% loss rate.
+	lossy := run(Config{WindowSize: 64, WindowSpan: 5 * time.Millisecond, MinSamples: 1, SolveEvery: 4})
+	if a := findHealthAlert(lossy, health.StateFiring); a == nil {
+		t.Fatalf("drop-rate alert not firing at ~43%% loss: %+v", lossy)
 	}
-	e2, err := New(Config{
-		WindowSize: 4, MinSamples: 1, SolveEvery: 1, Workers: 1,
-		Solver: solver, Monitor: mon2, Antenna: "A1",
-	})
-	if err != nil {
-		t.Fatal(err)
+	// A full 4-sample window solved every 8 samples slides 4 unseen
+	// samples out per solve: a ~33% loss rate.
+	slid := run(Config{WindowSize: 4, MinSamples: 1, SolveEvery: 8})
+	if a := findHealthAlert(slid, health.StateFiring); a == nil {
+		t.Fatalf("drop-rate alert not firing at ~33%% overflow loss: %+v", slid)
 	}
-	for i := range 64 {
-		s := Sample{Time: time.Duration(i) * time.Millisecond, Pos: geom.V3(float64(i), 0, 0), Phase: 1}
-		if err := e2.Ingest("T1", s); err != nil {
-			t.Fatal(err)
-		}
+
+	// The same span with a solve on every sample: each sample ages out
+	// after the solve that saw it.
+	if got := run(Config{WindowSize: 64, WindowSpan: 5 * time.Millisecond, MinSamples: 1, SolveEvery: 1}); len(got) != 0 {
+		t.Fatalf("span rotation of solved samples raised drop alerts: %+v", got)
 	}
-	if err := e2.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := mon2.Alerts(); len(got) != 0 {
+	// A full window sliding on every sample.
+	if got := run(Config{WindowSize: 4, MinSamples: 1, SolveEvery: 1}); len(got) != 0 {
 		t.Fatalf("full-window rotation raised drop alerts: %+v", got)
 	}
 }
 
 // TestStressMonitorConcurrent feeds concurrent window solves through a fully
 // armed monitor while pollers hammer the read APIs the liond endpoints use
-// (/v1/alerts and explain → Alerts/Drifts, /metrics → WritePrometheus,
-// /debug/flight → Flight). Run under -race this exercises the
-// engine-mutex → monitor-mutex lock ordering from every side.
+// (/v1/alerts and explain → Alerts/Drifts, /metrics → WritePrometheus).
+// Run under -race this exercises the engine-mutex → monitor-mutex lock
+// ordering from every side.
 func TestStressMonitorConcurrent(t *testing.T) {
 	antenna := geom.V3(0.1, 0.8, 0)
 	lambda := rf.DefaultBand().Wavelength()
@@ -361,7 +268,6 @@ func TestStressMonitorConcurrent(t *testing.T) {
 				mon.Alerts()
 				mon.Drifts()
 				mon.CriticalFiring()
-				mon.Flight("A")
 				var sb strings.Builder
 				reg.WritePrometheus(&sb)
 			}
@@ -400,9 +306,11 @@ func TestStressMonitorConcurrent(t *testing.T) {
 	if !strings.Contains(sb.String(), "lion_health_solves_observed_total") {
 		t.Error("health metrics missing from shared registry")
 	}
-	for i := range publishers {
-		if tag := string(rune('A' + i)); len(mon.Flight(tag)) == 0 {
-			t.Errorf("flight recorder holds no record of tag %s after traced load", tag)
-		}
+	evals, ok := reg.FindHistogram("lion_health_eval_seconds")
+	if !ok {
+		t.Fatal("lion_health_eval_seconds missing from shared registry")
+	}
+	if got, want := evals.Count(), e.Metrics().Solves; got != want {
+		t.Errorf("the monitor evaluated %d solves of %d", got, want)
 	}
 }

@@ -311,7 +311,7 @@ func TestIncrementalEngineConcurrentSessions(t *testing.T) {
 	var smu sync.Mutex
 	cfg := incrConfig(t, lambda, &solvers, &smu)
 	cfg.Workers = 4
-	// A flight-recording monitor exercises the tracer path under race too.
+	// A monitor exercises the health hook under race too.
 	mon, err := health.New(health.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -338,7 +338,7 @@ func TestIncrementalEngineConcurrentSessions(t *testing.T) {
 				e.Metrics()
 				for _, tag := range e.Tags() {
 					e.Latest(tag)
-					mon.Flight(tag)
+					mon.Alerts()
 				}
 				time.Sleep(time.Millisecond)
 			}

@@ -62,79 +62,51 @@ func TestEngineExportsRegistryMetrics(t *testing.T) {
 	}
 }
 
-// TestEngineTracesToFlightRecorder checks that an engine with a monitor
-// traces its window solves into the flight recorder — once Flush returns,
-// the tag's newest record is the latest estimate's solve and carries solver
-// iteration events — and that an engine without a monitor hands its solver a
-// nil tracer.
-func TestEngineTracesToFlightRecorder(t *testing.T) {
+// TestEngineSolvesUntraced checks that the engine hands every window solve a
+// nil tracer, with a monitor and without: a tag's Solution is its only
+// per-solve record, and the monitor still observes every solve.
+func TestEngineSolvesUntraced(t *testing.T) {
 	trace, lambda := testTrace(t, 56)
 	ctx := context.Background()
-	mon, err := health.New(health.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := lineConfig(lambda)
-	cfg.Monitor = mon
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close(ctx)
-	for _, s := range toStream(trace[:160]) {
-		if err := e.Ingest("T1", s); err != nil {
+	for _, monitored := range []bool{false, true} {
+		cfg := lineConfig(lambda)
+		inner := cfg.Solver
+		var solves, traced atomic.Int64
+		cfg.Solver = func(win []core.PosPhase, tr *lionobs.Tracer) (*core.Solution, error) {
+			solves.Add(1)
+			if tr != nil {
+				traced.Add(1)
+			}
+			return inner(win, tr)
+		}
+		if monitored {
+			mon, err := health.New(health.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Monitor = mon
+		}
+		e, err := New(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := e.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	records := mon.Flight("T1")
-	if len(records) == 0 {
-		t.Fatal("flight recorder holds no trace for T1")
-	}
-	newest := records[len(records)-1]
-	if est, ok := e.Latest("T1"); !ok || newest.Seq != est.Seq {
-		t.Errorf("newest flight record seq %d, latest estimate %+v", newest.Seq, est)
-	}
-	var iters int
-	for _, ev := range newest.Events {
-		if ev.Kind == lionobs.KindIRLSIter {
-			iters++
+		for _, s := range toStream(trace[:160]) {
+			if err := e.Ingest("T1", s); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if iters == 0 {
-		t.Errorf("trace has no irls_iter events: %d events total", len(newest.Events))
-	}
-	if mon.Flight("T2") != nil {
-		t.Error("unknown tag reported a trace")
-	}
-
-	// No monitor: every solve sees a nil tracer.
-	cfg = lineConfig(lambda)
-	inner := cfg.Solver
-	var solves, traced atomic.Int64
-	cfg.Solver = func(win []core.PosPhase, tr *lionobs.Tracer) (*core.Solution, error) {
-		solves.Add(1)
-		if tr != nil {
-			traced.Add(1)
-		}
-		return inner(win, tr)
-	}
-	e2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range toStream(trace[:160]) {
-		if err := e2.Ingest("T1", s); err != nil {
+		if err := e.Close(ctx); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := e2.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if solves.Load() == 0 || traced.Load() != 0 {
-		t.Errorf("monitor-free engine traced %d of %d solves, want 0", traced.Load(), solves.Load())
+		if solves.Load() == 0 || traced.Load() != 0 {
+			t.Errorf("monitored=%v: engine traced %d of %d solves, want 0", monitored, traced.Load(), solves.Load())
+		}
+		if monitored {
+			evals, ok := cfg.Monitor.Registry().FindHistogram("lion_health_eval_seconds")
+			if !ok || evals.Count() != uint64(solves.Load()) {
+				t.Errorf("the monitor observed %v of %d solves", evals, solves.Load())
+			}
+		}
 	}
 }
 

@@ -49,9 +49,9 @@ func FromSim(s sim.Sample) Sample {
 // Solvers must be pure functions of their input: the streamed-equals-offline
 // guarantee relies on it. The window is engine storage, valid only for the
 // call; a solver must not retain it, and the Solution it returns must not
-// alias it. The tracer is nil unless the engine has a Monitor (whose flight
-// recorder keeps the trace) or an offline caller passes one; solvers forward
-// it into core.SolveOptions so per-iteration solver events reach the trace.
+// alias it. The engine passes a nil tracer; an offline caller may pass one,
+// and solvers forward it into core.SolveOptions so per-iteration solver
+// events reach the trace.
 type Solver func(win []core.PosPhase, tr *obs.Tracer) (*core.Solution, error)
 
 // SessionSolver is the stateful per-tag counterpart of Solver: it receives
@@ -106,11 +106,8 @@ type Config struct {
 	// private registry, still reachable through Engine.Registry().
 	Registry *obs.Registry
 	// Monitor, when non-nil, receives a health hook on every accepted
-	// sample, every drop, and every completed window solve, and every
-	// window solve is traced on its pooled snapshot's obs.Tracer, whose
-	// events the monitor's flight recorder gets a copy of. Nil keeps the
-	// solve path monitor-free at zero cost: one nil check, and solvers see
-	// a nil tracer.
+	// sample, every lost sample, and every completed window solve. Nil keeps
+	// the solve path monitor-free at zero cost: one nil check.
 	Monitor *health.Monitor
 	// Antenna labels this engine's samples for the monitor's per-antenna
 	// drift detector. Single-reader deployments run one engine per antenna;
@@ -260,8 +257,7 @@ type session struct {
 
 // snapshot is one frozen window awaiting a solve. Snapshots are pooled on the
 // engine free list: the sample buffer, the preprocessing buffers, the
-// solve/done closures, the tracer and the solved carrier are built once per
-// object and reused across dispatches, so a steady-state dispatch performs
+// solve/done closures and the solved carrier are built once per object and reused across dispatches, so a steady-state dispatch performs
 // no heap allocations.
 type snapshot struct {
 	e       *Engine
@@ -269,7 +265,6 @@ type snapshot struct {
 	tag     string
 	samples []Sample
 	buf     windowBuffers // preprocessing storage for Config.Solver solves
-	tr      *obs.Tracer   // solve tracer, reset per solve; nil without a Monitor
 	sv      solved
 	run     func() (any, error)
 	done    func(batch.Outcome)
@@ -295,7 +290,6 @@ type solved struct {
 	err     error
 	start   time.Time // solve start wall clock (queue-wait end)
 	latency time.Duration
-	trace   []obs.Event
 }
 
 // New validates the configuration and starts the solve pool.
@@ -510,19 +504,25 @@ func (e *Engine) ingestLocked(tag string, s Sample, tc obs.TraceContext, origin,
 		}
 		e.sessions[tag] = sess
 	}
+	// Health drop accounting counts real losses only: an evicted sample that
+	// no dispatched solve saw. The since newest samples are the undispatched
+	// ones, so the oldest was never seen when the window holds no more.
+	// Routine rotation (a full window sliding, or a span aging out samples
+	// that solves already covered) is counted by the stream metrics alone.
 	if span := e.cfg.WindowSpan; span > 0 {
 		for sess.win.Len() > 0 && s.Time-sess.win.At(0).Time > span {
+			if sess.win.Len() <= sess.since {
+				e.cfg.Monitor.ObserveDrop(s.Time)
+			}
 			sess.win.PopOldest()
 			e.droppedAge.Inc()
-			e.cfg.Monitor.ObserveDrop(s.Time)
 		}
 	}
 	if sess.win.Len() == sess.win.Cap() {
-		// The Push below evicts the oldest sample. That rotation is not
-		// reported to the monitor: in steady state every full window rotates
-		// on each sample, and the evicted sample has already contributed to
-		// solves. Health drop accounting covers real losses only — age
-		// evictions.
+		// The Push below evicts the oldest sample.
+		if sess.win.Len() <= sess.since {
+			e.cfg.Monitor.ObserveDrop(s.Time)
+		}
 		e.droppedOverflow.Inc()
 	}
 	sess.win.Push(s)
@@ -665,9 +665,6 @@ func (e *Engine) getSnapLocked(sess *session) *snapshot {
 		snap = &snapshot{e: e}
 		snap.run = snap.solve
 		snap.done = func(o batch.Outcome) { snap.e.complete(snap, o) }
-		if e.cfg.Monitor != nil {
-			snap.tr = obs.NewTracer()
-		}
 	}
 	snap.sess = sess
 	snap.tag = sess.tag
@@ -725,25 +722,19 @@ func (e *Engine) submitLocked(sess *session, snap *snapshot) {
 
 // solve runs the window solve in a pool worker. It writes into the
 // snapshot-owned solved carrier and returns its address, so a steady-state
-// solve boxes no new values; a monitored solve traces into the
-// snapshot-owned tracer and hands the flight recorder an exact-size copy
-// of its events.
+// solve boxes no new values.
 func (snap *snapshot) solve() (any, error) {
 	e := snap.e
-	tr := snap.tr
-	tr.Reset()
 	snap.applyProfile()
 	begin := time.Now()
-	mark := tr.SpanAt("window_solve")
 	var sol *core.Solution
 	var serr error
 	if s := snap.sess.solver; s != nil {
-		sol, serr = s.SolveWindow(snap.samples, tr)
+		sol, serr = s.SolveWindow(snap.samples, nil)
 	} else {
-		sol, serr = snap.buf.solve(snap.samples, e.cfg.Smooth, e.cfg.Solver, tr)
+		sol, serr = snap.buf.solve(snap.samples, e.cfg.Smooth, e.cfg.Solver, nil)
 	}
-	mark.End()
-	snap.sv = solved{sol: sol, err: serr, start: begin, latency: time.Since(begin), trace: tr.Events()}
+	snap.sv = solved{sol: sol, err: serr, start: begin, latency: time.Since(begin)}
 	return &snap.sv, nil
 }
 
@@ -845,15 +836,10 @@ func (e *Engine) complete(snap *snapshot, o batch.Outcome) {
 			Tag:     est.Tag,
 			Antenna: e.cfg.Antenna,
 			Time:    est.To,
-			Window:  est.Window,
-			Seq:     est.Seq,
-			Trace:   sv.trace,
+			Failed:  sv.err != nil,
 		}
-		if sv.err != nil {
-			obsv.Failed = true
-			obsv.Err = sv.err.Error()
-		} else if sol := sv.sol; sol != nil {
-			obsv.Condition = sol.ConditionEstimate
+		if sv.err == nil && sv.sol != nil {
+			obsv.Condition = sv.sol.ConditionEstimate
 		}
 	}
 	e.putSnapLocked(snap) // everything needed from snap is copied into est
@@ -868,8 +854,8 @@ func (e *Engine) complete(snap *snapshot, o batch.Outcome) {
 	if m == nil {
 		return
 	}
-	// The health hook runs outside the engine mutex: a full rule pass (and
-	// a possible evidence snapshot) must never serialise against ingest.
+	// The health hook runs outside the engine mutex: a full rule pass must
+	// never serialise against ingest.
 	// Counting it keeps Flush and Close from returning before it has
 	// recorded this solve.
 	m.ObserveSolve(obsv)

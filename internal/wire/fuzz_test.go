@@ -4,13 +4,46 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/rfid-lion/lion/internal/dataset"
 )
 
+// decodeAllocFirstRead, decodeAllocPerByte and decodeAllocSlack bound what
+// DecodeIngestExt may allocate for an n-byte body:
+// decodeAllocFirstRead + decodeAllocPerByte·n + decodeAllocSlack.
+//
+// The first read is independent of n: whatever the header claims, the frame
+// buffer's first allocation holds at most the header and readStep (32 KiB)
+// of payload, which the allocator rounds up to its next size class, 40 KiB.
+// The rest is linear in n, per input byte on a 64-bit platform:
+//   - The frame buffer's later growth. Each read grows it to at most four
+//     times the bytes that arrived, so these allocations sum to at most
+//     4n·(1 + 1/4 + 1/16 + …) = 16n/3: 5.4 bytes.
+//   - Decoded samples. A TaggedSample is 80 bytes and takes at least
+//     minSampleBytes = 51 input bytes. The sample slice is sized to the
+//     validated count and grows by doubling, so its capacity stays within
+//     twice the samples the body can carry and its allocations, a doubling
+//     series, within twice that: 4·80/51 = 6.3 bytes.
+//   - The tag table. An entry takes at least 2 input bytes (length and one
+//     byte) and costs a 16-byte string header plus its copy; a 1-byte tag
+//     copies nothing, and a 2-byte one takes 3 input bytes and at most a
+//     16-byte block: (16+16)/3 = 10.7 bytes.
+//   - Trace extensions: 16 bytes per flagged frame of at least 21 bytes.
+//
+// These sum to under 24 bytes; 32 leaves room for size-class rounding.
+// The slack covers the reader and the error value of a failed decode.
+const (
+	decodeAllocFirstRead = 40 << 10
+	decodeAllocPerByte   = 32
+	decodeAllocSlack     = 4 << 10
+)
+
 // FuzzWireDecode asserts the decoder's safety contract on arbitrary bytes:
-// no panic, no over-allocation beyond what the input size justifies, and —
+// no panic, no over-allocation beyond what the input size justifies (the
+// streaming DecodeIngestExt within decodeAllocPerByte bytes per input byte
+// past its first read), and —
 // when a frame does decode — every sample upholds the ingest guarantees
 // (non-empty tag, finite floats, in-range timestamp) and re-encodes to a
 // byte-identical frame.
@@ -67,7 +100,13 @@ func FuzzWireDecode(f *testing.F) {
 		// applied frame after frame does, or returns exactly its samples and
 		// the first extension.
 		want, exts, werr := decodeFrames(b)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		got, gext, gerr := DecodeIngestExt(bytes.NewReader(b))
+		runtime.ReadMemStats(&after)
+		if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(decodeAllocFirstRead+decodeAllocPerByte*len(b)+decodeAllocSlack); alloc > bound {
+			t.Fatalf("DecodeIngestExt allocated %d bytes for a %d-byte body, bound %d", alloc, len(b), bound)
+		}
 		for _, sentinel := range []error{ErrBadMagic, ErrVersion, ErrTruncated, ErrTooLarge, ErrCorrupt, ErrSample} {
 			if errors.Is(gerr, sentinel) != errors.Is(werr, sentinel) {
 				t.Fatalf("DecodeIngestExt err %v, frame after frame %v", gerr, werr)

@@ -1,7 +1,9 @@
 // Command metriclint enforces the repo's metric contracts. Every metric
 // registered through the obs registry (Counter, CounterVec, Gauge, GaugeFunc,
 // GaugeVec, Histogram calls with a literal name) must match ^lion_[a-z_]+$
-// and appear in DESIGN.md's observability section; vec label names must be
+// and appear in DESIGN.md's observability section, and every metric that
+// section's inventory table lists must be registered somewhere, so a
+// deleted metric cannot leave a stale row behind; vec label names must be
 // valid Prometheus label identifiers; counters must end in _total and
 // histograms in _seconds or _bytes (the Prometheus unit conventions).
 // Label cardinality is also policed:
@@ -31,6 +33,9 @@ import (
 var (
 	nameRE  = regexp.MustCompile(`^lion_[a-z_]+$`)
 	labelRE = regexp.MustCompile(`^[a-z_][a-z0-9_]*$`)
+	// rowRE matches a metric inventory row: a table line whose first cell
+	// is a backticked lion_* name, optionally followed by {labels}.
+	rowRE = regexp.MustCompile("(?m)^\\| `(lion_[a-z_]+)")
 )
 
 // registerFuncs are the obs.Registry methods that take a metric name as
@@ -120,13 +125,37 @@ func lint(root string) (*report, error) {
 			}
 		}
 	}
+	for _, name := range inventory(string(design)) {
+		if _, ok := rep.metrics[name]; !ok {
+			rep.issues = append(rep.issues, fmt.Sprintf(
+				"DESIGN.md: metric %q is in the inventory table but registered nowhere", name))
+		}
+	}
 	sort.Strings(rep.issues)
 	return rep, nil
 }
 
+// inventory returns the metric names DESIGN.md's section 9 tabulates: the
+// rows between its "## 9." heading and the next top-level heading.
+func inventory(design string) []string {
+	start := strings.Index(design, "\n## 9.")
+	if start < 0 {
+		return nil
+	}
+	section := design[start+1:]
+	if end := strings.Index(section, "\n## "); end >= 0 {
+		section = section[:end]
+	}
+	var names []string
+	for _, m := range rowRE.FindAllStringSubmatch(section, -1) {
+		names = append(names, m[1])
+	}
+	return names
+}
+
 // collect walks the tree and gathers registrations plus in-file violations
-// (bad label names, unmarked dynamic .With values). The obs package itself
-// (registry internals, tests) and vendored trees are skipped.
+// (bad label names, unmarked dynamic .With values). Tests and vendored trees
+// are skipped.
 func collect(root string) (*report, error) {
 	rep := &report{metrics: make(map[string]string), kinds: make(map[string]string)}
 	fset := token.NewFileSet()
@@ -142,9 +171,6 @@ func collect(root string) (*report, error) {
 			return nil
 		}
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		if strings.Contains(filepath.ToSlash(path), "internal/obs/") {
 			return nil
 		}
 		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)

@@ -174,6 +174,36 @@ func setup(reg *Registry, k string) {
 	}
 }
 
+// TestLintStaleInventoryRow: a section 9 inventory row whose metric no code
+// registers is an issue; names outside the table, or in another section's
+// table, are not.
+func TestLintStaleInventoryRow(t *testing.T) {
+	root := write(t, map[string]string{
+		"DESIGN.md": "## 8. Before\n\n| `lion_elsewhere_total` | counter | not the inventory |\n\n" +
+			"## 9. Observability\n\nProse names `lion_prose_total`.\n\n" +
+			"| metric | type | meaning |\n|---|---|---|\n" +
+			"| `lion_jobs_total` | counter | jobs |\n" +
+			"| `lion_drops_total{reason}` | counter | drops |\n" +
+			"| `lion_deleted_total{reason}` | counter | a metric whose code is gone |\n\n" +
+			"## 10. After\n\n| `lion_later_total` | counter | not the inventory |\n",
+		"pkg/a.go": `package a
+
+func setup(reg *Registry) {
+	reg.Counter("lion_jobs_total", "Jobs.")
+	reg.CounterVec("lion_drops_total", "Drops.", "reason")
+}
+`,
+	})
+	rep, err := lint(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `DESIGN.md: metric "lion_deleted_total" is in the inventory table but registered nowhere`
+	if len(rep.issues) != 1 || rep.issues[0] != want {
+		t.Errorf("issues = %v, want only %q", rep.issues, want)
+	}
+}
+
 // TestLintRealTree runs the linter over the repository itself — the same
 // invocation `make check` performs — so the contract holds on every commit.
 func TestLintRealTree(t *testing.T) {
