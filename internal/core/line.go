@@ -21,9 +21,8 @@ import (
 type LineWorkspace struct {
 	prof  Profile   // line-frame observations (pu, 0, 0) and their Δd
 	pairs []Pair    // pairs of every interval, interval by interval
-	a     mat.Dense // radical-line rows [α, β, ω]
+	a     mat.Dense // line-frame radical-line rows [α, ω]
 	k     []float64 // right-hand sides κ
-	sys   System
 	solve SolveWorkspace
 	dsc   []float64 // median-recovery discriminants
 }
@@ -68,11 +67,7 @@ func Locate2DLineIntervalsInto(ws *LineWorkspace, obs []PosPhase, lambda float64
 	if err := ws.prof.reset(lambda, len(obs)/2); err != nil {
 		return err
 	}
-	ws.a.Reshape(len(ws.pairs), 3)
-	ws.k = growFloats(ws.k, len(ws.pairs))
-	ws.prof.fillSystem(&ws.a, ws.k, ws.pairs, 2)
-	ws.sys = System{A: &ws.a, K: ws.k, Dim: 2}
-	if err := SolveSystemInto(&ws.solve, &ws.sys, opts, sol); err != nil {
+	if err := ws.solveSystem(opts, sol); err != nil {
 		return err
 	}
 	if err := recoverLineMedian(sol, &ws.prof, positiveSide, &ws.dsc); err != nil {
@@ -84,6 +79,49 @@ func Locate2DLineIntervalsInto(ws *LineWorkspace, obs []PosPhase, lambda float64
 		Add(v.Scale(sol.Position.Y))
 	sol.Position = est.XYZ(origin.Z)
 	return nil
+}
+
+// solveSystem is SolveSystemInto on the [α, β, ω] system of ws.pairs, with
+// the same trace span, column check and solve, but without building β: it
+// writes the kept columns [α, ω] directly and enters past the column
+// detection. β is exactly zero, so y is unknown, and x is known only if α
+// does not vanish against the system's scale.
+func (ws *LineWorkspace) solveSystem(opts SolveOptions, sol *Solution) error {
+	defer opts.Trace.SpanAt(opts.traceSpan()).End()
+	ws.a.Reshape(len(ws.pairs), 2)
+	ws.k = growFloats(ws.k, len(ws.pairs))
+	alphaMax, scale := ws.prof.fillLineSystem(&ws.a, ws.k, ws.pairs)
+	if scale == 0 || !(alphaMax > 1e-9*scale) {
+		return ErrDegenerateGeometry
+	}
+	ws.solve.keep = append(ws.solve.keep[:0], 0, 2)
+	return ws.solve.solveKept(&ws.a, ws.k, 2, 1, [3]bool{true, false, false}, opts, sol)
+}
+
+// fillLineSystem writes the Eq. 7 row of each pair of line-frame
+// observations into a (len(pairs) × 2) and k. Every line-frame observation
+// has y = 0, so β is exactly zero and is not stored: a row is [α, ω], the
+// columns SolveSystemInto keeps of the [α, β, ω] row equation2D builds, and
+// κ drops the y terms, whose +0 − 0 leaves it bit for bit equation2D's. It
+// returns the largest |α| and the largest |α| or |ω|, the scale of
+// SolveSystemInto's column check.
+func (p *Profile) fillLineSystem(a *mat.Dense, k []float64, pairs []Pair) (alphaMax, scale float64) {
+	var omegaMax float64
+	for r, pr := range pairs {
+		xi, xj := p.Obs[pr.I].Pos.X, p.Obs[pr.J].Pos.X
+		di, dj := p.deltaD[pr.I], p.deltaD[pr.J]
+		alpha, omega := 2*(xi-xj), 2*(di-dj)
+		a.Set(r, 0, alpha)
+		a.Set(r, 1, omega)
+		k[r] = xi*xi - xj*xj - di*di + dj*dj
+		if v := math.Abs(alpha); v > alphaMax {
+			alphaMax = v
+		}
+		if v := math.Abs(omega); v > omegaMax {
+			omegaMax = v
+		}
+	}
+	return alphaMax, math.Max(alphaMax, omegaMax)
 }
 
 // checkIntervals validates a list of pairing separations.
@@ -200,7 +238,7 @@ func medianOffset(d []float64, refDist float64, positive bool) (float64, error) 
 	rank := 50.0 / 100 * float64(len(d)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
-	quickselectFloat(d, lo)
+	selectFloat(d, lo)
 	med := d[lo]
 	if lo != hi {
 		vhi := d[lo+1]
@@ -225,13 +263,21 @@ func medianOffset(d []float64, refDist float64, positive bool) (float64, error) 
 	return off, nil
 }
 
-// quickselectFloat rearranges xs in place so xs[k] holds the value a full
-// ascending sort would put there, with xs[:k] ≤ xs[k] ≤ xs[k+1:]. Hoare
-// partitioning with median-of-three pivots; O(len(xs)) expected, zero
-// allocations.
-func quickselectFloat(xs []float64, k int) {
+// selectTail is the length at which selectFloat stops partitioning and
+// insertion-sorts what is left.
+const selectTail = 16
+
+// selectFloat rearranges xs in place so xs[k] holds the value a full
+// ascending sort would put there, with xs[:k] ≤ xs[k] ≤ xs[k+1:]; O(len(xs))
+// expected, zero allocations. Each round takes the median of three as the
+// pivot and partitions Lomuto-style without a data-dependent branch: every
+// element swaps with the boundary slot and the boundary advances by the
+// comparison's outcome as an integer, which the compiler sets from the
+// flags instead of jumping on them. Selecting the median of noisy
+// discriminants, a Hoare partition mispredicts about half its branches.
+func selectFloat(xs []float64, k int) {
 	lo, hi := 0, len(xs)-1
-	for lo < hi {
+	for hi-lo >= selectTail {
 		mid := lo + (hi-lo)/2
 		if xs[mid] < xs[lo] {
 			xs[mid], xs[lo] = xs[lo], xs[mid]
@@ -242,29 +288,40 @@ func quickselectFloat(xs []float64, k int) {
 		if xs[hi] < xs[mid] {
 			xs[hi], xs[mid] = xs[mid], xs[hi]
 		}
-		pivot := xs[mid]
-		i, j := lo, hi
-		for i <= j {
-			for xs[i] < pivot {
-				i++
+		// xs[lo] ≤ pivot ≤ xs[hi]: park the pivot at hi−1 and partition
+		// xs[lo+1 : hi−1] around it.
+		xs[mid], xs[hi-1] = xs[hi-1], xs[mid]
+		pivot := xs[hi-1]
+		p := lo + 1
+		for i := lo + 1; i < hi-1; i++ {
+			v := xs[i]
+			xs[i] = xs[p]
+			xs[p] = v
+			less := 0
+			if v < pivot {
+				less = 1 // SETcc, not a jump
 			}
-			for xs[j] > pivot {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
+			p += less
 		}
+		// xs[lo:p] ≤ pivot ≤ xs[p:hi-1] and xs[hi] ≥ pivot, so the pivot
+		// swapped into p sits at its rank.
+		xs[p], xs[hi-1] = xs[hi-1], xs[p]
 		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
+		case k < p:
+			hi = p - 1
+		case k > p:
+			lo = p + 1
 		default:
-			return // xs[j+1 : i] all equal the pivot, k among them
+			return
 		}
+	}
+	for i := lo + 1; i <= hi; i++ {
+		v := xs[i]
+		j := i
+		for ; j > lo && v < xs[j-1]; j-- {
+			xs[j] = xs[j-1]
+		}
+		xs[j] = v
 	}
 }
 

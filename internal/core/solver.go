@@ -23,10 +23,14 @@ type SolveOptions struct {
 	// MaxIterations bounds the IRWLS refinement. Zero means the default of
 	// 10 iterations.
 	MaxIterations int
-	// Tolerance stops the refinement when the solution moves less than
-	// this distance (metres) between iterations. Zero means 1e-4 (0.1 mm,
-	// 1 % of the paper's ~1 cm accuracy); a smaller step buys iterations,
-	// not accuracy. Tests set it tiny to reach the converged fixed point.
+	// Tolerance stops the refinement when a weighted solve moves the
+	// iterate less than this distance (metres, largest coordinate). Zero
+	// means 1e-4 (0.1 mm, 1 % of the paper's ~1 cm accuracy); a smaller
+	// step buys iterations, not accuracy. The refinement is
+	// Anderson-accelerated, and from an extrapolated iterate the move must
+	// be under half the tolerance: such an iterate can sit closer to the
+	// next solve than to the fixed point. Tests set it tiny to reach the
+	// converged fixed point.
 	Tolerance float64
 	// Trace, when non-nil, records the solve: a span around the estimation
 	// plus one event per IRWLS iteration carrying the residual norm, the

@@ -23,6 +23,9 @@ type SolveWorkspace struct {
 	keep    []int
 	x       []float64 // current iterate (owned copy, survives ls scratch reuse)
 	weights []float64
+	// The previous weighted solve g and its step f = g − x, the history
+	// irlsRefine extrapolates from.
+	gPrev, fPrev []float64
 }
 
 func growFloats(s []float64, n int) []float64 {
@@ -90,8 +93,17 @@ func SolveSystemInto(ws *SolveWorkspace, sys *System, opts SolveOptions, sol *So
 		}
 		a = &ws.reduced
 	}
+	return ws.solveKept(a, sys.K, sys.Dim, numRefs, known, opts, sol)
+}
 
-	if rows < len(ws.keep) {
+// solveKept is SolveSystemInto past column detection: a holds the columns
+// ws.keep of a Dim-coordinate system with numRefs reference-distance
+// columns, known marks the coordinates among them, and k is the right-hand
+// side. Callers that build the kept columns directly, as the line solve
+// does, enter here and open the trace span themselves.
+func (ws *SolveWorkspace) solveKept(a *mat.Dense, k []float64, dim, numRefs int, known [3]bool,
+	opts SolveOptions, sol *Solution) error {
+	if a.Rows() < len(ws.keep) {
 		return ErrTooFewObservations
 	}
 
@@ -99,7 +111,7 @@ func SolveSystemInto(ws *SolveWorkspace, sys *System, opts SolveOptions, sol *So
 	// read off the initial solve's Cholesky factor — enough to flag
 	// near-degenerate geometry in both the Solution and every iteration's
 	// trace event.
-	x0, condEst, err := ws.ls.LeastSquaresCond(a, sys.K)
+	x0, condEst, err := ws.ls.LeastSquaresCond(a, k)
 	if err != nil {
 		return leastSquaresErr(err)
 	}
@@ -107,61 +119,81 @@ func SolveSystemInto(ws *SolveWorkspace, sys *System, opts SolveOptions, sol *So
 	// iterate in workspace-owned storage.
 	ws.x = append(ws.x[:0], x0...)
 
-	ws.weights = onesInto(ws.weights, rows)
-	iterations, err := irlsRefine(&ws.ls, a, sys.K, &ws.x, ws.weights, opts, condEst)
+	ws.weights = onesInto(ws.weights, a.Rows())
+	iterations, err := irlsRefine(ws, a, k, opts, condEst)
 	if err != nil {
 		return err
 	}
 
-	res, err := ws.ls.Residuals(a, ws.x, sys.K)
+	res, err := ws.ls.Residuals(a, ws.x, k)
 	if err != nil {
 		return fmt.Errorf("residuals: %w", err)
 	}
 
-	fillSolution(sol, sys.Dim, numRefs, known, ws.keep, ws.x, res, ws.weights,
+	fillSolution(sol, dim, numRefs, known, ws.keep, ws.x, res, ws.weights,
 		iterations, condEst)
 	return nil
 }
 
 // irlsRefine runs the IRWLS refinement of Eqs. 14–16 over the reduced
-// system: weights exp(−d²/2) from standardised residuals, re-solve, repeat
-// until the iterate moves less than the tolerance (0.1 mm by default, 1 % of
-// the paper's centimetre accuracy) or the iteration cap is reached. Over
-// the line golden corpus a window that stops on the step lies within
-// 0.25 mm of the refinement's fixed point (TestLineGoldenFixedPointBound),
-// at about half the iterations of a 1 µm step. xp points at the
-// workspace-owned iterate and is updated in place (the slice may be
-// re-appended); weights must be pre-initialised to ones and is overwritten.
+// system a·x = k from the iterate ws.x, which it updates in place; ws.weights
+// must be pre-initialised to ones and ends as the weights of the last
+// weighted solve. One weighted solve g = G(x) computes the Eq. 15 weights
+// exp(−d²/2) from the standardised residuals at x and re-solves (Eq. 16);
+// Iterations counts these solves, at most MaxIterations (10).
 //
-// One iteration makes three passes over the rows: the residuals with their
-// mean, standard deviation and norm (mat.Workspace.ResidualStats), the
-// Eq. 15 weights, and the fused weight check + AᵀWA + AᵀWb of the weighted
-// solve.
-func irlsRefine(ls *mat.Workspace, a *mat.Dense, k []float64, xp *[]float64,
-	weights []float64, opts SolveOptions, condEst float64) (int, error) {
-	iterations := 0
+// The fixed-point iteration is Anderson-accelerated with a history of one
+// (the secant step of Anderson mixing, depth 1). With f = g − x and
+// s = ‖f‖∞:
+//   - it stops and returns g when s < Tolerance after a plain iterate, or
+//     s < Tolerance/2 after an extrapolated one: an extrapolated x can sit
+//     closer to g than to the fixed point, so its step vouches for less;
+//   - otherwise, when s shrank from the previous solve's and Δf·Δf > 0 for
+//     Δf = f − f_prev, the next iterate is g − γ·(g − g_prev) with
+//     γ = (Δf·f)/(Δf·Δf); else it is g, the plain step.
+//
+// The history (g_prev, f_prev) lives in ws, so the refinement allocates
+// nothing once ws is sized.
+//
+// Over the line golden corpus this takes 3.5 weighted solves per window
+// against 5.6 for the plain step, no window reaches the cap, and every
+// window lies within 0.25 mm of the refinement's fixed point
+// (TestLineGoldenFixedPointBound).
+//
+// One weighted solve makes four passes over the rows: the residuals with
+// their sum and sum of squares, then their deviations from the mean
+// (mat.Workspace.ResidualStats); the Eq. 15 weights; AᵀWA + AᵀWb of the
+// weighted solve, whose weight check then scans the weights alone.
+func irlsRefine(ws *SolveWorkspace, a *mat.Dense, k []float64, opts SolveOptions, condEst float64) (int, error) {
 	if !opts.Weighted {
 		return 0, nil
 	}
-	x := *xp
-	defer func() { *xp = x }()
+	x, w := ws.x, ws.weights
+	ws.gPrev = growFloats(ws.gPrev, len(x))
+	ws.fPrev = growFloats(ws.fPrev, len(x))
+	gPrev, fPrev := ws.gPrev, ws.fPrev
+	tol := opts.tol()
+	sPrev := 0.0 // no history: no step shrinks below it
+	extrapolated := false
+	iterations := 0
 	for iterations < opts.maxIter() {
-		res, sum, rerr := ls.ResidualStats(a, x, k)
+		res, sum, rerr := ws.ls.ResidualStats(a, x, k)
 		if rerr != nil {
 			return iterations, fmt.Errorf("residuals: %w", rerr)
 		}
 		if sum.Std == 0 {
-			break // exact fit: all weights stay 1
+			break // exact fit: x is the solution
 		}
+		inv := 1 / sum.Std
 		floorHits := 0
 		for i, r := range res {
-			d := (r - sum.Mean) / sum.Std
-			weights[i] = math.Exp(-d * d / 2) // Eq. 15
-			if weights[i] < WeightFloor {
+			d := (r - sum.Mean) * inv
+			w[i] = math.Exp(-d * d / 2) // Eq. 15
+			if w[i] < WeightFloor {
 				floorHits++
 			}
 		}
-		xNew, werr := ls.WeightedLeastSquares(a, k, weights)
+		g, werr := ws.ls.WeightedLeastSquares(a, k, w)
 		if werr != nil {
 			if errors.Is(werr, mat.ErrSingular) {
 				return iterations, fmt.Errorf("%w: %v", ErrDegenerateGeometry, werr)
@@ -170,16 +202,43 @@ func irlsRefine(ls *mat.Workspace, a *mat.Dense, k []float64, xp *[]float64,
 		}
 		iterations++
 		opts.Trace.IRLSIter(opts.traceSpan(), iterations, sum.Norm, floorHits, condEst)
-		moved := 0.0
+		s := 0.0
 		for i := range x {
-			if d := math.Abs(xNew[i] - x[i]); d > moved {
-				moved = d
+			if d := math.Abs(g[i] - x[i]); d > s {
+				s = d
 			}
 		}
-		x = append(x[:0], xNew...)
-		if moved < opts.tol() {
+		stop := tol
+		if extrapolated {
+			stop = tol / 2
+		}
+		if s < stop || iterations == opts.maxIter() {
+			copy(x, g)
 			break
 		}
+		gamma := 0.0
+		extrapolated = false
+		if s < sPrev {
+			var dff, dfdf float64
+			for i := range x {
+				f := g[i] - x[i]
+				df := f - fPrev[i]
+				dff += df * f
+				dfdf += df * df
+			}
+			if dfdf > 0 {
+				gamma, extrapolated = dff/dfdf, true
+			}
+		}
+		for i, gi := range g {
+			fPrev[i] = gi - x[i]
+			x[i] = gi
+			if extrapolated {
+				x[i] = gi - gamma*(gi-gPrev[i])
+			}
+			gPrev[i] = gi
+		}
+		sPrev = s
 	}
 	return iterations, nil
 }

@@ -276,12 +276,16 @@ func (m *Dense) tMulVecInto(out, v []float64) {
 // normalEqInto accumulates the normal equations of the weighted system in
 // one pass over the rows: the lower triangle of mᵀ·diag(w)·m into gram
 // (cols×cols, zeroed) and mᵀ·diag(w)·b into rhs (len cols, zeroed). A nil w
-// means unit weights. A negative or NaN weight stops the pass with ErrShape.
+// means unit weights. A negative or NaN weight fails with ErrShape naming
+// the first such row; the weights are checked after the pass, so the
+// check is off the accumulation's critical path.
 //
 // Each entry receives its row contributions in row order, exactly as
 // gramInto and tMulVecInto add them, and a unit weight multiplies exactly,
-// so the unweighted system is bitwise the one those build. The strict upper
-// triangle of gram stays zero: choleskyInto reads only the lower one.
+// so the unweighted system of finite rows is bitwise the one those build:
+// the products they skip for a zero entry add ±0 to an accumulator that
+// starts at +0, which leaves it unchanged. The strict upper triangle of gram
+// stays zero: choleskyInto reads only the lower one.
 //
 // Two columns, the line frame's [α, ω] system, take normalEq2: the generic
 // loop loads and stores every Gram entry through memory on every row, which
@@ -299,37 +303,27 @@ func (m *Dense) normalEqRows(gram *Dense, rhs, w, b []float64) error {
 		wi := 1.0
 		if w != nil {
 			wi = w[i]
-			if wi < 0 || math.IsNaN(wi) {
-				return fmt.Errorf("weight %d is %v: %w", i, wi, ErrShape)
-			}
 		}
 		row := m.data[i*m.cols : (i+1)*m.cols]
-		if wi != 0 {
-			for a, ra := range row {
-				if ra == 0 {
-					continue
-				}
-				ga := gram.data[a*m.cols : a*m.cols+a+1]
-				s := wi * ra
-				for c := range ga {
-					ga[c] += s * row[c]
-				}
+		for a, ra := range row {
+			ga := gram.data[a*m.cols : a*m.cols+a+1]
+			s := wi * ra
+			for c := range ga {
+				ga[c] += s * row[c]
 			}
 		}
-		if wv := wi * b[i]; wv != 0 {
-			for j, r := range row {
-				rhs[j] += r * wv
-			}
+		wv := wi * b[i]
+		for j, r := range row {
+			rhs[j] += r * wv
 		}
 	}
-	return nil
+	return checkWeights(w)
 }
 
 // normalEq2 is normalEqRows for two columns with the three lower-triangle
 // Gram entries and both right-hand sides held in locals. It adds the same
-// products in the same row order under the same skips, so its output is
-// bitwise normalEqRows', and a bad weight stops it with the same error on
-// the same row.
+// products in the same row order, so its output is bitwise normalEqRows',
+// and a bad weight fails it with the same error on the same row.
 func (m *Dense) normalEq2(gram *Dense, rhs, w, b []float64) error {
 	g00, g10, g11 := gram.data[0], gram.data[2], gram.data[3]
 	h0, h1 := rhs[0], rhs[1]
@@ -339,29 +333,29 @@ func (m *Dense) normalEq2(gram *Dense, rhs, w, b []float64) error {
 		wi := 1.0
 		if w != nil {
 			wi = w[i]
-			if wi < 0 || math.IsNaN(wi) {
-				return fmt.Errorf("weight %d is %v: %w", i, wi, ErrShape)
-			}
 		}
 		r0, r1 := data[2*i], data[2*i+1]
-		if wi != 0 {
-			if r0 != 0 {
-				s := wi * r0
-				g00 += s * r0
-			}
-			if r1 != 0 {
-				s := wi * r1
-				g10 += s * r0
-				g11 += s * r1
-			}
-		}
-		if wv := wi * b[i]; wv != 0 {
-			h0 += r0 * wv
-			h1 += r1 * wv
-		}
+		s0, s1 := wi*r0, wi*r1
+		g00 += s0 * r0
+		g10 += s1 * r0
+		g11 += s1 * r1
+		wv := wi * b[i]
+		h0 += r0 * wv
+		h1 += r1 * wv
 	}
 	gram.data[0], gram.data[2], gram.data[3] = g00, g10, g11
 	rhs[0], rhs[1] = h0, h1
+	return checkWeights(w)
+}
+
+// checkWeights fails with ErrShape on the first negative or NaN weight; a
+// nil w (unit weights) passes.
+func checkWeights(w []float64) error {
+	for i, wi := range w {
+		if !(wi >= 0) { // negative or NaN
+			return fmt.Errorf("weight %d is %v: %w", i, wi, ErrShape)
+		}
+	}
 	return nil
 }
 

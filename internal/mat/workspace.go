@@ -3,8 +3,6 @@ package mat
 import (
 	"fmt"
 	"math"
-
-	"github.com/rfid-lion/lion/internal/stats"
 )
 
 // Workspace is a caller-owned scratch arena for the small least-squares
@@ -170,27 +168,53 @@ type ResidualSummary struct {
 	Norm float64
 }
 
-// ResidualStats is Residuals fused with its ResidualSummary: the residuals,
-// their Welford mean and standard deviation and their sum of squares come
-// out of one pass over the rows. The returned slice aliases workspace
-// scratch like Residuals'.
+// ResidualStats is Residuals with its ResidualSummary in two passes over
+// the rows. The first forms the residuals with Σr (for the mean) and Σr²
+// (for the norm); the second sums (r − mean)². That is the arithmetic of
+// stats.MeanStd, and unlike a running (Welford) update it puts no division
+// on the loop-carried chain. Two columns, the line frame's [α, ω] system,
+// dot each row without the generic loop, adding in rowDot's order. The
+// returned slice aliases workspace scratch like Residuals'.
 func (ws *Workspace) ResidualStats(a *Dense, x, b []float64) ([]float64, ResidualSummary, error) {
 	if a.Cols() != len(x) || a.Rows() != len(b) {
 		return nil, ResidualSummary{}, ErrShape
 	}
-	ws.res = grow(ws.res, a.Rows())
-	var acc stats.Welford
-	var ss float64
-	for i := range ws.res {
-		r := a.rowDot(i, x) - b[i]
-		ws.res[i] = r
-		acc.Add(r)
-		ss += r * r
+	res := grow(ws.res, a.Rows())
+	ws.res = res
+	var s, ss float64
+	if a.cols == 2 {
+		x0, x1 := x[0], x[1]
+		data := a.data[:2*len(res)]
+		b = b[:len(res)]
+		for i := range res {
+			d := 0.0 // rowDot's start, so a −0 product sums as it does there
+			d += data[2*i] * x0
+			d += data[2*i+1] * x1
+			r := d - b[i]
+			res[i] = r
+			s += r
+			ss += r * r
+		}
+	} else {
+		for i := range res {
+			r := a.rowDot(i, x) - b[i]
+			res[i] = r
+			s += r
+			ss += r * r
+		}
 	}
 	var sum ResidualSummary
-	sum.Mean, sum.Std = acc.MeanStd()
+	if n := float64(len(res)); n > 0 {
+		sum.Mean = s / n
+		var dev float64
+		for _, r := range res {
+			d := r - sum.Mean
+			dev += d * d
+		}
+		sum.Std = math.Sqrt(dev / n)
+	}
 	sum.Norm = math.Sqrt(ss)
-	return ws.res, sum, nil
+	return res, sum, nil
 }
 
 // ConditionEst is the Cholesky-diagonal estimate of κ₂(A), +Inf when AᵀA is

@@ -50,14 +50,20 @@ func (b Band) Validate() error {
 	return nil
 }
 
-// WrapPhase maps an angle onto [0, 2π).
+// WrapPhase maps an angle onto [0, 2π). math.Mod returns an angle on
+// (−2π, 2π) unchanged, bit for bit, so only angles outside it pay for the
+// call: a reader's phase, already wrapped, takes two compares.
 func WrapPhase(theta float64) float64 {
-	t := math.Mod(theta, 2*math.Pi)
+	const turn = 2 * math.Pi
+	t := theta
+	if !(t > -turn && t < turn) {
+		t = math.Mod(t, turn)
+	}
 	if t < 0 {
-		t += 2 * math.Pi
+		t += turn
 		// Negative angles within one ulp of zero round up to exactly 2π,
 		// which would escape the half-open interval.
-		if t >= 2*math.Pi {
+		if t >= turn {
 			t = 0
 		}
 	}

@@ -43,41 +43,11 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// MeanStd returns the mean and population standard deviation in one pass
-// over the data (Welford's algorithm).
+// MeanStd returns the mean and population standard deviation of xs: bit
+// for bit Mean and StdDev, the two-pass arithmetic that the IRLS residual
+// pass in package mat reproduces while it forms the residuals.
 func MeanStd(xs []float64) (mean, std float64) {
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	return w.MeanStd()
-}
-
-// Welford is the running form of MeanStd: one Add per value, in order, gives
-// bit for bit what MeanStd returns for the same sequence. Loops that already
-// pass over their data, such as the IRLS residual pass in package mat, use
-// it to summarise without a second pass. The zero value is empty.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds x into the running mean and sum of squared deviations.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// MeanStd returns the mean and population standard deviation of the values
-// added so far; both are 0 when none were.
-func (w *Welford) MeanStd() (mean, std float64) {
-	if w.n > 0 {
-		std = math.Sqrt(w.m2 / float64(w.n))
-	}
-	return w.mean, std
+	return Mean(xs), StdDev(xs)
 }
 
 // Percentile returns the p-th percentile (p in [0, 100]) of xs using linear

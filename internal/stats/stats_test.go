@@ -32,10 +32,10 @@ func TestMeanVarianceStd(t *testing.T) {
 func TestMeanStdMatchesTwoPass(t *testing.T) {
 	xs := []float64{1.5, -2, 0.25, 7, 3, 3, -1}
 	m, s := MeanStd(xs)
-	if !almostEq(m, Mean(xs), 1e-12) {
+	if m != Mean(xs) {
 		t.Errorf("MeanStd mean = %v, want %v", m, Mean(xs))
 	}
-	if !almostEq(s, StdDev(xs), 1e-12) {
+	if s != StdDev(xs) {
 		t.Errorf("MeanStd std = %v, want %v", s, StdDev(xs))
 	}
 	m, s = MeanStd(nil)

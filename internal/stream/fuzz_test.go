@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -67,7 +68,9 @@ var fuzzSteps = [...]time.Duration{
 // checks that nothing panicked or hung, that every offered sample was
 // either ingested or rejected, that no more samples were evicted than
 // ingested, and that every published estimate carries an error or finite
-// coordinates wherever it claims to know them.
+// coordinates wherever it claims to know them. After Close it checks that
+// every estimate the subscriber received is, bit for bit, SolveWindow over
+// the window its From, To, Window and ProfileVersion identify.
 func FuzzEngine(f *testing.F) {
 	lambda := rf.DefaultBand().Wavelength()
 	center := geom.V3(0, 0.8, 0)
@@ -104,6 +107,10 @@ func FuzzEngine(f *testing.F) {
 		}
 		cfg.MinSamples = int(r.next()) % (cfg.WindowSize + 1)
 		opts := core.DefaultSolveOptions()
+		// The offline reference, with a workspace pool of its own: the
+		// engine's solver has its parameters, and a factory session solves
+		// as it does at Smooth 0.
+		offline := Line2DSolver(lambda, []float64{0.01}, true, opts)
 		if r.next()%2 == 0 {
 			cfg.Solver = Line2DSolver(lambda, []float64{0.01}, true, opts)
 			cfg.Smooth = []int{0, 1, 3, 5}[r.next()%4]
@@ -114,8 +121,11 @@ func FuzzEngine(f *testing.F) {
 			}
 			cfg.SolverFactory = factory
 		}
+		// offsets[v] is the phase offset profile version v corrects.
+		offsets := map[uint64]float64{}
 		if r.next()%2 == 0 {
 			cfg.Profile = &Profile{Antenna: "A1", Center: center, Offset: 1, Lambda: lambda}
+			offsets[1] = cfg.Profile.Offset
 		}
 		mon, err := health.New(health.Config{Calibrations: []health.Calibration{{
 			Antenna: "A1", Center: center, Offset: 1, Lambda: lambda, Window: 32,
@@ -128,36 +138,39 @@ func FuzzEngine(f *testing.F) {
 		if err != nil {
 			t.Fatalf("valid config %+v refused: %v", cfg, err)
 		}
-		// Every published estimate reaches the subscriber, which keeps up:
-		// its checks finish once Close closes the channel.
+		// Every published estimate reaches the subscriber unless it falls
+		// behind; the received ones are complete once Close closes the
+		// channel.
 		ests, _ := e.Subscribe()
-		bad := make(chan string, 1)
+		published := make(chan []Estimate, 1)
 		go func() {
-			defer close(bad)
+			var got []Estimate
 			for est := range ests {
-				if msg := badEstimate(est); msg != "" {
-					select {
-					case bad <- msg:
-					default:
-					}
-				}
+				got = append(got, est)
 			}
+			published <- got
 		}()
 		swapAt := int(r.next())
 
 		var offered int
 		var now time.Duration
 		x := -0.5
+		accepted := map[string][]Sample{} // each tag's ingested samples, in order
 		for len(r) > 0 {
 			if offered == swapAt {
 				// A non-finite offset fails validation and changes nothing.
-				e.SwapProfile(Profile{Antenna: "A1", Center: center, Offset: fuzzFloat(r.next(), 1.5, 0.01), Lambda: lambda})
+				p := Profile{Antenna: "A1", Center: center, Offset: fuzzFloat(r.next(), 1.5, 0.01), Lambda: lambda}
+				if v, err := e.SwapProfile(p); err == nil {
+					offsets[v] = p.Offset
+				}
 			}
 			tag := string(rune('A' + r.next()%3))
 			now += fuzzSteps[r.next()%uint8(len(fuzzSteps))]
 			x += 0.001
 			s := Sample{Time: now, Pos: geom.V3(fuzzFloat(r.next(), x, 1e-4), 0, 0), Phase: fuzzFloat(r.next(), 0, fuzzPhaseStep)}
-			e.Ingest(tag, s) // a non-finite sample fails and counts as Rejected
+			if e.Ingest(tag, s) == nil { // a non-finite sample fails and counts as Rejected
+				accepted[tag] = append(accepted[tag], s)
+			}
 			offered++
 		}
 
@@ -183,13 +196,78 @@ func FuzzEngine(f *testing.F) {
 		if err := e.Close(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if msg := <-bad; msg != "" {
-			t.Fatal(msg)
+		for _, est := range <-published {
+			if msg := badEstimate(est); msg != "" {
+				t.Fatal(msg)
+			}
+			if msg := offlineMismatch(est, accepted[est.Tag], offsets, cfg.Smooth, offline); msg != "" {
+				t.Fatal(msg)
+			}
 		}
 		if m := e.Metrics(); m.SubDropped != 0 {
 			t.Logf("%d estimates went unchecked: the subscriber fell behind", m.SubDropped)
 		}
 	})
+}
+
+// offlineMismatch re-solves an estimate offline: SolveWindow over the
+// Window consecutive samples of its tag's ingested stream that run from
+// From to To, with the phase correction of its ProfileVersion applied as
+// the engine applies it. Repeated timestamps can name several such runs;
+// the estimate must equal the offline solve of one of them bit for bit, in
+// its error or in every field of its Solution. It returns "" when one does.
+func offlineMismatch(est Estimate, stream []Sample, offsets map[uint64]float64, smooth int, solver Solver) string {
+	offset, corrected := offsets[est.ProfileVersion]
+	if est.ProfileVersion != 0 && !corrected {
+		return fmt.Sprintf("tag %s seq %d: profile version %d was never installed", est.Tag, est.Seq, est.ProfileVersion)
+	}
+	runs := 0
+	win := make([]Sample, est.Window)
+	for end := est.Window - 1; end < len(stream); end++ {
+		start := end - est.Window + 1
+		if stream[start].Time != est.From || stream[end].Time != est.To {
+			continue
+		}
+		runs++
+		copy(win, stream[start:end+1])
+		if corrected {
+			for i := range win {
+				win[i].Phase = rf.WrapPhase(win[i].Phase - offset)
+			}
+		}
+		sol, err := SolveWindow(win, smooth, solver, nil)
+		if sameOutcome(est, sol, err) {
+			return ""
+		}
+	}
+	if runs == 0 {
+		return fmt.Sprintf("tag %s seq %d: no run of %d ingested samples spans [%v, %v]",
+			est.Tag, est.Seq, est.Window, est.From, est.To)
+	}
+	return fmt.Sprintf("tag %s seq %d: estimate (%v, err %v) differs from SolveWindow over each of the %d windows it names",
+		est.Tag, est.Seq, est.Solution, est.Err, runs)
+}
+
+// sameOutcome reports whether an estimate is, bit for bit, the offline
+// outcome (sol, err): the same error message, or a Solution whose every
+// number has the same bits.
+func sameOutcome(est Estimate, sol *core.Solution, err error) bool {
+	if (est.Err == nil) != (err == nil) {
+		return false
+	}
+	if err != nil {
+		return est.Err.Error() == err.Error()
+	}
+	got := est.Solution
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	sameAll := func(a, b []float64) bool { return slices.EqualFunc(a, b, same) }
+	return same(got.Position.X, sol.Position.X) && same(got.Position.Y, sol.Position.Y) &&
+		same(got.Position.Z, sol.Position.Z) && got.Known == sol.Known && got.Dim == sol.Dim &&
+		same(got.RefDistance, sol.RefDistance) && sameAll(got.RefDistances, sol.RefDistances) &&
+		sameAll(got.Residuals, sol.Residuals) && sameAll(got.Weights, sol.Weights) &&
+		same(got.MeanResidual, sol.MeanResidual) && same(got.MeanAbsResidual, sol.MeanAbsResidual) &&
+		same(got.RMSResidual, sol.RMSResidual) && got.Iterations == sol.Iterations &&
+		same(got.FinalResidual, sol.FinalResidual) && same(got.ConditionEstimate, sol.ConditionEstimate)
 }
 
 // badEstimate describes what is wrong with an estimate that carries no error

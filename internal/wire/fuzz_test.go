@@ -15,8 +15,8 @@ import (
 // decodeAllocFirstRead + decodeAllocPerByte·n + decodeAllocSlack.
 //
 // The first read is independent of n: whatever the header claims, the frame
-// buffer's first allocation holds at most the header and readStep (32 KiB)
-// of payload, which the allocator rounds up to its next size class, 40 KiB.
+// buffer's first allocation holds at most readStep (32 KiB), header
+// included, which is an allocator size class of its own.
 // The rest is linear in n, per input byte on a 64-bit platform:
 //   - The frame buffer's later growth. Each read grows it to at most four
 //     times the bytes that arrived, so these allocations sum to at most
@@ -35,7 +35,7 @@ import (
 // These sum to under 24 bytes; 32 leaves room for size-class rounding.
 // The slack covers the reader and the error value of a failed decode.
 const (
-	decodeAllocFirstRead = 40 << 10
+	decodeAllocFirstRead = 32 << 10
 	decodeAllocPerByte   = 32
 	decodeAllocSlack     = 4 << 10
 )

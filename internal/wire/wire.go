@@ -446,10 +446,11 @@ func DecodeIngestExt(r io.Reader) ([]dataset.TaggedSample, *Ext, error) {
 	}
 }
 
-// readStep is the first payload read of a frame. Each later read grows the
+// readStep is the frame size, header included, that the first payload
+// read fills, an allocator size class of its own. Each later read grows the
 // frame to at most four times the bytes read so far, so a header's claimed
 // length caps the read but never sizes an allocation: the buffer holds at
-// most readStep plus four times the bytes that actually arrived.
+// most readStep or four times the bytes that actually arrived.
 const readStep = 32 << 10
 
 // readFrame reads the next whole frame from r into buf, reusing its
@@ -485,7 +486,7 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	want := hn + size
 	buf = buf[:hn]
 	for len(buf) < want {
-		step := min(want-len(buf), max(readStep, 3*len(buf)))
+		step := min(want, max(readStep, 4*len(buf))) - len(buf)
 		if cap(buf)-len(buf) < step {
 			buf = append(make([]byte, 0, len(buf)+step), buf...)
 		}
