@@ -6,6 +6,12 @@
 //
 //	lionsim -scenario threeline -ay 0.8 -dx 0.025 -o scan.csv
 //
+// With -explain it also calibrates the scan and writes one NDJSON line per
+// candidate of the adaptive sweep (Sec. IV-C-1), marking the ones whose
+// average is the estimated center:
+//
+//	lionsim -scenario threeline -o scan.csv -explain sweep.ndjson
+//
 // With -pace the scan streams at a target sample rate on an ideal-clock
 // schedule instead of being written at once, so a replay file can feed a
 // live liond at field-realistic tags/sec:
@@ -79,8 +85,8 @@ func run(args []string) error {
 			"stream output at this many samples/sec on an ideal clock (ndjson or wire only; 0 = write at once)")
 		paceBatch = fs.Int("pace-batch", 32, "samples per paced chunk")
 
-		trace = fs.String("trace", "",
-			"also localize the generated scan and write the solve trace (NDJSON) to this file")
+		explain = fs.String("explain", "",
+			"also localize the generated scan and write one NDJSON line per adaptive candidate to this file")
 		profile = fs.String("profile", "",
 			"write CPU and heap profiles to <prefix>.cpu.pprof / <prefix>.heap.pprof")
 	)
@@ -188,9 +194,9 @@ func run(args []string) error {
 	fmt.Fprintf(os.Stderr,
 		"lionsim: %d reads, scenario %s, true phase center %v, offset %.3f rad\n",
 		len(samples), *scenario, ant.PhaseCenter(), *offset+*tagOffset)
-	if *trace != "" {
-		if err := writeTrace(*trace, *scenario, samples, env.Wavelength()); err != nil {
-			return fmt.Errorf("trace: %w", err)
+	if *explain != "" {
+		if err := writeExplain(*explain, *scenario, samples, env.Wavelength()); err != nil {
+			return fmt.Errorf("explain: %w", err)
 		}
 	}
 	return nil
@@ -237,50 +243,105 @@ func emitPaced(w io.Writer, format, tagID string, samples []sim.Sample, rate flo
 	return nil
 }
 
-// traceSmooth matches the experiments' preprocessing window.
-const traceSmooth = 9
+// explainSmooth matches the experiments' preprocessing window.
+const explainSmooth = 9
 
-// traceModes maps each scenario to the calibration mode that localizes it.
-var traceModes = map[string]string{
+// explainModes maps each line scenario to the calibration mode that
+// localizes it.
+var explainModes = map[string]string{
 	"linear":    calib.ModeLine,
 	"threeline": calib.ModeThreeLine,
 	"twoline":   calib.ModeTwoLine,
 }
 
-// writeTrace localizes the generated scan with the scenario's natural solver,
-// recording every adaptive candidate and IRWLS iteration, and dumps the trace
-// as NDJSON. The line scans run the adaptive calibration solve; the circle
-// runs the stride-paired 2-D solve.
-func writeTrace(path, scenario string, samples []sim.Sample, lambda float64) error {
-	tr := obs.NewTracer()
-	solve := core.DefaultSolveOptions()
-	solve.Trace = tr
-	positions, phases := sim.Positions(samples), sim.Phases(samples)
-	var err error
-	switch mode, ok := traceModes[scenario]; {
-	case ok:
-		_, err = calib.Estimate(mode, positions, phases, sim.Segments(samples), calib.Config{
-			Lambda: lambda, Smooth: traceSmooth, PositiveSide: true, Adaptive: true, Solve: solve,
-		})
-	case scenario == "circle":
-		var obsv []core.PosPhase
-		if obsv, err = core.Preprocess(positions, phases, traceSmooth); err == nil {
-			_, err = core.Locate2D(obsv, lambda, core.StridePairs(len(obsv), len(obsv)/4), solve)
-		}
-	default:
-		return fmt.Errorf("no trace solver for scenario %q", scenario)
+// explainLine is one -explain NDJSON line: a candidate's scanning range and
+// pairing interval (0 where the solve has none), its fit or its error, and
+// whether the selection rule averaged it into the center.
+type explainLine struct {
+	ScanRange float64 `json:"scan_range_m"`
+	Interval  float64 `json:"interval_m"`
+	*explainFit
+	Selected bool   `json:"selected"`
+	Error    string `json:"error,omitempty"`
+}
+
+// explainFit is a solved candidate's part of its line; a failed candidate
+// has none.
+type explainFit struct {
+	MeanResidual  float64    `json:"mean_residual"`
+	Iterations    int        `json:"iterations"`
+	FinalResidual float64    `json:"final_residual"`
+	Position      [3]float64 `json:"position"`
+}
+
+func explainCandidate(c core.Candidate, selected bool) explainLine {
+	line := explainLine{ScanRange: c.ScanRange, Interval: c.Interval, Selected: selected}
+	if c.Err != nil {
+		line.Error = c.Err.Error()
+		return line
 	}
-	if err != nil {
-		return err
+	sol := c.Solution
+	line.explainFit = &explainFit{
+		MeanResidual:  sol.MeanResidual,
+		Iterations:    sol.Iterations,
+		FinalResidual: sol.FinalResidual,
+		Position:      [3]float64{sol.Position.X, sol.Position.Y, sol.Position.Z},
+	}
+	return line
+}
+
+// writeExplain localizes the generated scan with the scenario's natural
+// solver and writes one line per candidate. The line scans run the adaptive
+// calibration solve, whose sweep is calib.Result.Adaptive; the circle runs
+// the stride-paired 2-D solve, one selected candidate.
+func writeExplain(path, scenario string, samples []sim.Sample, lambda float64) error {
+	positions, phases := sim.Positions(samples), sim.Phases(samples)
+	var (
+		lines  []explainLine
+		center geom.Vec3
+	)
+	switch mode, ok := explainModes[scenario]; {
+	case ok:
+		res, err := calib.Estimate(mode, positions, phases, sim.Segments(samples), calib.Config{
+			Lambda: lambda, Smooth: explainSmooth, PositiveSide: true, Adaptive: true,
+		})
+		if err != nil {
+			return err
+		}
+		selected := make(map[*core.Solution]bool, len(res.Adaptive.Selected))
+		for _, c := range res.Adaptive.Selected {
+			selected[c.Solution] = true
+		}
+		for _, c := range res.Adaptive.All {
+			lines = append(lines, explainCandidate(c, selected[c.Solution]))
+		}
+		center = res.Center
+	case scenario == "circle":
+		obsv, err := core.Preprocess(positions, phases, explainSmooth)
+		if err != nil {
+			return err
+		}
+		sol, err := core.Locate2D(obsv, lambda, core.StridePairs(len(obsv), len(obsv)/4), core.DefaultSolveOptions())
+		if err != nil {
+			return err
+		}
+		lines = append(lines, explainCandidate(core.Candidate{Solution: sol}, true))
+		center = sol.Position
+	default:
+		return fmt.Errorf("no solver for scenario %q", scenario)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := tr.WriteNDJSON(f); err != nil {
+	defer f.Close() // for the error path; closing twice is harmless
+	if err := obs.WriteNDJSON(f, lines); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "lionsim: %d trace events written to %s\n", tr.Len(), path)
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "lionsim: %d candidates written to %s, estimated center (%g, %g, %g)\n",
+		len(lines), path, center.X, center.Y, center.Z)
 	return nil
 }

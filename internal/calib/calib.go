@@ -4,7 +4,7 @@
 // antenna's phase center with the linear localization model (Sec. IV-B,
 // with the adaptive range/interval selection of Sec. IV-C-1) and the
 // combined tag+antenna phase offset Δθ via the paper's Eq. 17 circular
-// mean. cmd/lioncal, lionsim -trace, the experiments and the online
+// mean. cmd/lioncal, lionsim -explain, the experiments and the online
 // internal/recal controller all call it, which is why it lives below the
 // command layer and speaks internal types only.
 package calib
@@ -112,6 +112,10 @@ type Result struct {
 	// RMS is the offset-model residual (OffsetResidualRMS) of the
 	// estimate over its own input — the fit quality in radians.
 	RMS float64
+	// Adaptive is the Sec. IV-C-1 sweep behind Center, every candidate
+	// with its solution or error; Center is its Position. Nil unless
+	// Config.Adaptive selected a sweep (planar scans have none).
+	Adaptive *core.AdaptiveResult
 }
 
 // EstimateLine is Estimate for a single-line scan (ModeLine), the
@@ -141,7 +145,7 @@ func Estimate(mode string, positions []geom.Vec3, wrapped []float64, labels []in
 	if err != nil {
 		return Result{}, err
 	}
-	center, err := locate(mode, obs, labels, cfg)
+	center, adaptive, err := locate(mode, obs, labels, cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -150,17 +154,19 @@ func Estimate(mode string, positions []geom.Vec3, wrapped []float64, labels []in
 		return Result{}, err
 	}
 	return Result{
-		Center:  center,
-		Offset:  offset,
-		Samples: len(positions),
-		RMS:     OffsetResidualRMS(positions, wrapped, center, offset, cfg.Lambda),
+		Center:   center,
+		Offset:   offset,
+		Samples:  len(positions),
+		RMS:      OffsetResidualRMS(positions, wrapped, center, offset, cfg.Lambda),
+		Adaptive: adaptive,
 	}, nil
 }
 
-// locate estimates the phase center of one preprocessed scan.
-func locate(mode string, obs []core.PosPhase, labels []int, cfg Config) (geom.Vec3, error) {
+// locate estimates the phase center of one preprocessed scan, with the
+// adaptive sweep behind it when cfg.Adaptive selected one.
+func locate(mode string, obs []core.PosPhase, labels []int, cfg Config) (geom.Vec3, *core.AdaptiveResult, error) {
 	if (mode == ModeTwoLine || mode == ModeThreeLine) && len(labels) != len(obs) {
-		return geom.Vec3{}, fmt.Errorf("calib: %s scan has %d labels for %d samples", mode, len(labels), len(obs))
+		return geom.Vec3{}, nil, fmt.Errorf("calib: %s scan has %d labels for %d samples", mode, len(labels), len(obs))
 	}
 	solve := cfg.solve()
 	intervals := cfg.intervals()
@@ -190,22 +196,22 @@ func locate(mode string, obs []core.PosPhase, labels []int, cfg Config) (geom.Ve
 		pairs := core.StridePairs(len(obs), len(obs)/4)
 		return solved(core.Locate3DPlanar(obs, cfg.Lambda, pairs, cfg.PositiveSide, solve))
 	}
-	return geom.Vec3{}, fmt.Errorf("calib: unknown mode %q (want %s, %s, %s or %s)",
+	return geom.Vec3{}, nil, fmt.Errorf("calib: unknown mode %q (want %s, %s, %s or %s)",
 		mode, ModeLine, ModeTwoLine, ModeThreeLine, ModePlanar)
 }
 
-func fused(res *core.AdaptiveResult, err error) (geom.Vec3, error) {
+func fused(res *core.AdaptiveResult, err error) (geom.Vec3, *core.AdaptiveResult, error) {
 	if err != nil {
-		return geom.Vec3{}, err
+		return geom.Vec3{}, nil, err
 	}
-	return res.Position, nil
+	return res.Position, res, nil
 }
 
-func solved(sol *core.Solution, err error) (geom.Vec3, error) {
+func solved(sol *core.Solution, err error) (geom.Vec3, *core.AdaptiveResult, error) {
 	if err != nil {
-		return geom.Vec3{}, err
+		return geom.Vec3{}, nil, err
 	}
-	return sol.Position, nil
+	return sol.Position, nil, nil
 }
 
 // Lines splits a labelled scan into its traject.LineL1, LineL2 and LineL3

@@ -128,7 +128,8 @@ func simScan(t *testing.T, trj traject.Trajectory) (samples []sim.Sample, truth 
 // TestEstimateModes runs every scan mode, adaptive and not, on the scan it
 // is meant for and checks the center lands near the true phase center. A
 // line or planar scan cannot see the out-of-plane z offset, so those modes
-// are judged in the plane of the scan.
+// are judged in the plane of the scan. An adaptive result carries its whole
+// sweep, whose Position is the center bit for bit; any other has none.
 func TestEstimateModes(t *testing.T) {
 	line, err := traject.NewLinear(geom.V3(-0.6, 0, 0), geom.V3(0.6, 0, 0), 0.1)
 	if err != nil {
@@ -148,16 +149,18 @@ func TestEstimateModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ivs := len(DefaultIntervals)
 	for _, tc := range []struct {
-		mode string
-		trj  traject.Trajectory
-		in2D bool
-		tol  float64
+		mode  string
+		trj   traject.Trajectory
+		in2D  bool
+		tol   float64
+		sweep int // candidates of the adaptive sweep, 0 for none
 	}{
-		{ModeLine, line, true, 0.02},
-		{ModeTwoLine, two, false, 0.03},
-		{ModeThreeLine, three, false, 0.03},
-		{ModePlanar, circle, true, 0.03},
+		{ModeLine, line, true, 0.02, ivs},
+		{ModeTwoLine, two, false, 0.03, len(adaptiveRanges) * ivs},
+		{ModeThreeLine, three, false, 0.03, len(adaptiveRanges) * ivs},
+		{ModePlanar, circle, true, 0.03, 0},
 	} {
 		samples, truth, lambda := simScan(t, tc.trj)
 		for _, adaptive := range []bool{false, true} {
@@ -176,6 +179,21 @@ func TestEstimateModes(t *testing.T) {
 			}
 			if res.Samples != len(samples) || !(res.RMS < 0.5) {
 				t.Errorf("%s adaptive=%v: Samples = %d, RMS = %v", tc.mode, adaptive, res.Samples, res.RMS)
+			}
+			if !adaptive || tc.sweep == 0 {
+				if res.Adaptive != nil {
+					t.Errorf("%s adaptive=%v: Adaptive = %+v, want nil", tc.mode, adaptive, res.Adaptive)
+				}
+				continue
+			}
+			if res.Adaptive == nil {
+				t.Fatalf("%s adaptive: no sweep in the result", tc.mode)
+			}
+			if len(res.Adaptive.All) != tc.sweep {
+				t.Errorf("%s adaptive: %d candidates, want %d", tc.mode, len(res.Adaptive.All), tc.sweep)
+			}
+			if p := res.Adaptive.Position; !sameBits(p.X, res.Center.X) || !sameBits(p.Y, res.Center.Y) || !sameBits(p.Z, res.Center.Z) {
+				t.Errorf("%s adaptive: Center %v is not the sweep's Position %v", tc.mode, res.Center, p)
 			}
 		}
 	}
@@ -272,5 +290,7 @@ func FuzzCalibEstimate(f *testing.F) {
 		}
 	})
 }
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

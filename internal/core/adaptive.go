@@ -2,12 +2,10 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"github.com/rfid-lion/lion/internal/batch"
 	"github.com/rfid-lion/lion/internal/geom"
-	lionobs "github.com/rfid-lion/lion/internal/obs"
 )
 
 // ErrNoCandidates is returned when no parameter combination produced a
@@ -45,32 +43,7 @@ const selectionSlack = 1.5
 // the candidates whose |mean residual| is within a small band of the best,
 // and average their positions.
 func SelectByResidual(cands []Candidate) (*AdaptiveResult, error) {
-	best := math.Inf(1)
-	for _, c := range cands {
-		if c.Err != nil || c.Solution == nil || !c.Solution.Position.IsFinite() {
-			continue
-		}
-		if r := math.Abs(c.Solution.MeanResidual); r < best {
-			best = r
-		}
-	}
-	if math.IsInf(best, 1) {
-		return nil, ErrNoCandidates
-	}
-	limit := best*selectionSlack + 1e-12
-	res := &AdaptiveResult{All: cands}
-	var sum geom.Vec3
-	for _, c := range cands {
-		if c.Err != nil || c.Solution == nil || !c.Solution.Position.IsFinite() {
-			continue
-		}
-		if math.Abs(c.Solution.MeanResidual) <= limit {
-			res.Selected = append(res.Selected, c)
-			sum = sum.Add(c.Solution.Position)
-		}
-	}
-	res.Position = sum.Scale(1 / float64(len(res.Selected)))
-	return res, nil
+	return selectBand(cands, func(s *Solution) float64 { return math.Abs(s.MeanResidual) })
 }
 
 // SelectByAbsResidual ranks candidates by their mean *absolute* residual and
@@ -79,13 +52,19 @@ func SelectByResidual(cands []Candidate) (*AdaptiveResult, error) {
 // where the offending samples inflate the residual magnitude but cancel in
 // the signed mean.
 func SelectByAbsResidual(cands []Candidate) (*AdaptiveResult, error) {
+	return selectBand(cands, func(s *Solution) float64 { return s.MeanAbsResidual })
+}
+
+// selectBand averages, in candidate order, the finite candidates whose score
+// is at most selectionSlack times the best one (plus 1e-12).
+func selectBand(cands []Candidate, score func(*Solution) float64) (*AdaptiveResult, error) {
+	usable := func(c Candidate) bool {
+		return c.Err == nil && c.Solution != nil && c.Solution.Position.IsFinite()
+	}
 	best := math.Inf(1)
 	for _, c := range cands {
-		if c.Err != nil || c.Solution == nil || !c.Solution.Position.IsFinite() {
-			continue
-		}
-		if r := c.Solution.MeanAbsResidual; r < best {
-			best = r
+		if usable(c) && score(c.Solution) < best {
+			best = score(c.Solution)
 		}
 	}
 	if math.IsInf(best, 1) {
@@ -95,10 +74,7 @@ func SelectByAbsResidual(cands []Candidate) (*AdaptiveResult, error) {
 	res := &AdaptiveResult{All: cands}
 	var sum geom.Vec3
 	for _, c := range cands {
-		if c.Err != nil || c.Solution == nil || !c.Solution.Position.IsFinite() {
-			continue
-		}
-		if c.Solution.MeanAbsResidual <= limit {
+		if usable(c) && score(c.Solution) <= limit {
 			res.Selected = append(res.Selected, c)
 			sum = sum.Add(c.Solution.Position)
 		}
@@ -131,21 +107,11 @@ func gridSpecs(ranges, intervals []float64) []gridSpec {
 // bit-identical at any GOMAXPROCS (ties in SelectByResidual are broken by
 // candidate order, i.e. deterministically by index). A candidate whose eval
 // panics keeps its range and interval and carries the recovered panic
-// (errors.Is batch.ErrPanic) in Err. A non-nil tracer receives one candidate
-// event per evaluated cell with the weighted mean residual the selection
-// rule ranks by.
-func sweep(specs []gridSpec, tr *lionobs.Tracer, eval func(gridSpec) (*Solution, error)) []Candidate {
+// (errors.Is batch.ErrPanic) in Err.
+func sweep(specs []gridSpec, eval func(gridSpec) (*Solution, error)) []Candidate {
 	jobs := make([]batch.Job, len(specs))
 	for i, s := range specs {
-		jobs[i] = func() (any, error) {
-			sol, err := eval(s)
-			wres := 0.0
-			if sol != nil {
-				wres = sol.MeanResidual
-			}
-			tr.Candidate("adaptive", s.scanRange, s.interval, wres, err)
-			return sol, err
-		}
+		jobs[i] = func() (any, error) { return eval(s) }
 	}
 	cands := make([]Candidate, len(specs))
 	for i, o := range batch.Run(jobs) {
@@ -163,25 +129,13 @@ func AdaptiveLocateThreeLine(in ThreeLineInput, ranges, intervals []float64, bas
 	if len(ranges) == 0 || len(intervals) == 0 {
 		return nil, ErrNoCandidates
 	}
-	tr := base.Solve.Trace
-	defer tr.SpanAt("adaptive_three_line").End()
-	cands := sweep(gridSpecs(ranges, intervals), tr, func(s gridSpec) (*Solution, error) {
+	cands := sweep(gridSpecs(ranges, intervals), func(s gridSpec) (*Solution, error) {
 		opts := base
 		opts.ScanRange = s.scanRange
 		opts.Interval = s.interval
-		opts.Solve.TraceSpan = candidateSpan(tr, s)
 		return LocateThreeLine(in, opts)
 	})
 	return SelectByResidual(cands)
-}
-
-// candidateSpan labels one candidate's solve span; building the label is
-// skipped entirely when tracing is off.
-func candidateSpan(tr *lionobs.Tracer, s gridSpec) string {
-	if !tr.Enabled() {
-		return ""
-	}
-	return fmt.Sprintf("cand[range=%g,interval=%g]", s.scanRange, s.interval)
 }
 
 // AdaptiveLocateTwoLine is the two-line analogue of AdaptiveLocateThreeLine.
@@ -189,13 +143,10 @@ func AdaptiveLocateTwoLine(in TwoLineInput, abovePlane bool, ranges, intervals [
 	if len(ranges) == 0 || len(intervals) == 0 {
 		return nil, ErrNoCandidates
 	}
-	tr := base.Solve.Trace
-	defer tr.SpanAt("adaptive_two_line").End()
-	cands := sweep(gridSpecs(ranges, intervals), tr, func(s gridSpec) (*Solution, error) {
+	cands := sweep(gridSpecs(ranges, intervals), func(s gridSpec) (*Solution, error) {
 		opts := base
 		opts.ScanRange = s.scanRange
 		opts.Interval = s.interval
-		opts.Solve.TraceSpan = candidateSpan(tr, s)
 		return LocateTwoLine(in, abovePlane, opts)
 	})
 	return SelectByResidual(cands)
@@ -207,16 +158,12 @@ func AdaptiveLocate2DLine(obs []PosPhase, lambda float64, intervals []float64, p
 	if len(intervals) == 0 {
 		return nil, ErrNoCandidates
 	}
-	tr := opts.Trace
-	defer tr.SpanAt("adaptive_line_2d").End()
 	specs := make([]gridSpec, len(intervals))
 	for i, iv := range intervals {
 		specs[i] = gridSpec{interval: iv}
 	}
-	cands := sweep(specs, tr, func(s gridSpec) (*Solution, error) {
-		o := opts
-		o.TraceSpan = candidateSpan(tr, s)
-		return Locate2DLine(obs, lambda, s.interval, positiveSide, o)
+	cands := sweep(specs, func(s gridSpec) (*Solution, error) {
+		return Locate2DLine(obs, lambda, s.interval, positiveSide, opts)
 	})
 	return SelectByResidual(cands)
 }

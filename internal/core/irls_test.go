@@ -83,7 +83,7 @@ func refine(t *testing.T, a *mat.Dense, k []float64, maxIter int) ([]float64, in
 	ws.x = append(ws.x[:0], x0...)
 	ws.weights = onesInto(ws.weights, len(k))
 	opts := SolveOptions{Weighted: true, MaxIterations: maxIter, Tolerance: 1e-300}
-	iters, err := irlsRefine(&ws, a, k, opts, 1)
+	iters, err := irlsRefine(&ws, a, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

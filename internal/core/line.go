@@ -82,12 +82,11 @@ func Locate2DLineIntervalsInto(ws *LineWorkspace, obs []PosPhase, lambda float64
 }
 
 // solveSystem is SolveSystemInto on the [α, β, ω] system of ws.pairs, with
-// the same trace span, column check and solve, but without building β: it
+// the same column check and solve, but without building β: it
 // writes the kept columns [α, ω] directly and enters past the column
 // detection. β is exactly zero, so y is unknown, and x is known only if α
 // does not vanish against the system's scale.
 func (ws *LineWorkspace) solveSystem(opts SolveOptions, sol *Solution) error {
-	defer opts.Trace.SpanAt(opts.traceSpan()).End()
 	ws.a.Reshape(len(ws.pairs), 2)
 	ws.k = growFloats(ws.k, len(ws.pairs))
 	alphaMax, scale := ws.prof.fillLineSystem(&ws.a, ws.k, ws.pairs)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/rfid-lion/lion/internal/geom"
-	lionobs "github.com/rfid-lion/lion/internal/obs"
 	lionstats "github.com/rfid-lion/lion/internal/stats"
 )
 
@@ -14,8 +13,8 @@ func benchLineObs() []PosPhase {
 	return genObs(ant, positions, 0.02, 0, lionstats.NewRNG(13))
 }
 
-// BenchmarkLocate2DLine is the untraced baseline for the tracing-overhead
-// claim in bench_report.txt: a nil tracer must cost nothing on this path.
+// BenchmarkLocate2DLine measures one weighted single-interval line solve
+// over a 120-sample pass, allocations included.
 func BenchmarkLocate2DLine(b *testing.B) {
 	obs := benchLineObs()
 	opts := DefaultSolveOptions()
@@ -58,20 +57,5 @@ func BenchmarkLineSessionSlide(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		step()
-	}
-}
-
-// BenchmarkLocate2DLineTraced runs the same solve with a live tracer,
-// resetting it each iteration so the event buffer does not grow unbounded.
-func BenchmarkLocate2DLineTraced(b *testing.B) {
-	obs := benchLineObs()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opts := DefaultSolveOptions()
-		opts.Trace = lionobs.NewTracer()
-		if _, err := Locate2DLine(obs, testLambda, 0.2, true, opts); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -5,13 +5,12 @@ import (
 	"math"
 
 	"github.com/rfid-lion/lion/internal/geom"
-	"github.com/rfid-lion/lion/internal/obs"
 )
 
 // WeightFloor is the IRWLS weight below which an equation is effectively
 // discarded: exp(−d²/2) < 1e-6 corresponds to a residual more than ~5.3σ
-// from the mean. The per-iteration trace events report how many rows fell
-// below it.
+// from the mean. liond's explain reports how many final weights fall below
+// it.
 const WeightFloor = 1e-6
 
 // SolveOptions controls the least-squares estimation.
@@ -32,21 +31,6 @@ type SolveOptions struct {
 	// next solve than to the fixed point. Tests set it tiny to reach the
 	// converged fixed point.
 	Tolerance float64
-	// Trace, when non-nil, records the solve: a span around the estimation
-	// plus one event per IRWLS iteration carrying the residual norm, the
-	// number of weight-floor hits, and the system's condition estimate. The
-	// nil default costs nothing on the hot path.
-	Trace *obs.Tracer
-	// TraceSpan names this solve's span in the trace; empty means "solve".
-	// Adaptive sweeps label each candidate's solve distinctly.
-	TraceSpan string
-}
-
-func (o SolveOptions) traceSpan() string {
-	if o.TraceSpan == "" {
-		return "solve"
-	}
-	return o.TraceSpan
 }
 
 // DefaultSolveOptions returns the paper's default configuration: weighted

@@ -44,7 +44,6 @@ func growFloats(s []float64, n int) []float64 {
 // SolveSystem delegates here, which keeps the two entry points bit-identical
 // by construction.
 func SolveSystemInto(ws *SolveWorkspace, sys *System, opts SolveOptions, sol *Solution) error {
-	defer opts.Trace.SpanAt(opts.traceSpan()).End()
 	numRefs := sys.NumRefs
 	if numRefs <= 0 {
 		numRefs = 1
@@ -100,7 +99,7 @@ func SolveSystemInto(ws *SolveWorkspace, sys *System, opts SolveOptions, sol *So
 // ws.keep of a Dim-coordinate system with numRefs reference-distance
 // columns, known marks the coordinates among them, and k is the right-hand
 // side. Callers that build the kept columns directly, as the line solve
-// does, enter here and open the trace span themselves.
+// does, enter here.
 func (ws *SolveWorkspace) solveKept(a *mat.Dense, k []float64, dim, numRefs int, known [3]bool,
 	opts SolveOptions, sol *Solution) error {
 	if a.Rows() < len(ws.keep) {
@@ -109,8 +108,7 @@ func (ws *SolveWorkspace) solveKept(a *mat.Dense, k []float64, dim, numRefs int,
 
 	// One condition estimate per solve, on the unweighted reduced system,
 	// read off the initial solve's Cholesky factor — enough to flag
-	// near-degenerate geometry in both the Solution and every iteration's
-	// trace event.
+	// near-degenerate geometry in the Solution.
 	x0, condEst, err := ws.ls.LeastSquaresCond(a, k)
 	if err != nil {
 		return leastSquaresErr(err)
@@ -120,7 +118,7 @@ func (ws *SolveWorkspace) solveKept(a *mat.Dense, k []float64, dim, numRefs int,
 	ws.x = append(ws.x[:0], x0...)
 
 	ws.weights = onesInto(ws.weights, a.Rows())
-	iterations, err := irlsRefine(ws, a, k, opts, condEst)
+	iterations, err := irlsRefine(ws, a, k, opts)
 	if err != nil {
 		return err
 	}
@@ -164,7 +162,7 @@ func (ws *SolveWorkspace) solveKept(a *mat.Dense, k []float64, dim, numRefs int,
 // their sum and sum of squares, then their deviations from the mean
 // (mat.Workspace.ResidualStats); the Eq. 15 weights; AᵀWA + AᵀWb of the
 // weighted solve, whose weight check then scans the weights alone.
-func irlsRefine(ws *SolveWorkspace, a *mat.Dense, k []float64, opts SolveOptions, condEst float64) (int, error) {
+func irlsRefine(ws *SolveWorkspace, a *mat.Dense, k []float64, opts SolveOptions) (int, error) {
 	if !opts.Weighted {
 		return 0, nil
 	}
@@ -185,13 +183,9 @@ func irlsRefine(ws *SolveWorkspace, a *mat.Dense, k []float64, opts SolveOptions
 			break // exact fit: x is the solution
 		}
 		inv := 1 / sum.Std
-		floorHits := 0
 		for i, r := range res {
 			d := (r - sum.Mean) * inv
 			w[i] = math.Exp(-d * d / 2) // Eq. 15
-			if w[i] < WeightFloor {
-				floorHits++
-			}
 		}
 		g, werr := ws.ls.WeightedLeastSquares(a, k, w)
 		if werr != nil {
@@ -201,7 +195,6 @@ func irlsRefine(ws *SolveWorkspace, a *mat.Dense, k []float64, opts SolveOptions
 			return iterations, fmt.Errorf("weighted least squares: %w", werr)
 		}
 		iterations++
-		opts.Trace.IRLSIter(opts.traceSpan(), iterations, sum.Norm, floorHits, condEst)
 		s := 0.0
 		for i := range x {
 			if d := math.Abs(g[i] - x[i]); d > s {

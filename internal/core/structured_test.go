@@ -220,7 +220,7 @@ func TestSweepReportsPanickingCandidate(t *testing.T) {
 	}
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
-		cands := sweep(specs, nil, eval)
+		cands := sweep(specs, eval)
 		runtime.GOMAXPROCS(prev)
 		if len(cands) != len(specs) {
 			t.Fatalf("GOMAXPROCS %d: %d candidates, want %d", procs, len(cands), len(specs))

@@ -24,12 +24,6 @@ func LineThrough(p, q Vec2) Line2 {
 	return Line2{A: n.X, B: n.Y, C: n.Dot(p)}
 }
 
-// LinePointDir returns the line through p with direction dir.
-func LinePointDir(p, dir Vec2) Line2 {
-	n := dir.Perp()
-	return Line2{A: n.X, B: n.Y, C: n.Dot(p)}
-}
-
 // Normalize scales the line so that the normal (A, B) has unit length.
 // Degenerate lines (A==B==0) are returned unchanged.
 func (l Line2) Normalize() Line2 {

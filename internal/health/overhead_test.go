@@ -9,7 +9,7 @@ import (
 )
 
 // TestNilMonitorZeroOverhead pins the disabled-monitor contract: feeding a
-// nil *Monitor allocates nothing, mirroring the nil-Tracer guarantee.
+// nil *Monitor allocates nothing, like the nil *obs.SpanLog.
 func TestNilMonitorZeroOverhead(t *testing.T) {
 	var m *Monitor
 	pos := geom.V3(1, 2, 3)

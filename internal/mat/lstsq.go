@@ -28,12 +28,3 @@ func Residuals(a *Dense, x, b []float64) ([]float64, error) {
 	var ws Workspace
 	return ws.Residuals(a, x, b)
 }
-
-// ResidualNorm returns ‖A·x − b‖₂.
-func ResidualNorm(a *Dense, x, b []float64) (float64, error) {
-	r, err := Residuals(a, x, b)
-	if err != nil {
-		return 0, err
-	}
-	return Norm2(r), nil
-}

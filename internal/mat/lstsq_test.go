@@ -100,19 +100,20 @@ func TestLeastSquaresMinimisesResidual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := ResidualNorm(a, x, b)
+	r, err := Residuals(a, x, b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := Norm2(r)
 	// Perturbing the solution in any direction must not decrease the
 	// residual norm.
 	for _, d := range [][]float64{{1e-3, 0}, {-1e-3, 0}, {0, 1e-3}, {0, -1e-3}} {
 		xp := []float64{x[0] + d[0], x[1] + d[1]}
-		rn, err := ResidualNorm(a, xp, b)
+		rp, err := Residuals(a, xp, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rn < base-1e-12 {
+		if rn := Norm2(rp); rn < base-1e-12 {
 			t.Errorf("perturbation %v decreased residual: %v < %v", d, rn, base)
 		}
 	}
@@ -208,12 +209,12 @@ func TestResiduals(t *testing.T) {
 	if !vecAlmostEq(r, []float64{1, 2}, 0) {
 		t.Errorf("Residuals = %v", r)
 	}
-	n, err := ResidualNorm(a, []float64{2, 3}, []float64{1, 1})
+	r, err = Residuals(a, []float64{2, 3}, []float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(n-math.Sqrt(5)) > 1e-12 {
-		t.Errorf("ResidualNorm = %v", n)
+	if n := Norm2(r); math.Abs(n-math.Sqrt(5)) > 1e-12 {
+		t.Errorf("Norm2 of Residuals = %v", n)
 	}
 	if _, err := Residuals(a, []float64{1, 2}, []float64{1}); !errors.Is(err, ErrShape) {
 		t.Errorf("shape err = %v", err)

@@ -408,17 +408,6 @@ func (m *Dense) String() string {
 	return b.String()
 }
 
-// Vector helpers shared across the package.
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 {
 	var s float64
@@ -426,11 +415,4 @@ func Norm2(v []float64) float64 {
 		s += x * x
 	}
 	return math.Sqrt(s)
-}
-
-// AXPY computes y ← y + a·x in place.
-func AXPY(a float64, x, y []float64) {
-	for i, xi := range x {
-		y[i] += a * xi
-	}
 }

@@ -159,29 +159,27 @@ func (ws *Workspace) Residuals(a *Dense, x, b []float64) ([]float64, error) {
 	return ws.res, nil
 }
 
-// ResidualSummary is what one IRLS iteration reads off its residual vector.
+// ResidualSummary is what one IRLS iteration reads off its residual vector:
+// the population mean and standard deviation of the residuals, bit for bit
+// stats.Mean and stats.StdDev.
 type ResidualSummary struct {
-	// Mean and Std are the population mean and standard deviation, bit for
-	// bit stats.MeanStd of the residuals.
 	Mean, Std float64
-	// Norm is ‖r‖₂, bit for bit Norm2 of the residuals.
-	Norm float64
 }
 
 // ResidualStats is Residuals with its ResidualSummary in two passes over
-// the rows. The first forms the residuals with Σr (for the mean) and Σr²
-// (for the norm); the second sums (r − mean)². That is the arithmetic of
-// stats.MeanStd, and unlike a running (Welford) update it puts no division
-// on the loop-carried chain. Two columns, the line frame's [α, ω] system,
-// dot each row without the generic loop, adding in rowDot's order. The
-// returned slice aliases workspace scratch like Residuals'.
+// the rows. The first forms the residuals with their sum Σr; the second sums
+// (r − mean)². That is the arithmetic of stats.Mean and stats.StdDev, and
+// unlike a running (Welford) update it puts no division on the loop-carried
+// chain. Two columns, the line frame's [α, ω] system, dot each row without
+// the generic loop, adding in rowDot's order. The returned slice aliases
+// workspace scratch like Residuals'.
 func (ws *Workspace) ResidualStats(a *Dense, x, b []float64) ([]float64, ResidualSummary, error) {
 	if a.Cols() != len(x) || a.Rows() != len(b) {
 		return nil, ResidualSummary{}, ErrShape
 	}
 	res := grow(ws.res, a.Rows())
 	ws.res = res
-	var s, ss float64
+	var s float64
 	if a.cols == 2 {
 		x0, x1 := x[0], x[1]
 		data := a.data[:2*len(res)]
@@ -193,14 +191,12 @@ func (ws *Workspace) ResidualStats(a *Dense, x, b []float64) ([]float64, Residua
 			r := d - b[i]
 			res[i] = r
 			s += r
-			ss += r * r
 		}
 	} else {
 		for i := range res {
 			r := a.rowDot(i, x) - b[i]
 			res[i] = r
 			s += r
-			ss += r * r
 		}
 	}
 	var sum ResidualSummary
@@ -213,7 +209,6 @@ func (ws *Workspace) ResidualStats(a *Dense, x, b []float64) ([]float64, Residua
 		}
 		sum.Std = math.Sqrt(dev / n)
 	}
-	sum.Norm = math.Sqrt(ss)
 	return res, sum, nil
 }
 

@@ -10,8 +10,8 @@ import (
 
 // Logger writes structured JSON log lines: one object per line with ts,
 // level, msg, and the given key/value fields. The nil Logger discards
-// everything, so optional logging threads through APIs the same way the nil
-// Tracer does.
+// everything, so optional logging threads through APIs without a check at
+// each call.
 type Logger struct {
 	mu  sync.Mutex
 	w   io.Writer

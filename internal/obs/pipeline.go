@@ -1,7 +1,6 @@
 // Pipeline tracing: propagatable trace contexts and the bounded span log.
 //
-// The solve tracer (trace.go) records what happens *inside* one window solve;
-// the types here record where a sample batch spent its time *between* pipeline
+// The types here record where a sample batch spent its time between pipeline
 // stages — router ingest, forward queue, wire transfer, shard decode, engine
 // queue, solve, publish. A deterministic 1-in-N sampler stamps selected ingest
 // batches with a TraceContext; every stage that touches a sampled batch
@@ -102,8 +101,7 @@ func splitmix64(x uint64) uint64 {
 	return x
 }
 
-// PipeSpan is one pipeline stage crossing of a sampled batch. Unlike the
-// solve tracer's Event (relative microseconds within one solve), spans carry
+// PipeSpan is one pipeline stage crossing of a sampled batch. Spans carry
 // absolute wall-clock nanoseconds so spans from different processes order on
 // a common axis.
 type PipeSpan struct {

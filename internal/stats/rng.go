@@ -58,11 +58,3 @@ func SplitSeed(seed int64, worker int) int64 {
 	z ^= z >> 31
 	return int64(z)
 }
-
-// NewWorkerRNG returns the deterministic generator for one worker of a
-// pool. RNG is not safe for concurrent use (see the type comment), so
-// parallel code must create exactly one per worker; this constructor makes
-// the per-worker split explicit and reproducible.
-func NewWorkerRNG(seed int64, worker int) *RNG {
-	return NewRNG(SplitSeed(seed, worker))
-}

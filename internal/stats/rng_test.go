@@ -5,6 +5,10 @@ import (
 	"testing"
 )
 
+// workerRNG is the generator one worker of a pool seeds from SplitSeed, one
+// per goroutine as RNG requires.
+func workerRNG(seed int64, worker int) *RNG { return NewRNG(SplitSeed(seed, worker)) }
+
 func drawSequence(g *RNG, n int) []float64 {
 	out := make([]float64, n)
 	for i := range out {
@@ -43,7 +47,7 @@ func TestWorkerRNGsNeverShareASequence(t *testing.T) {
 	const n = 1000
 	seqs := make([][]float64, workers)
 	for w := range seqs {
-		seqs[w] = drawSequence(NewWorkerRNG(7, w), n)
+		seqs[w] = drawSequence(workerRNG(7, w), n)
 	}
 	// Index every value of every stream; identical float64 draws across
 	// streams are already vanishingly unlikely, so any repeated window
@@ -68,8 +72,8 @@ func TestWorkerRNGsNeverShareASequence(t *testing.T) {
 }
 
 func TestWorkerRNGReproducible(t *testing.T) {
-	a := drawSequence(NewWorkerRNG(3, 2), 100)
-	b := drawSequence(NewWorkerRNG(3, 2), 100)
+	a := drawSequence(workerRNG(3, 2), 100)
+	b := drawSequence(workerRNG(3, 2), 100)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("draw %d differs across identical worker RNGs", i)
@@ -88,7 +92,7 @@ func TestWorkerRNGConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			g := NewWorkerRNG(11, w)
+			g := workerRNG(11, w)
 			for i := 0; i < 10000; i++ {
 				sums[w] += g.Float64()
 			}

@@ -43,13 +43,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// MeanStd returns the mean and population standard deviation of xs: bit
-// for bit Mean and StdDev, the two-pass arithmetic that the IRLS residual
-// pass in package mat reproduces while it forms the residuals.
-func MeanStd(xs []float64) (mean, std float64) {
-	return Mean(xs), StdDev(xs)
-}
-
 // Percentile returns the p-th percentile (p in [0, 100]) of xs using linear
 // interpolation between closest ranks. The input is not modified.
 func Percentile(xs []float64, p float64) (float64, error) {

@@ -20,13 +20,11 @@ func Line2DSolver(lambda float64, intervals []float64, positiveSide bool, opts c
 	ivs := make([]float64, len(intervals))
 	copy(ivs, intervals)
 	pool := &sync.Pool{New: func() any { return new(core.LineWorkspace) }}
-	return func(win []core.PosPhase, tr *obs.Tracer) (*core.Solution, error) {
-		o := opts
-		o.Trace = tr
+	return func(win []core.PosPhase, _ *obs.Tracer) (*core.Solution, error) {
 		ws := pool.Get().(*core.LineWorkspace)
 		defer pool.Put(ws)
 		sol := &core.Solution{}
-		if err := core.Locate2DLineIntervalsInto(ws, win, lambda, ivs, positiveSide, o, sol); err != nil {
+		if err := core.Locate2DLineIntervalsInto(ws, win, lambda, ivs, positiveSide, opts, sol); err != nil {
 			return nil, err
 		}
 		return sol, nil
@@ -37,19 +35,15 @@ func Line2DSolver(lambda float64, intervals []float64, positiveSide bool, opts c
 // over the window, for arbitrary known 2-D trajectories. A stride of zero
 // pairs each sample with the one a quarter-window ahead.
 func Free2DSolver(lambda float64, stride int, opts core.SolveOptions) Solver {
-	return func(win []core.PosPhase, tr *obs.Tracer) (*core.Solution, error) {
-		o := opts
-		o.Trace = tr
-		return core.Locate2D(win, lambda, core.StridePairs(len(win), strideFor(len(win), stride)), o)
+	return func(win []core.PosPhase, _ *obs.Tracer) (*core.Solution, error) {
+		return core.Locate2D(win, lambda, core.StridePairs(len(win), strideFor(len(win), stride)), opts)
 	}
 }
 
 // Free3DSolver is Free2DSolver for trajectories with full 3-D diversity.
 func Free3DSolver(lambda float64, stride int, opts core.SolveOptions) Solver {
-	return func(win []core.PosPhase, tr *obs.Tracer) (*core.Solution, error) {
-		o := opts
-		o.Trace = tr
-		return core.Locate3D(win, lambda, core.StridePairs(len(win), strideFor(len(win), stride)), o)
+	return func(win []core.PosPhase, _ *obs.Tracer) (*core.Solution, error) {
+		return core.Locate3D(win, lambda, core.StridePairs(len(win), strideFor(len(win), stride)), opts)
 	}
 }
 
@@ -92,7 +86,7 @@ type incrLineSolver struct {
 // copy phases, unwrap — then runs the session's locate. Finite validation
 // happens inside the line solve, matching core.Preprocess's rejection of
 // non-finite input.
-func (s *incrLineSolver) SolveWindow(samples []Sample, tr *obs.Tracer) (*core.Solution, error) {
+func (s *incrLineSolver) SolveWindow(samples []Sample, _ *obs.Tracer) (*core.Solution, error) {
 	if cap(s.theta) < len(samples) {
 		s.theta = make([]float64, 0, len(samples))
 	}
@@ -108,9 +102,7 @@ func (s *incrLineSolver) SolveWindow(samples []Sample, tr *obs.Tracer) (*core.So
 	for i, sm := range samples {
 		s.win = append(s.win, core.PosPhase{Pos: sm.Pos, Theta: s.theta[i]})
 	}
-	o := s.opts
-	o.Trace = tr
-	if err := s.sess.Locate(s.win, o, &s.sol); err != nil {
+	if err := s.sess.Locate(s.win, s.opts, &s.sol); err != nil {
 		return nil, err
 	}
 	return &s.sol, nil

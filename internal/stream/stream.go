@@ -49,9 +49,8 @@ func FromSim(s sim.Sample) Sample {
 // Solvers must be pure functions of their input: the streamed-equals-offline
 // guarantee relies on it. The window is engine storage, valid only for the
 // call; a solver must not retain it, and the Solution it returns must not
-// alias it. The engine passes a nil tracer; an offline caller may pass one,
-// and solvers forward it into core.SolveOptions so per-iteration solver
-// events reach the trace.
+// alias it. The tracer argument is always nil and the solvers here ignore
+// it (obs.Tracer).
 type Solver func(win []core.PosPhase, tr *obs.Tracer) (*core.Solution, error)
 
 // SessionSolver is the stateful per-tag counterpart of Solver: it receives
@@ -383,11 +382,11 @@ func (e *Engine) Registry() *obs.Registry { return e.reg }
 // smooth the phases with core.Preprocess, then apply the solver. The engine
 // solves through the same code on its pooled snapshots' buffers, which is
 // what makes a streamed window's estimate bit-identical to an offline solve
-// of the same samples. A nil tracer is free; a non-nil one records the
-// solver's spans and iteration events.
-func SolveWindow(samples []Sample, smooth int, solver Solver, tr *obs.Tracer) (*core.Solution, error) {
+// of the same samples. The tracer argument is ignored, as solvers ignore
+// theirs.
+func SolveWindow(samples []Sample, smooth int, solver Solver, _ *obs.Tracer) (*core.Solution, error) {
 	var buf windowBuffers
-	return buf.solve(samples, smooth, solver, tr)
+	return buf.solve(samples, smooth, solver)
 }
 
 // windowBuffers is the preprocessing storage of one window solve. Each
@@ -401,7 +400,7 @@ type windowBuffers struct {
 
 // solve is SolveWindow on b's storage. The window handed to the solver
 // aliases b and is valid only for the call.
-func (b *windowBuffers) solve(samples []Sample, smooth int, solver Solver, tr *obs.Tracer) (*core.Solution, error) {
+func (b *windowBuffers) solve(samples []Sample, smooth int, solver Solver) (*core.Solution, error) {
 	if cap(b.positions) < len(samples) {
 		b.positions = make([]geom.Vec3, 0, len(samples))
 		b.phases = make([]float64, 0, len(samples))
@@ -416,7 +415,7 @@ func (b *windowBuffers) solve(samples []Sample, smooth int, solver Solver, tr *o
 	if err != nil {
 		return nil, err
 	}
-	return solver(win, tr)
+	return solver(win, nil)
 }
 
 // Ingest accepts one sample for the tag; a full window slides, so a valid
@@ -732,7 +731,7 @@ func (snap *snapshot) solve() (any, error) {
 	if s := snap.sess.solver; s != nil {
 		sol, serr = s.SolveWindow(snap.samples, nil)
 	} else {
-		sol, serr = snap.buf.solve(snap.samples, e.cfg.Smooth, e.cfg.Solver, nil)
+		sol, serr = snap.buf.solve(snap.samples, e.cfg.Smooth, e.cfg.Solver)
 	}
 	snap.sv = solved{sol: sol, err: serr, start: begin, latency: time.Since(begin)}
 	return &snap.sv, nil

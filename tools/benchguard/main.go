@@ -51,7 +51,9 @@ func run(args []string, stdout io.Writer) error {
 		// re-solve runs off the hot path (once per drift alert, on the
 		// controller's goroutine), so only its deterministic allocs/op is a
 		// product requirement — wall clock there is all measurement noise.
-		nsNames = fs.String("ns", "locate_2d_line,stream_resolve_incremental,wire_decode",
+		// line2d_window_solve is the window solve liond and both pipebench
+		// workloads run.
+		nsNames = fs.String("ns", "line2d_window_solve,locate_2d_line,stream_resolve_incremental,wire_decode",
 			"comma-separated benchmark names whose ns_per_op is guarded")
 		macro = fs.Bool("macro", true,
 			"guard macro SLO fields against their declared targets")

@@ -96,6 +96,17 @@ func TestRunEndToEnd(t *testing.T) {
 	if err := run([]string{"-baseline", base, "-current", bad}, &out); err == nil {
 		t.Fatalf("regressed comparison passed:\n%s", out.String())
 	}
+	// The default -ns list guards the window solve liond runs, against
+	// BENCH_11's 61.6 µs plus 10 %.
+	window := write("window.json", `{"schema":"lionbench/1","benchmarks":[
+		{"name":"line2d_window_solve","ns_per_op":61613,"allocs_per_op":9}]}`)
+	slowWindow := write("slow-window.json", `{"schema":"lionbench/1","benchmarks":[
+		{"name":"line2d_window_solve","ns_per_op":68000,"allocs_per_op":9}]}`)
+	out.Reset()
+	if err := run([]string{"-baseline", window, "-current", slowWindow}, &out); err == nil ||
+		!strings.Contains(out.String(), "line2d_window_solve") {
+		t.Fatalf("line2d_window_solve at +10.4 %% passed the default guard: %v\n%s", err, out.String())
+	}
 	if err := run([]string{"-baseline", base}, &out); err == nil {
 		t.Fatal("missing -current accepted")
 	}
